@@ -3,12 +3,9 @@
 The reference loads ``resources/config/grobid-datacat.yaml`` into a
 ``DatacatConfiguration`` bean (``DatacatConfiguration.java:23-36``,
 ``GrobidDatacatMain.java:56-77``). Here a plain dataclass, loadable from a
-JSON/YAML-subset dict, carries the per-stage Ray knobs (batch sizes, actor
-pool widths, per-actor CPUs) and the document guard rails.
-
-Sizing stance for one 32-CPU node (scales by node count on a cluster):
-DOM parse + tokenize are stateless tasks (elastic); the two CRF actor pools
-split the remaining cores so the cascade pipelines instead of serializing.
+JSON/YAML-subset dict, carries the Ray knobs of the one fused extraction
+stage (batch size, task vs actor-pool execution, pool width, CPUs per
+worker) and the document guard rails.
 """
 
 from __future__ import annotations
@@ -75,24 +72,16 @@ class PipelineConfig:
     # reference-style ``models:`` spec list ({name, engine, wapiti:{...}});
     # engines outside SUPPORTED_ENGINES are rejected at load
     models: list = field(default_factory=list)
-    # stage knobs
-    dom: StageConfig = field(default_factory=lambda: StageConfig(batch_size=128))
-    tokenize: StageConfig = field(default_factory=lambda: StageConfig(batch_size=128))
-    # actor-pool minimums stay at 1 so the pools never reserve every core
-    # and starve the upstream task stages (a (2,8)+(2,8) pair deadlocks a
-    # 4-CPU test session); the max lets the pool scale out on big nodes
-    # "tasks": fused stage runs as plain Ray tasks with a per-worker-process
+    # fused extraction stage knobs.
+    # "tasks": the stage runs as plain Ray tasks with a per-worker-process
     # decoder cache (instant scheduling onto every free core). "actors":
-    # fused stage runs in an autoscaling actor pool — use when per-actor
-    # state is expensive to build (heavyweight model weights).
+    # it runs in an autoscaling actor pool — use when per-actor state is
+    # expensive to build (heavyweight model weights).
     execution: str = "tasks"
-    # max sized for a 32-core node; Ray's autoscaling pool only grows a pool
-    # while its input queue is non-empty, so the two pools share the node
-    # without starving the stateless task stages
+    # batch_size is also the lockstep CRF decode width; the pool minimum
+    # stays at 1 so it never reserves every core of a small session, the
+    # max lets it scale out on big nodes
     segmenter: StageConfig = field(
-        default_factory=lambda: StageConfig(batch_size=128, concurrency=(1, 24))
-    )
-    body: StageConfig = field(
         default_factory=lambda: StageConfig(batch_size=128, concurrency=(1, 24))
     )
     # output

@@ -1,23 +1,25 @@
 """The flagship extraction pipeline (SURVEY.md §3.3 Ray shape).
 
-    read_parquet(pages)                                 # url warc_ts html text lang
-      → dedup_latest (groupby url, keep max warc_ts)    # D1 — the one shuffle
-      → map_batches(extract_blocks)                     # S2' DOM + boilerplate strip
-      → map_batches(tokenize_stage)                     # M1+M2+M3/M4 guards
-      → map_batches(SegmenterStage, actor pool)         # M5+M6+M8 featurize → ST1 CRF → M13 zones
-      → map_batches(BodyStage, actor pool)              # M14+M7 featurize → ST2 CRF → M15/M16 TEI + S9 text
+    read_parquet(pages)                               # url warc_ts html text lang
+      → dedup (winner prefilter, or groupby url keeping max warc_ts)
+      → map_batches(FusedExtractStage)                # the whole cascade, per batch:
+          DOM parse + tokenize + caps + line features # S2' M1-M6
+          → segmenter CRF → zones                     # ST1 M13
+          → body token features → body CRF            # M14 M7 ST2
+          → lexical features → lexical CRF            # third level, per <entry>
+          → TEI + text assembly                       # M15 M16 S9
       → write_parquet / Dataset
 
-Featurization is FUSED into its consuming CRF actor (the feature structs are
-5-10× the token payload; producing them in a separate stage would ship them
-through the object store just to be read once — at 100 TB that is the
-dominant traffic). The standalone ``featurize_stage`` remains available for
-the features-debug sink (S10) and golden tests.
+Every operator is document-local, so the cascade is ONE map stage: the
+intermediates (lines, tokens, feature dicts — 5-10x the html payload) never
+cross the object store. Inside a batch the stage runs phase by phase, and
+each CRF level decodes all of the batch's sequences in one lockstep Viterbi.
 
 Output schema (one row per url):
-    url, warc_ts, lang, extracted_text, tei, tei_body,
+    url, warc_ts, lang, extracted_text, main_text, tei, tei_body,
     zones:   list<struct<label,start,end>>   (token offsets, M13)
     entries: list<struct<label,start,end>>   (token offsets, body cascade)
+    lexical: list<struct<label,start,end>>   (token offsets, lexical level)
     n_lines, n_tokens, error
 """
 
@@ -30,54 +32,26 @@ import ray.data
 from datacat_ray.config import PipelineConfig
 from datacat_ray.stages.crf import CRFDecoder, with_begin_prefix
 from datacat_ray.stages.dedup import dedup_latest
-from datacat_ray.stages.dom import (
-    blocks_from_plain_text,
-    extract_blocks,
-    parse_main_blocks,
-)
+from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
+from datacat_ray.stages.lexical_features import featurize_entry_tokens
 from datacat_ray.stages.line_features import (
     _FIELD_NAMES as _LINE_FIELD_NAMES,
     featurize_lines,
 )
-from datacat_ray.stages.lexical_features import featurize_entry_tokens
 from datacat_ray.stages.models import BODY_MODEL, LEXICAL_MODEL, SEGMENTER_MODEL
 from datacat_ray.stages.tei import (
     assemble_body_tei,
     assemble_segmenter_tei,
-    token_char_offsets,
     body_label_runs,
     extracted_text,
+    token_char_offsets,
 )
-
-
 from datacat_ray.stages.token_features import (
     _TOKEN_FIELD_NAMES as _BODY_FIELD_NAMES,
     featurize_body_tokens,
 )
-from datacat_ray.stages.tokenizer import tokenize_document, tokenize_stage
+from datacat_ray.stages.tokenizer import tokenize_document
 from datacat_ray.stages.zones import ZONE_STRUCT, decode_zones, zone_token_indices
-
-
-def unwrapped_text(lines: list[dict]) -> str:
-    """Reconstruct the pre-wrap block text: lines of one block joined by the
-    space the wrap consumed (``wrap_text`` semantics), blocks joined by
-    newline. For HTML whose block texts contain no hard breaks this is the
-    exact inverse of the tokenizer's pseudo-line wrapping — the clean
-    "main content" string a downstream consumer wants."""
-    parts: list[str] = []
-    cur_block = None
-    for ln in lines:
-        if ln["block_id"] != cur_block:
-            parts.append(ln["text"])
-            cur_block = ln["block_id"]
-        else:
-            parts[-1] = parts[-1] + " " + ln["text"]
-    return "\n".join(parts)
-
-SEGMENTED_SCHEMA_EXTRA = [
-    pa.field("line_labels", pa.list_(pa.string())),
-    pa.field("zones", pa.list_(ZONE_STRUCT)),
-]
 
 RESULT_SCHEMA = pa.schema(
     [
@@ -98,6 +72,23 @@ RESULT_SCHEMA = pa.schema(
 )
 
 
+def unwrapped_text(lines: list[dict]) -> str:
+    """Reconstruct the pre-wrap block text: lines of one block joined by the
+    space the wrap consumed (``wrap_text`` semantics), blocks joined by
+    newline. For HTML whose block texts contain no hard breaks this is the
+    exact inverse of the tokenizer's pseudo-line wrapping — the clean
+    "main content" string a downstream consumer wants."""
+    parts: list[str] = []
+    cur_block = None
+    for ln in lines:
+        if ln["block_id"] != cur_block:
+            parts.append(ln["text"])
+            cur_block = ln["block_id"]
+        else:
+            parts[-1] = parts[-1] + " " + ln["text"]
+    return "\n".join(parts)
+
+
 def _to_raw_fields(feats: list[dict], order: list[str]) -> list[dict]:
     """Named feature dicts → raw-column field space (``f0..fN`` keyed,
     stringified in serialization order) — the space trained model
@@ -109,19 +100,51 @@ def _to_raw_fields(feats: list[dict], order: list[str]) -> list[dict]:
     ]
 
 
+class _Doc:
+    """One document's cascade state between the phases of a batch."""
+
+    __slots__ = ("url", "lang", "lines", "tokens", "token_line", "em", "idx",
+                 "line_labels", "zones", "entries", "runs", "result")
+
+    def __init__(self, url, lang) -> None:
+        self.url = url
+        self.lang = lang
+
+
+def _phase(docs: dict, out: list, fn, inputs) -> None:
+    """``fn(doc, x)`` for every live document with its input ``x``. A
+    document whose call raises, or returns a cap-rejection message, leaves
+    ``docs`` and gets its error row in ``out``: a poison row costs only
+    itself (the Ray analogue of the reference's per-file try/catch,
+    ``EngineDatacat.java:136-143``)."""
+    for (i, d), x in zip(list(docs.items()), inputs):
+        try:
+            err = fn(d, x)
+        except Exception as exc:  # noqa: BLE001 — poison-row side output
+            err = f"{type(exc).__name__}: {exc}"
+        if err is not None:
+            del docs[i]
+            out[i] = ("", "", "", "", [], [], [], 0, 0, err)
+
+
 class FusedExtractStage:
-    """The whole per-document cascade in ONE actor ``__call__``: DOM parse +
-    boilerplate strip (S2'), tokenize (M1/M2), line featurize + segmenter
-    CRF + zone decode (M5/M6/ST1/M13), body featurize + entry CRF
-    (M14/M7/ST2), TEI + text assembly (M15/M16/S9).
+    """The whole cascade in ONE map stage: DOM parse + boilerplate strip
+    (S2'), tokenize (M1/M2), line featurize + segmenter CRF + zone decode
+    (M5/M6/ST1/M13), body featurize + entry CRF (M14/M7/ST2), the lexical
+    level per ``<entry>`` run, TEI + text assembly (M15/M16/S9).
 
     Fused deliberately: every operator is document-local (SURVEY.md §4), so
     splitting them into separate map_batches stages ships the fat
     intermediate nested columns (lines/tokens/features, 5-10× the html
     payload) through the object store and pays Arrow⇄Python conversion at
     each boundary — measured ~8× the actual kernel cost. One stage = one
-    conversion in (html bytes), one out (result strings). Both CRF decoders
-    compile once per actor in ``__init__`` (the Ray analogue of the
+    conversion in (html bytes), one out (result strings).
+
+    A batch runs phase by phase (``_extract``), so each CRF level decodes
+    every sequence of the batch in one lockstep Viterbi
+    (``CRFDecoder.viterbi``); feature dicts become emission matrices as
+    soon as they are built, so only those cross a phase. The decoders
+    compile once per stage in ``__init__`` (the Ray analogue of the
     reference's parser singletons holding loaded Wapiti models,
     ``DatacatSegmenterParser.java:83-85``,
     ``DatacatBodySegmentationParser.java:63-67``)."""
@@ -169,23 +192,9 @@ class FusedExtractStage:
         # -segmentSentences analogue: <s> sentence level in body TEI
         self.segment_sentences = segment_sentences
 
-    def _lexical_spans(self, tokens: list[str], entries: list[dict]) -> list[dict]:
-        """Third cascade level: label the tokens of each ``<entry>`` run
-        with lexical fields (num/category/desc/count/material)."""
-        spans: list[dict] = []
-        for run in entries:
-            if run["label"] != "<entry>":
-                continue
-            feats, idx = featurize_entry_tokens(tokens, run["start"], run["end"])
-            if not feats:
-                continue
-            labels = self.lexical.decode(feats)
-            spans.extend(body_label_runs(labels, idx))
-        return spans
-
-    def _one(self, url, lang, html, text):
-        """(extracted_text, main_text, tei, tei_body, zones, entries,
-        n_lines, n_tokens, error) for one document."""
+    def _lines(self, d: _Doc, src: tuple) -> str | None:
+        """Parse, tokenize, apply the caps, featurize lines."""
+        html, text = src
         if html is not None:
             blocks = parse_main_blocks(html.decode("utf-8", errors="replace"))
         elif text is not None:
@@ -199,32 +208,58 @@ class FusedExtractStage:
             hi = self.end_page if self.end_page >= 0 else float("inf")
             blocks = [b for b in blocks if lo <= b["page"] <= hi]
         if len(blocks) > self.max_blocks:
-            return "", "", "", "", [], [], [], 0, 0, f"TOO_MANY_BLOCKS: {len(blocks)}"
-        lines, tokens, token_line = tokenize_document(blocks)
-        if len(tokens) > self.max_tokens:
-            return "", "", "", "", [], [], [], 0, 0, f"TOO_MANY_TOKENS: {len(tokens)}"
-        feats = featurize_lines(lines)
+            return f"TOO_MANY_BLOCKS: {len(blocks)}"
+        d.lines, d.tokens, d.token_line = tokenize_document(blocks)
+        if len(d.tokens) > self.max_tokens:
+            return f"TOO_MANY_TOKENS: {len(d.tokens)}"
+        feats = featurize_lines(d.lines)
         if self.seg_raw_fields:
             feats = _to_raw_fields(feats, _LINE_FIELD_NAMES)
-        line_labels = with_begin_prefix(self.seg.decode(feats))
-        zones = decode_zones(line_labels, token_line, len(tokens))
-        body_ranges = zone_token_indices(zones, "<body>")
-        bfeats, idx = featurize_body_tokens(tokens, token_line, lines, body_ranges)
+        d.em = self.seg.emission_matrix(feats)
+        return None
+
+    def _body_tokens(self, d: _Doc, seg_labels: list[str]) -> None:
+        """Zones from the segmenter labels; featurize the body tokens."""
+        d.line_labels = with_begin_prefix(seg_labels)
+        d.zones = decode_zones(d.line_labels, d.token_line, len(d.tokens))
+        body_ranges = zone_token_indices(d.zones, "<body>")
+        bfeats, d.idx = featurize_body_tokens(
+            d.tokens, d.token_line, d.lines, body_ranges)
         if self.body_raw_fields:
             bfeats = _to_raw_fields(bfeats, _BODY_FIELD_NAMES)
-        entries = body_label_runs(self.body.decode(bfeats), idx)
-        lexical = self._lexical_spans(tokens, entries)
+        d.em = self.body.emission_matrix(bfeats)
+
+    def _entry_runs(self, d: _Doc, body_labels: list[str]) -> None:
+        """Entries from the body labels; featurize every ``<entry>`` run
+        for the lexical level (num/category/desc/count/material)."""
+        d.entries = body_label_runs(body_labels, d.idx)
+        d.em = None
+        d.runs = []
+        for run in d.entries:
+            if run["label"] != "<entry>":
+                continue
+            feats, idx = featurize_entry_tokens(d.tokens, run["start"], run["end"])
+            if feats:
+                d.runs.append((idx, self.lexical.emission_matrix(feats)))
+
+    def _assemble(self, d: _Doc, run_labels: list[list[str]]) -> None:
+        """Lexical spans from the run labels; text and TEI assembly."""
+        lexical: list[dict] = []
+        for (idx, _), labels in zip(d.runs, run_labels):
+            lexical.extend(body_label_runs(labels, idx))
+        tokens, lines, zones, entries = d.tokens, d.lines, d.zones, d.entries
         if self.tei_coordinates:
             offs = token_char_offsets(tokens)
             seg_coords = [(offs[z["start"]], offs[z["end"]]) for z in zones]
             body_coords = [(offs[r["start"]], offs[r["end"]]) for r in entries]
         else:
             seg_coords = body_coords = None
-        return (
+        d.result = (
             extracted_text(tokens),
             unwrapped_text(lines),
-            assemble_segmenter_tei(url, lang, lines, line_labels, seg_coords),
-            assemble_body_tei(url, lang, tokens, entries, body_coords,
+            assemble_segmenter_tei(d.url, d.lang, lines, d.line_labels,
+                                   seg_coords),
+            assemble_body_tei(d.url, d.lang, tokens, entries, body_coords,
                               self.segment_sentences),
             zones,
             entries,
@@ -234,121 +269,38 @@ class FusedExtractStage:
             None,
         )
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        res = {k: [] for k in RESULT_SCHEMA.names}
-        for url, ts, lang, html, text in zip(
-            batch["url"].to_pylist(),
-            batch["warc_ts"].to_pylist(),
-            batch["lang"].to_pylist(),
-            batch["html"].to_pylist(),
-            batch["text"].to_pylist(),
-        ):
-            try:
-                (text_out, main, tei, tei_body, zones, entries, lexical,
-                 n_lines, n_tokens, err) = self._one(url, lang, html, text)
-            except Exception as exc:  # noqa: BLE001 — poison-row side output
-                text_out = main = tei = tei_body = ""
-                zones, entries, lexical, n_lines, n_tokens = [], [], [], 0, 0
-                err = f"{type(exc).__name__}: {exc}"
-            res["url"].append(url)
-            res["warc_ts"].append(ts)
-            res["lang"].append(lang)
-            res["extracted_text"].append(text_out)
-            res["main_text"].append(main)
-            res["tei"].append(tei)
-            res["tei_body"].append(tei_body)
-            res["zones"].append(zones)
-            res["entries"].append(entries)
-            res["lexical"].append(lexical)
-            res["n_lines"].append(n_lines)
-            res["n_tokens"].append(n_tokens)
-            res["error"].append(err)
-        return pa.Table.from_pydict(res, schema=RESULT_SCHEMA)
+    def _extract(self, urls, langs, htmls, texts) -> list[tuple]:
+        """(extracted_text, main_text, tei, tei_body, zones, entries,
+        lexical, n_lines, n_tokens, error) per document, the cascade run
+        one phase at a time over the whole batch."""
+        out: list = [None] * len(urls)
+        docs = {i: _Doc(u, lg) for i, (u, lg) in enumerate(zip(urls, langs))}
+        _phase(docs, out, self._lines, zip(htmls, texts))
+        _phase(docs, out, self._body_tokens,
+               self.seg.viterbi([d.em for d in docs.values()]))
+        _phase(docs, out, self._entry_runs,
+               self.body.viterbi([d.em for d in docs.values()]))
+        labels = iter(self.lexical.viterbi(
+            [em for d in docs.values() for _, em in d.runs]))
+        _phase(docs, out, self._assemble,
+               [[next(labels) for _ in d.runs] for d in docs.values()])
+        for i, d in docs.items():
+            out[i] = d.result
+        return out
 
-
-class SegmenterStage:
-    """ST1 actor: line featurization + segmenter CRF + zone decode.
-
-    The decoder (template table + weight vectors) is compiled ONCE per actor
-    in ``__init__`` — the Ray analogue of the reference's parser singleton
-    holding the loaded Wapiti model (``DatacatSegmenterParser.java:83-85``).
-    """
-
-    def __init__(self) -> None:
-        self.decoder = CRFDecoder(SEGMENTER_MODEL)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        lines_col = batch["lines"].to_pylist()
-        token_line_col = batch["token_line"].to_pylist()
-        n_tokens = [len(t) for t in batch["tokens"].to_pylist()]
-        labels_col: list[list[str]] = []
-        zones_col: list[list[dict]] = []
-        for lines, token_line, ntok in zip(lines_col, token_line_col, n_tokens):
-            feats = featurize_lines(lines)
-            labels = with_begin_prefix(self.decoder.decode(feats))
-            labels_col.append(labels)
-            zones_col.append(decode_zones(labels, token_line, ntok))
-        out = batch.append_column(
-            "line_labels", pa.array(labels_col, type=pa.list_(pa.string()))
-        )
-        return out.append_column("zones", pa.array(zones_col, type=pa.list_(ZONE_STRUCT)))
-
-
-class BodyStage:
-    """ST2 actor: body token featurization + entry CRF + TEI/flat-text
-    assembly. Emits the final result rows."""
-
-    def __init__(self, segment_sentences: bool = False) -> None:
-        self.decoder = CRFDecoder(BODY_MODEL)
-        self._lex = FusedExtractStage()  # reuse the lexical-level decode
-        self.segment_sentences = segment_sentences
+    def _one(self, url, lang, html, text) -> tuple:
+        """``_extract`` of one document."""
+        return self._extract([url], [lang], [html], [text])[0]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
-        tss = batch["warc_ts"].to_pylist()
         langs = batch["lang"].to_pylist()
-        errors = batch["error"].to_pylist()
-        lines_col = batch["lines"].to_pylist()
-        tokens_col = batch["tokens"].to_pylist()
-        token_line_col = batch["token_line"].to_pylist()
-        labels_col = batch["line_labels"].to_pylist()
-        zones_col = batch["zones"].to_pylist()
-
-        res = {k: [] for k in RESULT_SCHEMA.names}
-        for url, ts, lang, err, lines, tokens, token_line, line_labels, zones in zip(
-            urls, tss, langs, errors, lines_col, tokens_col, token_line_col,
-            labels_col, zones_col,
-        ):
-            try:
-                body_ranges = zone_token_indices(zones, "<body>")
-                feats, idx = featurize_body_tokens(
-                    tokens, token_line, lines, body_ranges
-                )
-                body_labels = self.decoder.decode(feats)
-                entries = body_label_runs(body_labels, idx)
-                lexical = self._lex._lexical_spans(tokens, entries)
-                text = extracted_text(tokens)
-                main = unwrapped_text(lines)
-                tei = assemble_segmenter_tei(url, lang, lines, line_labels)
-                tei_body = assemble_body_tei(
-                    url, lang, tokens, entries, None, self.segment_sentences
-                )
-            except Exception as exc:  # noqa: BLE001 — poison-row side output
-                entries, lexical, text, main, tei, tei_body = [], [], "", "", "", ""
-                err = err or f"{type(exc).__name__}: {exc}"
-            res["url"].append(url)
-            res["warc_ts"].append(ts)
-            res["lang"].append(lang)
-            res["extracted_text"].append(text)
-            res["main_text"].append(main)
-            res["tei"].append(tei)
-            res["tei_body"].append(tei_body)
-            res["zones"].append(zones)
-            res["entries"].append(entries)
-            res["lexical"].append(lexical)
-            res["n_lines"].append(len(lines))
-            res["n_tokens"].append(len(tokens))
-            res["error"].append(err)
+        rows = self._extract(urls, langs, batch["html"].to_pylist(),
+                             batch["text"].to_pylist())
+        res = {"url": urls, "warc_ts": batch["warc_ts"].to_pylist(),
+               "lang": langs}
+        cols = list(zip(*rows)) or [()] * (len(RESULT_SCHEMA) - 3)
+        res.update(zip(RESULT_SCHEMA.names[3:], cols))
         return pa.Table.from_pydict(res, schema=RESULT_SCHEMA)
 
 
@@ -432,38 +384,6 @@ def build_extract_pipeline(
         batch_format="pyarrow",
         batch_size=cfg.segmenter.batch_size,
         num_cpus=cfg.segmenter.num_cpus,
-    )
-
-
-def build_staged_pipeline(
-    ds: "ray.data.Dataset", cfg: PipelineConfig | None = None
-) -> "ray.data.Dataset":
-    """The un-fused stage chain (DOM → tokenize → segmenter pool → body
-    pool). Kept for per-stage debugging/inspection — the fused pipeline is
-    the production path."""
-    cfg = cfg or PipelineConfig()
-    ds = ds.map_batches(
-        extract_blocks, batch_format="pyarrow", batch_size=cfg.dom.batch_size
-    )
-    ds = ds.map_batches(
-        lambda b: tokenize_stage(b, cfg.max_tokens, cfg.max_blocks),
-        batch_format="pyarrow",
-        batch_size=cfg.tokenize.batch_size,
-    )
-    ds = ds.map_batches(
-        SegmenterStage,
-        batch_format="pyarrow",
-        batch_size=cfg.segmenter.batch_size,
-        concurrency=cfg.segmenter.concurrency,
-        num_cpus=cfg.segmenter.num_cpus,
-    )
-    return ds.map_batches(
-        BodyStage,
-        fn_constructor_kwargs={"segment_sentences": cfg.segment_sentences},
-        batch_format="pyarrow",
-        batch_size=cfg.body.batch_size,
-        concurrency=cfg.body.concurrency,
-        num_cpus=cfg.body.num_cpus,
     )
 
 

@@ -324,23 +324,28 @@ class _GzipMemberStream(io.RawIOBase):
     def resync(self) -> bool:
         """After a decode error: drop decoder state and advance the
         compressed stream to the next member magic. False at EOF."""
+        # mid-member (a decompress call failed): the error-raising call left
+        # self._buf unchanged (zlib consumed nothing on failure), so a
+        # damaged member's own magic may head it — skip it. At a member
+        # boundary (garbage record framing) the buffer starts at the next
+        # member, whose magic at offset 0 must be kept
+        skip = 1 if self._obj is not None else 0
         self._obj = None
         self.eof = False
         while True:
-            # the error-raising decompress call left self._buf unchanged
-            # (zlib consumed nothing on failure), so the damaged member's
-            # bytes are still here — skip its magic and scan forward
-            idx = self._buf.find(b"\x1f\x8b", 1)
+            idx = self._buf.find(b"\x1f\x8b", skip)
             if idx >= 0:
                 self._buf = self._buf[idx:]
                 return True
-            tail = self._buf[-1:]
+            # keep a last byte that may open a magic split across reads
+            tail = self._buf[max(skip, len(self._buf) - 1):]
             nxt = self._raw.read(self._CHUNK)
             if not nxt:
                 self._buf = b""
                 self.eof = True
                 return False
             self._buf = tail + nxt
+            skip = 0
 
 
 def _gz_record_iter(gzraw: _GzipMemberStream):

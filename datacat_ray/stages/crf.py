@@ -88,7 +88,11 @@ _EMISSION_CACHE_MAX = 200_000
 
 
 class CRFDecoder:
-    """Decode-ready compiled form of a CRFModel (build once per actor)."""
+    """Decode-ready compiled form of a CRFModel (build once per actor).
+
+    ``decode_batch`` runs one Viterbi over many sequences in lockstep, so
+    the per-step numpy dispatch is paid once per batch step instead of
+    once per document position; ``decode`` is its one-sequence case."""
 
     def __init__(self, model: CRFModel) -> None:
         self.model = model
@@ -107,16 +111,18 @@ class CRFDecoder:
         # every (offset, field) any template references, in fixed order: the
         # emission row at position t is a pure function of these values, so
         # rows memoize on that value tuple (token patterns repeat heavily —
-        # hit rates >90% on real corpora; cache capped and cleared at
-        # _EMISSION_CACHE_MAX entries)
+        # hit rates >90% on real corpora). ``_ecache`` maps a key to its row
+        # index in the dense ``_rows`` matrix; both reset once the key count
+        # reaches _EMISSION_CACHE_MAX
         self._refs = tuple(sorted(
             {(off, name) for _, refs in model.templates for off, name in refs}
         ))
-        # rows cache as plain float LISTS and are ALIASED into every E
-        # emissions() returns — consumers must never mutate a row in place
-        self._ecache: dict[tuple, list[float]] = {}
-        self._init_list = self.init.tolist()
-        self._tcols = self.trans.T.tolist()  # _tcols[j][i] = trans[i, j]
+        self._ecache: dict[tuple, int] = {}
+        self._rows = np.zeros((64, self.L), dtype=np.float64)
+        # _transT[j, i] = trans[i, j]: one Viterbi step is then a broadcast
+        # add over the last axis of (k, L, L)
+        self._transT = np.ascontiguousarray(self.trans.T)
+        self._label_arr = np.array(self.labels, dtype=object)
 
     def _emission_row(self, feats: list[dict], t: int, n: int) -> np.ndarray:
         row = np.zeros(self.L, dtype=np.float64)
@@ -136,18 +142,17 @@ class CRFDecoder:
                 row += v
         return row
 
-    def emissions(self, feats: list[dict]) -> list[list[float]]:
-        """One emission row (plain float list, ready for the list-based
-        Viterbi) per position. Rows are cached as LISTS: the only consumer
-        is ``decode``, so materializing an (n, L) ndarray just to
-        ``tolist()`` it back was pure overhead (profiled)."""
+    def emission_matrix(self, feats: list[dict]) -> np.ndarray:
+        """The ``(n, L)`` emission scores of one sequence, gathered (a copy)
+        from the row cache — so a cache reset at a later call can never
+        change rows already handed out."""
         n = len(feats)
         cache = self._ecache
+        if len(cache) >= _EMISSION_CACHE_MAX:
+            cache.clear()
         # column-wise key construction: one padded value list per (off,
         # name) ref (a tight listcomp + slice), then ``zip`` builds all n
-        # key tuples in C — the per-position genexpr this replaces did
-        # n×refs dict lookups through the interpreter loop (~7% of the
-        # whole extraction kernel, profiled)
+        # key tuples in C
         cols = []
         by_name: dict[str, list] = {}
         for off, name in self._refs:
@@ -162,65 +167,95 @@ class CRFDecoder:
                 cols.append(vals[off:] + [f"_B+{off}_"] * min(off, n))
             else:
                 cols.append(vals)
-        E: list[list[float]] = []
         # zero-ref models (e.g. a comments-only template file) produce no
         # columns; zip(*[]) would yield NOTHING, not n empty keys
-        keys = zip(*cols) if cols else (() for _ in range(n))
-        for t, key in enumerate(keys):
-            row = cache.get(key)
-            if row is None:
-                if len(cache) >= _EMISSION_CACHE_MAX:
-                    cache.clear()
-                row = self._emission_row(feats, t, n).tolist()
-                cache[key] = row
-            E.append(row)
-        return E
+        keys = list(zip(*cols)) if cols else [()] * n
+        get = cache.get
+        idx = [get(k) for k in keys]
+        if None in idx:
+            for t, key in enumerate(keys):
+                if idx[t] is None:
+                    r = cache.get(key)
+                    if r is None:
+                        r = cache[key] = len(cache)
+                        if r == len(self._rows):
+                            self._rows = np.concatenate(
+                                [self._rows, np.zeros_like(self._rows)])
+                        self._rows[r] = self._emission_row(feats, t, n)
+                    idx[t] = r
+        return self._rows[idx]
+
+    def viterbi(self, ems: list[np.ndarray]) -> list[list[str]]:
+        """Lockstep Viterbi over ragged sequences given their ``(n_b, L)``
+        emission matrices; one label list per sequence, in input order.
+
+        Sequences run longest first, so the sequences still active at step
+        ``s`` are always a prefix ``[:k]``, and the rows are laid out
+        step-major — step ``s`` owns one contiguous ``[k]`` slice of the
+        flat ``(Σn, L)`` emission and backpointer arrays (no padding to
+        the longest sequence). Each step makes the same IEEE
+        ``delta[i] + trans[i, j]`` adds as a per-sequence Viterbi, and
+        numpy's first-max ``argmax`` is the stable tie rule (lowest label
+        index wins), so labels are bit-identical to one-at-a-time
+        decoding."""
+        lens = np.array([len(e) for e in ems], dtype=np.intp)
+        order = np.argsort(-lens, kind="stable")
+        lens = lens[order]
+        T = int(lens[0]) if len(lens) else 0
+        if T == 0:
+            return [[] for _ in ems]
+        # active[s] = number of sequences longer than s (a prefix of the
+        # sorted order); step s owns rows start[s]:start[s + 1]
+        active = np.searchsorted(-lens, -np.arange(T), side="left")
+        start = np.zeros(T + 1, dtype=np.intp)
+        np.cumsum(active, out=start[1:])
+        k0 = int(active[0])
+        lens = lens[:k0]
+        # step-major slot of (sorted sequence b, step s) is start[s] + b
+        seq = np.repeat(np.arange(k0), lens)
+        step = np.arange(len(seq)) - np.repeat(np.cumsum(lens) - lens, lens)
+        slot = start[step] + seq
+        E = np.empty((len(seq), self.L), dtype=np.float64)
+        E[slot] = np.concatenate([ems[i] for i in order[:k0].tolist()])
+        back = np.empty(E.shape, dtype=np.intp)
+        transT = self._transT
+        bounds = start.tolist()
+        delta = E[:k0] + self.init
+        for s in range(1, T):
+            lo, hi = bounds[s], bounds[s + 1]
+            cand = delta[:hi - lo, None, :] + transT  # cand[b, j, i]
+            back[lo:hi] = cand.argmax(-1)
+            delta[:hi - lo] = cand.max(-1) + E[lo:hi]
+        # backtrack in lockstep from each sequence's first maximal final
+        # score (its delta row froze when the sequence ended)
+        path = np.empty(len(E), dtype=np.intp)
+        cur = delta.argmax(1)
+        path[start[lens - 1] + np.arange(k0)] = cur
+        back = back.ravel()
+        row = np.arange(0, back.size, self.L)  # flat offset of each slot
+        for s in range(T - 1, 0, -1):
+            lo, hi = bounds[s], bounds[s + 1]
+            prev = back[row[lo:hi] + cur[:hi - lo]]
+            cur[:hi - lo] = prev
+            path[bounds[s - 1]:bounds[s - 1] + hi - lo] = prev
+        # back to sequence-major order, then split per sequence
+        names = self._label_arr[path[slot]].tolist()
+        out: list[list[str]] = [[] for _ in ems]
+        at = 0
+        for b, i in enumerate(order[:k0].tolist()):
+            n = int(lens[b])
+            out[i] = names[at:at + n]
+            at += n
+        return out
+
+    def decode_batch(self, seqs: list[list[dict]]) -> list[list[str]]:
+        """One label list per feature sequence (no ``I-`` prefixes — run
+        starts are derivable), decoded together in lockstep."""
+        return self.viterbi([self.emission_matrix(f) for f in seqs])
 
     def decode(self, feats: list[dict]) -> list[str]:
-        """Viterbi with stable argmax tie-break (first maximal index wins);
-        returns one label per position (no ``I-`` prefixes — run starts are
-        derivable).
-
-        Pure-Python list recursion, deliberately: with L=5–8 labels the
-        per-step numpy dispatch overhead (3 kernel calls + allocations per
-        position) costs more than the L² float ops themselves — measured
-        ~2× slower than this loop. Arithmetic is the identical IEEE
-        delta[i]+trans[i][j] adds in the same order, so outputs match the
-        numpy formulation bit-for-bit."""
-        n = len(feats)
-        if n == 0:
-            return []
-        E = self.emissions(feats)
-        L = self.L
-        rng = range(L)
-        # trans column-major: _tcols[j][i] = trans[i, j]
-        tcols = self._tcols
-        delta = [E[0][j] + self._init_list[j] for j in rng]
-        backs: list[list[int]] = []
-        for t in range(1, n):
-            e = E[t]
-            nd = [0.0] * L
-            bk = [0] * L
-            for j in rng:
-                col = tcols[j]
-                best_i = 0
-                best = delta[0] + col[0]
-                for i in range(1, L):
-                    v = delta[i] + col[i]
-                    if v > best:
-                        best = v
-                        best_i = i
-                nd[j] = best + e[j]
-                bk[j] = best_i
-            delta = nd
-            backs.append(bk)
-        cur = max(rng, key=lambda j: (delta[j], -j))
-        path = [cur]
-        for bk in reversed(backs):
-            cur = bk[cur]
-            path.append(cur)
-        path.reverse()
-        return [self.labels[i] for i in path]
+        """``decode_batch`` of one sequence."""
+        return self.decode_batch([feats])[0]
 
 
 def parse_crfpp_template(

@@ -8,17 +8,11 @@ text-density / link-density scoring over block-level elements (the
 generalization of the reference's repetitive header/footer pattern miner,
 ``DatacatSegmenterParser.java:268-305``).
 
-Stage contract (stateless ``map_batches``, Arrow in / Arrow out):
-
-    (url, warc_ts, html, text, lang) →
-    (url, lang, blocks: list<struct<text, page, font_size, bold, italic,
-                                    link_density>>, error: string)
-
-``html`` is dropped on output — it is by far the widest column and nothing
-downstream needs it (memory-aware at 100 TB: the big binary never crosses
-another stage boundary). Null ``html`` falls back to the ``text`` column
-(reference raw-text path ``Document.createFromText``,
-``DatacatSegmenterParser.java:132-135``).
+Per-document contract: ``html`` bytes (or, when ``html`` is null, the
+``text`` column — the reference raw-text path ``Document.createFromText``,
+``DatacatSegmenterParser.java:132-135``) → a list of blocks
+``{text, page, font_size, bold, italic, link_density}``
+(``parse_main_blocks`` / ``blocks_from_plain_text``).
 
 Blocks carry pseudo-layout attributes (font size / bold / italic from the
 HTML tag, pseudo-pages of ``LINES_PER_PAGE`` lines) so the downstream
@@ -272,41 +266,3 @@ def blocks_from_plain_text(text: str) -> list[dict]:
         )
         i += 1
     return out
-
-
-def extract_blocks(batch: pa.Table) -> pa.Table:
-    """The map_batches stage body: per-row DOM parse + boilerplate strip.
-
-    Row-level try/except → ``error`` side column (the Ray analogue of the
-    reference's per-file try/catch, ``EngineDatacat.java:136-143``): a poison
-    row must not kill the job."""
-    urls = batch["url"].to_pylist()
-    tss = batch["warc_ts"].to_pylist()
-    langs = batch["lang"].to_pylist()
-    htmls = batch["html"].to_pylist()
-    texts = batch["text"].to_pylist()
-    blocks_col: list[list[dict] | None] = []
-    errors: list[str | None] = []
-    for html, text in zip(htmls, texts):
-        try:
-            if html is not None:
-                blocks = parse_main_blocks(html.decode("utf-8", errors="replace"))
-            elif text is not None:
-                blocks = blocks_from_plain_text(text)
-            else:
-                blocks = []
-            blocks_col.append(blocks)
-            errors.append(None)
-        except Exception as exc:  # noqa: BLE001 — poison-row side output
-            blocks_col.append([])
-            errors.append(f"{type(exc).__name__}: {exc}")
-    return pa.Table.from_pydict(
-        {
-            "url": urls,
-            "warc_ts": tss,
-            "lang": langs,
-            "blocks": blocks_col,
-            "error": errors,
-        },
-        schema=BLOCKS_SCHEMA,
-    )

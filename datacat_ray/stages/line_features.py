@@ -20,9 +20,9 @@ Canonical field order (33 columns — this repo's frozen layout; the golden
     punctuation_profile punct_count line_length bitmap_around vector_around
     repetitive_pattern first_repetitive_pattern in_main_area
 
-Cross-line state (font transitions) is document-local, so this remains a
-stateless ``map_batches`` stage with a row-scoped loop — exactly the
-"resist vectorizing the stateful inner loop" note of SURVEY.md §7.4.
+Cross-line state (font transitions) is document-local, so featurization
+is a per-document function with a row-scoped loop — exactly the "resist
+vectorizing the stateful inner loop" note of SURVEY.md §7.4.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from datacat_ray.state.lexicon import (
     is_month,
     is_proper_name,
 )
-from datacat_ray.stages.tokenizer import TOKENIZED_SCHEMA
 
 NBBINS_POSITION = 12
 LINESCALE = 10
@@ -90,10 +89,6 @@ LINE_FEATURE_STRUCT = pa.struct(
         ("first_repetitive_pattern", pa.int8()),
         ("in_main_area", pa.int8()),
     ]
-)
-
-FEATURED_SCHEMA = pa.schema(
-    list(TOKENIZED_SCHEMA) + [pa.field("line_features", pa.list_(LINE_FEATURE_STRUCT))]
 )
 
 _FIELD_NAMES = [f.name for f in LINE_FEATURE_STRUCT]
@@ -238,11 +233,3 @@ def serialize_features(feat: dict) -> str:
     """Canonical whitespace serialization of one feature vector (the golden
     raw-corpus line format, S10 debug sink)."""
     return " ".join(str(feat[name]) for name in _FIELD_NAMES)
-
-
-def featurize_stage(batch: pa.Table) -> pa.Table:
-    lines_col = batch["lines"].to_pylist()
-    feats_col = [featurize_lines(lines) for lines in lines_col]
-    return batch.append_column(
-        "line_features", pa.array(feats_col, type=pa.list_(LINE_FEATURE_STRUCT))
-    )

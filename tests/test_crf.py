@@ -1,5 +1,8 @@
 """CRF decode machinery: template expansion, Viterbi, determinism."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from datacat_ray.stages.crf import (
     CRFDecoder,
     CRFModel,
@@ -149,3 +152,192 @@ def test_format_eval_report_layout():
     assert "===== Field-level results =====" in rep
     assert "<entry>" in rep and "all (micro avg.)" in rep
     assert "86.87" in rep  # precision rendered at 2 decimals
+
+
+# ---------------------------------------------------------------------------
+# lockstep batch decode vs a per-sequence reference Viterbi
+# ---------------------------------------------------------------------------
+
+def _reference_decode(model: CRFModel, feats: list[dict]) -> list[str]:
+    """Textbook one-sequence Viterbi straight from the model's dicts:
+    emissions summed per expanded feature string in template order, ties
+    to the lowest label index."""
+    L = len(model.labels)
+    if not feats:
+        return []
+    idx = model.label_index()
+    trans = model.transition_matrix().tolist()
+    init = model.init_vector().tolist()
+    em = []
+    for fs in expand_templates(model, feats):
+        row = [0.0] * L
+        for f in fs:
+            for lb, w in model.weights.get(f, {}).items():
+                row[idx[lb]] += w
+        em.append(row)
+    delta = [em[0][j] + init[j] for j in range(L)]
+    backs = []
+    for t in range(1, len(feats)):
+        bk = [max(range(L), key=lambda i: (delta[i] + trans[i][j], -i))
+              for j in range(L)]
+        delta = [delta[bk[j]] + trans[bk[j]][j] + em[t][j] for j in range(L)]
+        backs.append(bk)
+    cur = max(range(L), key=lambda j: (delta[j], -j))
+    path = [cur]
+    for bk in reversed(backs):
+        cur = bk[cur]
+        path.append(cur)
+    return [model.labels[i] for i in reversed(path)]
+
+
+_VALS = ("a", "b", "c")
+
+
+@st.composite
+def _model_and_batch(draw):
+    L = draw(st.integers(1, 8))
+    labels = tuple(f"L{i}" for i in range(L))
+    refs_pool = [(off, name) for off in (-2, -1, 0, 1, 2) for name in ("x", "y")]
+    templates = tuple(
+        (f"U{k}", tuple(draw(st.lists(st.sampled_from(refs_pool),
+                                      min_size=1, max_size=2))))
+        for k in range(draw(st.integers(0, 4)))
+    )
+    pos = st.fixed_dictionaries({"x": st.sampled_from(_VALS),
+                                 "y": st.sampled_from(_VALS)})
+    seqs = draw(st.lists(st.lists(pos, max_size=12), min_size=1, max_size=8))
+    seqs += [[], [draw(pos)]]
+    seqs = draw(st.permutations(seqs))
+    # integer weights on features that really occur, so exact ties are common
+    probe = CRFModel(labels=labels, templates=templates, weights={},
+                     transitions={})
+    seen = sorted({f for s in seqs for row in expand_templates(probe, s)
+                   for f in row})
+    small = st.integers(-2, 2).map(float)
+    weights = {f: draw(st.dictionaries(st.sampled_from(labels), small,
+                                       max_size=L))
+               for f in draw(st.lists(st.sampled_from(seen), unique=True))
+               } if seen else {}
+    pairs = [(a, b) for a in labels for b in labels]
+    model = CRFModel(
+        labels=labels, templates=templates, weights=weights,
+        transitions=draw(st.dictionaries(st.sampled_from(pairs), small)),
+        init=draw(st.dictionaries(st.sampled_from(labels), small)),
+        sticky=float(draw(st.integers(0, 1))),
+    )
+    return model, seqs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_model_and_batch())
+def test_decode_batch_matches_reference_viterbi(case):
+    model, seqs = case
+    dec = CRFDecoder(model)
+    want = [_reference_decode(model, s) for s in seqs]
+    assert dec.decode_batch(seqs) == want
+    assert [dec.decode(s) for s in seqs] == want
+    assert dec.decode_batch([]) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_decode_batch_trained_artifact(tmp_path_factory, data):
+    """A trained artifact (CRF++ template over raw ``f0..fN`` fields,
+    loaded through ``load_model_json``) decodes like the reference."""
+    import json
+
+    from datacat_ray.pipelines.trainer import load_model_json
+
+    L = data.draw(st.integers(1, 6))
+    labels = [f"<z{i}>" for i in range(L)]
+    template = "U00:%x[0,0]\nU01:%x[-1,1]\nU02:%x[0,0]/%x[1,1]\nB\n"
+    pos = st.fixed_dictionaries({"f0": st.sampled_from(_VALS),
+                                 "f1": st.sampled_from(_VALS)})
+    seqs = data.draw(st.lists(st.lists(pos, max_size=10), max_size=6))
+    seqs += [[], [data.draw(pos)]]
+    small = st.integers(-2, 2).map(float)
+    feats = [f"U00:{v}" for v in _VALS] + [f"U01:{v}" for v in _VALS + ("_B-1_",)]
+    art = {
+        "format": "datacat-ray-crf-v1", "labels": labels, "n_fields": 2,
+        "template": template,
+        "weights": {f: data.draw(st.dictionaries(st.sampled_from(labels),
+                                                 small)) for f in feats},
+        "transitions": [[a, b, data.draw(small)]
+                        for a in labels for b in labels],
+    }
+    path = tmp_path_factory.mktemp("art") / "m.json"
+    path.write_text(json.dumps(art))
+    dec = load_model_json(str(path))
+    want = [_reference_decode(dec.model, s) for s in seqs]
+    assert dec.decode_batch(seqs) == want
+
+
+def _fixture_sequences():
+    """Real segmenter / body / lexical feature sequences of fixture pages."""
+    import random
+
+    from datacat_ray.fixtures import make_catalogue_html
+    from datacat_ray.stages.dom import parse_main_blocks
+    from datacat_ray.stages.lexical_features import featurize_entry_tokens
+    from datacat_ray.stages.line_features import featurize_lines
+    from datacat_ray.stages.tei import body_label_runs
+    from datacat_ray.stages.token_features import featurize_body_tokens
+    from datacat_ray.stages.tokenizer import tokenize_document
+    from datacat_ray.stages.zones import decode_zones, zone_token_indices
+
+    rng = random.Random(13)
+    seg, body, lex = [], [], []
+    for n in (1, 3, 6, 12, 25):
+        html, _ = make_catalogue_html(rng, n_entries=n)
+        lines, tokens, token_line = tokenize_document(parse_main_blocks(html))
+        lf = featurize_lines(lines)
+        seg.append(lf)
+        zones = decode_zones(with_begin_prefix(_reference_decode(
+            SEGMENTER_MODEL, lf)), token_line, len(tokens))
+        bf, idx = featurize_body_tokens(tokens, token_line, lines,
+                                        zone_token_indices(zones, "<body>"))
+        body.append(bf)
+        for run in body_label_runs(_reference_decode(BODY_MODEL, bf), idx):
+            if run["label"] == "<entry>":
+                lex.append(featurize_entry_tokens(tokens, run["start"],
+                                                  run["end"])[0])
+    return seg, body, lex
+
+
+def test_decode_batch_frozen_models_match_reference():
+    from datacat_ray.stages.models import LEXICAL_MODEL
+
+    seg, body, lex = _fixture_sequences()
+    for model, seqs in ((SEGMENTER_MODEL, seg), (BODY_MODEL, body),
+                        (LEXICAL_MODEL, lex)):
+        want = [_reference_decode(model, s) for s in seqs]
+        dec = CRFDecoder(model)
+        assert dec.decode_batch(seqs) == want
+        assert dec.decode_batch(seqs[::-1]) == want[::-1]
+        # one sequence at a time through a warm cache: same labels
+        assert [dec.decode(s) for s in seqs] == want
+
+
+def test_emission_cache_reset_mid_batch(monkeypatch):
+    """The row cache resets at _EMISSION_CACHE_MAX keys. A reset while a
+    batch is being assembled must not change the rows of sequences earlier
+    in the batch: here the first sequence's keys all favour L0 and the
+    second's (which overwrite the reset cache) all favour L1."""
+    from datacat_ray.stages import crf
+
+    monkeypatch.setattr(crf, "_EMISSION_CACHE_MAX", 4)
+    model = CRFModel(
+        labels=("L0", "L1"), templates=(("U", ((0, "x"),)),),
+        weights={**{f"U:a{i}": {"L0": 3.0} for i in range(6)},
+                 **{f"U:b{i}": {"L1": 3.0} for i in range(6)}},
+        transitions={},
+    )
+    first = [{"x": f"a{i}"} for i in range(6)]
+    second = [{"x": f"b{i}"} for i in range(6)]
+    dec = CRFDecoder(model)
+    batch = [first, second, first[:2], second[::-1]]
+    want = [_reference_decode(model, s) for s in batch]
+    assert want[0] == ["L0"] * 6 and want[1] == ["L1"] * 6
+    assert dec.decode_batch(batch) == want
+    # the cap bounds the cache to one sequence's keys past the limit
+    assert len(dec._ecache) <= 4 + 6

@@ -1,0 +1,125 @@
+"""The phased ``FusedExtractStage``: a batch runs the cascade one phase at
+a time, and a poison row still costs only itself."""
+
+from __future__ import annotations
+
+import datetime
+import random
+
+import pyarrow as pa
+
+import datacat_ray.pipelines.extract as extract
+from datacat_ray.fixtures import PAGES_SCHEMA, make_catalogue_html
+from datacat_ray.pipelines.extract import RESULT_SCHEMA, FusedExtractStage
+from datacat_ray.stages.dom import parse_main_blocks
+from datacat_ray.stages.tokenizer import tokenize_document
+
+
+def _poison_when(fn, marker: str, msg: str):
+    """``fn`` that raises RuntimeError(msg) on documents holding ``marker``."""
+    def wrapped(tokens, *args):
+        if marker in tokens:
+            raise RuntimeError(msg)
+        return fn(tokens, *args)
+    return wrapped
+
+
+def test_poison_rows_cost_only_themselves(monkeypatch):
+    rng = random.Random(11)
+
+    def page(extra: str = "", n: int = 5) -> bytes:
+        html, _ = make_catalogue_html(rng, n_entries=n)
+        return html.replace("</body>", f"<p>{extra}</p></body>").encode()
+
+    big = page(n=60)
+    n_big = len(tokenize_document(parse_main_blocks(big.decode()))[1])
+    _, plain = make_catalogue_html(rng, n_entries=4)
+    rows = [
+        (page(), None),
+        (b"\xff\xfe<<<</p>>>\x00", None),  # garbage html
+        (None, None),  # null html, no text fallback
+        (big, None),  # over the token cap below
+        (page("POISONBODY"), None),
+        (None, plain),  # plain-text fallback
+        (page("POISONLEX"), None),
+        (page("POISONKEY"), None),
+        (page(n=8), None),
+    ]
+    ts = datetime.datetime(2024, 1, 1)
+    batch = pa.Table.from_pydict(
+        {"url": [f"u{i}" for i in range(len(rows))],
+         "warc_ts": [ts] * len(rows),
+         "html": [h for h, _ in rows], "text": [t for _, t in rows],
+         "lang": ["fr"] * len(rows)},
+        schema=PAGES_SCHEMA,
+    )
+
+    monkeypatch.setattr(extract, "featurize_body_tokens", _poison_when(
+        extract.featurize_body_tokens, "POISONBODY", "poisoned body"))
+    monkeypatch.setattr(extract, "featurize_entry_tokens", _poison_when(
+        extract.featurize_entry_tokens, "POISONLEX", "poisoned lexical"))
+    featurize_lines = extract.featurize_lines
+
+    def keyless_lines(lines):
+        # drops a field the segmenter templates read: the emission-key
+        # lookup of this one document raises
+        feats = featurize_lines(lines)
+        if any("POISONKEY" in ln["text"] for ln in lines):
+            for f in feats:
+                del f["lowercase"]
+        return feats
+
+    monkeypatch.setattr(extract, "featurize_lines", keyless_lines)
+
+    st = FusedExtractStage(max_tokens=1000)
+    got = st(batch)
+    assert got.schema == RESULT_SCHEMA
+    errors = {i: r["error"] for i, r in enumerate(got.to_pylist())
+              if r["error"]}
+    assert errors == {
+        3: f"TOO_MANY_TOKENS: {n_big}",
+        4: "RuntimeError: poisoned body",
+        6: "RuntimeError: poisoned lexical",
+        7: "KeyError: 'lowercase'",
+    }
+    for i, row in enumerate(got.to_pylist()):
+        alone = FusedExtractStage(max_tokens=1000)(batch.slice(i, 1))
+        assert row == alone.to_pylist()[0], i
+        if i in errors:
+            assert row["tei"] == "" and row["zones"] == [] and row["n_tokens"] == 0
+    assert got.to_pylist()[0]["lexical"], "healthy rows run the lexical level"
+
+    empty = st(batch.slice(0, 0))
+    assert empty.num_rows == 0 and empty.schema == RESULT_SCHEMA
+
+
+def test_trained_artifacts_batch_equals_one_row_runs(tmp_path):
+    """Trained artifacts (``model_paths``) decode raw ``f0..fN`` fields
+    through ``_to_raw_fields`` in the batch path as in a one-row run."""
+    import json
+
+    from datacat_ray.fixtures import make_pages_table
+    from datacat_ray.stages.models import BODY_LABELS, SEG_LABELS
+
+    def artifact(name, labels, n_fields, template, weights):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "format": "datacat-ray-crf-v1", "labels": list(labels),
+            "n_fields": n_fields, "template": template, "weights": weights,
+            "transitions": [[a, a, 1.0] for a in labels],
+        }))
+        return str(path)
+
+    # f23 = rel_doc_position bin (line fields), f18 = digit (token fields)
+    seg = artifact("seg", SEG_LABELS, 33, "U00:%x[0,23]\n", {
+        f"U00:{b}": {("<front>", "<body>", "<back>")[b * 3 // 12]: 2.0}
+        for b in range(12)})
+    body = artifact("body", BODY_LABELS, 24, "U00:%x[0,18]\nU01:%x[-1,18]\n", {
+        "U00:ALLDIGIT": {"I-<entry>": 3.0}, "U01:ALLDIGIT": {"<entry>": 1.0}})
+    st = FusedExtractStage(model_paths={"segmenter": seg, "body": body})
+    assert st.seg_raw_fields and st.body_raw_fields
+    batch = make_pages_table(12, 5)
+    got = st(batch).to_pylist()
+    assert any(r["entries"] for r in got) and any(r["lexical"] for r in got)
+    for i, row in enumerate(got):
+        assert row == st(batch.slice(i, 1)).to_pylist()[0], i

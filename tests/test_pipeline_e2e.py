@@ -74,11 +74,9 @@ def test_zone_spans_tile_token_stream(result_rows):
 
 
 def test_determinism_across_parallelism(pages_dir, result_rows):
+    # the fused stage's batch size is also its lockstep CRF decode width
     cfg = PipelineConfig(
-        dom=StageConfig(batch_size=7),
-        tokenize=StageConfig(batch_size=11),
         segmenter=StageConfig(batch_size=5, concurrency=(1, 2)),
-        body=StageConfig(batch_size=3, concurrency=(1, 3)),
     )
     again = _run(pages_dir, cfg)
     for a, b in zip(result_rows, again):
@@ -88,6 +86,7 @@ def test_determinism_across_parallelism(pages_dir, result_rows):
         assert a["tei_body"] == b["tei_body"]
         assert a["zones"] == b["zones"]
         assert a["entries"] == b["entries"]
+        assert a["lexical"] == b["lexical"]
 
 
 def test_page_range_limit(pages_dir):

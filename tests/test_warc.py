@@ -359,3 +359,22 @@ def test_corrupt_gzip_segment_keeps_readable_prefix(ray_session, tmp_path):
     # a corrupt segment alongside a good one: the good one is unaffected
     both = read_warc([str(bad), str(good)]).take_all()
     assert len(both) >= 12
+
+
+def test_garbage_framing_keeps_the_next_intact_member(ray_session, tmp_path):
+    """A gzip member that decompresses cleanly to non-WARC bytes ends the
+    record parse at a member boundary; the resync must start its scan at
+    the intact member that follows (magic at offset 0), not skip it."""
+    import gzip
+
+    recs, _ = _records(37, 3)
+    members = []
+    for i, r in enumerate(recs):
+        one = tmp_path / f"m{i}.warc.gz"
+        write_warc(str(one), [r])
+        members.append(one.read_bytes())
+    garbage = gzip.compress(b"not a warc header\r\n\r\n")
+    seg = tmp_path / "framing.warc.gz"
+    seg.write_bytes(members[0] + garbage + members[1] + members[2])
+    got = {r["url"]: r["html"] for r in read_warc([str(seg)]).take_all()}
+    assert got == {r["url"]: r["html"] for r in recs}
