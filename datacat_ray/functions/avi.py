@@ -359,11 +359,13 @@ def decode_video_frames(
     if comp == MJPG_FOURCC:
         from datacat_ray.functions.jpeg import decode_jpeg
 
+        # container errors (bad frame index, missing chunk) are the
+        # caller's and propagate; only a JPEG the baseline decoder rejects
+        # falls back to ffmpeg
+        chunks = _frame_chunks(payload, frame_idxs)
         try:
-            return [
-                decode_jpeg(payload[off : off + size])
-                for off, size in _frame_chunks(payload, frame_idxs)
-            ]
+            return [decode_jpeg(payload[off : off + size])
+                    for off, size in chunks]
         except ValueError:
             # an MJPEG feature outside the baseline subset (progressive
             # scan, sampling >2x2): keep the pre-MJPG behavior — the

@@ -598,6 +598,18 @@ def _decode_jpeg(data: bytes) -> np.ndarray:
                         f"invalid sampling factors {sh}x{sv}"
                     )
                 comps.append({"id": cid, "h": sh, "v": sv, "tq": tq})
+            # the scan upsamples each plane by hmax // h and vmax // v: a
+            # factor that does not divide the maximum (3x1 luma with 2x1
+            # chroma) would give planes of mismatched shapes
+            hmax = max((c["h"] for c in comps), default=1)
+            vmax = max((c["v"] for c in comps), default=1)
+            for c in comps:
+                if hmax % c["h"] or vmax % c["v"]:
+                    raise ValueError(
+                        f"sampling factors {c['h']}x{c['v']} of component "
+                        f"{c['id']} do not divide the maximum "
+                        f"{hmax}x{vmax}"
+                    )
         elif marker in (0xC2, 0xC3, 0xC5, 0xC6, 0xC7, 0xC9, 0xCA, 0xCB,
                         0xCD, 0xCE, 0xCF):
             raise ValueError(

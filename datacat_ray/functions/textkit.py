@@ -152,6 +152,12 @@ def linear_scaling(value: float, maximum: float, nb_bins: int) -> int:
     return b
 
 
+def position_bins(n: int, nb_bins: int) -> list[int]:
+    """``linear_scaling(i, n, nb_bins)`` of every position ``i`` of an
+    ``n``-long sequence."""
+    return [linear_scaling(i, n, nb_bins) for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
 # escaping / normalization
 # ---------------------------------------------------------------------------
@@ -206,4 +212,4 @@ def tokenize_whitespace(line: str) -> list[str]:
     """Whitespace split used to pick a line's first/second feature tokens
     (reference: split on ``\" \\t\\f\\u00a0\"`` at
     ``DatacatSegmenterParser.java:434``)."""
-    return [t for t in _WS_RE.split(line) if t]
+    return list(filter(None, _WS_RE.split(line)))

@@ -37,7 +37,11 @@ import ray.data
 
 from datacat_ray.stages.crf import CRFDecoder, with_begin_prefix
 from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
-from datacat_ray.stages.line_features import featurize_lines, serialize_features
+from datacat_ray.stages.line_features import (
+    _FIELD_NAMES as _LINE_FIELD_NAMES,
+    line_columns,
+    serialize_columns,
+)
 from datacat_ray.stages.models import BODY_MODEL, SEGMENTER_MODEL
 from datacat_ray.stages.tei import (
     _TEI_HEADER,
@@ -48,8 +52,8 @@ from datacat_ray.stages.tei import (
     html_encode,
 )
 from datacat_ray.stages.token_features import (
-    featurize_body_tokens,
-    serialize_token_features,
+    _TOKEN_FIELD_NAMES as _BODY_FIELD_NAMES,
+    body_token_columns,
 )
 from datacat_ray.stages.tokenizer import tokenize_document
 from datacat_ray.stages.zones import decode_zones, zone_token_indices
@@ -141,8 +145,12 @@ class TrainingExportStage:
         else:
             blocks = []
         lines, tokens, token_line = tokenize_document(blocks)
-        feats = featurize_lines(lines)
-        line_labels = with_begin_prefix(self.seg.decode(feats))
+        # the raw corpus of the segmenter model is every line field; the
+        # body model's only needs the segmenter's own fields to route
+        cols = line_columns(lines, self.seg.fields if self.model == "body"
+                            else _LINE_FIELD_NAMES)
+        line_labels = with_begin_prefix(
+            self.seg.decode_columns(cols, len(lines)))
         stem = doc_id(url)
 
         if self.model == "body":
@@ -150,8 +158,8 @@ class TrainingExportStage:
             # the flagship (createTrainingBodySegmentation flow)
             zones = decode_zones(line_labels, token_line, len(tokens))
             body_ranges = zone_token_indices(zones, "<body>")
-            bfeats, idx = featurize_body_tokens(
-                tokens, token_line, lines, body_ranges
+            bcols, idx = body_token_columns(
+                tokens, token_line, lines, body_ranges, _BODY_FIELD_NAMES
             )
             suffix = ".training.bodySegmentation.datacat.text"
             raw_path = os.path.join(self.raw_dir, f"{stem}{suffix}")
@@ -162,15 +170,15 @@ class TrainingExportStage:
             else:
                 tei_path = os.path.join(
                     self.tei_dir, f"{stem}{suffix}.tei.xml")
-                entries = body_label_runs(self.body.decode(bfeats), idx)
+                entries = body_label_runs(
+                    self.body.decode_columns(bcols, len(idx)), idx)
                 tei = assemble_body_tei(url, lang, tokens, entries)
             self._write_atomic(tei_path, tei)
             self._write_atomic(
                 raw_path,
-                "\n".join(serialize_token_features(f) for f in bfeats)
-                + "\n",
+                "\n".join(serialize_columns(bcols)) + "\n",
             )
-            return stem, tei_path, raw_path, len(bfeats)
+            return stem, tei_path, raw_path, len(idx)
 
         if self.blank:
             tei_path = os.path.join(
@@ -186,7 +194,7 @@ class TrainingExportStage:
         # newline (DatacatSegmenterParser.java:692-694)
         self._write_atomic(
             raw_path,
-            "\n".join(serialize_features(f) for f in feats) + "\n",
+            "\n".join(serialize_columns(cols)) + "\n",
         )
         return stem, tei_path, raw_path, len(lines)
 

@@ -11,7 +11,7 @@
       → write_parquet / Dataset
 
 Every operator is document-local, so the cascade is ONE map stage: the
-intermediates (lines, tokens, feature dicts — 5-10x the html payload) never
+intermediates (lines, tokens, feature columns — 5-10x the html payload) never
 cross the object store. Inside a batch the stage runs phase by phase, and
 each CRF level decodes all of the batch's sequences in one lockstep Viterbi.
 
@@ -33,10 +33,10 @@ from datacat_ray.config import PipelineConfig
 from datacat_ray.stages.crf import CRFDecoder, with_begin_prefix
 from datacat_ray.stages.dedup import dedup_latest
 from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
-from datacat_ray.stages.lexical_features import featurize_entry_tokens
+from datacat_ray.stages.lexical_features import entry_token_columns
 from datacat_ray.stages.line_features import (
     _FIELD_NAMES as _LINE_FIELD_NAMES,
-    featurize_lines,
+    line_columns,
 )
 from datacat_ray.stages.models import BODY_MODEL, LEXICAL_MODEL, SEGMENTER_MODEL
 from datacat_ray.stages.tei import (
@@ -48,7 +48,7 @@ from datacat_ray.stages.tei import (
 )
 from datacat_ray.stages.token_features import (
     _TOKEN_FIELD_NAMES as _BODY_FIELD_NAMES,
-    featurize_body_tokens,
+    body_token_columns,
 )
 from datacat_ray.stages.tokenizer import tokenize_document
 from datacat_ray.stages.zones import ZONE_STRUCT, decode_zones, zone_token_indices
@@ -89,15 +89,37 @@ def unwrapped_text(lines: list[dict]) -> str:
     return "\n".join(parts)
 
 
-def _to_raw_fields(feats: list[dict], order: list[str]) -> list[dict]:
-    """Named feature dicts → raw-column field space (``f0..fN`` keyed,
-    stringified in serialization order) — the space trained model
-    artifacts' templates reference (their corpora are raw feature
-    files)."""
-    return [
-        {f"f{i}": str(d[name]) for i, name in enumerate(order)}
-        for d in feats
-    ]
+class _Level:
+    """One CRF level of the cascade: its decoder and the named feature
+    fields to compute for it — only those its templates read.
+
+    A trained artifact's templates read raw columns instead (``f{i}`` =
+    the i-th of ``raw_names``, the serialization order, stringified: its
+    training corpus is raw feature files), so its named columns are
+    renamed to ``f{i}`` before the emission lookup. A raw column past
+    ``raw_names`` is left missing and fails each document's lookup."""
+
+    def __init__(self, dec: CRFDecoder,
+                 raw_names: list[str] | None = None) -> None:
+        self.dec = dec
+        if raw_names is None:
+            self.raw = None
+            self.fields = list(dec.fields)
+        else:
+            self.raw = {f: raw_names[int(f[1:])] for f in dec.fields
+                        if int(f[1:]) < len(raw_names)}
+            self.fields = sorted(set(self.raw.values()))
+
+    def emissions(self, cols: dict[str, list], n: int):
+        if self.raw is not None:
+            cols = raw_columns(cols, self.raw)
+        return self.dec.emission_matrix(cols, n)
+
+
+def raw_columns(cols: dict[str, list], raw: dict[str, str]) -> dict[str, list]:
+    """Named feature columns → the raw columns ``raw`` maps to them
+    (``f{i}`` → field name), values stringified as serialized."""
+    return {f: [str(v) for v in cols[name]] for f, name in raw.items()}
 
 
 class _Doc:
@@ -142,10 +164,12 @@ class FusedExtractStage:
 
     A batch runs phase by phase (``_extract``), so each CRF level decodes
     every sequence of the batch in one lockstep Viterbi
-    (``CRFDecoder.viterbi``); feature dicts become emission matrices as
-    soon as they are built, so only those cross a phase. The decoders
-    compile once per stage in ``__init__`` (the Ray analogue of the
-    reference's parser singletons holding loaded Wapiti models,
+    (``CRFDecoder.viterbi``). Each featurizer computes only the feature
+    columns its level's templates read (``CRFDecoder.fields``), and the
+    columns become emission matrices as soon as they are built, so only
+    those cross a phase. The decoders compile once per stage in
+    ``__init__`` (the Ray analogue of the reference's parser singletons
+    holding loaded Wapiti models,
     ``DatacatSegmenterParser.java:83-85``,
     ``DatacatBodySegmentationParser.java:63-67``)."""
 
@@ -163,25 +187,26 @@ class FusedExtractStage:
         # "deploy" leg of the model-improvement loop): keys "segmenter" /
         # "body" → JSON artifacts from `cli train` (pipelines/trainer.py).
         # Artifact templates reference the RAW feature columns (f0..fN in
-        # serialization order), so decode inputs are converted per model.
+        # serialization order), so their levels rename columns (_Level).
         mp = model_paths or {}
         if "segmenter" in mp:
             from datacat_ray.pipelines.trainer import load_model_json
 
             self.seg = load_model_json(mp["segmenter"])
-            self.seg_raw_fields = True
+            self._seg = _Level(self.seg, _LINE_FIELD_NAMES)
         else:
             self.seg = CRFDecoder(SEGMENTER_MODEL)
-            self.seg_raw_fields = False
+            self._seg = _Level(self.seg)
         if "body" in mp:
             from datacat_ray.pipelines.trainer import load_model_json
 
             self.body = load_model_json(mp["body"])
-            self.body_raw_fields = True
+            self._body = _Level(self.body, _BODY_FIELD_NAMES)
         else:
             self.body = CRFDecoder(BODY_MODEL)
-            self.body_raw_fields = False
+            self._body = _Level(self.body)
         self.lexical = CRFDecoder(LEXICAL_MODEL)
+        self._lex = _Level(self.lexical)
         self.max_tokens = max_tokens
         self.max_blocks = max_blocks
         self.start_page = start_page
@@ -212,10 +237,8 @@ class FusedExtractStage:
         d.lines, d.tokens, d.token_line = tokenize_document(blocks)
         if len(d.tokens) > self.max_tokens:
             return f"TOO_MANY_TOKENS: {len(d.tokens)}"
-        feats = featurize_lines(d.lines)
-        if self.seg_raw_fields:
-            feats = _to_raw_fields(feats, _LINE_FIELD_NAMES)
-        d.em = self.seg.emission_matrix(feats)
+        cols = line_columns(d.lines, self._seg.fields)
+        d.em = self._seg.emissions(cols, len(d.lines))
         return None
 
     def _body_tokens(self, d: _Doc, seg_labels: list[str]) -> None:
@@ -223,11 +246,9 @@ class FusedExtractStage:
         d.line_labels = with_begin_prefix(seg_labels)
         d.zones = decode_zones(d.line_labels, d.token_line, len(d.tokens))
         body_ranges = zone_token_indices(d.zones, "<body>")
-        bfeats, d.idx = featurize_body_tokens(
-            d.tokens, d.token_line, d.lines, body_ranges)
-        if self.body_raw_fields:
-            bfeats = _to_raw_fields(bfeats, _BODY_FIELD_NAMES)
-        d.em = self.body.emission_matrix(bfeats)
+        cols, d.idx = body_token_columns(
+            d.tokens, d.token_line, d.lines, body_ranges, self._body.fields)
+        d.em = self._body.emissions(cols, len(d.idx))
 
     def _entry_runs(self, d: _Doc, body_labels: list[str]) -> None:
         """Entries from the body labels; featurize every ``<entry>`` run
@@ -238,9 +259,10 @@ class FusedExtractStage:
         for run in d.entries:
             if run["label"] != "<entry>":
                 continue
-            feats, idx = featurize_entry_tokens(d.tokens, run["start"], run["end"])
-            if feats:
-                d.runs.append((idx, self.lexical.emission_matrix(feats)))
+            cols, idx = entry_token_columns(d.tokens, run["start"],
+                                            run["end"], self._lex.fields)
+            if idx:
+                d.runs.append((idx, self._lex.emissions(cols, len(idx))))
 
     def _assemble(self, d: _Doc, run_labels: list[list[str]]) -> None:
         """Lexical spans from the run labels; text and TEI assembly."""

@@ -216,7 +216,11 @@ def features_debug(sf_dir: str) -> "ray.data.Dataset":
     import pyarrow.compute as pc
 
     from datacat_ray.stages.dom import parse_main_blocks
-    from datacat_ray.stages.line_features import featurize_lines, serialize_features
+    from datacat_ray.stages.line_features import (
+        _FIELD_NAMES,
+        line_columns,
+        serialize_columns,
+    )
     from datacat_ray.stages.tokenizer import tokenize_document
 
     pages = pages_from_documents(sf_dir)
@@ -228,10 +232,10 @@ def features_debug(sf_dir: str) -> "ray.data.Dataset":
             doc = int(url.rsplit("/", 1)[1])
             blocks = parse_main_blocks(html.decode("utf-8"))
             lines, _, _ = tokenize_document(blocks)
-            for i, f in enumerate(featurize_lines(lines)):
-                doc_ids.append(doc)
-                line_ids.append(i)
-                ser.append(serialize_features(f))
+            doc_ser = serialize_columns(line_columns(lines, _FIELD_NAMES))
+            doc_ids.extend([doc] * len(doc_ser))
+            line_ids.extend(range(len(doc_ser)))
+            ser.extend(doc_ser)
         return pa.Table.from_pydict(
             {
                 "doc_id": pa.array(doc_ids, type=pa.int64()),

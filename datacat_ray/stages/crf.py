@@ -117,6 +117,13 @@ class CRFDecoder:
         self._refs = tuple(sorted(
             {(off, name) for _, refs in model.templates for off, name in refs}
         ))
+        # the feature fields the templates read: the projection a caller
+        # featurizes (``emission_matrix`` takes one value list per field)
+        self.fields = tuple(sorted({name for _, name in self._refs}))
+        # per template: its ``tag:`` prefix and the key positions it reads
+        at = {ref: i for i, ref in enumerate(self._refs)}
+        self._tmpl_at = [(tag + ":", [at[ref] for ref in refs])
+                         for tag, refs in model.templates]
         self._ecache: dict[tuple, int] = {}
         self._rows = np.zeros((64, self.L), dtype=np.float64)
         # _transT[j, i] = trans[i, j]: one Viterbi step is then a broadcast
@@ -124,54 +131,43 @@ class CRFDecoder:
         self._transT = np.ascontiguousarray(self.trans.T)
         self._label_arr = np.array(self.labels, dtype=object)
 
-    def _emission_row(self, feats: list[dict], t: int, n: int) -> np.ndarray:
+    def _emission_row(self, key: tuple) -> np.ndarray:
+        """The emission scores of one position from its key: each
+        template's feature string is its tag and the ``str`` of the key
+        values it reads (boundary sentinels are already in the key)."""
         row = np.zeros(self.L, dtype=np.float64)
         lookup = self.w
-        for tag, refs in self.model.templates:
-            vals = []
-            for off, name in refs:
-                j = t + off
-                if j < 0:
-                    vals.append(f"_B{off}_")
-                elif j >= n:
-                    vals.append(f"_B+{off}_")
-                else:
-                    vals.append(str(feats[j][name]))
-            v = lookup.get(tag + ":" + "|".join(vals))
+        for tag, at in self._tmpl_at:
+            v = lookup.get(tag + "|".join([str(key[i]) for i in at]))
             if v is not None:
                 row += v
         return row
 
-    def emission_matrix(self, feats: list[dict]) -> np.ndarray:
-        """The ``(n, L)`` emission scores of one sequence, gathered (a copy)
-        from the row cache — so a cache reset at a later call can never
-        change rows already handed out."""
-        n = len(feats)
+    def emission_matrix(self, cols: dict[str, list], n: int) -> np.ndarray:
+        """The ``(n, L)`` emission scores of one sequence of ``n``
+        positions, given one value list per field in ``fields``, gathered
+        (a copy) from the row cache — so a cache reset at a later call can
+        never change rows already handed out."""
         cache = self._ecache
         if len(cache) >= _EMISSION_CACHE_MAX:
             cache.clear()
-        # column-wise key construction: one padded value list per (off,
-        # name) ref (a tight listcomp + slice), then ``zip`` builds all n
-        # key tuples in C
-        cols = []
-        by_name: dict[str, list] = {}
+        # one padded value list per (off, name) ref (a slice plus the
+        # boundary sentinels), then ``zip`` builds all n key tuples in C
+        keys_by_ref = []
         for off, name in self._refs:
-            vals = by_name.get(name)
-            if vals is None:
-                vals = by_name[name] = [f[name] for f in feats]
+            vals = cols[name]
             if off < 0:
-                cols.append(
+                keys_by_ref.append(
                     [f"_B{off}_"] * min(-off, n) + vals[: max(n + off, 0)]
                 )
             elif off > 0:
-                cols.append(vals[off:] + [f"_B+{off}_"] * min(off, n))
+                keys_by_ref.append(vals[off:] + [f"_B+{off}_"] * min(off, n))
             else:
-                cols.append(vals)
+                keys_by_ref.append(vals)
         # zero-ref models (e.g. a comments-only template file) produce no
         # columns; zip(*[]) would yield NOTHING, not n empty keys
-        keys = list(zip(*cols)) if cols else [()] * n
-        get = cache.get
-        idx = [get(k) for k in keys]
+        keys = list(zip(*keys_by_ref)) if keys_by_ref else [()] * n
+        idx = list(map(cache.get, keys))
         if None in idx:
             for t, key in enumerate(keys):
                 if idx[t] is None:
@@ -181,7 +177,7 @@ class CRFDecoder:
                         if r == len(self._rows):
                             self._rows = np.concatenate(
                                 [self._rows, np.zeros_like(self._rows)])
-                        self._rows[r] = self._emission_row(feats, t, n)
+                        self._rows[r] = self._emission_row(key)
                     idx[t] = r
         return self._rows[idx]
 
@@ -249,9 +245,19 @@ class CRFDecoder:
         return out
 
     def decode_batch(self, seqs: list[list[dict]]) -> list[list[str]]:
-        """One label list per feature sequence (no ``I-`` prefixes — run
-        starts are derivable), decoded together in lockstep."""
-        return self.viterbi([self.emission_matrix(f) for f in seqs])
+        """One label list per sequence of feature dicts (no ``I-`` prefixes
+        — run starts are derivable), decoded together in lockstep."""
+        return self.viterbi([
+            self.emission_matrix(
+                {name: [f[name] for f in feats] for name in self.fields},
+                len(feats))
+            for feats in seqs
+        ])
+
+    def decode_columns(self, cols: dict[str, list], n: int) -> list[str]:
+        """Labels of one sequence of ``n`` positions given as feature
+        columns (at least ``fields``)."""
+        return self.viterbi([self.emission_matrix(cols, n)])[0]
 
     def decode(self, feats: list[dict]) -> list[str]:
         """``decode_batch`` of one sequence."""

@@ -22,43 +22,57 @@ from __future__ import annotations
 from datacat_ray.functions.textkit import (
     capitalisation_class,
     digit_class,
-    linear_scaling,
+    position_bins,
     punct_type,
 )
+from datacat_ray.stages.line_features import feature_rows
 
 NBBINS_ENTRY = 5
+
+
+def _seen_colon(toks: list[str]) -> list[int]:
+    # the category/description boundary marker in catalogue grammar is the
+    # colon — a cross-token feature the local window can't see (document-
+    # local running state, same pattern as the reference's font-transition
+    # features): 1 on every token after the first colon
+    k = toks.index(":") + 1 if ":" in toks else len(toks)
+    return [0] * k + [1] * (len(toks) - k)
+
+
+# one builder per field over the span's non-space tokens, in canonical
+# order; a neighbour that does not exist (or is "") reads as "_NONE_"
+_ENTRY_COLUMNS = {
+    "lowercase": lambda toks: list(map(str.lower, toks)),
+    "digit": lambda toks: list(map(digit_class, toks)),
+    "capitalisation": lambda toks: list(map(capitalisation_class, toks)),
+    "punct_type": lambda toks: list(map(punct_type, toks)),
+    "prev_punct": lambda toks: (["_NONE_"] + [
+        punct_type(t) if t else "_NONE_" for t in toks])[:len(toks)],
+    "next_lower": lambda toks: ([
+        t.lower() if t else "_NONE_" for t in toks] + ["_NONE_"])[1:],
+    "entry_position": lambda toks: position_bins(len(toks), NBBINS_ENTRY),
+    "seen_colon": _seen_colon,
+}
+
+ENTRY_FIELD_NAMES = list(_ENTRY_COLUMNS)
+
+
+def entry_token_columns(
+    tokens: list[str], start: int, end: int, fields
+) -> tuple[dict[str, list], list[int]]:
+    """Tokens of one entry span [start, end), column-major → (one value
+    list per requested feature field, absolute token indices); whitespace
+    tokens skipped (re-inserted downstream by the same J2 resync convention
+    as the body level). Only the requested fields are computed."""
+    idx = [t for t in range(start, end) if not tokens[t].isspace()]
+    toks = list(map(tokens.__getitem__, idx))
+    return {name: _ENTRY_COLUMNS[name](toks) for name in fields}, idx
 
 
 def featurize_entry_tokens(
     tokens: list[str], start: int, end: int
 ) -> tuple[list[dict], list[int]]:
-    """Tokens of one entry span [start, end) → (feature dicts, absolute
-    token indices); whitespace tokens skipped (re-inserted downstream by
-    the same J2 resync convention as the body level)."""
-    idx = [t for t in range(start, end) if not tokens[t].isspace()]
-    n = len(idx)
-    feats: list[dict] = []
-    seen_colon = 0
-    for pos, t in enumerate(idx):
-        tok = tokens[t]
-        prev_tok = tokens[idx[pos - 1]] if pos > 0 else ""
-        next_tok = tokens[idx[pos + 1]] if pos + 1 < n else ""
-        feats.append(
-            {
-                "lowercase": tok.lower(),
-                "digit": digit_class(tok),
-                "capitalisation": capitalisation_class(tok),
-                "punct_type": punct_type(tok),
-                "prev_punct": punct_type(prev_tok) if prev_tok else "_NONE_",
-                "next_lower": next_tok.lower() if next_tok else "_NONE_",
-                "entry_position": linear_scaling(pos, n, NBBINS_ENTRY),
-                # the category/description boundary marker in catalogue
-                # grammar is the colon — a cross-token feature the local
-                # window can't see (document-local running state, same
-                # pattern as the reference's font-transition features)
-                "seen_colon": seen_colon,
-            }
-        )
-        if tok == ":":
-            seen_colon = 1
-    return feats, idx
+    """(the feature dict of every non-space token of one entry span,
+    absolute token indices) — ``entry_token_columns`` of every field."""
+    cols, idx = entry_token_columns(tokens, start, end, ENTRY_FIELD_NAMES)
+    return feature_rows(cols), idx

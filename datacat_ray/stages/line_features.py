@@ -20,14 +20,18 @@ Canonical field order (33 columns — this repo's frozen layout; the golden
     punctuation_profile punct_count line_length bitmap_around vector_around
     repetitive_pattern first_repetitive_pattern in_main_area
 
-Cross-line state (font transitions) is document-local, so featurization
-is a per-document function with a row-scoped loop — exactly the "resist
-vectorizing the stateful inner loop" note of SURVEY.md §7.4.
+Cross-line state (font transitions, page extents) is document-local, so
+featurization is a per-document function. It is column-major
+(``line_columns``): a CRF model reads only the fields its templates name,
+so the cascade computes just those columns (``CRFDecoder.fields``);
+``featurize_lines`` is the every-field case as one dict per line.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
+from functools import cached_property
 
 import pyarrow as pa
 
@@ -35,6 +39,7 @@ from datacat_ray.functions.textkit import (
     capitalisation_class,
     digit_class,
     linear_scaling,
+    position_bins,
     prefix,
     punct_count,
     punct_type,
@@ -43,10 +48,10 @@ from datacat_ray.functions.textkit import (
 )
 from datacat_ray.state.lexicon import (
     EMAIL_RE,
-    HTTP_RE,
     YEAR_RE,
+    has_link,
+    has_month,
     is_common_word,
-    is_month,
     is_proper_name,
 )
 
@@ -107,126 +112,163 @@ def line_pattern(text: str) -> str:
 def mine_repetitive_patterns(line_texts: list[str]) -> tuple[list[bool], list[bool]]:
     """Per-document repetitive-pattern flags (M5). Returns
     ``(repetitive, first_repetitive)`` parallel to ``line_texts``."""
-    patterns = [line_pattern(t) for t in line_texts]
-    counts: dict[str, int] = {}
-    for p in patterns:
-        if len(p) > MIN_PATTERN_LEN:
-            counts[p] = counts.get(p, 0) + 1
-    repetitive = []
+    patterns = list(map(line_pattern, line_texts))
+    counts = Counter(p for p in patterns if len(p) > MIN_PATTERN_LEN)
+    repetitive = [counts.get(p, 0) > 1 for p in patterns]
     first = []
     seen: set[str] = set()
-    for p in patterns:
-        rep = len(p) > MIN_PATTERN_LEN and counts.get(p, 0) > 1
-        repetitive.append(rep)
+    for p, rep in zip(patterns, repetitive):
         first.append(rep and p not in seen)
         if rep:
             seen.add(p)
     return repetitive, first
 
 
-def featurize_lines(lines: list[dict]) -> list[dict]:
-    """Pure per-document kernel: lines (tokenizer stage structs) → 33-field
-    feature dicts, one per line."""
-    n = len(lines)
-    if n == 0:
-        return []
-    texts = [ln["text"] for ln in lines]
-    repetitive, first_rep = mine_repetitive_patterns(texts)
+def page_positions(lines: list[dict]) -> tuple[list[int], list[int]]:
+    """Per line: (its index within its page, its page's line count)."""
+    first: dict[int, int] = {}
+    count: dict[int, int] = {}
+    pages = [ln["page"] for ln in lines]
+    for i, pg in enumerate(pages):
+        first.setdefault(pg, i)
+        count[pg] = count.get(pg, 0) + 1
+    return ([i - first[pg] for i, pg in enumerate(pages)],
+            [count[pg] for pg in pages])
 
-    # page extents for rel_page_position
-    page_first: dict[int, int] = {}
-    page_count: dict[int, int] = {}
-    for i, ln in enumerate(lines):
-        pg = ln["page"]
-        page_first.setdefault(pg, i)
-        page_count[pg] = page_count.get(pg, 0) + 1
 
-    # per-block max line length for the LINESCALE bin
+def font_status(fonts: list) -> list[str]:
+    """Font transitions along a sequence (lines or tokens): each (bold,
+    italic) pair against the one before it."""
+    return ["SAMEFONT" if f == p else "NEWFONT"
+            for f, p in zip(fonts, [None] + fonts)]
+
+
+def font_size_status(sizes: list) -> list[str]:
+    """Font-size transitions along a sequence (lines or tokens)."""
+    return ["SAMEFONTSIZE" if p is None or s == p
+            else "HIGHERFONT" if s > p else "LOWERFONT"
+            for s, p in zip(sizes, [None] + sizes)]
+
+
+class _Lines:
+    """One document's lines and the per-line values several columns share,
+    each computed on first use."""
+
+    def __init__(self, lines: list[dict]) -> None:
+        self.lines = lines
+        self.n = len(lines)
+        self.texts = [ln["text"] for ln in lines]
+
+    @cached_property
+    def ws(self) -> list[list[str]]:
+        return list(map(tokenize_whitespace, self.texts))
+
+    @cached_property
+    def tok(self) -> list[str]:
+        """Each line's first whitespace token ("" for a blank line)."""
+        return [w[0] if w else "" for w in self.ws]
+
+    @cached_property
+    def page_pos(self) -> tuple[list[int], list[int]]:
+        return page_positions(self.lines)
+
+    @cached_property
+    def repetitive(self) -> tuple[list[bool], list[bool]]:
+        return mine_repetitive_patterns(self.texts)
+
+
+def _block_status(d: _Lines) -> list[str]:
+    return ["BLOCKSTART" if ln["line_in_block"] == 0
+            else "BLOCKEND" if ln["line_in_block"] == ln["block_n_lines"] - 1
+            else "BLOCKIN" for ln in d.lines]
+
+
+def _page_status(d: _Lines) -> list[str]:
+    return ["PAGESTART" if i == 0 else "PAGEEND" if i == c - 1 else "PAGEIN"
+            for i, c in zip(*d.page_pos)]
+
+
+def _line_length(d: _Lines) -> list[int]:
+    # each line's length binned against the longest line of its block
     block_maxlen: dict[int, int] = {}
-    for ln in lines:
+    for ln in d.lines:
         b = ln["block_id"]
         block_maxlen[b] = max(block_maxlen.get(b, 0), len(ln["text"]))
+    return [linear_scaling(len(ln["text"]), block_maxlen[ln["block_id"]],
+                           LINESCALE) for ln in d.lines]
 
-    feats: list[dict] = []
-    prev_font: tuple | None = None
-    prev_size: float | None = None
-    for i, ln in enumerate(lines):
-        text = ln["text"]
-        ws = tokenize_whitespace(text)
-        tok = ws[0] if ws else ""
-        tok2 = ws[1] if len(ws) > 1 else ""
-        low = tok.lower()
 
-        # block / page status
-        if ln["line_in_block"] == 0:
-            block_status = "BLOCKSTART"
-        elif ln["line_in_block"] == ln["block_n_lines"] - 1:
-            block_status = "BLOCKEND"
-        else:
-            block_status = "BLOCKIN"
-        pg = ln["page"]
-        idx_in_page = i - page_first[pg]
-        if idx_in_page == 0:
-            page_status = "PAGESTART"
-        elif idx_in_page == page_count[pg] - 1:
-            page_status = "PAGEEND"
-        else:
-            page_status = "PAGEIN"
+def _prefix(k: int):
+    return lambda d: [prefix(t, k) for t in d.tok]
 
-        # font transitions (document-local mutable state — row-scoped loop)
-        font = (ln["bold"], ln["italic"])
-        font_status = "SAMEFONT" if font == prev_font else "NEWFONT"
-        size = ln["font_size"]
-        if prev_size is None or size == prev_size:
-            font_size_status = "SAMEFONTSIZE"
-        elif size > prev_size:
-            font_size_status = "HIGHERFONT"
-        else:
-            font_size_status = "LOWERFONT"
-        prev_font, prev_size = font, size
 
-        feats.append(
-            {
-                "token": tok,
-                "second_token": tok2,
-                "lowercase": low,
-                "prefix1": prefix(tok, 1),
-                "prefix2": prefix(tok, 2),
-                "prefix3": prefix(tok, 3),
-                "prefix4": prefix(tok, 4),
-                "block_status": block_status,
-                "page_status": page_status,
-                "font_status": font_status,
-                "font_size_status": font_size_status,
-                "bold": int(bool(ln["bold"])),
-                "italic": int(bool(ln["italic"])),
-                "capitalisation": capitalisation_class(tok),
-                "digit": digit_class(tok),
-                "single_char": int(len(tok) == 1),
-                "proper_name": int(is_proper_name(tok)),
-                "common_name": int(is_common_word(tok)),
-                "year": int(bool(YEAR_RE.search(text))),
-                "month": int(any(is_month(w) for w in ws)),
-                "email": int(any(EMAIL_RE.match(w) for w in ws)),
-                "http": int(any(HTTP_RE.match(w) for w in ws)),
-                "punct_type": punct_type(tok),
-                "rel_doc_position": linear_scaling(i, n, NBBINS_POSITION),
-                "rel_page_position": linear_scaling(
-                    idx_in_page, page_count[pg], NBBINS_POSITION
-                ),
-                "punctuation_profile": punctuation_profile(text),
-                "punct_count": punct_count(text),
-                "line_length": linear_scaling(
-                    len(text), block_maxlen[ln["block_id"]], LINESCALE
-                ),
-                "bitmap_around": 0,
-                "vector_around": 0,
-                "repetitive_pattern": int(repetitive[i]),
-                "first_repetitive_pattern": int(first_rep[i]),
-                "in_main_area": 1,
-            }
-        )
-    return feats
+# one builder per field: the single definition of each feature value
+_LINE_COLUMNS = {
+    "token": lambda d: d.tok,
+    "second_token": lambda d: [w[1] if len(w) > 1 else "" for w in d.ws],
+    "lowercase": lambda d: list(map(str.lower, d.tok)),
+    "prefix1": _prefix(1),
+    "prefix2": _prefix(2),
+    "prefix3": _prefix(3),
+    "prefix4": _prefix(4),
+    "block_status": _block_status,
+    "page_status": _page_status,
+    "font_status": lambda d: font_status(
+        [(ln["bold"], ln["italic"]) for ln in d.lines]),
+    "font_size_status": lambda d: font_size_status(
+        [ln["font_size"] for ln in d.lines]),
+    "bold": lambda d: [int(bool(ln["bold"])) for ln in d.lines],
+    "italic": lambda d: [int(bool(ln["italic"])) for ln in d.lines],
+    "capitalisation": lambda d: list(map(capitalisation_class, d.tok)),
+    "digit": lambda d: list(map(digit_class, d.tok)),
+    "single_char": lambda d: [int(len(t) == 1) for t in d.tok],
+    "proper_name": lambda d: [int(is_proper_name(t)) for t in d.tok],
+    "common_name": lambda d: [int(is_common_word(t)) for t in d.tok],
+    "year": lambda d: [int(bool(YEAR_RE.search(t))) for t in d.texts],
+    "month": lambda d: [int(has_month(ws)) for ws in d.ws],
+    "email": lambda d: [int(any(EMAIL_RE.match(w) for w in ws))
+                        for ws in d.ws],
+    "http": lambda d: [int(has_link(t)) for t in d.texts],
+    "punct_type": lambda d: list(map(punct_type, d.tok)),
+    "rel_doc_position": lambda d: position_bins(d.n, NBBINS_POSITION),
+    "rel_page_position": lambda d: [linear_scaling(i, c, NBBINS_POSITION)
+                                    for i, c in zip(*d.page_pos)],
+    "punctuation_profile": lambda d: list(map(punctuation_profile, d.texts)),
+    "punct_count": lambda d: list(map(punct_count, d.texts)),
+    "line_length": _line_length,
+    "bitmap_around": lambda d: [0] * d.n,
+    "vector_around": lambda d: [0] * d.n,
+    "repetitive_pattern": lambda d: [int(r) for r in d.repetitive[0]],
+    "first_repetitive_pattern": lambda d: [int(r) for r in d.repetitive[1]],
+    "in_main_area": lambda d: [1] * d.n,
+}
+
+
+def line_columns(lines: list[dict], fields) -> dict[str, list]:
+    """Pure per-document kernel, column-major: lines (tokenizer stage
+    structs) → one value list per requested feature field, each parallel
+    to ``lines``. Only the requested fields are computed."""
+    d = _Lines(lines)
+    return {name: _LINE_COLUMNS[name](d) for name in fields}
+
+
+def feature_rows(cols: dict[str, list]) -> list[dict]:
+    """Feature columns → one feature dict per position (keys in column
+    order)."""
+    return [dict(zip(cols, row)) for row in zip(*cols.values())]
+
+
+def serialize_columns(cols: dict[str, list]) -> list[str]:
+    """Feature columns → the whitespace serialization of every position
+    (values in column order; ``serialize_features`` of each row when the
+    columns are every field in canonical order)."""
+    return [" ".join(map(str, row)) for row in zip(*cols.values())]
+
+
+def featurize_lines(lines: list[dict]) -> list[dict]:
+    """The 33-field feature dict of every line (``line_columns`` of every
+    field, one dict per line)."""
+    return feature_rows(line_columns(lines, _FIELD_NAMES))
 
 
 def serialize_features(feat: dict) -> str:

@@ -23,17 +23,28 @@ reference derives it from line-start indentation,
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import compress
+from operator import not_
+
 import pyarrow as pa
 
 from datacat_ray.functions.textkit import (
     capitalisation_class,
     digit_class,
     linear_scaling,
+    position_bins,
     prefix,
     punct_type,
     suffix,
 )
-from datacat_ray.stages.line_features import NBBINS_POSITION
+from datacat_ray.stages.line_features import (
+    NBBINS_POSITION,
+    feature_rows,
+    font_size_status,
+    font_status,
+    page_positions,
+)
 
 TOKEN_FEATURE_STRUCT = pa.struct(
     [
@@ -67,40 +78,140 @@ TOKEN_FEATURE_STRUCT = pa.struct(
 _TOKEN_FIELD_NAMES = [f.name for f in TOKEN_FEATURE_STRUCT]
 
 
-def _is_space_token(tok: str) -> bool:
-    return tok.isspace()
-
+# the fields that depend ONLY on the token string
+_STATIC_COLUMNS = {
+    "token": lambda t: t,
+    "lowercase": str.lower,
+    "prefix1": lambda t: prefix(t, 1),
+    "prefix2": lambda t: prefix(t, 2),
+    "prefix3": lambda t: prefix(t, 3),
+    "prefix4": lambda t: prefix(t, 4),
+    "suffix1": lambda t: suffix(t, 1),
+    "suffix2": lambda t: suffix(t, 2),
+    "suffix3": lambda t: suffix(t, 3),
+    "suffix4": lambda t: suffix(t, 4),
+    "capitalisation": capitalisation_class,
+    "digit": digit_class,
+    "single_char": lambda t: int(len(t) == 1),
+    "punct_type": punct_type,
+}
 
 _STATIC_CACHE_MAX = 200_000
-_static_cache: dict[str, dict] = {}
+# projection (tuple of static field names) → token → that projection's
+# values, memoized per worker process: natural-language token
+# distributions are Zipfian, so hit rates are high. A process sees a
+# handful of projections (every field, each decoder's); the total entry
+# count stays under _STATIC_CACHE_MAX
+_static_cache: dict[tuple[str, ...], dict[str, tuple]] = {}
 
 
-def _token_static(tok: str) -> dict:
-    """The 13 feature fields that depend ONLY on the token string, memoized
-    per worker process — natural-language token distributions are Zipfian,
-    so hit rates are high and the per-occurrence cost drops to a dict copy."""
-    d = _static_cache.get(tok)
-    if d is None:
-        if len(_static_cache) >= _STATIC_CACHE_MAX:
-            _static_cache.clear()
-        d = {
-            "token": tok,
-            "lowercase": tok.lower(),
-            "prefix1": prefix(tok, 1),
-            "prefix2": prefix(tok, 2),
-            "prefix3": prefix(tok, 3),
-            "prefix4": prefix(tok, 4),
-            "suffix1": suffix(tok, 1),
-            "suffix2": suffix(tok, 2),
-            "suffix3": suffix(tok, 3),
-            "suffix4": suffix(tok, 4),
-            "capitalisation": capitalisation_class(tok),
-            "digit": digit_class(tok),
-            "single_char": int(len(tok) == 1),
-            "punct_type": punct_type(tok),
-        }
-        _static_cache[tok] = d
-    return d
+def _static_columns(toks: list[str], names: tuple[str, ...]) -> list[list]:
+    """One value list per static field in ``names``, parallel to ``toks``."""
+    if not names:
+        return []
+    cache = _static_cache.setdefault(names, {})
+    rows = list(map(cache.get, toks))
+    if None in rows:
+        fns = [_STATIC_COLUMNS[name] for name in names]
+        for i, r in enumerate(rows):
+            if r is None:
+                tok = toks[i]
+                r = cache.get(tok)
+                if r is None:
+                    size = sum(map(len, _static_cache.values()))
+                    if size >= _STATIC_CACHE_MAX:
+                        for c in _static_cache.values():
+                            c.clear()
+                    r = cache[tok] = tuple([f(tok) for f in fns])
+                rows[i] = r
+    if not rows:
+        return [[] for _ in names]
+    return [list(c) for c in zip(*rows)]
+
+
+class _Body:
+    """One document's non-space ``<body>`` tokens, their lines, and the
+    document's non-space tokens (computed on first use) that the columns
+    share."""
+
+    def __init__(self, tokens, token_line, lines, body_ranges) -> None:
+        self.token_line, self.lines = token_line, lines
+        # the C-level scans below (compress/map) are the hot path: a
+        # document has thousands of tokens
+        self.keep = list(map(not_, map(str.isspace, tokens)))
+        self.idx = [t for start, end in body_ranges
+                    for t in compress(range(start, end), self.keep[start:end])]
+        self.n = len(self.idx)
+        self.toks = list(map(tokens.__getitem__, self.idx))
+        self.li = list(map(token_line.__getitem__, self.idx))
+
+    def per_line(self, values) -> list:
+        """A per-line value sequence spread over the tokens."""
+        return list(map(values.__getitem__, self.li))
+
+    @cached_property
+    def nonspace(self) -> tuple[list[int], list[int]]:
+        """(index, line id) of every non-space token of the document."""
+        ts = list(compress(range(len(self.keep)), self.keep))
+        return ts, list(map(self.token_line.__getitem__, ts))
+
+    def status(self, unit_of_line, start: str, end: str,
+               inside: str) -> list[str]:
+        """``start`` / ``end`` for the first / last non-space token of its
+        unit in the document (its line or block: ``unit_of_line`` maps a
+        line id to it, None for the line itself), else ``inside``."""
+        ts, lis = self.nonspace
+        mine = self.li
+        if unit_of_line is not None:
+            lis = list(map(unit_of_line.__getitem__, lis))
+            mine = self.per_line(unit_of_line)
+        last = dict(zip(lis, ts))
+        first = dict(zip(reversed(lis), reversed(ts)))
+        return [start if t == f else end if t == lt else inside
+                for t, f, lt in zip(self.idx, map(first.__getitem__, mine),
+                                    map(last.__getitem__, mine))]
+
+
+# the fields that depend on the token's position and line
+_BODY_COLUMNS = {
+    "block_status": lambda b: b.status(
+        [ln["block_id"] for ln in b.lines], "BLOCKSTART", "BLOCKEND",
+        "BLOCKIN"),
+    "line_status": lambda b: b.status(None, "LINESTART", "LINEEND",
+                                      "LINEIN"),
+    "alignment_status": lambda b: ["ALIGNEDLEFT"] * b.n,
+    "font_status": lambda b: font_status(
+        b.per_line([(ln["bold"], ln["italic"]) for ln in b.lines])),
+    "font_size_status": lambda b: font_size_status(
+        b.per_line([ln["font_size"] for ln in b.lines])),
+    "bold": lambda b: b.per_line([int(bool(ln["bold"])) for ln in b.lines]),
+    "italic": lambda b: b.per_line(
+        [int(bool(ln["italic"])) for ln in b.lines]),
+    "rel_doc_position": lambda b: b.per_line(
+        position_bins(len(b.lines), NBBINS_POSITION)),
+    "rel_page_position": lambda b: b.per_line(
+        [linear_scaling(i, c, NBBINS_POSITION)
+         for i, c in zip(*page_positions(b.lines))]),
+    "bitmap_around": lambda b: [0] * b.n,
+}
+
+
+def body_token_columns(
+    tokens: list[str],
+    token_line: list[int],
+    lines: list[dict],
+    body_ranges: list[tuple[int, int]],
+    fields,
+) -> tuple[dict[str, list], list[int]]:
+    """Pure per-document kernel, column-major: the ``<body>``-sliced token
+    stream → (one value list per requested feature field, absolute token
+    indices). Whitespace tokens are skipped; only the requested fields are
+    computed."""
+    b = _Body(tokens, token_line, lines, body_ranges)
+    static = tuple(name for name in fields if name in _STATIC_COLUMNS)
+    cols = dict(zip(static, _static_columns(b.toks, static)))
+    return {name: cols[name] if name in cols else _BODY_COLUMNS[name](b)
+            for name in fields}, b.idx
 
 
 def featurize_body_tokens(
@@ -109,99 +220,11 @@ def featurize_body_tokens(
     lines: list[dict],
     body_ranges: list[tuple[int, int]],
 ) -> tuple[list[dict], list[int]]:
-    """Pure per-document kernel: the ``<body>``-sliced token stream →
-    (feature dicts, absolute token indices). Whitespace tokens are skipped.
-    """
-    n_lines = len(lines)
-    # page extents for rel_page_position (line granularity, as in M6)
-    page_first: dict[int, int] = {}
-    page_count: dict[int, int] = {}
-    for i, ln in enumerate(lines):
-        pg = ln["page"]
-        page_first.setdefault(pg, i)
-        page_count[pg] = page_count.get(pg, 0) + 1
-
-    # first/last non-space token index per line and per block
-    line_first: dict[int, int] = {}
-    line_last: dict[int, int] = {}
-    block_first: dict[int, int] = {}
-    block_last: dict[int, int] = {}
-    for t, tok in enumerate(tokens):
-        if _is_space_token(tok):
-            continue
-        li = token_line[t]
-        b = lines[li]["block_id"]
-        line_first.setdefault(li, t)
-        line_last[li] = t
-        block_first.setdefault(b, t)
-        block_last[b] = t
-
-    feats: list[dict] = []
-    indices: list[int] = []
-    prev_font: tuple | None = None
-    prev_size: float | None = None
-    # line-derived values hoisted out of the token loop: tokens stream in
-    # line order, so everything keyed on li recomputes only at line breaks
-    cur_li = -1
-    font = size = None
-    bold = ital = 0
-    rel_doc = rel_page = 0
-    lf = ll = bf = bl = None
-    for start, end in body_ranges:
-        for t in range(start, end):
-            tok = tokens[t]
-            if _is_space_token(tok):
-                continue
-            li = token_line[t]
-            if li != cur_li:
-                cur_li = li
-                ln = lines[li]
-                b = ln["block_id"]
-                font = (ln["bold"], ln["italic"])
-                size = ln["font_size"]
-                bold = int(bool(ln["bold"]))
-                ital = int(bool(ln["italic"]))
-                pg = ln["page"]
-                rel_doc = linear_scaling(li, n_lines, NBBINS_POSITION)
-                rel_page = linear_scaling(
-                    li - page_first[pg], page_count[pg], NBBINS_POSITION
-                )
-                lf, ll = line_first.get(li), line_last.get(li)
-                bf, bl = block_first.get(b), block_last.get(b)
-            if t == bf:
-                block_status = "BLOCKSTART"
-            elif t == bl:
-                block_status = "BLOCKEND"
-            else:
-                block_status = "BLOCKIN"
-            if t == lf:
-                line_status = "LINESTART"
-            elif t == ll:
-                line_status = "LINEEND"
-            else:
-                line_status = "LINEIN"
-            font_status = "SAMEFONT" if font == prev_font else "NEWFONT"
-            if prev_size is None or size == prev_size:
-                font_size_status = "SAMEFONTSIZE"
-            elif size > prev_size:
-                font_size_status = "HIGHERFONT"
-            else:
-                font_size_status = "LOWERFONT"
-            prev_font, prev_size = font, size
-            f = dict(_token_static(tok))
-            f["block_status"] = block_status
-            f["line_status"] = line_status
-            f["alignment_status"] = "ALIGNEDLEFT"
-            f["font_status"] = font_status
-            f["font_size_status"] = font_size_status
-            f["bold"] = bold
-            f["italic"] = ital
-            f["rel_doc_position"] = rel_doc
-            f["rel_page_position"] = rel_page
-            f["bitmap_around"] = 0
-            feats.append(f)
-            indices.append(t)
-    return feats, indices
+    """(the 24-field feature dict of every non-space ``<body>`` token,
+    absolute token indices) — ``body_token_columns`` of every field."""
+    cols, idx = body_token_columns(tokens, token_line, lines, body_ranges,
+                                   _TOKEN_FIELD_NAMES)
+    return feature_rows(cols), idx
 
 
 def serialize_token_features(feat: dict) -> str:

@@ -3,8 +3,9 @@ from datacat_ray.state.lexicon import (  # noqa: F401
     MONTH_NAMES,
     PROPER_NAMES,
     EMAIL_RE,
-    HTTP_RE,
     YEAR_RE,
+    has_link,
+    has_month,
     is_common_word,
     is_month,
     is_proper_name,

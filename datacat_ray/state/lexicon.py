@@ -61,11 +61,28 @@ PROPER_NAMES: frozenset[str] = frozenset(
 # DatacatSegmenterParser.java:509-543) — compiled once at import
 YEAR_RE = re.compile(r"[12][0-9]{3}")
 EMAIL_RE = re.compile(r"^[\w.+-]+@[\w-]+(?:\.[\w-]+)+$")
-HTTP_RE = re.compile(r"^https?://|^www\.", re.IGNORECASE)
+# a word (split on " \t\f\u00a0" as ``textkit.tokenize_whitespace`` does)
+# that starts with http://, https:// or www., in one search over a line
+_LINK_RE = re.compile(r"(?:^|(?<=[ \t\f\u00a0]))(?:https?://|www\.)",
+                      re.IGNORECASE)
 
 
 def is_month(token: str) -> bool:
     return token.lower() in MONTH_NAMES
+
+
+def has_month(words) -> bool:
+    """``any(is_month(w) for w in words)``, the scan done in C."""
+    return not MONTH_NAMES.isdisjoint(map(str.lower, words))
+
+
+def has_link(line: str) -> bool:
+    """Some word of ``line`` starts with http://, https:// or www., in any
+    case. No non-ASCII character case-folds to h, t, p, w or ".", so a
+    match needs "http" or "www." in the lowercased line: that substring
+    test rules out most lines before the regex runs."""
+    low = line.lower()
+    return ("http" in low or "www." in low) and bool(_LINK_RE.search(line))
 
 
 def is_common_word(token: str) -> bool:

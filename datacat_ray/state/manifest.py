@@ -29,6 +29,7 @@ not a database — resume cost is one directory scan.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -44,13 +45,20 @@ from datacat_ray import __version__ as ENGINE_VERSION
 MANIFEST_DIR = "_manifest"
 
 
+@functools.cache
 def model_hash() -> str:
-    """Stable digest of the frozen CRF models (lineage: which weights
-    produced a partition)."""
-    from datacat_ray.stages.models import BODY_MODEL, SEGMENTER_MODEL
+    """Stable digest of the three frozen CRF models, segmenter, body and
+    lexical (lineage: which weights produced a partition; every part file
+    carries all three levels' labels). The models are constants, so it is
+    computed once per process."""
+    from datacat_ray.stages.models import (
+        BODY_MODEL,
+        LEXICAL_MODEL,
+        SEGMENTER_MODEL,
+    )
 
     h = hashlib.sha256()
-    for m in (SEGMENTER_MODEL, BODY_MODEL):
+    for m in (SEGMENTER_MODEL, BODY_MODEL, LEXICAL_MODEL):
         h.update(repr((m.labels, m.templates, sorted(m.weights.items()),
                        sorted(m.transitions.items()), sorted(m.init.items()),
                        m.sticky)).encode())

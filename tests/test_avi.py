@@ -171,6 +171,34 @@ def test_compressed_decode_both_legs(tmp_path):
         assert (A.decode_video_frame(payload, 2) == frames[2]).all()
 
 
+def test_mjpeg_container_errors_skip_the_ffmpeg_fallback(monkeypatch):
+    """An out-of-range frame index in an MJPEG stream is the caller's
+    error: ValueError, and the ffmpeg fallback is never called even where
+    ffmpeg exists. A frame the baseline JPEG decoder rejects still falls
+    back."""
+    import datacat_ray.functions.avi as A
+    import datacat_ray.functions.jpeg as J
+
+    p = A.encode_avi_mjpeg(_smooth_frames(3, 16, 16), 25, quality=90)
+    calls = []
+
+    def fake_ffmpeg(payload, idxs):
+        calls.append(list(idxs))
+        return ["ffmpeg"] * len(idxs)
+
+    monkeypatch.setattr(A, "has_ffmpeg", lambda: True)
+    monkeypatch.setattr(A, "decode_frames_ffmpeg", fake_ffmpeg)
+    with pytest.raises(ValueError, match="out of range"):
+        A.decode_video_frames(p, [0, 3])
+    assert calls == []
+
+    def reject(data):
+        raise ValueError("progressive scan unsupported")
+
+    monkeypatch.setattr(J, "decode_jpeg", reject)
+    assert A.decode_video_frames(p, [1]) == ["ffmpeg"] and calls == [[1]]
+
+
 def test_mjpeg_avi_subsampling_and_sampler(ray_session):
     """MJPEG AVIs at both chroma layouts decode through the seam, and the
     pipeline's VideoFrameSampler treats them as valid rows (the poison-row

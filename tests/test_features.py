@@ -1,12 +1,35 @@
-"""Line/token featurizer conformance (M5-M8) — hand-computed vectors."""
+"""Line/token featurizer conformance (M5-M8) — hand-computed vectors —
+and the column-major cores: a projection computes exactly the columns of
+the full dict featurizers, and the decoder's emission rows built from
+columns match the row dicts."""
 
+import functools
+import random
+import re
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from datacat_ray.functions.textkit import tokenize_whitespace
+from datacat_ray.stages.crf import CRFDecoder, expand_templates
+from datacat_ray.stages.lexical_features import (
+    ENTRY_FIELD_NAMES,
+    entry_token_columns,
+    featurize_entry_tokens,
+)
 from datacat_ray.stages.line_features import (
+    _FIELD_NAMES,
     featurize_lines,
+    line_columns,
     line_pattern,
     mine_repetitive_patterns,
+    serialize_columns,
     serialize_features,
 )
 from datacat_ray.stages.token_features import (
+    _TOKEN_FIELD_NAMES,
+    body_token_columns,
     featurize_body_tokens,
     serialize_token_features,
 )
@@ -118,3 +141,241 @@ def test_serialized_arity_matches_reference_raw_format():
                 # training raw lines are 33 feature cols (+1 label in some files)
                 assert len(line.split(" ")) in (33, 34)
                 break
+
+
+# ---------------------------------------------------------------------------
+# column-major cores
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _fixture_docs():
+    """(name, lines, tokens, token_line, body ranges, entry spans): an
+    empty doc, a one-line doc, a catalogue page, an oversized page and a
+    page without a ``<body>`` zone, zoned by the frozen cascade."""
+    from datacat_ray.fixtures import make_catalogue_html
+    from datacat_ray.pipelines.extract import FusedExtractStage
+    from datacat_ray.stages.dom import parse_main_blocks
+    from datacat_ray.stages.zones import zone_token_indices
+
+    stage = FusedExtractStage()
+    rng = random.Random(5)
+    docs = [("empty", [], [], [], [], [])]
+    one = [{"text": "12. Monnaies d'Italie: 39 pièces. AR.", "page": 0,
+            "font_size": 12.0, "bold": False, "italic": False,
+            "link_density": 0.0}]
+    lines, tokens, token_line = tokenize_document(one)
+    docs.append(("one-line", lines, tokens, token_line,
+                 [(0, len(tokens))], [(0, len(tokens))]))
+    for name, n in (("catalogue", 8), ("oversized", 250), ("no-body", 0)):
+        html, _ = make_catalogue_html(rng, n_entries=n)
+        lines, tokens, token_line = tokenize_document(parse_main_blocks(html))
+        out = stage._one(name, "fr", html.encode(), None)
+        assert out[-1] is None, out[-1]
+        body = zone_token_indices(out[4], "<body>")
+        spans = [(r["start"], r["end"]) for r in out[5]
+                 if r["label"] == "<entry>"]
+        assert (name == "no-body") == (not body)
+        docs.append((name, lines, tokens, token_line, body, spans))
+    return docs
+
+
+def _projection(names):
+    return st.lists(st.sampled_from(names), unique=True, max_size=len(names))
+
+
+def _columns_of(rows, fields):
+    return {f: [r[f] for r in rows] for f in fields}
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields=_projection(_FIELD_NAMES))
+def test_line_columns_project_the_dict_featurizer(fields):
+    for name, lines, *_ in _fixture_docs():
+        got = line_columns(lines, fields)
+        assert list(got) == fields
+        assert got == _columns_of(featurize_lines(lines), fields), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields=_projection(_TOKEN_FIELD_NAMES))
+def test_body_token_columns_project_the_dict_featurizer(fields):
+    for name, lines, tokens, token_line, body, _ in _fixture_docs():
+        got, idx = body_token_columns(tokens, token_line, lines, body, fields)
+        rows, want_idx = featurize_body_tokens(tokens, token_line, lines, body)
+        assert idx == want_idx and list(got) == fields
+        assert got == _columns_of(rows, fields), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields=_projection(ENTRY_FIELD_NAMES))
+def test_entry_token_columns_project_the_dict_featurizer(fields):
+    for name, _, tokens, _, _, spans in _fixture_docs():
+        for start, end in spans + [(0, len(tokens))]:
+            got, idx = entry_token_columns(tokens, start, end, fields)
+            rows, want_idx = featurize_entry_tokens(tokens, start, end)
+            assert idx == want_idx and list(got) == fields
+            assert got == _columns_of(rows, fields), name
+
+
+def test_column_serialization_and_decode_equal_the_row_paths():
+    """Training export serializes and decodes the every-field columns; both
+    equal the per-row dict paths on every fixture doc."""
+    from datacat_ray.stages.models import BODY_MODEL, SEGMENTER_MODEL
+
+    seg, body = CRFDecoder(SEGMENTER_MODEL), CRFDecoder(BODY_MODEL)
+    for name, lines, tokens, token_line, body_ranges, _ in _fixture_docs():
+        cols = line_columns(lines, _FIELD_NAMES)
+        rows = featurize_lines(lines)
+        assert serialize_columns(cols) == list(map(serialize_features, rows))
+        assert seg.decode_columns(cols, len(lines)) == seg.decode(rows), name
+        bcols, idx = body_token_columns(tokens, token_line, lines,
+                                        body_ranges, _TOKEN_FIELD_NAMES)
+        brows, _ = featurize_body_tokens(tokens, token_line, lines,
+                                         body_ranges)
+        assert serialize_columns(bcols) == list(
+            map(serialize_token_features, brows))
+        assert body.decode_columns(bcols, len(idx)) == body.decode(brows)
+
+
+def test_entry_token_columns_hand_checked():
+    toks = ["12", ".", " ", "Monnaies", ":", "", "AR", "\n"]
+    cols, idx = entry_token_columns(toks, 0, len(toks), ENTRY_FIELD_NAMES)
+    assert idx == [0, 1, 3, 4, 5, 6]
+    assert cols["prev_punct"] == ["_NONE_", "NOPUNCT", "DOT", "NOPUNCT",
+                                  "PUNCT", "_NONE_"]
+    assert cols["next_lower"] == [".", "monnaies", ":", "_NONE_", "ar",
+                                  "_NONE_"]
+    assert cols["seen_colon"] == [0, 0, 0, 0, 1, 1]
+    assert cols["entry_position"] == [0, 0, 1, 2, 3, 4]
+    assert cols["digit"][0] == "ALLDIGIT"
+    assert cols["lowercase"][2] == "monnaies"
+    assert entry_token_columns(toks, 2, 3, ENTRY_FIELD_NAMES) == (
+        {f: [] for f in ENTRY_FIELD_NAMES}, [])
+
+
+_TEXT = st.text(alphabet="aAhHtTpPsSwWmMiIyY:/.é \t\f\xa0\nſ", max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(_TEXT, max_size=6))
+def test_month_and_http_are_word_level_lexicon_tests(texts):
+    """The line-level ``month`` / ``http`` scans equal the per-word
+    lexicon tests over the line's whitespace words."""
+    from datacat_ray.state.lexicon import is_month
+
+    word_http = re.compile(r"^https?://|^www\.", re.IGNORECASE)
+    lines = [{"text": t} for t in texts + ["Vente du 13 MAI 1860",
+                                           "voir\xa0WWW.x.fr", "xhttp://"]]
+    cols = line_columns(lines, ["month", "http"])
+    words = [tokenize_whitespace(ln["text"]) for ln in lines]
+    assert cols["month"] == [int(any(is_month(w) for w in ws))
+                             for ws in words]
+    assert cols["http"] == [int(any(word_http.match(w) for w in ws))
+                            for ws in words]
+    assert cols["month"][-3:] == [1, 0, 0] and cols["http"][-3:] == [0, 1, 0]
+
+
+_TOKENS = st.sampled_from(["", " ", "\n", ":", ".", ",", "a", "Ab", "AB",
+                           "12", "x1", "«", "-", "pièces"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_token_cores_on_ragged_synthetic_docs(data):
+    """Empty and whitespace tokens, lines without tokens, several pages
+    and blocks, ranges that skip tokens: every projection of the body and
+    entry cores equals the full dict featurizers."""
+    tokens = data.draw(st.lists(_TOKENS, max_size=40))
+    n_lines = data.draw(st.integers(1, 6))
+    token_line = sorted(data.draw(st.lists(
+        st.integers(0, n_lines - 1), min_size=len(tokens),
+        max_size=len(tokens))))
+    lines = [{"text": "", "page": data.draw(st.integers(0, 1)),
+              "block_id": data.draw(st.integers(0, 2)),
+              "font_size": data.draw(st.sampled_from([10.0, 12.0])),
+              "bold": data.draw(st.booleans()), "italic": False}
+             for _ in range(n_lines)]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(tokens)),
+                                     max_size=6)))
+    ranges = list(zip(cuts[::2], cuts[1::2]))
+    fields = data.draw(_projection(_TOKEN_FIELD_NAMES))
+    got, idx = body_token_columns(tokens, token_line, lines, ranges, fields)
+    rows, want_idx = featurize_body_tokens(tokens, token_line, lines, ranges)
+    assert idx == want_idx and got == _columns_of(rows, fields)
+    fields = data.draw(_projection(ENTRY_FIELD_NAMES))
+    for start, end in ranges + [(0, len(tokens))]:
+        got, idx = entry_token_columns(tokens, start, end, fields)
+        rows, want_idx = featurize_entry_tokens(tokens, start, end)
+        assert idx == want_idx and got == _columns_of(rows, fields)
+
+
+def _reference_emissions(dec, rows):
+    """Emission rows from the row dicts: each position's expanded feature
+    strings (``expand_templates``), weights summed in template order."""
+    em = np.zeros((len(rows), dec.L))
+    for t, feats in enumerate(expand_templates(dec.model, rows)):
+        for f in feats:
+            em[t] += dec.w.get(f, 0.0)
+    return em
+
+
+def test_emission_matrix_from_columns_equals_row_dicts(tmp_path):
+    """For the frozen decoders, and a trained raw-field artifact fed
+    through the stage's column rename, the emission matrix built from the
+    projected columns equals the one built from the full row dicts."""
+    import json
+
+    from datacat_ray.pipelines.extract import _Level
+    from datacat_ray.pipelines.trainer import load_model_json
+    from datacat_ray.stages.models import (
+        BODY_MODEL,
+        LEXICAL_MODEL,
+        SEG_LABELS,
+        SEGMENTER_MODEL,
+    )
+
+    path = tmp_path / "seg.json"
+    path.write_text(json.dumps({
+        "format": "datacat-ray-crf-v1", "labels": list(SEG_LABELS),
+        "n_fields": 33,
+        "template": "U00:%x[0,23]\nU01:%x[-1,14]/%x[1,2]\nU02:%x[0,30]\n",
+        "weights": {**{f"U00:{b}": {"<body>": 0.5 * b} for b in range(12)},
+                    "U01:ALLDIGIT|vente": {"<front>": 2.0},
+                    "U01:_B-1_|vente": {"<front>": 1.0},
+                    "U02:1": {"<other>": 3.0}},
+        "transitions": [],
+    }))
+    raw = load_model_json(str(path))
+    seg, body, lex = (_Level(CRFDecoder(m)) for m in
+                      (SEGMENTER_MODEL, BODY_MODEL, LEXICAL_MODEL))
+    raw_seg = _Level(raw, _FIELD_NAMES)
+    assert raw_seg.fields == ["digit", "lowercase", "rel_doc_position",
+                              "repetitive_pattern"]
+    checked = 0
+    for name, lines, tokens, token_line, body_ranges, spans in _fixture_docs():
+        n = len(lines)
+        rows = featurize_lines(lines)
+        assert np.array_equal(
+            seg.emissions(line_columns(lines, seg.fields), n),
+            _reference_emissions(seg.dec, rows)), name
+        raw_rows = [dict(enumerate(serialize_features(r).split(" ")))
+                    for r in rows]
+        raw_rows = [{f"f{i}": v for i, v in r.items()} for r in raw_rows]
+        assert np.array_equal(
+            raw_seg.emissions(line_columns(lines, raw_seg.fields), n),
+            _reference_emissions(raw, raw_rows)), name
+        cols, idx = body_token_columns(tokens, token_line, lines,
+                                       body_ranges, body.fields)
+        assert np.array_equal(
+            body.emissions(cols, len(idx)),
+            _reference_emissions(body.dec, featurize_body_tokens(
+                tokens, token_line, lines, body_ranges)[0])), name
+        for start, end in spans:
+            cols, idx = entry_token_columns(tokens, start, end, lex.fields)
+            assert np.array_equal(
+                lex.emissions(cols, len(idx)),
+                _reference_emissions(lex.dec, featurize_entry_tokens(
+                    tokens, start, end)[0])), name
+            checked += 1
+    assert checked > 30

@@ -54,22 +54,22 @@ def test_poison_rows_cost_only_themselves(monkeypatch):
         schema=PAGES_SCHEMA,
     )
 
-    monkeypatch.setattr(extract, "featurize_body_tokens", _poison_when(
-        extract.featurize_body_tokens, "POISONBODY", "poisoned body"))
-    monkeypatch.setattr(extract, "featurize_entry_tokens", _poison_when(
-        extract.featurize_entry_tokens, "POISONLEX", "poisoned lexical"))
-    featurize_lines = extract.featurize_lines
+    # the column featurizers the stage calls, one per cascade phase
+    monkeypatch.setattr(extract, "body_token_columns", _poison_when(
+        extract.body_token_columns, "POISONBODY", "poisoned body"))
+    monkeypatch.setattr(extract, "entry_token_columns", _poison_when(
+        extract.entry_token_columns, "POISONLEX", "poisoned lexical"))
+    line_columns = extract.line_columns
 
-    def keyless_lines(lines):
-        # drops a field the segmenter templates read: the emission-key
+    def keyless_lines(lines, fields):
+        # drops a column the segmenter templates read: the emission-key
         # lookup of this one document raises
-        feats = featurize_lines(lines)
+        cols = line_columns(lines, fields)
         if any("POISONKEY" in ln["text"] for ln in lines):
-            for f in feats:
-                del f["lowercase"]
-        return feats
+            del cols["lowercase"]
+        return cols
 
-    monkeypatch.setattr(extract, "featurize_lines", keyless_lines)
+    monkeypatch.setattr(extract, "line_columns", keyless_lines)
 
     st = FusedExtractStage(max_tokens=1000)
     got = st(batch)
@@ -94,8 +94,8 @@ def test_poison_rows_cost_only_themselves(monkeypatch):
 
 
 def test_trained_artifacts_batch_equals_one_row_runs(tmp_path):
-    """Trained artifacts (``model_paths``) decode raw ``f0..fN`` fields
-    through ``_to_raw_fields`` in the batch path as in a one-row run."""
+    """Trained artifacts (``model_paths``) decode raw ``f0..fN`` columns
+    (renamed named columns) in the batch path as in a one-row run."""
     import json
 
     from datacat_ray.fixtures import make_pages_table
@@ -117,7 +117,7 @@ def test_trained_artifacts_batch_equals_one_row_runs(tmp_path):
     body = artifact("body", BODY_LABELS, 24, "U00:%x[0,18]\nU01:%x[-1,18]\n", {
         "U00:ALLDIGIT": {"I-<entry>": 3.0}, "U01:ALLDIGIT": {"<entry>": 1.0}})
     st = FusedExtractStage(model_paths={"segmenter": seg, "body": body})
-    assert st.seg_raw_fields and st.body_raw_fields
+    assert st._seg.raw is not None and st._body.raw is not None
     batch = make_pages_table(12, 5)
     got = st(batch).to_pylist()
     assert any(r["entries"] for r in got) and any(r["lexical"] for r in got)

@@ -170,6 +170,20 @@ def test_adversarial_headers_are_valueerror():
         decode_jpeg(bytes(bad))
 
 
+def test_non_dividing_sampling_factors_rejected_at_sof():
+    """3x1 luma with 2x1 chroma: 2 does not divide hmax 3, so the planes
+    could not be upsampled to one shape. Rejected when the SOF is parsed,
+    with a message naming the factors."""
+    data = bytearray(encode_jpeg(_gradient(16, 16), 90, subsampling="420"))
+    sof = data.find(b"\xff\xc0")
+    assert data[sof + 9] == 3  # three components follow
+    for ci, hv in enumerate((0x31, 0x21, 0x21)):
+        data[sof + 4 + 6 + 3 * ci + 1] = hv
+    with pytest.raises(ValueError, match="sampling factors 2x1 of component"
+                       " 2 do not divide the maximum 3x1"):
+        decode_jpeg(bytes(data))
+
+
 def test_partial_dht_fills_missing_ids():
     """A stream defining only its LUMA tables still decodes: the chroma
     ids fall back to the implied Annex K tables per id."""

@@ -162,3 +162,29 @@ def test_body_corpus_loads_with_begin_states():
         from datacat_ray.stages.crf import strip_begin_prefix
 
         assert [strip_begin_prefix(x) for x in g_iob] == g_flat
+
+
+def test_model_hash_covers_all_three_models(monkeypatch):
+    """The lineage hash changes with a lexical weight (the lexical level
+    produces every part file's ``lexical`` column), and is computed once
+    per process."""
+    import dataclasses
+
+    from datacat_ray.stages import models
+    from datacat_ray.state.manifest import model_hash
+
+    model_hash.cache_clear()
+    base = model_hash()
+    assert model_hash() == base and model_hash.cache_info().hits == 1
+    lex = models.LEXICAL_MODEL
+    changed = dataclasses.replace(
+        lex, weights={**lex.weights, "Ulow:ar": {"<material>": 3.25}})
+    monkeypatch.setattr(models, "LEXICAL_MODEL", changed)
+    assert model_hash() == base  # cached for the process
+    model_hash.cache_clear()
+    try:
+        assert model_hash() != base
+    finally:
+        monkeypatch.undo()
+        model_hash.cache_clear()
+    assert model_hash() == base

@@ -101,27 +101,49 @@ def test_train_crf_estimator_on_export(exported_corpus, crf_artifact):
 
 
 def test_raw_field_conversion_matches_serialization():
-    """The deploy-time feature conversion (_to_raw_fields) must produce
-    exactly the values training read back from the raw files — i.e. the
-    canonical serialization split into columns."""
+    """The deploy-time feature conversion (named columns renamed to the
+    raw ``f{i}`` columns, ``raw_columns``) must produce exactly the values
+    training read back from the raw files — i.e. the canonical
+    serialization split into columns — for the line and the body-token
+    fields."""
     import random
 
     from datacat_ray.fixtures import make_catalogue_html
-    from datacat_ray.pipelines.extract import _LINE_FIELD_NAMES, _to_raw_fields
+    from datacat_ray.pipelines.extract import (
+        _BODY_FIELD_NAMES,
+        _LINE_FIELD_NAMES,
+        raw_columns,
+    )
     from datacat_ray.stages.dom import parse_main_blocks
     from datacat_ray.stages.line_features import (
         featurize_lines,
+        line_columns,
         serialize_features,
+    )
+    from datacat_ray.stages.token_features import (
+        body_token_columns,
+        featurize_body_tokens,
+        serialize_token_features,
     )
     from datacat_ray.stages.tokenizer import tokenize_document
 
     html, _ = make_catalogue_html(random.Random(4), n_entries=4)
-    lines, _tok, _tl = tokenize_document(parse_main_blocks(html))
-    feats = featurize_lines(lines)
-    conv = _to_raw_fields(feats, _LINE_FIELD_NAMES)
-    for d, c in zip(feats, conv):
-        cols = serialize_features(d).split(" ")
-        assert [c[f"f{i}"] for i in range(len(cols))] == cols
+    lines, tokens, token_line = tokenize_document(parse_main_blocks(html))
+    body = [(0, len(tokens))]
+    for names, cols, feats, serialize in (
+        (_LINE_FIELD_NAMES, line_columns(lines, _LINE_FIELD_NAMES),
+         featurize_lines(lines), serialize_features),
+        (_BODY_FIELD_NAMES,
+         body_token_columns(tokens, token_line, lines, body,
+                            _BODY_FIELD_NAMES)[0],
+         featurize_body_tokens(tokens, token_line, lines, body)[0],
+         serialize_token_features),
+    ):
+        raw = raw_columns(cols, {f"f{i}": n for i, n in enumerate(names)})
+        assert feats and len(raw) == len(names)
+        for t, d in enumerate(feats):
+            want = serialize(d).split(" ")
+            assert [raw[f"f{i}"][t] for i in range(len(want))] == want
 
 
 def test_deploy_trained_model_in_cascade(exported_corpus, tmp_path,
@@ -136,7 +158,7 @@ def test_deploy_trained_model_in_cascade(exported_corpus, tmp_path,
     artifact, _ = crf_artifact
     path = save_model_json(str(tmp_path / "seg.json"), artifact)
     st = FusedExtractStage(model_paths={"segmenter": path})
-    assert st.seg_raw_fields and not st.body_raw_fields
+    assert st._seg.raw is not None and st._body.raw is None
     html, _ = make_catalogue_html(random.Random(2), n_entries=5)
     (text, _main, tei, _tb, zones, _e, _lx, n_lines, _nt,
      err) = st._one("http://deploy", "fr", html.encode(), None)
