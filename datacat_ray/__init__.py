@@ -15,13 +15,20 @@ Reference semantics citations use the convention ``<file>:<lines>`` relative to
 __version__ = "0.1.0"
 
 
-def _silence_upstream_schema_hash_noise() -> None:
-    """Suppress one known-harmless upstream warning: Ray Data's schema
-    de-dup fast path hashes block schemas, and a schema carrying dict
-    metadata (any join output) raises ``unhashable type: 'dict'``, which
-    transform_pyarrow.py logs at WARNING before falling through to the
-    correct slow path. Message-targeted filter — everything else that
-    logger says still gets through."""
+_schema_hash_filter_installed = False
+
+
+def quiet_schema_hash_warning() -> None:
+    """Suppress one known-harmless upstream warning, once per process:
+    Ray Data's schema de-dup fast path hashes block schemas, and a schema
+    carrying dict metadata (any join output) raises ``unhashable type:
+    'dict'``, which transform_pyarrow.py logs at WARNING before falling
+    through to the correct slow path (seen in Ray 2.49). Called where the
+    join pipelines are built, never at import. Message-targeted filter —
+    everything else that logger says still gets through."""
+    global _schema_hash_filter_installed
+    if _schema_hash_filter_installed:
+        return
     import logging
 
     class _F(logging.Filter):
@@ -31,6 +38,4 @@ def _silence_upstream_schema_hash_noise() -> None:
     logging.getLogger(
         "ray.data._internal.arrow_ops.transform_pyarrow"
     ).addFilter(_F())
-
-
-_silence_upstream_schema_hash_noise()
+    _schema_hash_filter_installed = True

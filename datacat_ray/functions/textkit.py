@@ -154,8 +154,8 @@ def linear_scaling(value: float, maximum: float, nb_bins: int) -> int:
 
 def position_bins(n: int, nb_bins: int) -> list[int]:
     """``linear_scaling(i, n, nb_bins)`` of every position ``i`` of an
-    ``n``-long sequence."""
-    return [linear_scaling(i, n, nb_bins) for i in range(n)]
+    ``n``-long sequence (``0 <= i < n``, so its clamps never apply)."""
+    return [int(nb_bins * (i / n)) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

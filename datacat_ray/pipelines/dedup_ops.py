@@ -29,6 +29,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Min
 
+from datacat_ray import quiet_schema_hash_warning
+
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -815,6 +817,7 @@ def minhash_candidate_pairs(
         b_side = ray.data.read_parquet(sig_path).map_batches(
             lambda t: t.rename_columns(["doc_b", "sig_b"]), batch_format="pyarrow"
         )
+        quiet_schema_hash_warning()
         joined = cands.join(a_side, "inner", n_parts, on=("doc_a",)).join(
             b_side, "inner", n_parts, on=("doc_b",)
         )
@@ -1847,6 +1850,7 @@ def ngram_jaccard_pairs(
         b_side = docs.map_batches(
             lambda t: t.rename_columns(["doc_b", "text_b"]), batch_format="pyarrow"
         )
+        quiet_schema_hash_warning()
         joined = cands.join(a_side, "inner", n_parts, on=("doc_a",)).join(
             b_side, "inner", n_parts, on=("doc_b",)
         )
@@ -2037,6 +2041,7 @@ def embedding_neardup_pairs(
             lambda t: t.rename_columns(["vec_b", "unit_b"]),
             batch_format="pyarrow",
         )
+        quiet_schema_hash_warning()
         joined = cands.join(a_side, "inner", n_parts, on=("vec_a",)).join(
             b_side, "inner", n_parts, on=("vec_b",)
         )
@@ -2279,6 +2284,7 @@ def paragraph_dedup(
     docs_clean = docs.map_batches(
         lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
     )
+    quiet_schema_hash_warning()
     joined = docs_clean.join(drop_lists, "inner", n_parts, on=("doc_id",))
 
     def _rebuild(t: pa.Table) -> pa.Table:

@@ -25,6 +25,7 @@ Output schema (one row per url):
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 
 import ray.data
@@ -33,7 +34,7 @@ from datacat_ray.config import PipelineConfig
 from datacat_ray.stages.crf import CRFDecoder, with_begin_prefix
 from datacat_ray.stages.dedup import dedup_latest
 from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
-from datacat_ray.stages.lexical_features import entry_token_columns
+from datacat_ray.stages.lexical_features import entry_runs_columns
 from datacat_ray.stages.line_features import (
     _FIELD_NAMES as _LINE_FIELD_NAMES,
     line_columns,
@@ -42,7 +43,6 @@ from datacat_ray.stages.models import BODY_MODEL, LEXICAL_MODEL, SEGMENTER_MODEL
 from datacat_ray.stages.tei import (
     assemble_body_tei,
     assemble_segmenter_tei,
-    body_label_runs,
     extracted_text,
     token_char_offsets,
 )
@@ -126,7 +126,8 @@ class _Doc:
     """One document's cascade state between the phases of a batch."""
 
     __slots__ = ("url", "lang", "lines", "tokens", "token_line", "em", "idx",
-                 "line_labels", "zones", "entries", "runs", "result")
+                 "line_labels", "zones", "entries", "runs", "lex_idx",
+                 "starts", "result")
 
     def __init__(self, url, lang) -> None:
         self.url = url
@@ -250,25 +251,30 @@ class FusedExtractStage:
             d.tokens, d.token_line, d.lines, body_ranges, self._body.fields)
         d.em = self._body.emissions(cols, len(d.idx))
 
-    def _entry_runs(self, d: _Doc, body_labels: list[str]) -> None:
-        """Entries from the body labels; featurize every ``<entry>`` run
-        for the lexical level (num/category/desc/count/material)."""
-        d.entries = body_label_runs(body_labels, d.idx)
+    def _entry_runs(self, d: _Doc, body_path) -> None:
+        """Entries from the body label path; featurize the document's
+        ``<entry>`` runs for the lexical level (num/category/desc/count/
+        material) in one pass and one emission lookup — exact because the
+        lexical templates read offset 0 only, so no key looks across a
+        run boundary. Each non-empty run stays its own Viterbi sequence."""
+        d.entries = self.body.spans(body_path, d.idx)
+        cols, d.lex_idx, starts = entry_runs_columns(
+            d.tokens, [(r["start"], r["end"]) for r in d.entries
+                       if r["label"] == "<entry>"], self._lex.fields)
+        n = len(d.lex_idx)
+        em = self._lex.emissions(cols, n)
+        bounds = [(a, b) for a, b in zip(starts, starts[1:] + [n])
+                  if a < b]
+        d.starts = [a for a, _ in bounds]
+        d.runs = [em[a:b] for a, b in bounds]
         d.em = None
-        d.runs = []
-        for run in d.entries:
-            if run["label"] != "<entry>":
-                continue
-            cols, idx = entry_token_columns(d.tokens, run["start"],
-                                            run["end"], self._lex.fields)
-            if idx:
-                d.runs.append((idx, self._lex.emissions(cols, len(idx))))
 
-    def _assemble(self, d: _Doc, run_labels: list[list[str]]) -> None:
-        """Lexical spans from the run labels; text and TEI assembly."""
-        lexical: list[dict] = []
-        for (idx, _), labels in zip(d.runs, run_labels):
-            lexical.extend(body_label_runs(labels, idx))
+    def _assemble(self, d: _Doc, run_paths: list) -> None:
+        """Lexical spans from the run label paths; text and TEI
+        assembly."""
+        lexical = self.lexical.spans(
+            np.concatenate(run_paths or [np.zeros(0, dtype=np.intp)]),
+            d.lex_idx, d.starts)
         tokens, lines, zones, entries = d.tokens, d.lines, d.zones, d.entries
         if self.tei_coordinates:
             offs = token_char_offsets(tokens)
@@ -301,11 +307,11 @@ class FusedExtractStage:
         _phase(docs, out, self._body_tokens,
                self.seg.viterbi([d.em for d in docs.values()]))
         _phase(docs, out, self._entry_runs,
-               self.body.viterbi([d.em for d in docs.values()]))
-        labels = iter(self.lexical.viterbi(
-            [em for d in docs.values() for _, em in d.runs]))
+               self.body.paths([d.em for d in docs.values()]))
+        paths = iter(self.lexical.paths(
+            [em for d in docs.values() for em in d.runs]))
         _phase(docs, out, self._assemble,
-               [[next(labels) for _ in d.runs] for d in docs.values()])
+               [[next(paths) for _ in d.runs] for d in docs.values()])
         for i, d in docs.items():
             out[i] = d.result
         return out

@@ -16,6 +16,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from datacat_ray import quiet_schema_hash_warning
+
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
     return ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
@@ -616,6 +618,7 @@ def order_lineitem_join(sf_dir: str) -> "ray.data.Dataset":
     )
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
     n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 8)) // 2))
+    quiet_schema_hash_warning()
     joined = orders.join(per_order, "inner", n_parts, on=("o_orderkey",))
 
     def _project(t: pa.Table) -> pa.Table:

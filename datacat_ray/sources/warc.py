@@ -179,8 +179,8 @@ class WarcDatasource:
                 # from the .gz extension and lets Arrow decompress, which
                 # turns a damaged member into an opaque OSError — fatal
                 # and indistinguishable from a retryable transport error.
-                # Decompression lives in _read_stream, where damage is a
-                # typed, member-resyncable condition.
+                # Decompression lives in segment_records, where damage is
+                # a typed, member-resyncable condition.
                 open_args.pop("compression", None)
                 buffer_size = open_args.pop("buffer_size", None)
                 if buffer_size is None:
@@ -191,64 +191,8 @@ class WarcDatasource:
                 )
 
             def _read_stream(self, f, path):
-                import logging
-                import zlib
-
-                head = f.read(2)
-                buffered = io.BufferedReader(_RawChain(head, f))
-                is_gz = head == b"\x1f\x8b"
-                gzraw = _GzipMemberStream(buffered) if is_gz else None
-                records = (
-                    _gz_record_iter(gzraw) if is_gz
-                    else iter_warc_records(buffered)
-                )
                 batch: list[dict] = []
-                n_ok = 0
-                n_resync = 0
-                log = logging.getLogger(__name__)
-
-                def _try_resync(why: str) -> bool:
-                    nonlocal records, n_resync
-                    if (not is_gz or n_resync >= _MAX_GZ_RESYNC
-                            or not gzraw.resync()):
-                        return False
-                    n_resync += 1
-                    log.warning(
-                        "WARC segment %s: %s after %d records — resynced "
-                        "to the next gzip member", path, why, n_ok,
-                    )
-                    records = _gz_record_iter(gzraw)
-                    return True
-
-                while True:
-                    try:
-                        rec = next(records)
-                    except StopIteration:
-                        # clean end — unless compressed input remains
-                        # (a member decompressed to garbage framing);
-                        # then skip to the next member and keep going
-                        if is_gz and not gzraw.eof and _try_resync(
-                                "garbage record framing"):
-                            continue
-                        break
-                    # deliberately NOT bare OSError: a transport I/O error
-                    # (flaky FS / object store) must fail the task so Ray
-                    # retries it — only decompression-level damage is a
-                    # property of the data itself. The CC layout is one
-                    # gzip MEMBER per record, so everything after a
-                    # damaged member is independently decompressible.
-                    except (EOFError, zlib.error) as exc:
-                        if _try_resync(
-                                f"damaged gzip member "
-                                f"({type(exc).__name__}: {exc})"):
-                            continue
-                        log.warning(
-                            "WARC segment %s truncated/corrupt after %d "
-                            "records (%s: %s) — keeping the readable "
-                            "prefix", path, n_ok, type(exc).__name__, exc,
-                        )
-                        break
-                    n_ok += 1
+                for rec in segment_records(f, path):
                     batch.append(rec)
                     if len(batch) >= records_per_block:
                         yield _records_table(batch)
@@ -257,6 +201,85 @@ class WarcDatasource:
                     yield _records_table(batch)
 
         return _Impl(paths)
+
+
+def segment_records(f, path: str = ""):
+    """Yield the {url, warc_ts, html} response records of one WARC segment
+    stream ``f`` (raw bytes). Gzip (member-per-record, the CC layout) is
+    detected by magic and decompressed on the fly; a damaged member (or
+    one that decompresses to garbage framing) costs only its own records:
+    the stream resyncs to the next gzip member, with a warning naming
+    ``path``. A gzip record is yielded only once every member it was read
+    from has checked out, so a member damaged past its record's last byte
+    still costs that record."""
+    import collections
+    import logging
+    import zlib
+
+    head = f.read(2)
+    buffered = io.BufferedReader(_RawChain(head, f))
+    is_gz = head == b"\x1f\x8b"
+    gzraw = _GzipMemberStream(buffered) if is_gz else None
+    records = (_gz_record_iter(gzraw) if is_gz
+               else ((rec, 0) for rec in iter_warc_records(buffered)))
+    pending: collections.deque = collections.deque()  # (record, end)
+    n_ok = 0
+    n_resync = 0
+    log = logging.getLogger(__name__)
+
+    def _try_resync(why: str) -> bool:
+        nonlocal records, n_resync
+        if not is_gz or n_resync >= _MAX_GZ_RESYNC or not gzraw.resync():
+            return False
+        n_resync += 1
+        pending.clear()  # read from the damaged member
+        log.warning("WARC segment %s: %s after %d records — resynced to "
+                    "the next gzip member", path, why, n_ok)
+        records = _gz_record_iter(gzraw)
+        return True
+
+    def _checked():
+        nonlocal n_ok
+        while pending and (not is_gz or pending[0][1] <= gzraw.verified):
+            n_ok += 1
+            yield pending.popleft()[0]
+
+    while True:
+        # deliberately NOT bare OSError: a transport I/O error (flaky FS /
+        # object store) must fail the task so Ray retries it — only
+        # decompression-level damage is a property of the data itself. The
+        # CC layout is one gzip MEMBER per record, so everything after a
+        # damaged member is independently decompressible.
+        damage = None
+        try:
+            rec = next(records)
+        except StopIteration:
+            if not is_gz or gzraw.eof:
+                break  # clean end
+            # compressed input remains: a member decompressed to garbage
+            # framing. Check the rest of it, then go on at the next member
+            try:
+                gzraw.finish_member()
+            except (EOFError, zlib.error) as exc:
+                damage = exc
+        except (EOFError, zlib.error) as exc:
+            damage = exc
+        else:
+            pending.append(rec)
+            yield from _checked()
+            continue
+        yield from _checked()
+        why = ("garbage record framing" if damage is None else
+               f"damaged gzip member ({type(damage).__name__}: {damage})")
+        if _try_resync(why):
+            continue
+        if damage is not None:
+            log.warning(
+                "WARC segment %s truncated/corrupt after %d records "
+                "(%s: %s) — keeping the readable prefix",
+                path, n_ok, type(damage).__name__, damage)
+        break
+    yield from _checked()
 
 
 _MAX_GZ_RESYNC = 1000  # runaway guard: a file of pure noise full of
@@ -270,22 +293,37 @@ class _GzipMemberStream(io.RawIOBase):
     error the underlying stream position is far past the damage and every
     member sitting in that lost read-ahead is unrecoverable; this class
     always knows exactly which compressed bytes are unconsumed
-    (``unconsumed_tail``/``unused_data``), so ``resync()`` can scan them
-    for the next member magic and resume — the per-member framing of the
-    Common-Crawl layout makes everything after a damaged member
-    independently decompressible. Raises ``zlib.error`` on damage and
-    ``EOFError`` on truncation; both are resync-able."""
+    (``unconsumed_tail``/``unused_data``) and keeps the ones the current
+    member consumed, so ``resync()`` can scan from just past the damaged
+    member's start for the next member magic and resume — the per-member
+    framing of the Common-Crawl layout makes everything after a damaged
+    member independently decompressible, even when the damage made its
+    decoder run on into the members after it. Raises ``zlib.error`` on damage and
+    ``EOFError`` on truncation; both are resync-able. ``tell()`` is the
+    count of decompressed bytes handed out, ``verified`` the count up to
+    the end of the last member whose CRC and length checked out: a
+    member's bytes can be read before its trailer shows it damaged."""
 
     _CHUNK = 1 << 16
+    _KEEP_MAX = 1 << 24
 
     def __init__(self, raw) -> None:
         self._raw = raw
         self._buf = b""  # compressed, fetched but not yet consumed
         self._obj: "zlib._Decompress | None" = None  # None = at boundary
+        # compressed bytes the current member consumed (None past
+        # _KEEP_MAX bytes: resync then scans the unconsumed bytes only)
+        self._taken: list[bytes] | None = []
+        self._taken_n = 0
         self.eof = False
+        self._out = 0
+        self.verified = 0
 
     def readable(self) -> bool:
         return True
+
+    def tell(self) -> int:
+        return self._out
 
     def close(self) -> None:
         # intentionally a no-op: every resync discards its BufferedReader
@@ -300,36 +338,62 @@ class _GzipMemberStream(io.RawIOBase):
         while True:
             if self.eof:
                 return 0
-            if not self._buf:
-                self._buf = self._raw.read(self._CHUNK) or b""
             if self._obj is None:
+                if not self._buf:
+                    self._buf = self._raw.read(self._CHUNK) or b""
                 if not self._buf:
                     self.eof = True
                     return 0
                 self._obj = zlib.decompressobj(31)
-            if not self._buf:
-                # mid-member EOF: the member is truncated
-                raise EOFError("truncated gzip member at EOF")
-            out = self._obj.decompress(self._buf, len(b))
-            if self._obj.eof:  # member finished cleanly
-                self._buf = self._obj.unused_data
-                self._obj = None
-            else:
-                self._buf = self._obj.unconsumed_tail
+                self._taken, self._taken_n = [], 0
+            out = self._step(len(b))
             if out:
                 n = len(out)
                 b[:n] = out
                 return n
 
+    def _step(self, n: int) -> bytes:
+        """Up to ``n`` decompressed bytes of the current member."""
+        if not self._buf:
+            self._buf = self._raw.read(self._CHUNK) or b""
+        if not self._buf:
+            # mid-member EOF: the member is truncated
+            raise EOFError("truncated gzip member at EOF")
+        inp = self._buf
+        out = self._obj.decompress(inp, n)
+        self._out += len(out)
+        if self._obj.eof:  # member finished cleanly
+            self._buf = self._obj.unused_data
+            self._obj = None
+            self.verified = self._out
+        else:
+            self._buf = self._obj.unconsumed_tail
+        if self._taken is not None:
+            self._taken.append(inp[:len(inp) - len(self._buf)])
+            self._taken_n += len(self._taken[-1])
+            if self._taken_n > self._KEEP_MAX:
+                self._taken = None
+        return out
+
+    def finish_member(self) -> None:
+        """Decompress and drop the rest of the current member, so its
+        checks run (raises like ``readinto`` when they fail)."""
+        while self._obj is not None:
+            self._step(self._CHUNK)
+
     def resync(self) -> bool:
         """After a decode error: drop decoder state and advance the
         compressed stream to the next member magic. False at EOF."""
         # mid-member (a decompress call failed): the error-raising call left
-        # self._buf unchanged (zlib consumed nothing on failure), so a
-        # damaged member's own magic may head it — skip it. At a member
-        # boundary (garbage record framing) the buffer starts at the next
-        # member, whose magic at offset 0 must be kept
-        skip = 1 if self._obj is not None else 0
+        # self._buf unchanged (zlib consumed nothing on failure); put back
+        # what the member consumed and scan from just past its magic. At a
+        # member boundary (garbage record framing) the buffer starts at the
+        # next member, whose magic at offset 0 must be kept
+        skip = 0
+        if self._obj is not None:
+            skip = 1
+            if self._taken is not None:
+                self._buf = b"".join(self._taken) + self._buf
         self._obj = None
         self.eof = False
         while True:
@@ -349,9 +413,12 @@ class _GzipMemberStream(io.RawIOBase):
 
 
 def _gz_record_iter(gzraw: _GzipMemberStream):
-    """iter_warc_records over a fresh buffered view of ``gzraw`` (the old
+    """(record, decompressed offset of its end) per record of
+    iter_warc_records over a fresh buffered view of ``gzraw`` (the old
     view's decompressed read-ahead belongs to the damaged record)."""
-    return iter_warc_records(io.BufferedReader(gzraw))
+    view = io.BufferedReader(gzraw)
+    for rec in iter_warc_records(view):
+        yield rec, view.tell()
 
 
 class _RawChain(io.RawIOBase):

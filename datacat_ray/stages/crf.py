@@ -90,9 +90,10 @@ _EMISSION_CACHE_MAX = 200_000
 class CRFDecoder:
     """Decode-ready compiled form of a CRFModel (build once per actor).
 
-    ``decode_batch`` runs one Viterbi over many sequences in lockstep, so
-    the per-step numpy dispatch is paid once per batch step instead of
-    once per document position; ``decode`` is its one-sequence case."""
+    ``paths`` runs one Viterbi over many sequences in lockstep, so the
+    per-step numpy dispatch is paid once per batch step instead of once
+    per document position; ``viterbi``, ``decode_batch`` and ``decode``
+    name its labels."""
 
     def __init__(self, model: CRFModel) -> None:
         self.model = model
@@ -126,10 +127,16 @@ class CRFDecoder:
                          for tag, refs in model.templates]
         self._ecache: dict[tuple, int] = {}
         self._rows = np.zeros((64, self.L), dtype=np.float64)
-        # _transT[j, i] = trans[i, j]: one Viterbi step is then a broadcast
-        # add over the last axis of (k, L, L)
-        self._transT = np.ascontiguousarray(self.trans.T)
         self._label_arr = np.array(self.labels, dtype=object)
+        # label index → its base label (``I-<x>`` → ``<x>``, an index into
+        # ``base_labels``) and whether it begins a span: ``spans`` reads
+        # label paths through these
+        bases = [strip_begin_prefix(lb) for lb in self.labels]
+        self.base_labels = list(dict.fromkeys(bases))
+        self._base = np.array([self.base_labels.index(b) for b in bases],
+                              dtype=np.intp)
+        self._begins = np.array([lb.startswith("I-") for lb in self.labels],
+                                dtype=bool)
 
     def _emission_row(self, key: tuple) -> np.ndarray:
         """The emission scores of one position from its key: each
@@ -181,25 +188,28 @@ class CRFDecoder:
                     idx[t] = r
         return self._rows[idx]
 
-    def viterbi(self, ems: list[np.ndarray]) -> list[list[str]]:
+    def paths(self, ems: list[np.ndarray]) -> list[np.ndarray]:
         """Lockstep Viterbi over ragged sequences given their ``(n_b, L)``
-        emission matrices; one label list per sequence, in input order.
+        emission matrices; the int label path of each sequence, in input
+        order.
 
         Sequences run longest first, so the sequences still active at step
         ``s`` are always a prefix ``[:k]``, and the rows are laid out
         step-major — step ``s`` owns one contiguous ``[k]`` slice of the
         flat ``(Σn, L)`` emission and backpointer arrays (no padding to
-        the longest sequence). Each step makes the same IEEE
-        ``delta[i] + trans[i, j]`` adds as a per-sequence Viterbi, and
-        numpy's first-max ``argmax`` is the stable tie rule (lowest label
-        index wins), so labels are bit-identical to one-at-a-time
-        decoding."""
+        the longest sequence). The running scores are label-major,
+        ``dT[i, b]`` for label ``i`` of sequence ``b``, so the max and
+        argmax of a step reduce over the leading axis of ``(L, k, L)``.
+        Each step makes the same IEEE ``delta[i] + trans[i, j]`` adds as a
+        per-sequence Viterbi, and numpy's first-max ``argmax`` is the
+        stable tie rule (lowest label index wins), so paths are
+        bit-identical to one-at-a-time decoding."""
         lens = np.array([len(e) for e in ems], dtype=np.intp)
         order = np.argsort(-lens, kind="stable")
         lens = lens[order]
         T = int(lens[0]) if len(lens) else 0
         if T == 0:
-            return [[] for _ in ems]
+            return [np.zeros(0, dtype=np.intp) for _ in ems]
         # active[s] = number of sequences longer than s (a prefix of the
         # sorted order); step s owns rows start[s]:start[s + 1]
         active = np.searchsorted(-lens, -np.arange(T), side="left")
@@ -214,18 +224,21 @@ class CRFDecoder:
         E = np.empty((len(seq), self.L), dtype=np.float64)
         E[slot] = np.concatenate([ems[i] for i in order[:k0].tolist()])
         back = np.empty(E.shape, dtype=np.intp)
-        transT = self._transT
+        trans = self.trans[:, None, :]
         bounds = start.tolist()
-        delta = E[:k0] + self.init
+        # contiguous, not a transposed view: the step's broadcast add runs
+        # over contiguous rows
+        dT = np.ascontiguousarray((E[:k0] + self.init).T)
         for s in range(1, T):
             lo, hi = bounds[s], bounds[s + 1]
-            cand = delta[:hi - lo, None, :] + transT  # cand[b, j, i]
-            back[lo:hi] = cand.argmax(-1)
-            delta[:hi - lo] = cand.max(-1) + E[lo:hi]
+            cand = dT[:, :hi - lo, None] + trans  # cand[i, b, j]
+            back[lo:hi] = cand.argmax(0)
+            dT[:, :hi - lo] = (np.maximum.reduce(cand, axis=0)
+                               + E[lo:hi]).T
         # backtrack in lockstep from each sequence's first maximal final
-        # score (its delta row froze when the sequence ended)
+        # score (its column froze when the sequence ended)
         path = np.empty(len(E), dtype=np.intp)
-        cur = delta.argmax(1)
+        cur = dT.argmax(0)
         path[start[lens - 1] + np.arange(k0)] = cur
         back = back.ravel()
         row = np.arange(0, back.size, self.L)  # flat offset of each slot
@@ -235,14 +248,20 @@ class CRFDecoder:
             cur[:hi - lo] = prev
             path[bounds[s - 1]:bounds[s - 1] + hi - lo] = prev
         # back to sequence-major order, then split per sequence
-        names = self._label_arr[path[slot]].tolist()
-        out: list[list[str]] = [[] for _ in ems]
-        at = 0
+        flat = np.split(path[slot], np.cumsum(lens)[:-1])
+        out = [np.zeros(0, dtype=np.intp) for _ in ems]
         for b, i in enumerate(order[:k0].tolist()):
-            n = int(lens[b])
-            out[i] = names[at:at + n]
-            at += n
+            out[i] = flat[b]
         return out
+
+    def viterbi(self, ems: list[np.ndarray]) -> list[list[str]]:
+        """The label names of ``paths(ems)``, one list per sequence."""
+        return [self._label_arr[p].tolist() for p in self.paths(ems)]
+
+    def spans(self, path: np.ndarray, idx, starts=()) -> list[dict]:
+        """``label_spans`` of an int label path of this decoder."""
+        return label_spans(self._base[path], self._begins[path],
+                           self.base_labels, idx, starts)
 
     def decode_batch(self, seqs: list[list[dict]]) -> list[list[str]]:
         """One label list per sequence of feature dicts (no ``I-`` prefixes
@@ -314,3 +333,27 @@ def with_begin_prefix(labels: list[str]) -> list[str]:
 
 def strip_begin_prefix(label: str) -> str:
     return label[2:] if label.startswith("I-") else label
+
+
+def label_spans(base: np.ndarray, begins: np.ndarray, names: list[str],
+                idx: list[int], starts=()) -> list[dict]:
+    """Coalesce a labeled sequence into spans ``{label, start, end}`` in
+    the absolute offsets ``idx`` of its positions (half-open: ``end`` is
+    one past the last position's offset). ``base[t]`` indexes the base
+    label of position ``t`` in ``names`` and ``begins[t]`` marks an ``I-``
+    label. A span starts at position 0, at an ``I-`` label, at a change
+    of base label, and at every position in ``starts`` (the first
+    position of each of several sequences laid end to end)."""
+    n = len(base)
+    if n == 0:
+        return []
+    brk = begins.copy()
+    brk[0] = True
+    brk[1:] |= base[1:] != base[:-1]
+    brk[list(starts)] = True
+    first = np.flatnonzero(brk)
+    labels = list(map(names.__getitem__, base[first].tolist()))
+    first = first.tolist()
+    ends = [idx[t - 1] + 1 for t in first[1:]] + [idx[n - 1] + 1]
+    return [{"label": lb, "start": idx[t], "end": e}
+            for lb, t, e in zip(labels, first, ends)]

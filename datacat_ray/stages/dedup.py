@@ -20,6 +20,7 @@ that survive step 1.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -385,6 +386,19 @@ def _ts_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return np.array(col.to_pylist(), dtype=object)
 
 
+def filter_winners(batch: pa.Table, ref, key: str = "url",
+                   ts: str = "warc_ts") -> pa.Table:
+    """The rows of ``batch`` holding their key's winning ``ts`` in the
+    broadcast winner probe ``ref`` (a ``ray.put`` of ``winners_to_arrays``,
+    deserialized once per worker), then keep-latest within the batch —
+    the per-batch filter of the driver-mode ``dedup_latest_prefilter``
+    and of every ``run_extract_job`` partition."""
+    wh, wts = _cached_get(ref)
+    hashes = np.array(_key_hash64(batch[key]), dtype=np.uint64)
+    mask = winner_mask(hashes, _ts_np(batch[ts]), wh, wts)
+    return _dedup_batch(batch.filter(pa.array(mask)), key, ts)
+
+
 class BucketWinnerFilter:
     """Actor-pool filter stage: keeps an LRU of per-bucket winner dicts so
     each worker holds at most ``max_cached`` × (cardinality / n_buckets)
@@ -474,9 +488,11 @@ def dedup_latest_prefilter(
 
     Exactness caveat (both modes): two captures of one url with byte-equal
     max ``ts`` both pass the filter (a data pathology — same-microsecond
-    recapture); co-located ones are removed by the in-batch dedup,
-    cross-fragment ones survive. Use ``dedup_latest`` (exact groupby)
-    where that matters."""
+    recapture); the in-batch dedup removes them only when they share a
+    batch, which Ray does not promise even within one fragment (it may
+    split a small file into one-row blocks), while ``run_extract_job``
+    dedups each partition whole. Cross-fragment ones survive. Use
+    ``dedup_latest`` (exact groupby) where that matters."""
     import ray as _ray
     import ray.data as rd
 
@@ -510,11 +526,6 @@ def dedup_latest_prefilter(
     # broadcast the winner set in probe form (sorted hash + aligned ts
     # arrays): the per-batch test is one vectorized searchsorted
     ref = _ray.put(winners_to_arrays(compute_winners(path, key, ts)))
-
-    def _filter(b: pa.Table) -> pa.Table:
-        wh, wts = _cached_get(ref)
-        hashes = np.array(_key_hash64(b[key]), dtype=np.uint64)
-        mask = winner_mask(hashes, _ts_np(b[ts]), wh, wts)
-        return _dedup_batch(b.filter(pa.array(mask)), key, ts)
-
-    return ds.map_batches(_filter, batch_format="pyarrow")
+    return ds.map_batches(
+        functools.partial(filter_winners, ref=ref, key=key, ts=ts),
+        batch_format="pyarrow")

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 from datacat_ray.functions.textkit import html_encode
-from datacat_ray.stages.crf import strip_begin_prefix
+from datacat_ray.stages.crf import label_spans, strip_begin_prefix
 from datacat_ray.stages.zones import line_runs
 
 _TEI_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n<tei xml:space="preserve">\n'
@@ -105,17 +107,15 @@ def body_label_runs(
 ) -> list[dict]:
     """Coalesce body token labels (``I-`` begin states) into entry spans
     ``(label, start, end)`` in ABSOLUTE token offsets (half-open; ``end`` is
-    one past the last labeled token)."""
-    runs: list[dict] = []
-    for pos, raw in enumerate(body_labels):
-        lb = strip_begin_prefix(raw)
-        t = body_token_idx[pos]
-        begins = raw.startswith("I-")
-        if runs and not begins and runs[-1]["label"] == lb:
-            runs[-1]["end"] = t + 1
-        else:
-            runs.append({"label": lb, "start": t, "end": t + 1})
-    return runs
+    one past the last labeled token) — ``label_spans`` of the label
+    names."""
+    bases = [strip_begin_prefix(lb) for lb in body_labels]
+    names = list(dict.fromkeys(bases))
+    at = {b: i for i, b in enumerate(names)}
+    return label_spans(
+        np.array([at[b] for b in bases], dtype=np.intp),
+        np.array([lb.startswith("I-") for lb in body_labels], dtype=bool),
+        names, body_token_idx)
 
 
 def html_decode(s: str) -> str:
@@ -311,11 +311,16 @@ def assemble_body_tei(
         f'\t<text xml:lang="{html_encode(lang)}">\n',
     ]
 
-    def _render(t: int) -> str:
-        tok = tokens[t]
-        if tok == "\n" or tok == "\r" or tok == "\r\n":
-            return "<lb/>\n"
-        return html_encode(tok)
+    def _render(a: int, b: int) -> str:
+        # one escape over the joined text of tokens [a, b): a newline is
+        # its own layout token, so its "\n" becomes "<lb/>\n". With a "\r"
+        # the tokens render one by one: a "\r" token, a "\n" token and a
+        # "\r\n" token each render as one "<lb/>\n"
+        text = "".join(tokens[a:b])
+        if "\r" not in text:
+            return html_encode(text).replace("\n", "<lb/>\n")
+        return "".join("<lb/>\n" if tok in ("\n", "\r", "\r\n")
+                       else html_encode(tok) for tok in tokens[a:b])
 
     for k, run in enumerate(entries):
         open_tag, close_tag = _BODY_TAG_MAP.get(
@@ -323,18 +328,16 @@ def assemble_body_tei(
         )
         if coords is not None:
             open_tag = open_tag[:-1] + _coords_attr(coords, k) + ">"
-        buf: list[str] = []
         if segment_sentences:
+            buf: list[str] = []
             pos = run["start"]
             for s, e in split_sentence_spans(tokens, run["start"], run["end"]):
-                buf.extend(_render(t) for t in range(pos, s))
-                buf.append("<s>")
-                buf.extend(_render(t) for t in range(s, e))
-                buf.append("</s>")
+                buf += [_render(pos, s), "<s>", _render(s, e), "</s>"]
                 pos = e
-            buf.extend(_render(t) for t in range(pos, run["end"]))
+            buf.append(_render(pos, run["end"]))
+            content = "".join(buf)
         else:
-            buf.extend(_render(t) for t in range(run["start"], run["end"]))
-        parts.append(f"\t\t\t{open_tag}{''.join(buf)}{close_tag}\n")
+            content = _render(run["start"], run["end"])
+        parts.append(f"\t\t\t{open_tag}{content}{close_tag}\n")
     parts.append("\t</text>\n</tei>\n")
     return "".join(parts)

@@ -140,7 +140,7 @@ def _extract_partition(
     stage object is cached per worker process (same cache as the Dataset
     path)."""
     from datacat_ray.pipelines.extract import RESULT_SCHEMA, _fused_task
-    from datacat_ray.stages.dedup import _cached_get, _dedup_batch, _key_hash64
+    from datacat_ray.stages.dedup import filter_winners
 
     t0 = time.time()
     tables = [pq.read_table(f) for f in fragments]
@@ -152,17 +152,9 @@ def _extract_partition(
         batch = _bucket_filter_for(winners_ref[1])(batch)
     elif winners_ref is not None:
         # winners_ref is wrapped in a 1-list so Ray does NOT auto-resolve it
-        # at task invocation — _cached_get deserializes once per worker;
-        # the payload is the (sorted hash, ts) probe arrays, tested by one
-        # vectorized searchsorted per batch
-        import numpy as np
-
-        from datacat_ray.stages.dedup import _ts_np, winner_mask
-
-        wh, wts = _cached_get(winners_ref[0])
-        hashes = np.array(_key_hash64(batch["url"]), dtype=np.uint64)
-        mask = winner_mask(hashes, _ts_np(batch["warc_ts"]), wh, wts)
-        batch = _dedup_batch(batch.filter(pa.array(mask)), "url", "warc_ts")
+        # at task invocation — filter_winners deserializes it once per
+        # worker (the same filter as the driver-mode Dataset prefilter)
+        batch = filter_winners(batch, winners_ref[0])
     result = _fused_task(batch, max_tokens=max_tokens, max_blocks=max_blocks,
                          tei_coordinates=tei_coordinates,
                          model_paths=model_paths,

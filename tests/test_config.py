@@ -42,3 +42,26 @@ def test_validate_model_specs_names_offending_model():
         validate_model_specs(
             [{"name": "datacat-body-segmentation", "engine": "delft"}]
         )
+
+
+def test_package_import_installs_no_ray_log_filter():
+    """``import datacat_ray`` alone leaves Ray's loggers alone; the
+    schema-hash filter arrives once, when a join pipeline is built."""
+    import subprocess
+    import sys
+
+    code = (
+        "import logging\n"
+        "lg = logging.getLogger("
+        "'ray.data._internal.arrow_ops.transform_pyarrow')\n"
+        "import datacat_ray\n"
+        "assert lg.filters == [], lg.filters\n"
+        "datacat_ray.quiet_schema_hash_warning()\n"
+        "datacat_ray.quiet_schema_hash_warning()\n"
+        "assert len(lg.filters) == 1, lg.filters\n"
+        "rec = lambda msg: logging.LogRecord(lg.name, logging.WARNING, '', 0,"
+        " msg, None, None)\n"
+        "assert not lg.filter(rec('Failed to hash the schemas (x): y'))\n"
+        "assert lg.filter(rec('something else'))\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True)

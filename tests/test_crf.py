@@ -1,5 +1,8 @@
 """CRF decode machinery: template expansion, Viterbi, determinism."""
 
+import itertools
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +14,7 @@ from datacat_ray.stages.crf import (
     with_begin_prefix,
 )
 from datacat_ray.stages.models import BODY_MODEL, SEGMENTER_MODEL
+from datacat_ray.stages.tei import body_label_runs
 
 TOY = CRFModel(
     labels=("A", "B"),
@@ -341,3 +345,72 @@ def test_emission_cache_reset_mid_batch(monkeypatch):
     assert dec.decode_batch(batch) == want
     # the cap bounds the cache to one sequence's keys past the limit
     assert len(dec._ecache) <= 4 + 6
+
+
+# ---------------------------------------------------------------------------
+# int label paths → spans
+# ---------------------------------------------------------------------------
+
+def _reference_label_runs(labels: list[str], idx: list[int]) -> list[dict]:
+    """The per-token loop that coalesced label names into spans before
+    ``label_spans`` (kept verbatim as the reference)."""
+    runs: list[dict] = []
+    for pos, raw in enumerate(labels):
+        lb = strip_begin_prefix(raw)
+        t = idx[pos]
+        begins = raw.startswith("I-")
+        if runs and not begins and runs[-1]["label"] == lb:
+            runs[-1]["end"] = t + 1
+        else:
+            runs.append({"label": lb, "start": t, "end": t + 1})
+    return runs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_label_spans_match_the_reference_loop(data):
+    """``CRFDecoder.spans`` of an int path, and ``body_label_runs`` of its
+    names, equal the reference loop — run once per sequence when several
+    sequences lie end to end (``starts``): with and without ``I-`` labels,
+    gapped offsets, empty and length-1 paths."""
+    bases = ["<a>", "<b>", "<c>"][:data.draw(st.integers(1, 3))]
+    labels = tuple(data.draw(st.permutations(
+        bases + [f"I-{b}" for b in bases] if data.draw(st.booleans())
+        else bases)))
+    dec = CRFDecoder(CRFModel(labels=labels, templates=(), weights={},
+                              transitions={}))
+    path = data.draw(st.lists(st.integers(0, len(labels) - 1), max_size=40))
+    gaps = data.draw(st.lists(st.integers(1, 4), min_size=len(path),
+                              max_size=len(path)))
+    idx = list(itertools.accumulate(gaps, initial=data.draw(
+        st.integers(0, 5))))[:len(path)]
+    for p in (path, path[:1], []):
+        n = len(p)
+        starts = sorted(set(data.draw(st.lists(
+            st.integers(0, n - 1), max_size=6)))) if n else []
+        names = [labels[i] for i in p]
+        cuts = sorted({0, *starts, n})
+        want = [r for a, b in zip(cuts, cuts[1:])
+                for r in _reference_label_runs(names[a:b], idx[a:b])]
+        got = dec.spans(np.array(p, dtype=np.intp), idx[:n], starts)
+        assert got == want
+        assert all(type(r["start"]) is int and type(r["end"]) is int
+                   for r in got)
+        assert body_label_runs(names, idx[:n]) == _reference_label_runs(
+            names, idx[:n])
+
+
+def test_paths_name_the_viterbi_labels():
+    """``viterbi`` is ``paths`` named: int paths per sequence, in input
+    order, empty sequences included."""
+    seg, body, lex = _fixture_sequences()
+    dec = CRFDecoder(BODY_MODEL)
+    ems = [dec.emission_matrix(
+        {name: [f[name] for f in feats] for name in dec.fields}, len(feats))
+        for feats in body + [[]]]
+    paths = dec.paths(ems)
+    assert [p.dtype for p in paths] == [np.intp] * len(ems)
+    assert [[dec.labels[i] for i in p] for p in paths] == dec.viterbi(ems)
+    assert dec.viterbi(ems)[:-1] == [_reference_decode(BODY_MODEL, s)
+                                     for s in body]
+    assert dec.paths([]) == []

@@ -242,6 +242,52 @@ def test_bucketed_winner_prefilter_matches_driver(ray_session, tmp_path):
     assert dict(driver) == {"a": "a3", "b": "b5", "c": "c9", "d": "dN"}
 
 
+def test_manifest_partitions_and_prefilter_keep_the_same_winners(
+        ray_session, tmp_path):
+    """``run_extract_job``'s partitions and the driver-mode
+    ``dedup_latest_prefilter`` filter with one function and keep the same
+    rows: a same-ts tie across fragments keeps both captures (the
+    documented caveat), a null ``warc_ts`` loses to any time, and an
+    all-null url survives."""
+    import datetime
+
+    import pyarrow.parquet as pq
+
+    from datacat_ray.fixtures import PAGES_SCHEMA
+    from datacat_ray.stages.dedup import dedup_latest_prefilter
+    from datacat_ray.state.manifest import run_extract_job
+
+    d = datetime.datetime
+    frags = [
+        [("a", d(2020, 1, 2), "a first tie"), ("b", None, "b null"),
+         ("c", d(2020, 1, 1), "c old")],
+        [("b", d(2020, 1, 3), "b dated"), ("a", d(2020, 1, 2), "a second tie"),
+         ("c", d(2020, 1, 4), "c new"), ("n", None, "n null only"),
+         ("a", d(2020, 1, 1), "a old")],
+    ]
+    src = tmp_path / "pages"
+    src.mkdir()
+    for i, rows in enumerate(frags):
+        pq.write_table(pa.Table.from_pydict(
+            {"url": [r[0] for r in rows], "warc_ts": [r[1] for r in rows],
+             "html": [None] * len(rows), "text": [r[2] for r in rows],
+             "lang": ["fr"] * len(rows)}, schema=PAGES_SCHEMA),
+            str(src / f"part-{i}.parquet"))
+
+    prefilter = sorted((r["url"], r["warc_ts"], r["text"]) for r in
+                       dedup_latest_prefilter(str(src), mode="driver")
+                       .take_all())
+    out = tmp_path / "job"
+    run_extract_job(str(src), str(out))
+    job = pq.read_table(str(out), columns=["url", "warc_ts",
+                                           "extracted_text"]).to_pylist()
+    job = sorted((r["url"], r["warc_ts"], r["extracted_text"]) for r in job)
+    assert prefilter == job == [
+        ("a", d(2020, 1, 2), "a first tie"),
+        ("a", d(2020, 1, 2), "a second tie"), ("b", d(2020, 1, 3), "b dated"),
+        ("c", d(2020, 1, 4), "c new"), ("n", None, "n null only")]
+
+
 def test_minhash_hot_bucket_star_pairs(ray_session, tmp_path):
     """A near-dup cluster larger than MAX_BUCKET must still come out
     connected (star pairs around min doc_id) instead of being silently

@@ -15,7 +15,7 @@ from datacat_ray.functions.textkit import tokenize_whitespace
 from datacat_ray.stages.crf import CRFDecoder, expand_templates
 from datacat_ray.stages.lexical_features import (
     ENTRY_FIELD_NAMES,
-    entry_token_columns,
+    entry_runs_columns,
     featurize_entry_tokens,
 )
 from datacat_ray.stages.line_features import (
@@ -188,6 +188,11 @@ def _columns_of(rows, fields):
     return {f: [r[f] for r in rows] for f in fields}
 
 
+def _span_columns(tokens, start, end, fields):
+    """``entry_runs_columns`` of one entry span: (columns, indices)."""
+    return entry_runs_columns(tokens, [(start, end)], fields)[:2]
+
+
 @settings(max_examples=40, deadline=None)
 @given(fields=_projection(_FIELD_NAMES))
 def test_line_columns_project_the_dict_featurizer(fields):
@@ -212,7 +217,7 @@ def test_body_token_columns_project_the_dict_featurizer(fields):
 def test_entry_token_columns_project_the_dict_featurizer(fields):
     for name, _, tokens, _, _, spans in _fixture_docs():
         for start, end in spans + [(0, len(tokens))]:
-            got, idx = entry_token_columns(tokens, start, end, fields)
+            got, idx = _span_columns(tokens, start, end, fields)
             rows, want_idx = featurize_entry_tokens(tokens, start, end)
             assert idx == want_idx and list(got) == fields
             assert got == _columns_of(rows, fields), name
@@ -240,7 +245,7 @@ def test_column_serialization_and_decode_equal_the_row_paths():
 
 def test_entry_token_columns_hand_checked():
     toks = ["12", ".", " ", "Monnaies", ":", "", "AR", "\n"]
-    cols, idx = entry_token_columns(toks, 0, len(toks), ENTRY_FIELD_NAMES)
+    cols, idx = _span_columns(toks, 0, len(toks), ENTRY_FIELD_NAMES)
     assert idx == [0, 1, 3, 4, 5, 6]
     assert cols["prev_punct"] == ["_NONE_", "NOPUNCT", "DOT", "NOPUNCT",
                                   "PUNCT", "_NONE_"]
@@ -250,7 +255,7 @@ def test_entry_token_columns_hand_checked():
     assert cols["entry_position"] == [0, 0, 1, 2, 3, 4]
     assert cols["digit"][0] == "ALLDIGIT"
     assert cols["lowercase"][2] == "monnaies"
-    assert entry_token_columns(toks, 2, 3, ENTRY_FIELD_NAMES) == (
+    assert _span_columns(toks, 2, 3, ENTRY_FIELD_NAMES) == (
         {f: [] for f in ENTRY_FIELD_NAMES}, [])
 
 
@@ -305,7 +310,7 @@ def test_token_cores_on_ragged_synthetic_docs(data):
     assert idx == want_idx and got == _columns_of(rows, fields)
     fields = data.draw(_projection(ENTRY_FIELD_NAMES))
     for start, end in ranges + [(0, len(tokens))]:
-        got, idx = entry_token_columns(tokens, start, end, fields)
+        got, idx = _span_columns(tokens, start, end, fields)
         rows, want_idx = featurize_entry_tokens(tokens, start, end)
         assert idx == want_idx and got == _columns_of(rows, fields)
 
@@ -372,10 +377,41 @@ def test_emission_matrix_from_columns_equals_row_dicts(tmp_path):
             _reference_emissions(body.dec, featurize_body_tokens(
                 tokens, token_line, lines, body_ranges)[0])), name
         for start, end in spans:
-            cols, idx = entry_token_columns(tokens, start, end, lex.fields)
+            cols, idx = _span_columns(tokens, start, end, lex.fields)
             assert np.array_equal(
                 lex.emissions(cols, len(idx)),
                 _reference_emissions(lex.dec, featurize_entry_tokens(
                     tokens, start, end)[0])), name
             checked += 1
     assert checked > 30
+
+
+def test_one_lexical_pass_per_document_equals_per_run_calls():
+    """The stage's lexical pass — ``entry_runs_columns`` over every entry
+    run of a document, then ONE emission lookup — equals a
+    ``featurize_entry_tokens`` call plus an emission lookup per run: on
+    the fixture docs, a doc with no entry run, and runs that straddle a
+    non-body zone. Exact because no lexical template reads a
+    neighbour."""
+    from datacat_ray.stages.models import LEXICAL_MODEL
+
+    lex = CRFDecoder(LEXICAL_MODEL)
+    assert {off for off, _ in lex._refs} == {0}
+    straddled = 0
+    for name, _, tokens, _, body, spans in _fixture_docs():
+        in_body = {t for a, b in body for t in range(a, b)}
+        whole = [(0, len(tokens))]
+        for runs in (spans, [], spans[::2] + whole + spans[1::2]):
+            cols, idx, starts = entry_runs_columns(tokens, runs, lex.fields)
+            assert list(cols) == list(lex.fields) and len(starts) == len(runs)
+            em = lex.emission_matrix(cols, len(idx))
+            for (start, end), a, b in zip(runs, starts,
+                                          starts[1:] + [len(idx)]):
+                rows, run_idx = featurize_entry_tokens(tokens, start, end)
+                assert idx[a:b] == run_idx, name
+                want = _columns_of(rows, lex.fields)
+                assert {f: c[a:b] for f, c in cols.items()} == want, name
+                assert np.array_equal(em[a:b], lex.emission_matrix(
+                    want, len(rows))), name
+                straddled += any(t not in in_body for t in run_idx)
+    assert straddled > 0

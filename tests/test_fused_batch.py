@@ -57,8 +57,8 @@ def test_poison_rows_cost_only_themselves(monkeypatch):
     # the column featurizers the stage calls, one per cascade phase
     monkeypatch.setattr(extract, "body_token_columns", _poison_when(
         extract.body_token_columns, "POISONBODY", "poisoned body"))
-    monkeypatch.setattr(extract, "entry_token_columns", _poison_when(
-        extract.entry_token_columns, "POISONLEX", "poisoned lexical"))
+    monkeypatch.setattr(extract, "entry_runs_columns", _poison_when(
+        extract.entry_runs_columns, "POISONLEX", "poisoned lexical"))
     line_columns = extract.line_columns
 
     def keyless_lines(lines, fields):

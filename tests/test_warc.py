@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from datacat_ray.fixtures import make_catalogue_html
 from datacat_ray.sources.warc import (
     parse_warc_bytes,
@@ -378,3 +381,136 @@ def test_garbage_framing_keeps_the_next_intact_member(ray_session, tmp_path):
     seg.write_bytes(members[0] + garbage + members[1] + members[2])
     got = {r["url"]: r["html"] for r in read_warc([str(seg)]).take_all()}
     assert got == {r["url"]: r["html"] for r in recs}
+
+
+def _member_bytes(recs):
+    """The gzip member of each record, as ``write_warc`` lays them out."""
+    import tempfile
+
+    from datacat_ray.sources.warc import write_warc as _write
+
+    out = []
+    with tempfile.TemporaryDirectory() as d:
+        for i, r in enumerate(recs):
+            p = f"{d}/m{i}.warc.gz"
+            _write(p, [r])
+            with open(p, "rb") as fh:
+                out.append(fh.read())
+    return out
+
+
+_DAMAGE_RECS, _ = _records(43, 10)
+_DAMAGE_MEMBERS = _member_bytes(_DAMAGE_RECS)
+_GARBAGE_MEMBER = __import__("gzip").compress(b"not a warc header\r\n\r\n")
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_k_damaged_members_of_m_lose_exactly_k_records(data):
+    """k damaged gzip members out of m cost exactly their k records, for
+    damage anywhere past a member's header, any read-chunk alignment (a
+    member magic split across reads included), and garbage-framing members
+    (clean gzip, non-WARC content) between the records."""
+    import io
+    from unittest import mock
+
+    from datacat_ray.sources import warc as W
+
+    m = data.draw(st.integers(1, len(_DAMAGE_MEMBERS)), label="m")
+    damaged = data.draw(st.sets(st.integers(0, m - 1)), label="damaged")
+    parts = []
+    for i in range(m):
+        if data.draw(st.booleans(), label=f"garbage before {i}") and i:
+            parts.append(_GARBAGE_MEMBER)
+        mem = bytearray(_DAMAGE_MEMBERS[i])
+        if i in damaged:
+            # past the 10-byte gzip header: deflate data or the trailer
+            at = data.draw(st.integers(10, len(mem) - 1), label="at")
+            mem[at] ^= data.draw(st.integers(1, 255), label="xor")
+        parts.append(bytes(mem))
+    if data.draw(st.booleans(), label="garbage last"):
+        parts.append(_GARBAGE_MEMBER)
+    chunk = data.draw(st.sampled_from([2, 3, 7, 64, 1000, W._GzipMemberStream._CHUNK]),
+                      label="chunk")
+    with mock.patch.object(W._GzipMemberStream, "_CHUNK", chunk):
+        got = list(W.segment_records(io.BytesIO(b"".join(parts)), "seg"))
+    want = [r for i, r in enumerate(_DAMAGE_RECS[:m]) if i not in damaged]
+    assert [(r["url"], r["html"]) for r in got] == [
+        (r["url"], r["html"]) for r in want]
+
+
+def test_damage_that_runs_on_into_the_next_member_costs_one_record():
+    """A flipped BFINAL bit makes a member's decoder read its trailer and
+    the next member as more deflate data, and its record is complete
+    before the damage shows: the record is dropped unverified and the
+    scan restarts just past the damaged member's magic, so the next
+    member is still read."""
+    import io
+    from unittest import mock
+
+    from datacat_ray.sources import warc as W
+
+    first = bytearray(_DAMAGE_MEMBERS[0])
+    first[10] ^= 1  # BFINAL of the member's only deflate block
+    data = bytes(first) + b"".join(_DAMAGE_MEMBERS[1:3])
+    for chunk in (2, 3, 7, 64, W._GzipMemberStream._CHUNK):
+        with mock.patch.object(W._GzipMemberStream, "_CHUNK", chunk):
+            got = [r["url"] for r in W.segment_records(io.BytesIO(data))]
+        assert got == [_DAMAGE_RECS[i]["url"] for i in (1, 2)], chunk
+
+
+def test_garbage_inside_a_multi_record_member_keeps_the_records_before_it():
+    """A gzip member holding several records and then garbage framing (a
+    non-CC layout): the rest of the member is checked before the resync,
+    so the records ahead of the garbage are kept, and the next member is
+    read."""
+    import gzip
+    import io
+    from unittest import mock
+
+    from datacat_ray.sources import warc as W
+
+    plain = [gzip.decompress(m) for m in _DAMAGE_MEMBERS[:3]]
+    data = (gzip.compress(plain[0] + plain[1] + b"garbage framing\r\n\r\n"
+                          + plain[2]) + _DAMAGE_MEMBERS[3])
+    for chunk in (3, 64, W._GzipMemberStream._CHUNK):
+        with mock.patch.object(W._GzipMemberStream, "_CHUNK", chunk):
+            got = [r["url"] for r in W.segment_records(io.BytesIO(data))]
+        assert got == [_DAMAGE_RECS[i]["url"] for i in (0, 1, 3)], chunk
+
+
+def test_member_stream_close_is_a_noop_across_resyncs():
+    """Each resync drops its ``BufferedReader`` view; collecting that view
+    closes its raw stream, and ``_GzipMemberStream.close()`` must leave
+    the shared stream (and the file under it) readable for the next
+    view."""
+    import gc
+    import io
+    import zlib
+
+    from datacat_ray.sources import warc as W
+
+    members = [bytearray(m) for m in _DAMAGE_MEMBERS[:5]]
+    members[1][2] = 0  # compression method: not deflate
+    members[3][3] = 0xE0  # reserved header flags set
+    raw = io.BytesIO(b"".join(members))
+    gzraw = W._GzipMemberStream(raw)
+    urls, resyncs = [], 0
+    records = W._gz_record_iter(gzraw)
+    while True:
+        try:
+            urls.append(next(records)[0]["url"])
+        except StopIteration:
+            break
+        except zlib.error:
+            del records
+            gc.collect()  # the dropped view closes its raw: gzraw
+            assert not gzraw.closed and not raw.closed
+            assert gzraw.resync()
+            resyncs += 1
+            records = W._gz_record_iter(gzraw)
+    assert resyncs == 2
+    assert urls == [_DAMAGE_RECS[i]["url"] for i in (0, 2, 4)]
+    gzraw.close()
+    assert not gzraw.closed and not raw.closed

@@ -1,10 +1,17 @@
 """Zone decode (M13) + TEI assembly state machines (M15/M16)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from datacat_ray.functions.textkit import html_encode
 from datacat_ray.stages.tei import (
+    _BODY_TAG_MAP,
+    _coords_attr,
     assemble_body_tei,
     assemble_segmenter_tei,
     body_label_runs,
     extracted_text,
+    split_sentence_spans,
 )
 from datacat_ray.stages.tokenizer import tokenize_document
 from datacat_ray.stages.zones import decode_zones, line_runs, zone_token_indices
@@ -212,3 +219,73 @@ def test_fused_stage_segment_sentences_end_to_end():
     # text, main_text, segmenter tei, zones, entries all untouched
     assert seg[0] == base[0] and seg[1] == base[1] and seg[2] == base[2]
     assert seg[4] == base[4] and seg[5] == base[5]
+
+
+def _per_token_body_content(tokens, entries, coords, segment_sentences):
+    """The entry elements of ``assemble_body_tei`` rendered one token at a
+    time (the rendering it replaced, kept as the reference): a newline
+    token is ``<lb/>``, any other token is escaped on its own."""
+
+    def render(t):
+        tok = tokens[t]
+        if tok in ("\n", "\r", "\r\n"):
+            return "<lb/>\n"
+        return html_encode(tok)
+
+    parts = []
+    for k, run in enumerate(entries):
+        open_tag, close_tag = _BODY_TAG_MAP.get(
+            run["label"], (run["label"], "</" + run["label"][1:]))
+        if coords is not None:
+            open_tag = open_tag[:-1] + _coords_attr(coords, k) + ">"
+        buf = []
+        if segment_sentences:
+            pos = run["start"]
+            for a, b in split_sentence_spans(tokens, run["start"], run["end"]):
+                buf += [render(t) for t in range(pos, a)] + ["<s>"]
+                buf += [render(t) for t in range(a, b)] + ["</s>"]
+                pos = b
+            buf += [render(t) for t in range(pos, run["end"])]
+        else:
+            buf += [render(t) for t in range(run["start"], run["end"])]
+        parts.append(f"\t\t\t{open_tag}{''.join(buf)}{close_tag}\n")
+    return "".join(parts)
+
+
+# layout-token shapes: a newline is always a token of its own
+_LAYOUT_TOKENS = st.sampled_from(
+    ["\n", "\r", "\r\n", "&", "<", ">", '"', "'", " ", "  ", "\t", ".", "!",
+     "a", "Ab", "12", "é", "&amp;", "x<y"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_per_run_body_tei_equals_per_token_rendering(data):
+    """Each run renders as one escape of its joined text (``"\r"``-free
+    runs) or token by token (runs with a ``"\r"``): the bytes equal the
+    per-token rendering on random layout-token streams, with and without
+    sentences and coordinates, a ``"\r"`` token followed by a ``"\n"``
+    token included."""
+    tokens = data.draw(st.lists(_LAYOUT_TOKENS, max_size=40))
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(tokens)))
+        tokens[at:at] = ["\r", "\n"]
+    cuts = sorted(set(data.draw(st.lists(st.integers(0, len(tokens)),
+                                         max_size=8))) | {0, len(tokens)})
+    labels = st.sampled_from(["<entry>", "<title>", "<titledesc>",
+                              "<other>", "<misc>"])
+    entries = [{"label": data.draw(labels), "start": a, "end": b}
+               for a, b in zip(cuts, cuts[1:])
+               if data.draw(st.booleans())]
+    coords = ([(r["start"], r["end"]) for r in entries]
+              if data.draw(st.booleans()) else None)
+    sentences = data.draw(st.booleans())
+    got = assemble_body_tei("u", "fr", tokens, entries, coords, sentences)
+    head = assemble_body_tei("u", "fr", tokens, [])
+    cut = head.index("\t</text>")
+    want = head[:cut] + _per_token_body_content(
+        tokens, entries, coords, sentences) + head[cut:]
+    assert got == want
+    crlf = assemble_body_tei("u", "fr", ["a", "\r", "\n", "\r\n", "b"],
+                             [{"label": "<entry>", "start": 0, "end": 5}])
+    assert "<entry>a<lb/>\n<lb/>\n<lb/>\nb</entry>" in crlf
