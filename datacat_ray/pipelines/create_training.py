@@ -50,6 +50,7 @@ from datacat_ray.stages.tei import (
     body_label_runs,
     doc_id,
     html_encode,
+    lines_tei,
 )
 from datacat_ray.stages.token_features import (
     _TOKEN_FIELD_NAMES as _BODY_FIELD_NAMES,
@@ -103,16 +104,13 @@ class TrainingExportStage:
     def _blank_segmenter_tei(self, url, lang, lines) -> str:
         """Text-only TEI (no zone tags) — the createTrainingBlank form a
         user tags from scratch for a brand-new model."""
-        body = "".join(
-            html_encode(ln["text"]) + "<lb/>\n" for ln in lines
-        )
         return (
             _TEI_HEADER
             + "\t<teiHeader>\n"
             + f'\t\t<fileDesc xml:id="{doc_id(url)}"/>\n'
             + "\t</teiHeader>\n"
             + f'\t<text xml:lang="{html_encode(lang or "fr")}">\n'
-            + body
+            + lines_tei(lines.text)
             + "\t</text>\n</tei>\n"
         )
 
@@ -140,10 +138,8 @@ class TrainingExportStage:
 
         if html is not None:
             blocks = parse_main_blocks(html.decode("utf-8", errors="replace"))
-        elif text is not None:
-            blocks = blocks_from_plain_text(text)
         else:
-            blocks = []
+            blocks = blocks_from_plain_text(text or "")
         lines, tokens, token_line = tokenize_document(blocks)
         # the raw corpus of the segmenter model is every line field; the
         # body model's only needs the segmenter's own fields to route

@@ -50,7 +50,7 @@ from datacat_ray.stages.token_features import (
     _TOKEN_FIELD_NAMES as _BODY_FIELD_NAMES,
     body_token_columns,
 )
-from datacat_ray.stages.tokenizer import tokenize_document
+from datacat_ray.stages.tokenizer import Lines, tokenize_document
 from datacat_ray.stages.zones import ZONE_STRUCT, decode_zones, zone_token_indices
 
 RESULT_SCHEMA = pa.schema(
@@ -72,7 +72,7 @@ RESULT_SCHEMA = pa.schema(
 )
 
 
-def unwrapped_text(lines: list[dict]) -> str:
+def unwrapped_text(lines: Lines) -> str:
     """Reconstruct the pre-wrap block text: lines of one block joined by the
     space the wrap consumed (``wrap_text`` semantics), blocks joined by
     newline. For HTML whose block texts contain no hard breaks this is the
@@ -80,12 +80,12 @@ def unwrapped_text(lines: list[dict]) -> str:
     "main content" string a downstream consumer wants."""
     parts: list[str] = []
     cur_block = None
-    for ln in lines:
-        if ln["block_id"] != cur_block:
-            parts.append(ln["text"])
-            cur_block = ln["block_id"]
+    for b, t in zip(lines.block_id, lines.text):
+        if b != cur_block:
+            parts.append(t)
+            cur_block = b
         else:
-            parts[-1] = parts[-1] + " " + ln["text"]
+            parts[-1] = parts[-1] + " " + t
     return "\n".join(parts)
 
 
@@ -223,16 +223,15 @@ class FusedExtractStage:
         html, text = src
         if html is not None:
             blocks = parse_main_blocks(html.decode("utf-8", errors="replace"))
-        elif text is not None:
-            blocks = blocks_from_plain_text(text)
         else:
-            blocks = []
+            blocks = blocks_from_plain_text(text or "")
         if self.start_page >= 0 or self.end_page >= 0:
             # O4 page-range limit (row-local slice on the pseudo-page ids;
             # reference start/end-page semantics, fromPdf args)
             lo = self.start_page if self.start_page >= 0 else 0
             hi = self.end_page if self.end_page >= 0 else float("inf")
-            blocks = [b for b in blocks if lo <= b["page"] <= hi]
+            blocks = blocks.take([i for i, p in enumerate(blocks.page)
+                                  if lo <= p <= hi])
         if len(blocks) > self.max_blocks:
             return f"TOO_MANY_BLOCKS: {len(blocks)}"
         d.lines, d.tokens, d.token_line = tokenize_document(blocks)

@@ -230,7 +230,7 @@ def features_debug(sf_dir: str) -> "ray.data.Dataset":
         doc_ids, line_ids, ser = [], [], []
         for url, html in zip(t["url"].to_pylist(), t["html"].to_pylist()):
             doc = int(url.rsplit("/", 1)[1])
-            blocks = parse_main_blocks(html.decode("utf-8"))
+            blocks = parse_main_blocks(html.decode("utf-8", errors="replace"))
             lines, _, _ = tokenize_document(blocks)
             doc_ser = serialize_columns(line_columns(lines, _FIELD_NAMES))
             doc_ids.extend([doc] * len(doc_ser))

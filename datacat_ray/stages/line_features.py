@@ -46,6 +46,7 @@ from datacat_ray.functions.textkit import (
     punctuation_profile,
     tokenize_whitespace,
 )
+from datacat_ray.stages.tokenizer import Lines
 from datacat_ray.state.lexicon import (
     EMAIL_RE,
     YEAR_RE,
@@ -124,11 +125,11 @@ def mine_repetitive_patterns(line_texts: list[str]) -> tuple[list[bool], list[bo
     return repetitive, first
 
 
-def page_positions(lines: list[dict]) -> tuple[list[int], list[int]]:
+def page_positions(lines: Lines) -> tuple[list[int], list[int]]:
     """Per line: (its index within its page, its page's line count)."""
     first: dict[int, int] = {}
     count: dict[int, int] = {}
-    pages = [ln["page"] for ln in lines]
+    pages = lines.page
     for i, pg in enumerate(pages):
         first.setdefault(pg, i)
         count[pg] = count.get(pg, 0) + 1
@@ -154,10 +155,10 @@ class _Lines:
     """One document's lines and the per-line values several columns share,
     each computed on first use."""
 
-    def __init__(self, lines: list[dict]) -> None:
+    def __init__(self, lines: Lines) -> None:
         self.lines = lines
         self.n = len(lines)
-        self.texts = [ln["text"] for ln in lines]
+        self.texts = lines.text
 
     @cached_property
     def ws(self) -> list[list[str]]:
@@ -178,9 +179,9 @@ class _Lines:
 
 
 def _block_status(d: _Lines) -> list[str]:
-    return ["BLOCKSTART" if ln["line_in_block"] == 0
-            else "BLOCKEND" if ln["line_in_block"] == ln["block_n_lines"] - 1
-            else "BLOCKIN" for ln in d.lines]
+    return ["BLOCKSTART" if j == 0 else "BLOCKEND" if j == n - 1
+            else "BLOCKIN"
+            for j, n in zip(d.lines.line_in_block, d.lines.block_n_lines)]
 
 
 def _page_status(d: _Lines) -> list[str]:
@@ -190,12 +191,12 @@ def _page_status(d: _Lines) -> list[str]:
 
 def _line_length(d: _Lines) -> list[int]:
     # each line's length binned against the longest line of its block
+    lens = list(map(len, d.texts))
     block_maxlen: dict[int, int] = {}
-    for ln in d.lines:
-        b = ln["block_id"]
-        block_maxlen[b] = max(block_maxlen.get(b, 0), len(ln["text"]))
-    return [linear_scaling(len(ln["text"]), block_maxlen[ln["block_id"]],
-                           LINESCALE) for ln in d.lines]
+    for b, n in zip(d.lines.block_id, lens):
+        block_maxlen[b] = max(block_maxlen.get(b, 0), n)
+    return [linear_scaling(n, block_maxlen[b], LINESCALE)
+            for b, n in zip(d.lines.block_id, lens)]
 
 
 def _prefix(k: int):
@@ -214,11 +215,10 @@ _LINE_COLUMNS = {
     "block_status": _block_status,
     "page_status": _page_status,
     "font_status": lambda d: font_status(
-        [(ln["bold"], ln["italic"]) for ln in d.lines]),
-    "font_size_status": lambda d: font_size_status(
-        [ln["font_size"] for ln in d.lines]),
-    "bold": lambda d: [int(bool(ln["bold"])) for ln in d.lines],
-    "italic": lambda d: [int(bool(ln["italic"])) for ln in d.lines],
+        list(zip(d.lines.bold, d.lines.italic))),
+    "font_size_status": lambda d: font_size_status(d.lines.font_size),
+    "bold": lambda d: list(map(int, d.lines.bold)),
+    "italic": lambda d: list(map(int, d.lines.italic)),
     "capitalisation": lambda d: list(map(capitalisation_class, d.tok)),
     "digit": lambda d: list(map(digit_class, d.tok)),
     "single_char": lambda d: [int(len(t) == 1) for t in d.tok],
@@ -244,10 +244,10 @@ _LINE_COLUMNS = {
 }
 
 
-def line_columns(lines: list[dict], fields) -> dict[str, list]:
-    """Pure per-document kernel, column-major: lines (tokenizer stage
-    structs) → one value list per requested feature field, each parallel
-    to ``lines``. Only the requested fields are computed."""
+def line_columns(lines: Lines, fields) -> dict[str, list]:
+    """Pure per-document kernel, column-major: a document's ``Lines`` → one
+    value list per requested feature field, each parallel to the lines.
+    Only the requested fields are computed."""
     d = _Lines(lines)
     return {name: _LINE_COLUMNS[name](d) for name in fields}
 
@@ -265,7 +265,7 @@ def serialize_columns(cols: dict[str, list]) -> list[str]:
     return [" ".join(map(str, row)) for row in zip(*cols.values())]
 
 
-def featurize_lines(lines: list[dict]) -> list[dict]:
+def featurize_lines(lines: Lines) -> list[dict]:
     """The 33-field feature dict of every line (``line_columns`` of every
     field, one dict per line)."""
     return feature_rows(line_columns(lines, _FIELD_NAMES))

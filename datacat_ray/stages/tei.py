@@ -27,6 +27,7 @@ import numpy as np
 
 from datacat_ray.functions.textkit import html_encode
 from datacat_ray.stages.crf import label_spans, strip_begin_prefix
+from datacat_ray.stages.tokenizer import Lines
 from datacat_ray.stages.zones import line_runs
 
 _TEI_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n<tei xml:space="preserve">\n'
@@ -75,8 +76,16 @@ def _coords_attr(coords, k) -> str:
     return f' coords="{s},{e}"'
 
 
+def lines_tei(texts: list[str]) -> str:
+    """Line texts escaped, each followed by ``<lb/>`` and a newline: one
+    ``html_encode`` of the joined texts (lines hold no ``"\n"``)."""
+    if not texts:
+        return ""
+    return html_encode("\n".join(texts)).replace("\n", "<lb/>\n") + "<lb/>\n"
+
+
 def assemble_segmenter_tei(
-    url: str, lang: str | None, lines: list[dict], line_labels: list[str],
+    url: str, lang: str | None, lines: Lines, line_labels: list[str],
     coords: list[tuple[int, int]] | None = None,
 ) -> str:
     """Zone-tagged TEI over labeled lines. ``coords`` (optional, one per
@@ -92,9 +101,7 @@ def assemble_segmenter_tei(
     ]
     for k, (label, a, b) in enumerate(line_runs(line_labels)):
         tag = label[1:-1]  # "<front>" → "front"
-        content = "".join(
-            html_encode(lines[i]["text"]) + "<lb/>\n" for i in range(a, b + 1)
-        )
+        content = lines_tei(lines.text[a : b + 1])
         parts.append(
             f"\t\t\t<{tag}{_coords_attr(coords, k)}>{content}</{tag}>\n"
         )

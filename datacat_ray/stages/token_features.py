@@ -45,6 +45,7 @@ from datacat_ray.stages.line_features import (
     font_status,
     page_positions,
 )
+from datacat_ray.stages.tokenizer import Lines
 
 TOKEN_FEATURE_STRUCT = pa.struct(
     [
@@ -175,18 +176,16 @@ class _Body:
 # the fields that depend on the token's position and line
 _BODY_COLUMNS = {
     "block_status": lambda b: b.status(
-        [ln["block_id"] for ln in b.lines], "BLOCKSTART", "BLOCKEND",
-        "BLOCKIN"),
+        b.lines.block_id, "BLOCKSTART", "BLOCKEND", "BLOCKIN"),
     "line_status": lambda b: b.status(None, "LINESTART", "LINEEND",
                                       "LINEIN"),
     "alignment_status": lambda b: ["ALIGNEDLEFT"] * b.n,
     "font_status": lambda b: font_status(
-        b.per_line([(ln["bold"], ln["italic"]) for ln in b.lines])),
+        b.per_line(list(zip(b.lines.bold, b.lines.italic)))),
     "font_size_status": lambda b: font_size_status(
-        b.per_line([ln["font_size"] for ln in b.lines])),
-    "bold": lambda b: b.per_line([int(bool(ln["bold"])) for ln in b.lines]),
-    "italic": lambda b: b.per_line(
-        [int(bool(ln["italic"])) for ln in b.lines]),
+        b.per_line(b.lines.font_size)),
+    "bold": lambda b: b.per_line(list(map(int, b.lines.bold))),
+    "italic": lambda b: b.per_line(list(map(int, b.lines.italic))),
     "rel_doc_position": lambda b: b.per_line(
         position_bins(len(b.lines), NBBINS_POSITION)),
     "rel_page_position": lambda b: b.per_line(
@@ -199,7 +198,7 @@ _BODY_COLUMNS = {
 def body_token_columns(
     tokens: list[str],
     token_line: list[int],
-    lines: list[dict],
+    lines: Lines,
     body_ranges: list[tuple[int, int]],
     fields,
 ) -> tuple[dict[str, list], list[int]]:
@@ -217,7 +216,7 @@ def body_token_columns(
 def featurize_body_tokens(
     tokens: list[str],
     token_line: list[int],
-    lines: list[dict],
+    lines: Lines,
     body_ranges: list[tuple[int, int]],
 ) -> tuple[list[dict], list[int]]:
     """(the 24-field feature dict of every non-space ``<body>`` token,

@@ -1,4 +1,4 @@
-"""Tokenization + document statistics stage (SURVEY.md M1 + M2).
+"""Tokenization into pseudo-layout lines and layout tokens (SURVEY.md M1 + M2).
 
 Reference semantics: ``doc.addTokenizedDocument(config)`` builds the
 LayoutToken stream (``DatacatSegmenterParser.java:109``); the rawtxt sink is
@@ -9,52 +9,45 @@ unit derived from block text (``DatacatSegmenterParser.java:393-404``).
 Here each DOM block's text is wrapped into pseudo-layout lines of
 ``WRAP_WIDTH`` characters (the HTML analogue of the PDF's physical lines),
 tokens are produced per line with explicit ``"\\n"`` tokens between lines, and
-the invariant ``"".join(tokens) == "\\n".join(line texts)`` holds per
+the invariant ``"".join(tokens) == "\\n".join(lines.text)`` holds per
 document — that concatenation IS the ``extracted_text`` byte-identity
 surface.
 
-Stage contract (stateless ``map_batches``, Arrow in / Arrow out):
+Per-document contract (``tokenize_document``): ``dom.Blocks`` →
 
-    (url, lang, blocks, error) →
-    (url, lang, error,
-     lines:  list<struct<text, block_id, page, line_in_block, block_n_lines,
-                         font_size, bold, italic>>,
-     tokens: list<string>,            # full-document layout token stream
-     token_line: list<int32>)         # line id owning each token
+    lines:      Lines, column-major, one list per field:
+                  text, block_id, page, line_in_block, block_n_lines,
+                  font_size, bold, italic  (the last three from the block)
+    tokens:     list[str], the full-document layout token stream
+    token_line: list[int], the line id owning each token (a "\\n" token
+                belongs to the line it ends)
 """
 
 from __future__ import annotations
 
-import pyarrow as pa
+from itertools import chain, repeat
 
 from datacat_ray.functions.textkit import tokenize_layout
+from datacat_ray.stages.dom import Blocks
 
 WRAP_WIDTH = 80
 
-LINE_STRUCT = pa.struct(
-    [
-        ("text", pa.string()),
-        ("block_id", pa.int32()),
-        ("page", pa.int32()),
-        ("line_in_block", pa.int32()),
-        ("block_n_lines", pa.int32()),
-        ("font_size", pa.float32()),
-        ("bold", pa.bool_()),
-        ("italic", pa.bool_()),
-    ]
-)
 
-TOKENIZED_SCHEMA = pa.schema(
-    [
-        ("url", pa.string()),
-        ("warc_ts", pa.timestamp("us")),
-        ("lang", pa.string()),
-        ("error", pa.string()),
-        ("lines", pa.list_(LINE_STRUCT)),
-        ("tokens", pa.list_(pa.string())),
-        ("token_line", pa.list_(pa.int32())),
-    ]
-)
+class Lines:
+    """One document's pseudo-layout lines, column-major: one list per field
+    (see the module docstring); ``len()`` is the line count."""
+
+    __slots__ = ("text", "block_id", "page", "line_in_block", "block_n_lines",
+                 "font_size", "bold", "italic")
+
+    def __init__(self, text, block_id, page, line_in_block, block_n_lines,
+                 font_size, bold, italic) -> None:
+        self.text, self.block_id, self.page = text, block_id, page
+        self.line_in_block, self.block_n_lines = line_in_block, block_n_lines
+        self.font_size, self.bold, self.italic = font_size, bold, italic
+
+    def __len__(self) -> int:
+        return len(self.text)
 
 
 def wrap_text(text: str, width: int = WRAP_WIDTH) -> list[str]:
@@ -81,77 +74,32 @@ def wrap_text(text: str, width: int = WRAP_WIDTH) -> list[str]:
     return out
 
 
-def tokenize_document(blocks: list[dict]) -> tuple[list[dict], list[str], list[int]]:
+def tokenize_document(blocks: Blocks) -> tuple[Lines, list[str], list[int]]:
     """Pure per-document kernel: blocks → (lines, tokens, token_line)."""
-    lines: list[dict] = []
-    for block_id, blk in enumerate(blocks):
-        wrapped = wrap_text(blk["text"])
-        n = len(wrapped)
-        for j, lt in enumerate(wrapped):
-            lines.append(
-                {
-                    "text": lt,
-                    "block_id": block_id,
-                    "page": blk["page"],
-                    "line_in_block": j,
-                    "block_n_lines": n,
-                    "font_size": blk["font_size"],
-                    "bold": blk["bold"],
-                    "italic": blk["italic"],
-                }
-            )
-    tokens: list[str] = []
-    token_line: list[int] = []
-    for i, ln in enumerate(lines):
-        if i > 0:
-            tokens.append("\n")
-            token_line.append(i - 1)
-        ltoks = tokenize_layout(ln["text"])
-        tokens.extend(ltoks)
-        token_line.extend([i] * len(ltoks))
+    texts = blocks.text
+    n = len(texts)
+    if all(texts) and max(map(len, texts), default=0) <= WRAP_WIDTH:
+        # every block is one line: the block columns are the line columns
+        lines = Lines(texts, list(range(n)), blocks.page, [0] * n, [1] * n,
+                      blocks.font_size, blocks.bold, blocks.italic)
+    else:
+        wrapped = list(map(wrap_text, texts))
+        counts = list(map(len, wrapped))
+        block_id = list(chain.from_iterable(map(repeat, range(n), counts)))
+
+        def spread(col: list) -> list:  # a block column over the lines
+            return list(map(col.__getitem__, block_id))
+
+        lines = Lines(list(chain.from_iterable(wrapped)), block_id,
+                      spread(blocks.page),
+                      list(chain.from_iterable(map(range, counts))),
+                      list(chain.from_iterable(map(repeat, counts, counts))),
+                      spread(blocks.font_size), spread(blocks.bold),
+                      spread(blocks.italic))
+    per_line = list(map(tokenize_layout, lines.text))
+    for toks in per_line[:-1]:
+        toks.append("\n")
+    tokens = list(chain.from_iterable(per_line))
+    token_line = list(chain.from_iterable(
+        map(repeat, range(len(per_line)), map(len, per_line))))
     return lines, tokens, token_line
-
-
-# document-size guard rails (reference: TOO_MANY_TOKENS / TOO_MANY_BLOCKS
-# hard caps at DatacatSegmenterParser.java:140-142, 260-263 — there they
-# throw; here the row is routed to the error side output, SURVEY.md M3/M4)
-DEFAULT_MAX_TOKENS = 30_000
-DEFAULT_MAX_BLOCKS = 3_000
-
-
-def tokenize_stage(
-    batch: pa.Table,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-    max_blocks: int = DEFAULT_MAX_BLOCKS,
-) -> pa.Table:
-    urls = batch["url"].to_pylist()
-    tss = batch["warc_ts"].to_pylist()
-    langs = batch["lang"].to_pylist()
-    errors = batch["error"].to_pylist()
-    blocks_col = batch["blocks"].to_pylist()
-    lines_col, tokens_col, token_line_col = [], [], []
-    for i, blocks in enumerate(blocks_col):
-        blocks = blocks or []
-        if len(blocks) > max_blocks:
-            errors[i] = errors[i] or f"TOO_MANY_BLOCKS: {len(blocks)}"
-            lines_col.append([]); tokens_col.append([]); token_line_col.append([])
-            continue
-        lines, tokens, token_line = tokenize_document(blocks)
-        if len(tokens) > max_tokens:
-            errors[i] = errors[i] or f"TOO_MANY_TOKENS: {len(tokens)}"
-            lines, tokens, token_line = [], [], []
-        lines_col.append(lines)
-        tokens_col.append(tokens)
-        token_line_col.append(token_line)
-    return pa.Table.from_pydict(
-        {
-            "url": urls,
-            "warc_ts": tss,
-            "lang": langs,
-            "error": errors,
-            "lines": lines_col,
-            "tokens": tokens_col,
-            "token_line": token_line_col,
-        },
-        schema=TOKENIZED_SCHEMA,
-    )

@@ -8,6 +8,7 @@ import random
 import re
 
 import numpy as np
+from frontend_oracle import blocks_of, lines_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,11 +51,11 @@ def _line(text, block_id=0, page=0, j=0, n=1, size=12.0, bold=False, italic=Fals
 
 
 def test_line_features_hand_checked():
-    lines = [
+    lines = lines_of([
         _line("Vente du 13 mai 1860", block_id=0, size=24.0, bold=True),
         _line("12. Monnaies d'Italie: 39 pièces. AR.", block_id=1),
         _line("conditions de la vente", block_id=2),
-    ]
+    ])
     f = featurize_lines(lines)
     v = f[0]
     assert v["token"] == "Vente" and v["second_token"] == "du"
@@ -87,7 +88,7 @@ def test_repetitive_pattern_mining():
 
 
 def test_body_token_features_hand_checked():
-    lines, tokens, token_line = tokenize_document(
+    lines, tokens, token_line = tokenize_document(blocks_of(
         [
             {
                 "text": "1. Monnaies rares",
@@ -95,10 +96,9 @@ def test_body_token_features_hand_checked():
                 "font_size": 12.0,
                 "bold": False,
                 "italic": False,
-                "link_density": 0.0,
             }
         ]
-    )
+    ))
     feats, idx = featurize_body_tokens(tokens, token_line, lines, [(0, len(tokens))])
     # whitespace tokens skipped
     assert [f["token"] for f in feats] == ["1", ".", "Monnaies", "rares"]
@@ -112,8 +112,8 @@ def test_body_token_features_hand_checked():
 
 
 def test_empty_doc():
-    assert featurize_lines([]) == []
-    feats, idx = featurize_body_tokens([], [], [], [])
+    assert featurize_lines(lines_of([])) == []
+    feats, idx = featurize_body_tokens([], [], lines_of([]), [])
     assert feats == [] and idx == []
 
 
@@ -160,11 +160,10 @@ def _fixture_docs():
 
     stage = FusedExtractStage()
     rng = random.Random(5)
-    docs = [("empty", [], [], [], [], [])]
+    docs = [("empty", lines_of([]), [], [], [], [])]
     one = [{"text": "12. Monnaies d'Italie: 39 pièces. AR.", "page": 0,
-            "font_size": 12.0, "bold": False, "italic": False,
-            "link_density": 0.0}]
-    lines, tokens, token_line = tokenize_document(one)
+            "font_size": 12.0, "bold": False, "italic": False}]
+    lines, tokens, token_line = tokenize_document(blocks_of(one))
     docs.append(("one-line", lines, tokens, token_line,
                  [(0, len(tokens))], [(0, len(tokens))]))
     for name, n in (("catalogue", 8), ("oversized", 250), ("no-body", 0)):
@@ -270,10 +269,10 @@ def test_month_and_http_are_word_level_lexicon_tests(texts):
     from datacat_ray.state.lexicon import is_month
 
     word_http = re.compile(r"^https?://|^www\.", re.IGNORECASE)
-    lines = [{"text": t} for t in texts + ["Vente du 13 MAI 1860",
-                                           "voir\xa0WWW.x.fr", "xhttp://"]]
+    lines = lines_of([{"text": t} for t in texts + [
+        "Vente du 13 MAI 1860", "voir\xa0WWW.x.fr", "xhttp://"]])
     cols = line_columns(lines, ["month", "http"])
-    words = [tokenize_whitespace(ln["text"]) for ln in lines]
+    words = [tokenize_whitespace(t) for t in lines.text]
     assert cols["month"] == [int(any(is_month(w) for w in ws))
                              for ws in words]
     assert cols["http"] == [int(any(word_http.match(w) for w in ws))
@@ -296,11 +295,11 @@ def test_token_cores_on_ragged_synthetic_docs(data):
     token_line = sorted(data.draw(st.lists(
         st.integers(0, n_lines - 1), min_size=len(tokens),
         max_size=len(tokens))))
-    lines = [{"text": "", "page": data.draw(st.integers(0, 1)),
-              "block_id": data.draw(st.integers(0, 2)),
-              "font_size": data.draw(st.sampled_from([10.0, 12.0])),
-              "bold": data.draw(st.booleans()), "italic": False}
-             for _ in range(n_lines)]
+    lines = lines_of([{"text": "", "page": data.draw(st.integers(0, 1)),
+                       "block_id": data.draw(st.integers(0, 2)),
+                       "font_size": data.draw(st.sampled_from([10.0, 12.0])),
+                       "bold": data.draw(st.booleans()), "italic": False}
+                      for _ in range(n_lines)])
     cuts = sorted(data.draw(st.lists(st.integers(0, len(tokens)),
                                      max_size=6)))
     ranges = list(zip(cuts[::2], cuts[1::2]))

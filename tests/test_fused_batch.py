@@ -65,7 +65,7 @@ def test_poison_rows_cost_only_themselves(monkeypatch):
         # drops a column the segmenter templates read: the emission-key
         # lookup of this one document raises
         cols = line_columns(lines, fields)
-        if any("POISONKEY" in ln["text"] for ln in lines):
+        if any("POISONKEY" in t for t in lines.text):
             del cols["lowercase"]
         return cols
 

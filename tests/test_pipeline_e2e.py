@@ -100,3 +100,39 @@ def test_page_range_limit(pages_dir):
         assert r["n_tokens"] <= f["n_tokens"]
         if f["n_lines"] > 40:  # doc spans multiple pseudo-pages (40 lines/page)
             assert r["n_lines"] <= 40
+
+
+def test_features_debug_decodes_invalid_utf8_like_the_stage(ray_session,
+                                                            monkeypatch):
+    """``features_debug`` decodes html with the stage's rule (invalid bytes
+    become U+FFFD): a row with an invalid byte yields the feature lines of
+    its replaced text instead of failing the query, and a valid row's
+    lines are unchanged."""
+    import datetime
+
+    import pyarrow as pa
+
+    import datacat_ray.pipelines.queries as queries
+    from datacat_ray.fixtures import PAGES_SCHEMA
+
+    def page(body: bytes) -> bytes:
+        return (b"<html><body><nav><a href='/'>Home</a></nav><h1>Vente du 3 mai"
+                b" 1901</h1><p>12. Monnaies grecques: " + body
+                + b" ; 5 pieces. AR.</p></body></html>")
+
+    def debug_rows(htmls):
+        n = len(htmls)
+        table = pa.Table.from_pydict(
+            {"url": [f"https://docs.example.org/{i}" for i in range(n)],
+             "warc_ts": [datetime.datetime(2024, 1, 1)] * n,
+             "html": htmls, "text": [None] * n, "lang": ["fr"] * n},
+            schema=PAGES_SCHEMA)
+        monkeypatch.setattr(queries, "pages_from_documents", lambda _: table)
+        rows = queries.features_debug("unused").take_all()
+        return sorted((r["doc_id"], r["line_id"], r["serialized"])
+                      for r in rows)
+
+    got = debug_rows([page(b"oboles"), page(b"ob\xffoles")])
+    assert [r for r in got if r[0] == 0] == debug_rows([page(b"oboles")])
+    replaced = debug_rows([page(b"oboles"), page("ob�oles".encode())])
+    assert got == replaced and len(got) == 4

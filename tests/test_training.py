@@ -5,6 +5,7 @@ S6 TEI round-trip (reference semantics at
 from __future__ import annotations
 
 import pyarrow as pa
+from frontend_oracle import lines_of
 
 from datacat_ray.pipelines.training import (
     align_labels,
@@ -78,11 +79,11 @@ def test_eval_metrics_counts(ray_session):
 
 
 def test_tei_roundtrip():
-    lines = [
+    lines = lines_of([
         {"text": "Vente du 3 mai & <cie>"}, {"text": "COLLECTION"},
         {"text": "12. Monnaies"}, {"text": "13. Médailles"},
         {"text": "TABLE"},
-    ]
+    ])
     labels = ["I-<front>", "<front>", "I-<body>", "<body>", "I-<back>"]
     tei = assemble_segmenter_tei("http://x", "fr", lines, labels)
     parsed = parse_segmenter_tei(tei)

@@ -1,5 +1,6 @@
 """Zone decode (M13) + TEI assembly state machines (M15/M16)."""
 
+from frontend_oracle import blocks_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +21,10 @@ from datacat_ray.stages.zones import decode_zones, line_runs, zone_token_indices
 def _mk(texts):
     blocks = [
         {"text": t, "page": 0, "font_size": 12.0, "bold": False,
-         "italic": False, "link_density": 0.0}
+         "italic": False}
         for t in texts
     ]
-    return tokenize_document(blocks)
+    return tokenize_document(blocks_of(blocks))
 
 
 def test_line_runs_strips_begin_prefix():
