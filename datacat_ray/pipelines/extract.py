@@ -13,7 +13,9 @@
 Every operator is document-local, so the cascade is ONE map stage: the
 intermediates (lines, tokens, feature columns — 5-10x the html payload) never
 cross the object store. Inside a batch the stage runs phase by phase, and
-each CRF level decodes all of the batch's sequences in one lockstep Viterbi.
+each CRF level runs batch-wide: one integer-coded featurization, one
+emission gather, one lockstep Viterbi and one span decode for all of the
+batch's sequences.
 
 Output schema (one row per url):
     url, warc_ts, lang, extracted_text, main_text, tei, tei_body,
@@ -25,16 +27,18 @@ Output schema (one row per url):
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 import numpy as np
 import pyarrow as pa
 
 import ray.data
 
 from datacat_ray.config import PipelineConfig
-from datacat_ray.stages.crf import CRFDecoder, with_begin_prefix
+from datacat_ray.stages.crf import VOCAB, CRFDecoder, with_begin_prefix
 from datacat_ray.stages.dedup import dedup_latest
 from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
-from datacat_ray.stages.lexical_features import entry_runs_columns
+from datacat_ray.stages.lexical_features import entry_codes
 from datacat_ray.stages.line_features import (
     _FIELD_NAMES as _LINE_FIELD_NAMES,
     line_columns,
@@ -48,7 +52,8 @@ from datacat_ray.stages.tei import (
 )
 from datacat_ray.stages.token_features import (
     _TOKEN_FIELD_NAMES as _BODY_FIELD_NAMES,
-    body_token_columns,
+    body_codes,
+    offsets,
 )
 from datacat_ray.stages.tokenizer import Lines, tokenize_document
 from datacat_ray.stages.zones import ZONE_STRUCT, decode_zones, zone_token_indices
@@ -91,43 +96,54 @@ def unwrapped_text(lines: Lines) -> str:
 
 class _Level:
     """One CRF level of the cascade: its decoder and the named feature
-    fields to compute for it — only those its templates read.
+    fields to compute for it — only those its weighted templates read
+    (``CRFDecoder.coded_fields``).
 
     A trained artifact's templates read raw columns instead (``f{i}`` =
     the i-th of ``raw_names``, the serialization order, stringified: its
-    training corpus is raw feature files), so its named columns are
-    renamed to ``f{i}`` before the emission lookup. A raw column past
-    ``raw_names`` is left missing and fails each document's lookup."""
+    training corpus is raw feature files). A value's feature string is
+    the same either way, so ``f{i}`` reads the codes of the i-th named
+    field. A raw column past ``raw_names`` is missing and fails every
+    emission lookup with a ``KeyError``."""
 
     def __init__(self, dec: CRFDecoder,
                  raw_names: list[str] | None = None) -> None:
         self.dec = dec
         if raw_names is None:
             self.raw = None
-            self.fields = list(dec.fields)
+            self.fields = list(dec.coded_fields)
         else:
             self.raw = {f: raw_names[int(f[1:])] for f in dec.fields
                         if int(f[1:]) < len(raw_names)}
-            self.fields = sorted(set(self.raw.values()))
+            self.fields = sorted({self.raw[f] for f in dec.coded_fields
+                                  if f in self.raw})
 
-    def emissions(self, cols: dict[str, list], n: int):
-        if self.raw is not None:
-            cols = raw_columns(cols, self.raw)
-        return self.dec.emission_matrix(cols, n)
+    def gather(self, codes: dict[str, np.ndarray], lens) -> np.ndarray:
+        """The emission matrix of sequences laid end to end, given the
+        codes of ``fields`` over all their positions."""
+        if self.raw is None:
+            return self.dec.coded_emissions(codes, lens)
+        for _, f in self.dec._refs:
+            if f not in self.raw:
+                raise KeyError(f)
+        raw = {f: self.raw[f] for f in self.dec.coded_fields}
+        return self.dec.coded_emissions(
+            {f: codes[name] for f, name in raw.items()}, lens, raw)
 
-
-def raw_columns(cols: dict[str, list], raw: dict[str, str]) -> dict[str, list]:
-    """Named feature columns → the raw columns ``raw`` maps to them
-    (``f{i}`` → field name), values stringified as serialized."""
-    return {f: [str(v) for v in cols[name]] for f, name in raw.items()}
+    def emissions(self, cols: dict[str, list], lens) -> np.ndarray:
+        """``gather`` of value columns (one list per field in ``fields``)."""
+        return self.gather({name: VOCAB.codes(name, cols[name])
+                            for name in self.fields}, np.atleast_1d(lens))
 
 
 class _Doc:
-    """One document's cascade state between the phases of a batch."""
+    """One document's cascade state between the phases of a batch. A
+    level's state is ``em`` (its emission rows), ``lens`` (its sequence
+    lengths) and, once decoded, ``path`` (its int label path)."""
 
-    __slots__ = ("url", "lang", "lines", "tokens", "token_line", "em", "idx",
-                 "line_labels", "zones", "entries", "runs", "lex_idx",
-                 "starts", "result")
+    __slots__ = ("url", "lang", "lines", "tokens", "token_line", "cols",
+                 "em", "lens", "path", "idx", "line_labels", "zones",
+                 "body", "entries", "lexical", "result")
 
     def __init__(self, url, lang) -> None:
         self.url = url
@@ -150,6 +166,69 @@ def _phase(docs: dict, out: list, fn, inputs) -> None:
             out[i] = ("", "", "", "", [], [], [], 0, 0, err)
 
 
+def _batch(docs: dict, out: list, fn) -> None:
+    """``fn(docs)`` over all live documents at once; if it raises, the
+    same phase again document by document (``fn`` of a one-document
+    batch), so a poison row still costs only itself."""
+    if not docs:
+        return
+    try:
+        fn(list(docs.values()))
+    except Exception:  # noqa: BLE001 — isolated below
+        _phase(docs, out, lambda d, _: fn([d]), repeat(None))
+
+
+def _split(ds: list, attr: str, arr, counts) -> None:
+    """Hand each document its slice of an array laid out document by
+    document (``counts`` rows each) as its ``attr``."""
+    bounds = offsets(counts).tolist()
+    for k, d in enumerate(ds):
+        setattr(d, attr, arr[bounds[k]:bounds[k + 1]])
+
+
+def _decode(dec: CRFDecoder, docs: dict) -> None:
+    """One lockstep Viterbi over the sequences of every live document."""
+    ds = list(docs.values())
+    if not ds:
+        return
+    path = dec.paths(np.concatenate([d.em for d in ds]),
+                     np.concatenate([d.lens for d in ds]))
+    _split(ds, "path", path, [len(d.em) for d in ds])
+
+
+def _spans(dec: CRFDecoder, ds: list, attr: str) -> None:
+    """One span decode of the live documents' label paths; each document
+    gets the (label index into ``base_labels``, start, end) arrays of its
+    spans as its ``attr``."""
+    counts = [len(d.path) for d in ds]
+    lab, start, end, first = dec.span_arrays(
+        np.concatenate([d.path for d in ds]),
+        np.concatenate([d.idx for d in ds]),
+        np.concatenate([d.lens for d in ds]))
+    per_doc = np.bincount(np.repeat(np.arange(len(ds)), counts)[first],
+                          minlength=len(ds))
+    bounds = offsets(per_doc).tolist()
+    for k, d in enumerate(ds):
+        sl = slice(bounds[k], bounds[k + 1])
+        setattr(d, attr, (lab[sl], start[sl], end[sl]))
+
+
+def _span_column(spans: list, names: list[str]) -> pa.Array:
+    """Per row, None or (label index into ``names``, start, end) arrays →
+    a ``list<ZONE_STRUCT>`` column."""
+    parts = [s for s in spans if s is not None]
+    if parts:
+        lab, start, end = (np.concatenate(c) for c in zip(*parts))
+    else:
+        lab = start = end = np.zeros(0, dtype=np.intp)
+    items = pa.StructArray.from_arrays(
+        [pa.array(names, pa.string()).take(lab), pa.array(start, pa.int64()),
+         pa.array(end, pa.int64())], fields=list(ZONE_STRUCT))
+    counts = [0 if s is None else len(s[0]) for s in spans]
+    return pa.ListArray.from_arrays(
+        pa.array(offsets(counts), pa.int32()), items)
+
+
 class FusedExtractStage:
     """The whole cascade in ONE map stage: DOM parse + boilerplate strip
     (S2'), tokenize (M1/M2), line featurize + segmenter CRF + zone decode
@@ -163,14 +242,16 @@ class FusedExtractStage:
     each boundary — measured ~8× the actual kernel cost. One stage = one
     conversion in (html bytes), one out (result strings).
 
-    A batch runs phase by phase (``_extract``), so each CRF level decodes
-    every sequence of the batch in one lockstep Viterbi
-    (``CRFDecoder.viterbi``). Each featurizer computes only the feature
-    columns its level's templates read (``CRFDecoder.fields``), and the
-    columns become emission matrices as soon as they are built, so only
-    those cross a phase. The decoders compile once per stage in
-    ``__init__`` (the Ray analogue of the reference's parser singletons
-    holding loaded Wapiti models,
+    A batch runs phase by phase (``_extract``). Parse, tokenize, line
+    features, zones and TEI run document by document; each CRF level runs
+    batch-wide: its feature fields are encoded as ``VOCAB`` codes over
+    the positions of every document laid end to end, one gather
+    (``CRFDecoder.coded_emissions``) scores them all, one lockstep Viterbi
+    (``CRFDecoder.paths``) labels them and one span decode
+    (``CRFDecoder.span_arrays``) turns the paths into spans. Each level
+    computes only the fields its weighted templates read. The decoders
+    compile once per stage in ``__init__`` (the Ray analogue of the
+    reference's parser singletons holding loaded Wapiti models,
     ``DatacatSegmenterParser.java:83-85``,
     ``DatacatBodySegmentationParser.java:63-67``)."""
 
@@ -237,44 +318,72 @@ class FusedExtractStage:
         d.lines, d.tokens, d.token_line = tokenize_document(blocks)
         if len(d.tokens) > self.max_tokens:
             return f"TOO_MANY_TOKENS: {len(d.tokens)}"
-        cols = line_columns(d.lines, self._seg.fields)
-        d.em = self._seg.emissions(cols, len(d.lines))
+        d.cols = line_columns(d.lines, self._seg.fields)
         return None
 
-    def _body_tokens(self, d: _Doc, seg_labels: list[str]) -> None:
-        """Zones from the segmenter labels; featurize the body tokens."""
-        d.line_labels = with_begin_prefix(seg_labels)
+    def _seg_emissions(self, ds: list) -> None:
+        """Segmenter emissions of every line of the batch."""
+        lens = np.array([len(d.lines) for d in ds], dtype=np.intp)
+        em = self._seg.emissions(
+            {name: list(chain.from_iterable(d.cols[name] for d in ds))
+             for name in self._seg.fields}, lens)
+        _split(ds, "em", em, lens)
+        for d, n in zip(ds, lens):
+            d.lens = [n]
+
+    def _zones(self, d: _Doc, _) -> None:
+        """Zones from the segmenter path."""
+        d.line_labels = with_begin_prefix(
+            self.seg._label_arr[d.path].tolist())
         d.zones = decode_zones(d.line_labels, d.token_line, len(d.tokens))
-        body_ranges = zone_token_indices(d.zones, "<body>")
-        cols, d.idx = body_token_columns(
-            d.tokens, d.token_line, d.lines, body_ranges, self._body.fields)
-        d.em = self._body.emissions(cols, len(d.idx))
+        d.body = zone_token_indices(d.zones, "<body>")
 
-    def _entry_runs(self, d: _Doc, body_path) -> None:
-        """Entries from the body label path; featurize the document's
-        ``<entry>`` runs for the lexical level (num/category/desc/count/
-        material) in one pass and one emission lookup — exact because the
-        lexical templates read offset 0 only, so no key looks across a
-        run boundary. Each non-empty run stays its own Viterbi sequence."""
-        d.entries = self.body.spans(body_path, d.idx)
-        cols, d.lex_idx, starts = entry_runs_columns(
-            d.tokens, [(r["start"], r["end"]) for r in d.entries
-                       if r["label"] == "<entry>"], self._lex.fields)
-        n = len(d.lex_idx)
-        em = self._lex.emissions(cols, n)
-        bounds = [(a, b) for a, b in zip(starts, starts[1:] + [n])
-                  if a < b]
-        d.starts = [a for a, _ in bounds]
-        d.runs = [em[a:b] for a, b in bounds]
-        d.em = None
+    def _body_emissions(self, ds: list) -> None:
+        """Body-level emissions of every non-space ``<body>`` token of the
+        batch."""
+        codes, idx, counts = body_codes(
+            [d.tokens for d in ds], [d.token_line for d in ds],
+            [d.lines for d in ds], [d.body for d in ds], self._body.fields)
+        em = self._body.gather(codes, counts)
+        _split(ds, "em", em, counts)
+        _split(ds, "idx", idx, counts)
+        for d, n in zip(ds, counts):
+            d.lens = [n]
 
-    def _assemble(self, d: _Doc, run_paths: list) -> None:
-        """Lexical spans from the run label paths; text and TEI
-        assembly."""
-        lexical = self.lexical.spans(
-            np.concatenate(run_paths or [np.zeros(0, dtype=np.intp)]),
-            d.lex_idx, d.starts)
-        tokens, lines, zones, entries = d.tokens, d.lines, d.zones, d.entries
+    def _lexical_emissions(self, ds: list) -> None:
+        """Entries from the body paths; lexical emissions of every
+        non-space token of the batch's ``<entry>`` runs (num/category/
+        desc/count/material), each non-empty run its own sequence."""
+        _spans(self.body, ds, "entries")
+        names = self.body.base_labels
+        entry = names.index("<entry>") if "<entry>" in names else -1
+        runs = []
+        for d in ds:
+            lab, start, end = d.entries
+            is_run = lab == entry
+            runs.append(list(zip(start[is_run].tolist(),
+                                 end[is_run].tolist())))
+        codes, idx, lens = entry_codes([d.tokens for d in ds], runs,
+                                       self._lex.fields)
+        em = self._lex.gather(codes, lens)
+        n_runs = list(map(len, runs))
+        n_pos = np.bincount(np.repeat(np.arange(len(ds)), n_runs),
+                            weights=lens, minlength=len(ds)).astype(np.intp)
+        _split(ds, "em", em, n_pos)
+        _split(ds, "idx", idx, n_pos)
+        _split(ds, "lens", lens, n_runs)
+
+    def _lexical_spans(self, ds: list) -> None:
+        """Lexical spans from the run paths."""
+        _spans(self.lexical, ds, "lexical")
+
+    def _assemble(self, d: _Doc, _) -> None:
+        """Text and TEI assembly."""
+        lab, start, end = d.entries
+        names = self.body.base_labels
+        entries = [{"label": names[i], "start": a, "end": b} for i, a, b
+                   in zip(lab.tolist(), start.tolist(), end.tolist())]
+        tokens, lines, zones = d.tokens, d.lines, d.zones
         if self.tei_coordinates:
             offs = token_char_offsets(tokens)
             seg_coords = [(offs[z["start"]], offs[z["end"]]) for z in zones]
@@ -290,44 +399,55 @@ class FusedExtractStage:
                               self.segment_sentences),
             zones,
             entries,
-            lexical,
+            None,  # the lexical column is built from the span arrays
             len(lines),
             len(tokens),
             None,
         )
 
-    def _extract(self, urls, langs, htmls, texts) -> list[tuple]:
-        """(extracted_text, main_text, tei, tei_body, zones, entries,
-        lexical, n_lines, n_tokens, error) per document, the cascade run
-        one phase at a time over the whole batch."""
+    def _extract(self, urls, langs, htmls, texts):
+        """(rows, entries column, lexical column): per document the
+        (extracted_text, main_text, tei, tei_body, zones, entries, —,
+        n_lines, n_tokens, error) row, the cascade run one phase at a
+        time over the whole batch."""
+        VOCAB.bound()
         out: list = [None] * len(urls)
         docs = {i: _Doc(u, lg) for i, (u, lg) in enumerate(zip(urls, langs))}
         _phase(docs, out, self._lines, zip(htmls, texts))
-        _phase(docs, out, self._body_tokens,
-               self.seg.viterbi([d.em for d in docs.values()]))
-        _phase(docs, out, self._entry_runs,
-               self.body.paths([d.em for d in docs.values()]))
-        paths = iter(self.lexical.paths(
-            [em for d in docs.values() for em in d.runs]))
-        _phase(docs, out, self._assemble,
-               [[next(paths) for _ in d.runs] for d in docs.values()])
+        _batch(docs, out, self._seg_emissions)
+        _decode(self.seg, docs)
+        _phase(docs, out, self._zones, repeat(None))
+        _batch(docs, out, self._body_emissions)
+        _decode(self.body, docs)
+        _batch(docs, out, self._lexical_emissions)
+        _decode(self.lexical, docs)
+        _batch(docs, out, self._lexical_spans)
+        _phase(docs, out, self._assemble, repeat(None))
         for i, d in docs.items():
             out[i] = d.result
-        return out
+        live = [docs.get(i) for i in range(len(urls))]
+        return (out,
+                _span_column([d and d.entries for d in live],
+                             self.body.base_labels),
+                _span_column([d and d.lexical for d in live],
+                             self.lexical.base_labels))
 
     def _one(self, url, lang, html, text) -> tuple:
-        """``_extract`` of one document."""
-        return self._extract([url], [lang], [html], [text])[0]
+        """``_extract`` of one document, its spans as dicts."""
+        rows, entries, lexical = self._extract([url], [lang], [html], [text])
+        return (*rows[0][:5], entries.to_pylist()[0], lexical.to_pylist()[0],
+                *rows[0][7:])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
         langs = batch["lang"].to_pylist()
-        rows = self._extract(urls, langs, batch["html"].to_pylist(),
-                             batch["text"].to_pylist())
+        rows, entries, lexical = self._extract(
+            urls, langs, batch["html"].to_pylist(), batch["text"].to_pylist())
         res = {"url": urls, "warc_ts": batch["warc_ts"].to_pylist(),
                "lang": langs}
         cols = list(zip(*rows)) or [()] * (len(RESULT_SCHEMA) - 3)
         res.update(zip(RESULT_SCHEMA.names[3:], cols))
+        res["entries"], res["lexical"] = entries, lexical
         return pa.Table.from_pydict(res, schema=RESULT_SCHEMA)
 
 

@@ -18,6 +18,26 @@ expands at position t to the string ``"tag:v1|v2"``.
 Determinism: Viterbi tie-breaks are stable (lowest label index wins — numpy
 ``argmax`` returns the first maximal index), so outputs are identical across
 runs and parallelism levels (SURVEY.md §7.4 "CRF decode determinism").
+
+Coded emissions (the cascade's path): every feature value is an integer
+code in a per-process dictionary of its field (``VOCAB``), keyed by the
+value's feature string ``str(v)`` — the string a template expands it to,
+so ``True`` and ``1`` are different values. Boundary sentinels
+(``_B-1_``, ``_B+1_``) are codes of the same dictionaries. Each template
+folds the codes of its refs into one int code per position and keeps a
+weight-row table over those codes (the row of ``tag:v1|v2``, zero when the
+model has no such feature). The ``(Σn, L)`` emission matrix of a whole
+batch is the sum of the templates' row gathers, added in template order
+onto a +0.0 row — the same IEEE additions ``_emission_row`` makes, so the
+rows are bit-identical to the string path (``emission_matrix``, kept as
+the oracle and for the training/debug exports). Templates without any
+weight add only zeros, so they are skipped, and their fields are never
+computed. Memory is bounded: ``VOCAB.bound`` resets ``VOCAB`` past
+``_VOCAB_MAX`` codes, or once a cache built on its codes (registered with
+``VOCAB.watch``) is full; it is called only between batches, so codes
+never change inside one. Every cache built on the codes empties itself
+once ``VOCAB.gen`` moved, and a decoder's tables also reset past
+``_EMISSION_CACHE_MAX`` entries.
 """
 
 from __future__ import annotations
@@ -85,11 +105,165 @@ def expand_templates(model: CRFModel, feats: list[dict]) -> list[list[str]]:
 
 
 _EMISSION_CACHE_MAX = 200_000
+_VOCAB_MAX = 200_000
+_HALF = 31  # bits of one folded code: codes stay below 2**31
+
+
+class _Vocab:
+    """Per-process value dictionaries, one per feature field: the feature
+    string of a value → its code. ``values[field][code]`` is the value
+    itself (the first one seen with that string) and ``strs`` its
+    string."""
+
+    def __init__(self) -> None:
+        # bumped by every reset: codes of older generations are void
+        self.gen = 0
+        self.size = 0
+        self.index: dict[str, dict[str, int]] = {}
+        self.values: dict[str, list] = {}
+        self.strs: dict[str, list[str]] = {}
+        # whether each cache built on the codes is full (see ``watch``)
+        self._full: list = []
+
+    def watch(self, full) -> None:
+        """Register a cache built on the codes: ``bound`` also resets when
+        ``full()`` is true."""
+        self._full.append(full)
+
+    def bound(self) -> None:
+        """Reset once the dictionaries hold ``_VOCAB_MAX`` codes or a
+        watched cache is full; call it only between batches, so codes
+        never change inside one."""
+        if self.size >= _VOCAB_MAX or any(full() for full in self._full):
+            self.reset()
+
+    def reset(self) -> None:
+        self.index.clear()
+        self.values.clear()
+        self.strs.clear()
+        self.size = 0
+        self.gen += 1
+
+    def _field(self, name: str) -> dict[str, int]:
+        d = self.index.get(name)
+        if d is None:
+            d = self.index[name] = {}
+            self.values[name] = []
+            self.strs[name] = []
+        return d
+
+    def _add(self, name: str, value, s: str) -> int:
+        d = self.index[name]
+        c = d[s] = len(d)
+        self.values[name].append(value)
+        self.strs[name].append(s)
+        self.size += 1
+        return c
+
+    def code(self, name: str, value) -> int:
+        s = str(value)
+        c = self._field(name).get(s)
+        return self._add(name, value, s) if c is None else c
+
+    def codes(self, name: str, values: list) -> np.ndarray:
+        """The codes of a value list."""
+        d = self._field(name)
+        keys = list(map(str, values))
+        try:
+            return np.fromiter(map(d.__getitem__, keys), np.intp, len(keys))
+        except KeyError:
+            for v, s in zip(values, keys):
+                if s not in d:
+                    self._add(name, v, s)
+            return np.fromiter(map(d.__getitem__, keys), np.intp, len(keys))
+
+    def lut(self, name: str, values) -> np.ndarray:
+        """The codes of ``values`` as an array: ``lut(f, vs)[i]`` codes
+        ``vs[i]``, so ``lut(f, vs)[a]`` codes an index array ``a``."""
+        return np.array([self.code(name, v) for v in values], dtype=np.intp)
+
+    def ints(self, name: str, values: np.ndarray) -> np.ndarray:
+        """The codes of an array of non-negative ints."""
+        if not len(values):
+            return values.astype(np.intp)
+        return self.lut(name, range(int(values.max()) + 1))[values]
+
+    def strings(self, name: str) -> list[str]:
+        self._field(name)
+        return self.strs[name]
+
+    def decode(self, name: str, codes: np.ndarray) -> list:
+        """The values of a code array."""
+        self._field(name)
+        return list(map(self.values[name].__getitem__, codes.tolist()))
+
+
+VOCAB = _Vocab()
+
+
+class _Template:
+    """One template's weight rows over its folded codes. A one-ref
+    template's code is the field code itself; a conjunction folds its refs
+    left to right, each step interning the pair (code so far, next code)
+    as a dense id, with the joined feature string of every id."""
+
+    def __init__(self, tag: str, refs, w: dict, L: int) -> None:
+        self.head = tag + ":"
+        self.refs = refs
+        self.w, self.L = w, L
+        self.clear()
+
+    def clear(self) -> None:
+        self.steps: list[dict[int, int]] = [{} for _ in self.refs[1:]]
+        self.names: list[list[str]] = [[] for _ in self.refs[1:]]
+        self.rows = np.zeros((0, self.L), dtype=np.float64)
+        self.n = 0  # rows filled
+
+    def size(self) -> int:
+        return self.n + sum(map(len, self.steps))
+
+    def fold(self, cols: list[np.ndarray], src: list[str], N: int):
+        """(code per position, feature string per code)."""
+        if not cols:
+            return np.zeros(N, dtype=np.intp), [""]
+        acc, strs = cols[0], VOCAB.strings(src[0])
+        for step, names, c, f in zip(self.steps, self.names, cols[1:],
+                                     src[1:]):
+            u, inv = np.unique((acc << _HALF) | c, return_inverse=True)
+            keys = u.tolist()
+            ids = list(map(step.get, keys))
+            if None in ids:
+                fstrs = VOCAB.strings(f)
+                mask = (1 << _HALF) - 1
+                for i, k in enumerate(keys):
+                    if ids[i] is None:
+                        ids[i] = step[k] = len(names)
+                        names.append(strs[k >> _HALF] + "|" + fstrs[k & mask])
+            acc, strs = np.array(ids, dtype=np.intp)[inv], names
+        return acc, strs
+
+    def gather(self, code: np.ndarray, strs: list[str]) -> np.ndarray:
+        """The weight rows of a code array."""
+        need = int(code.max()) + 1 if len(code) else 0
+        if need > self.n:
+            if need > len(self.rows):
+                rows = np.zeros((max(need, 2 * len(self.rows)), self.L))
+                rows[:self.n] = self.rows[:self.n]
+                self.rows = rows
+            w, head, rows = self.w, self.head, self.rows
+            for i in range(self.n, need):
+                v = w.get(head + strs[i])
+                if v is not None:
+                    rows[i] = v
+            self.n = need
+        return self.rows[code]
 
 
 class CRFDecoder:
     """Decode-ready compiled form of a CRFModel (build once per actor).
 
+    ``coded_emissions`` scores every position of a batch at once from
+    field codes; ``emission_matrix`` is its string-keyed oracle.
     ``paths`` runs one Viterbi over many sequences in lockstep, so the
     per-step numpy dispatch is paid once per batch step instead of once
     per document position; ``viterbi``, ``decode_batch`` and ``decode``
@@ -125,6 +299,21 @@ class CRFDecoder:
         at = {ref: i for i, ref in enumerate(self._refs)}
         self._tmpl_at = [(tag + ":", [at[ref] for ref in refs])
                          for tag, refs in model.templates]
+        # the coded path's templates: those with at least one weight (the
+        # others add only zeros), in template order, and the fields they
+        # read
+        heads = set()
+        for k in self.w:
+            i = k.find(":")
+            while i >= 0:
+                heads.add(k[:i + 1])
+                i = k.find(":", i + 1)
+        self._coded = [_Template(tag, refs, self.w, self.L)
+                       for tag, refs in model.templates if tag + ":" in heads]
+        self.coded_fields = tuple(sorted(
+            {name for t in self._coded for _, name in t.refs}))
+        self._gen = VOCAB.gen
+        self._src: dict[str, str] = {}
         self._ecache: dict[tuple, int] = {}
         self._rows = np.zeros((64, self.L), dtype=np.float64)
         self._label_arr = np.array(self.labels, dtype=object)
@@ -139,13 +328,13 @@ class CRFDecoder:
                                 dtype=bool)
 
     def _emission_row(self, key: tuple) -> np.ndarray:
-        """The emission scores of one position from its key: each
-        template's feature string is its tag and the ``str`` of the key
-        values it reads (boundary sentinels are already in the key)."""
+        """The emission scores of one position from its key of feature
+        strings: each template's feature string is its tag and the key
+        strings it reads (boundary sentinels are already in the key)."""
         row = np.zeros(self.L, dtype=np.float64)
         lookup = self.w
         for tag, at in self._tmpl_at:
-            v = lookup.get(tag + "|".join([str(key[i]) for i in at]))
+            v = lookup.get(tag + "|".join([key[i] for i in at]))
             if v is not None:
                 row += v
         return row
@@ -154,15 +343,17 @@ class CRFDecoder:
         """The ``(n, L)`` emission scores of one sequence of ``n``
         positions, given one value list per field in ``fields``, gathered
         (a copy) from the row cache — so a cache reset at a later call can
-        never change rows already handed out."""
+        never change rows already handed out. Keys are the values' feature
+        strings (``True`` and ``1`` expand differently, so they must not
+        share a row). The string-path oracle of ``coded_emissions``."""
         cache = self._ecache
         if len(cache) >= _EMISSION_CACHE_MAX:
             cache.clear()
-        # one padded value list per (off, name) ref (a slice plus the
+        # one padded string list per (off, name) ref (a slice plus the
         # boundary sentinels), then ``zip`` builds all n key tuples in C
         keys_by_ref = []
         for off, name in self._refs:
-            vals = cols[name]
+            vals = list(map(str, cols[name]))
             if off < 0:
                 keys_by_ref.append(
                     [f"_B{off}_"] * min(-off, n) + vals[: max(n + off, 0)]
@@ -188,10 +379,50 @@ class CRFDecoder:
                     idx[t] = r
         return self._rows[idx]
 
-    def paths(self, ems: list[np.ndarray]) -> list[np.ndarray]:
-        """Lockstep Viterbi over ragged sequences given their ``(n_b, L)``
-        emission matrices; the int label path of each sequence, in input
-        order.
+    def coded_emissions(self, codes: dict[str, np.ndarray], lens,
+                        src: dict[str, str] | None = None) -> np.ndarray:
+        """The ``(Σn, L)`` emission scores of sequences laid end to end
+        (``lens`` their lengths), given the ``VOCAB`` codes of every field
+        in ``coded_fields`` over all positions. ``src`` names the ``VOCAB``
+        field each of those fields was coded in (default: its own name).
+        Out-of-sequence refs read the boundary sentinel codes."""
+        src = src or {}
+        if (self._gen != VOCAB.gen or src != self._src
+                or sum(t.size() for t in self._coded) >= _EMISSION_CACHE_MAX):
+            for t in self._coded:
+                t.clear()
+            self._gen, self._src = VOCAB.gen, src
+        lens = np.asarray(lens, dtype=np.intp)
+        N = int(lens.sum())
+        E = np.zeros((N, self.L), dtype=np.float64)
+        at = n = None  # each position's index in its sequence, its length
+        shifted: dict[tuple[int, str], np.ndarray] = {}
+        for t in self._coded:
+            cols = []
+            for off, name in t.refs:
+                c = codes[name]
+                if off and N:
+                    key = (off, name)
+                    if key not in shifted:
+                        if at is None:
+                            n = np.repeat(lens, lens)
+                            at = np.arange(N) - np.repeat(
+                                np.cumsum(lens) - lens, lens)
+                        inside = (at + off >= 0) & (at + off < n)
+                        j = np.clip(np.arange(off, N + off), 0, N - 1)
+                        s = VOCAB.code(src.get(name, name), f"_B{off}_"
+                                       if off < 0 else f"_B+{off}_")
+                        shifted[key] = np.where(inside, c[j], s)
+                    c = shifted[key]
+                cols.append(c)
+            E += t.gather(*t.fold(cols, [src.get(name, name)
+                                         for _, name in t.refs], N))
+        return E
+
+    def paths(self, E: np.ndarray, lens) -> np.ndarray:
+        """Lockstep Viterbi over ragged sequences laid end to end: ``E``
+        is their ``(Σn, L)`` emission matrix and ``lens`` their lengths;
+        returns their int label paths laid out the same way.
 
         Sequences run longest first, so the sequences still active at step
         ``s`` are always a prefix ``[:k]``, and the rows are laid out
@@ -204,12 +435,12 @@ class CRFDecoder:
         per-sequence Viterbi, and numpy's first-max ``argmax`` is the
         stable tie rule (lowest label index wins), so paths are
         bit-identical to one-at-a-time decoding."""
-        lens = np.array([len(e) for e in ems], dtype=np.intp)
-        order = np.argsort(-lens, kind="stable")
-        lens = lens[order]
+        seq_lens = np.asarray(lens, dtype=np.intp)
+        order = np.argsort(-seq_lens, kind="stable")
+        lens = seq_lens[order]
         T = int(lens[0]) if len(lens) else 0
         if T == 0:
-            return [np.zeros(0, dtype=np.intp) for _ in ems]
+            return np.zeros(0, dtype=np.intp)
         # active[s] = number of sequences longer than s (a prefix of the
         # sorted order); step s owns rows start[s]:start[s + 1]
         active = np.searchsorted(-lens, -np.arange(T), side="left")
@@ -217,12 +448,16 @@ class CRFDecoder:
         np.cumsum(active, out=start[1:])
         k0 = int(active[0])
         lens = lens[:k0]
-        # step-major slot of (sorted sequence b, step s) is start[s] + b
+        # step-major slot of (sorted sequence b, step s) is start[s] + b;
+        # its row in the input is src
         seq = np.repeat(np.arange(k0), lens)
         step = np.arange(len(seq)) - np.repeat(np.cumsum(lens) - lens, lens)
         slot = start[step] + seq
+        src = np.repeat((np.cumsum(seq_lens) - seq_lens)[order[:k0]],
+                        lens) + step
+        E_in = E
         E = np.empty((len(seq), self.L), dtype=np.float64)
-        E[slot] = np.concatenate([ems[i] for i in order[:k0].tolist()])
+        E[slot] = E_in[src]
         back = np.empty(E.shape, dtype=np.intp)
         trans = self.trans[:, None, :]
         bounds = start.tolist()
@@ -247,21 +482,31 @@ class CRFDecoder:
             prev = back[row[lo:hi] + cur[:hi - lo]]
             cur[:hi - lo] = prev
             path[bounds[s - 1]:bounds[s - 1] + hi - lo] = prev
-        # back to sequence-major order, then split per sequence
-        flat = np.split(path[slot], np.cumsum(lens)[:-1])
-        out = [np.zeros(0, dtype=np.intp) for _ in ems]
-        for b, i in enumerate(order[:k0].tolist()):
-            out[i] = flat[b]
+        # back to the input's layout
+        out = np.empty(len(path), dtype=np.intp)
+        out[src] = path[slot]
         return out
 
     def viterbi(self, ems: list[np.ndarray]) -> list[list[str]]:
-        """The label names of ``paths(ems)``, one list per sequence."""
-        return [self._label_arr[p].tolist() for p in self.paths(ems)]
+        """The label names of the paths of sequences given one ``(n_b,
+        L)`` emission matrix each, one list per sequence."""
+        if not ems:
+            return []
+        lens = [len(e) for e in ems]
+        names = self._label_arr[self.paths(np.concatenate(ems), lens)]
+        return [p.tolist() for p in np.split(names, np.cumsum(lens)[:-1])]
 
-    def spans(self, path: np.ndarray, idx, starts=()) -> list[dict]:
-        """``label_spans`` of an int label path of this decoder."""
-        return label_spans(self._base[path], self._begins[path],
-                           self.base_labels, idx, starts)
+    def span_arrays(self, path: np.ndarray, idx: np.ndarray, lens):
+        """The spans of int label paths laid end to end (``lens`` their
+        lengths; ``idx`` the absolute offset of every position), as
+        arrays: (base label index into ``base_labels``, start, end, first
+        position of the span): ``label_spans`` of each path, batch-wide."""
+        base = self._base[path]
+        lens = np.asarray(lens, dtype=np.intp)
+        first = span_starts(base, self._begins[path],
+                            (np.cumsum(lens) - lens)[lens > 0])
+        last = np.append(first[1:], len(path))[:len(first)] - 1
+        return base[first], idx[first], idx[last] + 1, first
 
     def decode_batch(self, seqs: list[list[dict]]) -> list[list[str]]:
         """One label list per sequence of feature dicts (no ``I-`` prefixes
@@ -347,13 +592,20 @@ def label_spans(base: np.ndarray, begins: np.ndarray, names: list[str],
     n = len(base)
     if n == 0:
         return []
-    brk = begins.copy()
-    brk[0] = True
-    brk[1:] |= base[1:] != base[:-1]
-    brk[list(starts)] = True
-    first = np.flatnonzero(brk)
+    first = span_starts(base, begins, list(starts))
     labels = list(map(names.__getitem__, base[first].tolist()))
     first = first.tolist()
     ends = [idx[t - 1] + 1 for t in first[1:]] + [idx[n - 1] + 1]
     return [{"label": lb, "start": idx[t], "end": e}
             for lb, t, e in zip(labels, first, ends)]
+
+
+def span_starts(base: np.ndarray, begins: np.ndarray, starts) -> np.ndarray:
+    """The positions where a span starts (see ``label_spans``)."""
+    if len(base) == 0:
+        return np.zeros(0, dtype=np.intp)
+    brk = begins.copy()
+    brk[0] = True
+    brk[1:] |= base[1:] != base[:-1]
+    brk[starts] = True
+    return np.flatnonzero(brk)

@@ -15,75 +15,130 @@ concretization of that stub for sale-catalogue entries):
 Features are entry-local (position bins within the entry span, neighbor
 punctuation), computed per non-space token. Same generic CRF machinery as
 the other two levels (templates → weights → Viterbi).
+
+Coded and batch-wide like the body level (``token_features``):
+``entry_codes`` featurizes every entry run of a batch laid end to end as
+``crf.VOCAB`` codes. The token fields are the body level's token-static
+codes; ``prev_punct`` / ``next_lower`` shift per-token codes one position
+within each run (the "_NONE_" code at a run's edge); ``entry_position``
+and ``seen_colon`` are computed per run with numpy.
+``featurize_entry_tokens`` is one run's codes decoded back to values,
+under the same caps.
 """
 
 from __future__ import annotations
 
-from datacat_ray.functions.textkit import position_bins, punct_type
+from itertools import chain
+
+import numpy as np
+
+from datacat_ray.functions.textkit import punct_type
+from datacat_ray.stages.crf import VOCAB
 from datacat_ray.stages.line_features import feature_rows
-from datacat_ray.stages.token_features import _static_columns
+from datacat_ray.stages.token_features import (
+    TOKENS,
+    offsets,
+    space_mask,
+    static_codes,
+)
 
 NBBINS_ENTRY = 5
 
-
-def _seen_colon(toks: list[str]) -> list[int]:
-    # the category/description boundary marker in catalogue grammar is the
-    # colon — a cross-token feature the local window can't see (document-
-    # local running state, same pattern as the reference's font-transition
-    # features): 1 on every token after the first colon
-    k = toks.index(":") + 1 if ":" in toks else len(toks)
-    return [0] * k + [1] * (len(toks) - k)
-
-
 # the fields of the token string alone: the body level's static columns
-# (the same functions), so both levels share one per-process token cache
+# (the same functions), so both levels share one per-process token
+# vocabulary
 _TOKEN_FIELDS = ("lowercase", "digit", "capitalisation", "punct_type")
 
-# the run-local fields, one builder each over one span's non-space tokens;
-# a neighbour that does not exist (or is "") reads as "_NONE_"
+
+class _Runs:
+    """The non-space tokens of several entry runs laid end to end (a run
+    is a token range of one document; runs may repeat or overlap), and
+    where each run starts and ends."""
+
+    def __init__(self, tokens, runs) -> None:
+        off = offsets(list(map(len, tokens)))
+        ids = TOKENS.ids(list(chain.from_iterable(tokens)))
+        starts = np.array([o + a for o, rs in zip(off.tolist(), runs)
+                           for a, _ in rs], dtype=np.intp)
+        ends = np.array([o + b for o, rs in zip(off.tolist(), runs)
+                         for _, b in rs], dtype=np.intp)
+        lens = ends - starts
+        pos = np.repeat(starts - offsets(lens)[:-1], lens) + np.arange(
+            int(lens.sum()))
+        rid = np.repeat(np.arange(len(lens)), lens)
+        keep = ~space_mask(ids[pos])
+        self.pos, self.rid = pos[keep], rid[keep]
+        self.ids = ids[self.pos]
+        doc = np.repeat(np.arange(len(tokens)), list(map(len, runs)))
+        # each position's absolute token index in its document
+        self.idx = self.pos - off[doc[self.rid]]
+        self.lens = np.bincount(self.rid, minlength=len(lens))
+        self.starts = offsets(self.lens)[:-1]
+        self.at = np.arange(len(self.pos)) - self.starts[self.rid]
+        self.n = len(self.pos)
+
+    def shifted(self, name: str, fn, by: int) -> np.ndarray:
+        """The codes of ``fn`` of the token ``by`` positions ahead in the
+        run (behind, for ``by`` < 0); "_NONE_" where there is none."""
+        c = static_codes(name, self.ids, fn)
+        out = np.full(self.n, VOCAB.code(name, "_NONE_"), dtype=np.intp)
+        inside = (self.at + by >= 0) & (self.at + by < self.lens[self.rid])
+        out[inside] = c[np.flatnonzero(inside) + by]
+        return out
+
+    def seen_colon(self) -> np.ndarray:
+        """1 on every token after the first ":" token of its run: the
+        category/description boundary marker in catalogue grammar — a
+        cross-token feature the local window can't see (run-local running
+        state, same pattern as the reference's font-transition
+        features)."""
+        colon = self.ids == TOKENS.ids([":"])[0]
+        before = np.cumsum(colon) - colon  # colons before each position
+        return (before - before[self.starts[self.rid]] > 0).astype(np.intp)
+
+
+# the run-local fields, each mapping ``_Runs`` to the codes of its
+# positions; a neighbour that does not exist (or is "") reads as "_NONE_"
 _RUN_COLUMNS = {
-    "prev_punct": lambda toks: (["_NONE_"] + [
-        punct_type(t) if t else "_NONE_" for t in toks])[:len(toks)],
-    "next_lower": lambda toks: ([
-        t.lower() if t else "_NONE_" for t in toks] + ["_NONE_"])[1:],
-    "entry_position": lambda toks: position_bins(len(toks), NBBINS_ENTRY),
-    "seen_colon": _seen_colon,
+    "prev_punct": lambda r: r.shifted(
+        "prev_punct", lambda t: punct_type(t) if t else "_NONE_", -1),
+    "next_lower": lambda r: r.shifted(
+        "next_lower", lambda t: t.lower() if t else "_NONE_", 1),
+    "entry_position": lambda r: VOCAB.ints("entry_position", (
+        NBBINS_ENTRY * (r.at / r.lens[r.rid])).astype(np.intp)),
+    "seen_colon": lambda r: VOCAB.ints("seen_colon", r.seen_colon()),
 }
 
 ENTRY_FIELD_NAMES = [*_TOKEN_FIELDS, *_RUN_COLUMNS]
 
 
-def entry_runs_columns(
-    tokens: list[str], spans: list[tuple[int, int]], fields
-) -> tuple[dict[str, list], list[int], list[int]]:
-    """The non-space tokens of every entry span [start, end), laid end to
-    end, column-major → (one value list per requested feature field,
-    absolute token indices, the position where each span's tokens start).
-    Whitespace tokens are skipped (re-inserted downstream by the same J2
-    resync convention as the body level); the run-local fields restart at
-    every span. Only the requested fields are computed."""
-    idx: list[int] = []
-    starts: list[int] = []
-    for start, end in spans:
-        starts.append(len(idx))
-        idx += [t for t in range(start, end) if not tokens[t].isspace()]
-    toks = list(map(tokens.__getitem__, idx))
-    static = tuple(name for name in fields if name in _TOKEN_FIELDS)
-    cols = dict(zip(static, _static_columns(toks, static)))
-    bounds = list(zip(starts, starts[1:] + [len(idx)]))
-    for name in fields:
-        if name not in cols:
-            fn = _RUN_COLUMNS[name]
-            cols[name] = [v for a, b in bounds for v in fn(toks[a:b])]
-    return {name: cols[name] for name in fields}, idx, starts
+def entry_codes(
+    tokens: list[list[str]], runs: list[list[tuple[int, int]]], fields
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """The batch kernel: the entry runs [start, end) of several documents
+    (``runs[d]`` of ``tokens[d]``), their non-space tokens laid end to
+    end → (the ``VOCAB`` codes of every requested field, each position's
+    absolute token index in its document, the non-space token count of
+    every run, in order). Whitespace tokens are skipped (re-inserted
+    downstream by the same J2 resync convention as the body level); the
+    run-local fields restart at every run. Only the requested fields are
+    computed."""
+    r = _Runs(tokens, runs)
+    codes = {name: static_codes(name, r.ids) if name in _TOKEN_FIELDS
+             else _RUN_COLUMNS[name](r) for name in fields}
+    return codes, r.idx, r.lens
 
 
 def featurize_entry_tokens(
     tokens: list[str], start: int, end: int
 ) -> tuple[list[dict], list[int]]:
     """(the feature dict of every non-space token of one entry span,
-    absolute token indices) — ``entry_runs_columns`` of that one span and
-    every field."""
-    cols, idx, _ = entry_runs_columns(tokens, [(start, end)],
-                                      ENTRY_FIELD_NAMES)
-    return feature_rows(cols), idx
+    absolute token indices) — ``entry_codes`` of that one span and every
+    field, decoded back to values."""
+    VOCAB.bound()
+    # only the tokens the span covers
+    codes, idx, _ = entry_codes([tokens[start:end]], [[(0, end - start)]],
+                                ENTRY_FIELD_NAMES)
+    return (feature_rows({name: VOCAB.decode(name, codes[name])
+                          for name in ENTRY_FIELD_NAMES}),
+            (idx + start).tolist())

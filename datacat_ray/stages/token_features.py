@@ -19,30 +19,42 @@ Canonical 24-field order:
 Alignment is constant ``ALIGNEDLEFT`` in the HTML graft (no x-geometry; the
 reference derives it from line-start indentation,
 ``DatacatBodySegmentationParser.java:279-295``).
+
+Coded and batch-wide: ``body_codes`` featurizes the body tokens of a whole
+batch of documents laid end to end, and every field comes out as integer
+codes of ``crf.VOCAB`` (one dictionary per field, keyed by the value's
+feature string), ready for ``CRFDecoder.coded_emissions``. Token-static
+fields are looked up through a per-process token vocabulary (token → id,
+and per field an array of the code of every known token's value, computed
+once per distinct token); context fields are numpy gathers over the
+batch's line arrays. Each field has one definition (``_STATIC_COLUMNS``,
+``_BODY_COLUMNS``); the value columns of training export and the dict
+featurizer (``body_token_columns``, ``featurize_body_tokens``) are the
+codes of one document decoded back to values. The token vocabulary
+is bounded by ``_STATIC_CACHE_MAX`` tokens: it is watched by ``VOCAB``,
+so ``VOCAB.bound`` (between batches only) resets both together.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import compress
-from operator import not_
+from itertools import chain
 
+import numpy as np
 import pyarrow as pa
 
 from datacat_ray.functions.textkit import (
     capitalisation_class,
     digit_class,
     linear_scaling,
-    position_bins,
     prefix,
     punct_type,
     suffix,
 )
+from datacat_ray.stages.crf import VOCAB
 from datacat_ray.stages.line_features import (
     NBBINS_POSITION,
     feature_rows,
-    font_size_status,
-    font_status,
     page_positions,
 )
 from datacat_ray.stages.tokenizer import Lines
@@ -98,101 +110,232 @@ _STATIC_COLUMNS = {
 }
 
 _STATIC_CACHE_MAX = 200_000
-# projection (tuple of static field names) → token → that projection's
-# values, memoized per worker process: natural-language token
-# distributions are Zipfian, so hit rates are high. A process sees a
-# handful of projections (every field, each decoder's); the total entry
-# count stays under _STATIC_CACHE_MAX
-_static_cache: dict[tuple[str, ...], dict[str, tuple]] = {}
 
 
-def _static_columns(toks: list[str], names: tuple[str, ...]) -> list[list]:
-    """One value list per static field in ``names``, parallel to ``toks``."""
-    if not names:
-        return []
-    cache = _static_cache.setdefault(names, {})
-    rows = list(map(cache.get, toks))
-    if None in rows:
-        fns = [_STATIC_COLUMNS[name] for name in names]
-        for i, r in enumerate(rows):
-            if r is None:
-                tok = toks[i]
-                r = cache.get(tok)
-                if r is None:
-                    size = sum(map(len, _static_cache.values()))
-                    if size >= _STATIC_CACHE_MAX:
-                        for c in _static_cache.values():
-                            c.clear()
-                    r = cache[tok] = tuple([f(tok) for f in fns])
-                rows[i] = r
-    if not rows:
-        return [[] for _ in names]
-    return [list(c) for c in zip(*rows)]
+class _TokenVocab:
+    """The per-process token vocabulary: token → token id, and per static
+    field the ``VOCAB`` code of every known token's value (an array over
+    token ids, computed once per distinct token and field: natural-language
+    token distributions are Zipfian, so hit rates are high). It empties
+    itself once ``VOCAB`` has been reset, because its codes are void."""
+
+    def __init__(self) -> None:
+        self.gen = -1
+        self.index: dict[str, int] = {}
+        self.strs: list[str] = []
+        self.cols: dict[str, tuple[np.ndarray, int]] = {}
+
+    def ids(self, toks: list[str]) -> np.ndarray:
+        """The id of every token."""
+        if self.gen != VOCAB.gen:
+            self.index, self.strs, self.cols = {}, [], {}
+            self.gen = VOCAB.gen
+        index = self.index
+        try:
+            return np.fromiter(map(index.__getitem__, toks), np.intp,
+                               len(toks))
+        except KeyError:
+            for t in dict.fromkeys(toks):
+                if t not in index:
+                    index[t] = len(self.strs)
+                    self.strs.append(t)
+            return np.fromiter(map(index.__getitem__, toks), np.intp,
+                               len(toks))
+
+    def full(self) -> bool:
+        return len(self.strs) >= _STATIC_CACHE_MAX
+
+    def column(self, name: str, fn, ids: np.ndarray) -> np.ndarray:
+        """``fn(token)`` (an int) of the tokens ``ids``, memoized per token
+        id under ``name``."""
+        col, have = self.cols.get(name, (None, 0))
+        n = len(self.strs)
+        if have < n:
+            if col is None or len(col) < n:
+                grown = np.empty(max(n, 2 * have, 1024), dtype=np.intp)
+                if have:
+                    grown[:have] = col[:have]
+                col = grown
+            col[have:n] = np.fromiter(map(fn, self.strs[have:n]), np.intp,
+                                      n - have)
+            self.cols[name] = (col, n)
+        return col[ids]
+
+
+TOKENS = _TokenVocab()
+VOCAB.watch(TOKENS.full)
+
+
+def static_codes(name: str, ids: np.ndarray, fn=None) -> np.ndarray:
+    """The ``VOCAB`` codes of a token-static field (``fn`` of the token,
+    by default its ``_STATIC_COLUMNS`` definition) for the tokens
+    ``ids``."""
+    fn = fn or _STATIC_COLUMNS[name]
+    return TOKENS.column(name, lambda t: VOCAB.code(name, fn(t)), ids)
+
+
+def space_mask(ids: np.ndarray) -> np.ndarray:
+    """Whether each token is whitespace."""
+    return TOKENS.column(" ", str.isspace, ids).astype(bool)
+
+
+def offsets(counts) -> np.ndarray:
+    """``[0, c0, c0 + c1, ...]``: where each of several runs laid end to
+    end starts, plus the total."""
+    out = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=out[1:])
+    return out
 
 
 class _Body:
-    """One document's non-space ``<body>`` tokens, their lines, and the
-    document's non-space tokens (computed on first use) that the columns
-    share."""
+    """The non-space ``<body>`` tokens of a batch of documents laid end to
+    end, their lines, and what the context columns share (each computed on
+    first use). ``pos`` is each body position's index into the batch's
+    flat token array, ``doc`` its document, ``counts`` the positions per
+    document."""
 
     def __init__(self, tokens, token_line, lines, body_ranges) -> None:
-        self.token_line, self.lines = token_line, lines
-        # the C-level scans below (compress/map) are the hot path: a
-        # document has thousands of tokens
-        self.keep = list(map(not_, map(str.isspace, tokens)))
-        self.idx = [t for start, end in body_ranges
-                    for t in compress(range(start, end), self.keep[start:end])]
-        self.n = len(self.idx)
-        self.toks = list(map(tokens.__getitem__, self.idx))
-        self.li = list(map(token_line.__getitem__, self.idx))
+        ntok = list(map(len, tokens))
+        self.off = off = offsets(ntok)
+        N = int(off[-1])
+        self.ids = TOKENS.ids(list(chain.from_iterable(tokens)))
+        self.keep = ~space_mask(self.ids)
+        D = len(tokens)
+        self.lines = lines
+        nl = list(map(len, lines))
+        self.line_off = offsets(nl)
+        self.line_doc = np.repeat(np.arange(D), nl)
+        self.tdoc = np.repeat(np.arange(D), ntok)
+        # every token's line, numbered across the batch
+        self.tline = np.fromiter(chain.from_iterable(token_line), np.intp,
+                                 N) + self.line_off[self.tdoc]
+        starts, ends = [], []
+        for o, rs in zip(off.tolist(), body_ranges):
+            for a, b in rs:
+                starts.append(o + a)
+                ends.append(o + b)
+        inside = np.cumsum(
+            np.bincount(np.array(starts, dtype=np.intp), minlength=N + 1)
+            - np.bincount(np.array(ends, dtype=np.intp), minlength=N + 1)
+        )[:N] > 0
+        self.pos = np.flatnonzero(inside & self.keep)
+        self.doc = self.tdoc[self.pos]
+        self.line = self.tline[self.pos]
+        self.counts = np.bincount(self.doc, minlength=D)
+        self.n = len(self.pos)
 
-    def per_line(self, values) -> list:
-        """A per-line value sequence spread over the tokens."""
-        return list(map(values.__getitem__, self.li))
+    def line_values(self, name: str, dtype=np.intp) -> np.ndarray:
+        """A ``Lines`` column of every line of the batch."""
+        return np.fromiter(chain.from_iterable(
+            getattr(ls, name) for ls in self.lines), dtype,
+            int(self.line_off[-1]))
 
     @cached_property
-    def nonspace(self) -> tuple[list[int], list[int]]:
-        """(index, line id) of every non-space token of the document."""
-        ts = list(compress(range(len(self.keep)), self.keep))
-        return ts, list(map(self.token_line.__getitem__, ts))
+    def doc_first(self) -> np.ndarray:
+        """The first position of each document that has any."""
+        return offsets(self.counts)[:-1][self.counts > 0]
 
-    def status(self, unit_of_line, start: str, end: str,
-               inside: str) -> list[str]:
-        """``start`` / ``end`` for the first / last non-space token of its
-        unit in the document (its line or block: ``unit_of_line`` maps a
-        line id to it, None for the line itself), else ``inside``."""
-        ts, lis = self.nonspace
-        mine = self.li
+    def status(self, unit_of_line: np.ndarray | None) -> np.ndarray:
+        """0 / 1 for the first / last non-space token of its unit in the
+        document (its line or block: ``unit_of_line`` maps a batch line to
+        a batch-wide unit id, None for the line itself), else 2."""
+        ns = np.flatnonzero(self.keep)
+        u = self.tline[ns]
         if unit_of_line is not None:
-            lis = list(map(unit_of_line.__getitem__, lis))
-            mine = self.per_line(unit_of_line)
-        last = dict(zip(lis, ts))
-        first = dict(zip(reversed(lis), reversed(ts)))
-        return [start if t == f else end if t == lt else inside
-                for t, f, lt in zip(self.idx, map(first.__getitem__, mine),
-                                    map(last.__getitem__, mine))]
+            u = unit_of_line[u]
+        m = len(u)
+        first = np.zeros(m, dtype=bool)
+        first[np.unique(u, return_index=True)[1]] = True
+        last = np.zeros(m, dtype=bool)
+        last[m - 1 - np.unique(u[::-1], return_index=True)[1]] = True
+        r = np.cumsum(self.keep)[self.pos] - 1
+        return np.where(first[r], 0, np.where(last[r], 1, 2))
+
+    def changed(self, v: np.ndarray) -> np.ndarray:
+        """Whether each position's value differs from the position before
+        it in its document (True at a document's first position)."""
+        new = np.ones(len(v), dtype=bool)
+        new[1:] = v[1:] != v[:-1]
+        new[self.doc_first] = True
+        return new
+
+    def font_size_status(self) -> np.ndarray:
+        """0 same size (or a document's first position), 1 higher, 2
+        lower than the position before."""
+        s = self.line_values("font_size", np.float64)[self.line]
+        prev = np.empty_like(s)
+        prev[1:] = s[:-1]
+        cls = np.where(s > prev, 1, 2)
+        cls[s == prev] = 0
+        cls[self.doc_first] = 0
+        return cls
+
+    def rel_doc_position(self) -> np.ndarray:
+        """Each line's ``position_bins`` bin in its document."""
+        at = np.arange(len(self.line_doc)) - self.line_off[self.line_doc]
+        n = np.diff(self.line_off)[self.line_doc]
+        return (NBBINS_POSITION * (at / n)).astype(np.intp)
+
+    def rel_page_position(self) -> np.ndarray:
+        """Each line's position bin in its page."""
+        return np.fromiter(
+            (linear_scaling(i, c, NBBINS_POSITION) for ls in self.lines
+             for i, c in zip(*page_positions(ls))), np.intp,
+            int(self.line_off[-1]))
+
+    def blocks(self) -> np.ndarray:
+        """Each line's block, numbered across the batch."""
+        bid = self.line_values("block_id")
+        nb = [max(ls.block_id) + 1 if len(ls) else 0 for ls in self.lines]
+        return bid + offsets(nb)[self.line_doc]
 
 
-# the fields that depend on the token's position and line
+# the fields that depend on the token's position and line: each maps a
+# ``_Body`` to the codes of its positions
 _BODY_COLUMNS = {
-    "block_status": lambda b: b.status(
-        b.lines.block_id, "BLOCKSTART", "BLOCKEND", "BLOCKIN"),
-    "line_status": lambda b: b.status(None, "LINESTART", "LINEEND",
-                                      "LINEIN"),
-    "alignment_status": lambda b: ["ALIGNEDLEFT"] * b.n,
-    "font_status": lambda b: font_status(
-        b.per_line(list(zip(b.lines.bold, b.lines.italic)))),
-    "font_size_status": lambda b: font_size_status(
-        b.per_line(b.lines.font_size)),
-    "bold": lambda b: b.per_line(list(map(int, b.lines.bold))),
-    "italic": lambda b: b.per_line(list(map(int, b.lines.italic))),
-    "rel_doc_position": lambda b: b.per_line(
-        position_bins(len(b.lines), NBBINS_POSITION)),
-    "rel_page_position": lambda b: b.per_line(
-        [linear_scaling(i, c, NBBINS_POSITION)
-         for i, c in zip(*page_positions(b.lines))]),
-    "bitmap_around": lambda b: [0] * b.n,
+    "block_status": lambda b: VOCAB.lut(
+        "block_status", ("BLOCKSTART", "BLOCKEND", "BLOCKIN"))[
+        b.status(b.blocks())],
+    "line_status": lambda b: VOCAB.lut(
+        "line_status", ("LINESTART", "LINEEND", "LINEIN"))[b.status(None)],
+    "alignment_status": lambda b: VOCAB.lut(
+        "alignment_status", ("ALIGNEDLEFT",))[np.zeros(b.n, dtype=np.intp)],
+    "font_status": lambda b: VOCAB.lut(
+        "font_status", ("SAMEFONT", "NEWFONT"))[b.changed(
+            (2 * b.line_values("bold") + b.line_values("italic"))[b.line]
+        ).astype(np.intp)],
+    "font_size_status": lambda b: VOCAB.lut(
+        "font_size_status", ("SAMEFONTSIZE", "HIGHERFONT", "LOWERFONT"))[
+        b.font_size_status()],
+    "bold": lambda b: VOCAB.ints("bold", b.line_values("bold")[b.line]),
+    "italic": lambda b: VOCAB.ints("italic",
+                                   b.line_values("italic")[b.line]),
+    "rel_doc_position": lambda b: VOCAB.ints(
+        "rel_doc_position", b.rel_doc_position()[b.line]),
+    "rel_page_position": lambda b: VOCAB.ints(
+        "rel_page_position", b.rel_page_position()[b.line]),
+    "bitmap_around": lambda b: VOCAB.ints(
+        "bitmap_around", np.zeros(b.n, dtype=np.intp)),
 }
+
+
+def body_codes(
+    tokens: list[list[str]],
+    token_line: list[list[int]],
+    lines: list[Lines],
+    body_ranges: list[list[tuple[int, int]]],
+    fields,
+) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """The batch kernel: the ``<body>``-sliced token streams of several
+    documents → (the ``VOCAB`` codes of every requested field over all
+    their non-space body tokens laid end to end, each position's absolute
+    token index in its document, the position count per document).
+    Only the requested fields are computed."""
+    b = _Body(tokens, token_line, lines, body_ranges)
+    ids = b.ids[b.pos]
+    codes = {name: static_codes(name, ids) if name in _STATIC_COLUMNS
+             else _BODY_COLUMNS[name](b) for name in fields}
+    return codes, b.pos - b.off[b.doc], b.counts
 
 
 def body_token_columns(
@@ -202,15 +345,14 @@ def body_token_columns(
     body_ranges: list[tuple[int, int]],
     fields,
 ) -> tuple[dict[str, list], list[int]]:
-    """Pure per-document kernel, column-major: the ``<body>``-sliced token
-    stream → (one value list per requested feature field, absolute token
-    indices). Whitespace tokens are skipped; only the requested fields are
-    computed."""
-    b = _Body(tokens, token_line, lines, body_ranges)
-    static = tuple(name for name in fields if name in _STATIC_COLUMNS)
-    cols = dict(zip(static, _static_columns(b.toks, static)))
-    return {name: cols[name] if name in cols else _BODY_COLUMNS[name](b)
-            for name in fields}, b.idx
+    """One document's ``body_codes`` as values, column-major: (one value
+    list per requested feature field, absolute token indices).
+    Whitespace tokens are skipped."""
+    VOCAB.bound()
+    codes, idx, _ = body_codes([tokens], [token_line], [lines],
+                               [body_ranges], fields)
+    return ({name: VOCAB.decode(name, codes[name]) for name in fields},
+            idx.tolist())
 
 
 def featurize_body_tokens(

@@ -10,6 +10,7 @@ from datacat_ray.stages.crf import (
     CRFDecoder,
     CRFModel,
     expand_templates,
+    label_spans,
     strip_begin_prefix,
     with_begin_prefix,
 )
@@ -369,8 +370,9 @@ def _reference_label_runs(labels: list[str], idx: list[int]) -> list[dict]:
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_label_spans_match_the_reference_loop(data):
-    """``CRFDecoder.spans`` of an int path, and ``body_label_runs`` of its
-    names, equal the reference loop — run once per sequence when several
+    """``label_spans`` of an int path (through ``CRFDecoder.span_arrays``,
+    the batch-wide span decode), and ``body_label_runs`` of its names,
+    equal the reference loop — run once per sequence when several
     sequences lie end to end (``starts``): with and without ``I-`` labels,
     gapped offsets, empty and length-1 paths."""
     bases = ["<a>", "<b>", "<c>"][:data.draw(st.integers(1, 3))]
@@ -392,8 +394,14 @@ def test_label_spans_match_the_reference_loop(data):
         cuts = sorted({0, *starts, n})
         want = [r for a, b in zip(cuts, cuts[1:])
                 for r in _reference_label_runs(names[a:b], idx[a:b])]
-        got = dec.spans(np.array(p, dtype=np.intp), idx[:n], starts)
+        lab, start, end, _ = dec.span_arrays(
+            np.array(p, dtype=np.intp), np.array(idx[:n], dtype=np.intp),
+            np.diff(cuts))
+        got = [{"label": dec.base_labels[i], "start": a, "end": b}
+               for i, a, b in zip(lab.tolist(), start.tolist(), end.tolist())]
         assert got == want
+        assert label_spans(dec._base[p], dec._begins[p], dec.base_labels,
+                           idx[:n], starts) == want
         assert all(type(r["start"]) is int and type(r["end"]) is int
                    for r in got)
         assert body_label_runs(names, idx[:n]) == _reference_label_runs(
@@ -401,16 +409,139 @@ def test_label_spans_match_the_reference_loop(data):
 
 
 def test_paths_name_the_viterbi_labels():
-    """``viterbi`` is ``paths`` named: int paths per sequence, in input
-    order, empty sequences included."""
+    """``viterbi`` is ``paths`` named: ``paths`` takes the sequences laid
+    end to end (their flat emission matrix and lengths) and returns their
+    int paths laid out the same way, empty sequences included."""
     seg, body, lex = _fixture_sequences()
     dec = CRFDecoder(BODY_MODEL)
     ems = [dec.emission_matrix(
         {name: [f[name] for f in feats] for name in dec.fields}, len(feats))
-        for feats in body + [[]]]
-    paths = dec.paths(ems)
-    assert [p.dtype for p in paths] == [np.intp] * len(ems)
+        for feats in [[]] + body + [[]]]
+    lens = [len(e) for e in ems]
+    flat = dec.paths(np.concatenate(ems), lens)
+    assert flat.dtype == np.intp and len(flat) == sum(lens)
+    paths = np.split(flat, np.cumsum(lens)[:-1])
     assert [[dec.labels[i] for i in p] for p in paths] == dec.viterbi(ems)
-    assert dec.viterbi(ems)[:-1] == [_reference_decode(BODY_MODEL, s)
-                                     for s in body]
-    assert dec.paths([]) == []
+    assert dec.viterbi(ems)[1:-1] == [_reference_decode(BODY_MODEL, s)
+                                      for s in body]
+    assert len(dec.paths(np.zeros((0, dec.L)), [])) == 0
+    assert dec.viterbi([]) == []
+
+
+# ---------------------------------------------------------------------------
+# coded emissions
+# ---------------------------------------------------------------------------
+
+def test_bool_and_int_values_keep_their_own_rows():
+    """``True == 1`` and they hash alike, but they expand to ``U:True``
+    and ``U:1``: a row cached for ``1`` must not serve ``True`` — on the
+    string path and on the coded path, whatever was seen first."""
+    from datacat_ray.stages.crf import VOCAB
+
+    model = CRFModel(labels=("A", "B"), templates=(("U", ((0, "x"),)),),
+                     weights={"U:1": {"B": 5.0}}, transitions={})
+    assert CRFDecoder(model).emission_matrix(
+        {"x": [True]}, 1).tolist() == [[0.0, 0.0]]
+    dec = CRFDecoder(model)
+    assert dec.emission_matrix({"x": [1]}, 1).tolist() == [[0.0, 5.0]]
+    assert dec.emission_matrix({"x": [True]}, 1).tolist() == [[0.0, 0.0]]
+    assert dec.coded_emissions(
+        {"x": VOCAB.codes("x", [1, True, 1])}, [3]).tolist() == [
+            [0.0, 5.0], [0.0, 0.0], [0.0, 5.0]]
+
+
+_VALUES = st.sampled_from([0, 1, 2, True, False, "1", "x", "a|b", "a", "b|",
+                           "", "_B-1_", "_B+2_", "é"])
+_WEIGHTS = st.sampled_from([0.5, -1.25, 3.0, -0.0, 0.1, 0.7, 1e16, -1e16,
+                            2.0 ** -30, 1.0 / 3.0])
+_FIELDS = ("a", "b", "c")
+
+
+@st.composite
+def _coded_case(draw):
+    """A random model (1-8 labels; templates with offsets -2..+2,
+    conjunctions, a zero-ref template and duplicate tags), random weights
+    over the feature strings its templates can expand to, and calls of
+    random ragged batches (empty and length-1 sequences included)."""
+    L = draw(st.integers(1, 8))
+    labels = tuple(f"L{i}" for i in range(L))
+    ref = st.tuples(st.integers(-2, 2), st.sampled_from(_FIELDS))
+    templates = tuple(
+        (draw(st.sampled_from(["U0", "U1", "U2", "U3"])),
+         tuple(draw(st.lists(ref, max_size=3))))
+        for _ in range(draw(st.integers(0, 5))))
+    sentinel = st.sampled_from(["_B-1_", "_B-2_", "_B+1_", "_B+2_"])
+    weights = {}
+    for tag, refs in templates:
+        for _ in range(draw(st.integers(0, 4))):
+            vals = [str(draw(st.one_of(_VALUES, sentinel))) for _ in refs]
+            weights[tag + ":" + "|".join(vals)] = {
+                draw(st.sampled_from(labels)): draw(_WEIGHTS)
+                for _ in range(draw(st.integers(1, 3)))}
+    calls = draw(st.lists(st.lists(st.integers(0, 6), max_size=4),
+                          min_size=1, max_size=3))
+    return CRFModel(labels=labels, templates=templates, weights=weights,
+                    transitions={}), calls
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_coded_case(), data=st.data())
+def test_coded_emissions_equal_emission_matrix_rows(case, data):
+    """The coded path (``VOCAB`` codes → template-ordered row gathers)
+    gives bit-identical rows to the string-keyed ``emission_matrix`` of
+    each sequence: across calls that grow the vocabulary and the tables,
+    across a vocabulary reset, and through a raw-field ``_Level``."""
+    from datacat_ray.pipelines.extract import _Level
+    from datacat_ray.stages.crf import VOCAB
+
+    model, calls = case
+    dec = CRFDecoder(model)
+    for lens in calls:
+        if data.draw(st.booleans()):
+            VOCAB.reset()
+        cols = [{f: data.draw(st.lists(_VALUES, min_size=n, max_size=n))
+                 for f in _FIELDS} for n in lens]
+        want = (np.concatenate([dec.emission_matrix(c, n)
+                                for c, n in zip(cols, lens)])
+                if lens else np.zeros((0, dec.L)))
+        flat = {f: [v for c in cols for v in c[f]] for f in _FIELDS}
+        got = dec.coded_emissions(
+            {f: VOCAB.codes(f, flat[f]) for f in dec.coded_fields}, lens)
+        _assert_bitwise_equal(got, want)
+
+    # the same templates over raw columns f0..f2 renamed from named ones
+    raw_names = ["n_a", "n_b", "n_c"][:data.draw(st.integers(1, 3))]
+    raw_model = CRFModel(
+        labels=model.labels,
+        templates=tuple((tag, tuple((off, f"f{_FIELDS.index(f)}")
+                                    for off, f in refs))
+                        for tag, refs in model.templates),
+        weights=model.weights, transitions={})
+    level = _Level(CRFDecoder(raw_model), raw_names)
+    for lens in calls:
+        cols = [{f: data.draw(st.lists(_VALUES, min_size=n, max_size=n))
+                 for f in raw_names} for n in lens]
+        raw = [{f"f{i}": [str(v) for v in c[f]]
+                for i, f in enumerate(raw_names)} for c in cols]
+        flat = {f: [v for c in cols for v in c[f]] for f in raw_names}
+        try:  # a template reading a column past raw_names fails the lookup
+            level.dec.emission_matrix(
+                {f"f{i}": [] for i in range(len(raw_names))}, 0)
+        except KeyError as missing:
+            try:
+                level.emissions(flat, lens)
+            except KeyError as exc:
+                assert exc.args == missing.args
+            else:
+                raise AssertionError("missing raw column did not raise")
+            continue
+        want = (np.concatenate([level.dec.emission_matrix(c, n)
+                                for c, n in zip(raw, lens)])
+                if lens else np.zeros((0, level.dec.L)))
+        _assert_bitwise_equal(level.emissions(flat, lens), want)

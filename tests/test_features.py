@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datacat_ray.functions.textkit import tokenize_whitespace
-from datacat_ray.stages.crf import CRFDecoder, expand_templates
+from datacat_ray.stages.crf import VOCAB, CRFDecoder, expand_templates
 from datacat_ray.stages.lexical_features import (
     ENTRY_FIELD_NAMES,
-    entry_runs_columns,
+    entry_codes,
     featurize_entry_tokens,
 )
 from datacat_ray.stages.line_features import (
@@ -187,9 +187,19 @@ def _columns_of(rows, fields):
     return {f: [r[f] for r in rows] for f in fields}
 
 
+def _runs_columns(tokens, runs, fields):
+    """``entry_codes`` of one document's entry runs as values: (columns,
+    absolute token indices, the position where each run's tokens
+    start)."""
+    codes, idx, lens = entry_codes([tokens], [runs], fields)
+    starts = np.cumsum(lens) - lens
+    return ({f: VOCAB.decode(f, codes[f]) for f in fields}, idx.tolist(),
+            starts.tolist())
+
+
 def _span_columns(tokens, start, end, fields):
-    """``entry_runs_columns`` of one entry span: (columns, indices)."""
-    return entry_runs_columns(tokens, [(start, end)], fields)[:2]
+    """``entry_codes`` of one entry span: (columns, indices)."""
+    return _runs_columns(tokens, [(start, end)], fields)[:2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -386,7 +396,7 @@ def test_emission_matrix_from_columns_equals_row_dicts(tmp_path):
 
 
 def test_one_lexical_pass_per_document_equals_per_run_calls():
-    """The stage's lexical pass — ``entry_runs_columns`` over every entry
+    """The stage's lexical pass — ``entry_codes`` over every entry
     run of a document, then ONE emission lookup — equals a
     ``featurize_entry_tokens`` call plus an emission lookup per run: on
     the fixture docs, a doc with no entry run, and runs that straddle a
@@ -401,7 +411,7 @@ def test_one_lexical_pass_per_document_equals_per_run_calls():
         in_body = {t for a, b in body for t in range(a, b)}
         whole = [(0, len(tokens))]
         for runs in (spans, [], spans[::2] + whole + spans[1::2]):
-            cols, idx, starts = entry_runs_columns(tokens, runs, lex.fields)
+            cols, idx, starts = _runs_columns(tokens, runs, lex.fields)
             assert list(cols) == list(lex.fields) and len(starts) == len(runs)
             em = lex.emission_matrix(cols, len(idx))
             for (start, end), a, b in zip(runs, starts,
@@ -414,3 +424,28 @@ def test_one_lexical_pass_per_document_equals_per_run_calls():
                     want, len(rows))), name
                 straddled += any(t not in in_body for t in run_idx)
     assert straddled > 0
+
+
+def test_vocab_bound_resets_with_the_token_vocabulary(monkeypatch):
+    """``VOCAB.bound`` resets the value dictionaries once they or the
+    watched token vocabulary are full, and only then; the token
+    vocabulary empties itself at the next lookup after a reset."""
+    from datacat_ray.stages import crf, token_features
+    from datacat_ray.stages.token_features import TOKENS
+
+    VOCAB.reset()
+    TOKENS.ids(["a", "b"])
+    monkeypatch.setattr(token_features, "_STATIC_CACHE_MAX", 3)
+    monkeypatch.setattr(crf, "_VOCAB_MAX", 2)
+    gen = VOCAB.gen
+    VOCAB.code("f", "x")
+    VOCAB.bound()
+    assert VOCAB.gen == gen  # neither is full
+    TOKENS.ids(["c"])
+    VOCAB.bound()
+    assert VOCAB.gen == gen + 1 and VOCAB.size == 0  # 3 tokens
+    assert TOKENS.ids(["c"]).tolist() == [0] and TOKENS.strs == ["c"]
+    VOCAB.code("f", "x")
+    VOCAB.code("f", "y")
+    VOCAB.bound()
+    assert VOCAB.gen == gen + 2  # 2 codes

@@ -16,12 +16,58 @@ from datacat_ray.stages.tokenizer import tokenize_document
 
 
 def _poison_when(fn, marker: str, msg: str):
-    """``fn`` that raises RuntimeError(msg) on documents holding ``marker``."""
+    """``fn`` (a batch kernel over per-document token lists) that raises
+    RuntimeError(msg) on a batch with a document holding ``marker``."""
     def wrapped(tokens, *args):
-        if marker in tokens:
+        if any(marker in toks for toks in tokens):
             raise RuntimeError(msg)
         return fn(tokens, *args)
     return wrapped
+
+
+def _poisoned_stage(monkeypatch):
+    """A stage whose batch-level phases raise on marked documents: body
+    encode (POISONBODY), lexical encode (POISONLEX), the emission gather
+    (a line starting with POISONGATHER), and a segmenter column missing
+    from the line features (POISONKEY)."""
+    from datacat_ray.stages.crf import VOCAB
+
+    monkeypatch.setattr(extract, "body_codes", _poison_when(
+        extract.body_codes, "POISONBODY", "poisoned body"))
+    monkeypatch.setattr(extract, "entry_codes", _poison_when(
+        extract.entry_codes, "POISONLEX", "poisoned lexical"))
+    line_columns = extract.line_columns
+
+    def keyless_lines(lines, fields):
+        # drops a column the segmenter templates read: the emission-key
+        # lookup of this one document raises
+        cols = line_columns(lines, fields)
+        if any("POISONKEY" in t for t in lines.text):
+            del cols["lowercase"]
+        return cols
+
+    monkeypatch.setattr(extract, "line_columns", keyless_lines)
+    gather = extract._Level.gather
+
+    def poisoned_gather(self, codes, lens):
+        marker = VOCAB.index.get("lowercase", {}).get("poisongather")
+        if "lowercase" in codes and marker in codes["lowercase"]:
+            raise RuntimeError("poisoned gather")
+        return gather(self, codes, lens)
+
+    monkeypatch.setattr(extract._Level, "gather", poisoned_gather)
+    return FusedExtractStage(max_tokens=1000)
+
+
+def _pages(rows) -> pa.Table:
+    ts = datetime.datetime(2024, 1, 1)
+    return pa.Table.from_pydict(
+        {"url": [f"u{i}" for i in range(len(rows))],
+         "warc_ts": [ts] * len(rows),
+         "html": [h for h, _ in rows], "text": [t for _, t in rows],
+         "lang": ["fr"] * len(rows)},
+        schema=PAGES_SCHEMA,
+    )
 
 
 def test_poison_rows_cost_only_themselves(monkeypatch):
@@ -44,34 +90,10 @@ def test_poison_rows_cost_only_themselves(monkeypatch):
         (page("POISONLEX"), None),
         (page("POISONKEY"), None),
         (page(n=8), None),
+        (page().replace(b"<body>", b"<body><p>POISONGATHER</p>"), None),
     ]
-    ts = datetime.datetime(2024, 1, 1)
-    batch = pa.Table.from_pydict(
-        {"url": [f"u{i}" for i in range(len(rows))],
-         "warc_ts": [ts] * len(rows),
-         "html": [h for h, _ in rows], "text": [t for _, t in rows],
-         "lang": ["fr"] * len(rows)},
-        schema=PAGES_SCHEMA,
-    )
-
-    # the column featurizers the stage calls, one per cascade phase
-    monkeypatch.setattr(extract, "body_token_columns", _poison_when(
-        extract.body_token_columns, "POISONBODY", "poisoned body"))
-    monkeypatch.setattr(extract, "entry_runs_columns", _poison_when(
-        extract.entry_runs_columns, "POISONLEX", "poisoned lexical"))
-    line_columns = extract.line_columns
-
-    def keyless_lines(lines, fields):
-        # drops a column the segmenter templates read: the emission-key
-        # lookup of this one document raises
-        cols = line_columns(lines, fields)
-        if any("POISONKEY" in t for t in lines.text):
-            del cols["lowercase"]
-        return cols
-
-    monkeypatch.setattr(extract, "line_columns", keyless_lines)
-
-    st = FusedExtractStage(max_tokens=1000)
+    batch = _pages(rows)
+    st = _poisoned_stage(monkeypatch)
     got = st(batch)
     assert got.schema == RESULT_SCHEMA
     errors = {i: r["error"] for i, r in enumerate(got.to_pylist())
@@ -81,6 +103,7 @@ def test_poison_rows_cost_only_themselves(monkeypatch):
         4: "RuntimeError: poisoned body",
         6: "RuntimeError: poisoned lexical",
         7: "KeyError: 'lowercase'",
+        9: "RuntimeError: poisoned gather",
     }
     for i, row in enumerate(got.to_pylist()):
         alone = FusedExtractStage(max_tokens=1000)(batch.slice(i, 1))
@@ -93,12 +116,27 @@ def test_poison_rows_cost_only_themselves(monkeypatch):
     assert empty.num_rows == 0 and empty.schema == RESULT_SCHEMA
 
 
-def test_trained_artifacts_batch_equals_one_row_runs(tmp_path):
-    """Trained artifacts (``model_paths``) decode raw ``f0..fN`` columns
-    (renamed named columns) in the batch path as in a one-row run."""
+def test_all_poison_batch_returns_one_error_row_per_input(monkeypatch):
+    rng = random.Random(12)
+
+    def page(extra: str) -> bytes:
+        html, _ = make_catalogue_html(rng, n_entries=4)
+        return html.replace("</body>", f"<p>{extra}</p></body>").encode()
+
+    rows = [(page(m), None) for m in ("POISONBODY", "POISONLEX", "POISONKEY",
+                                      "POISONBODY POISONLEX")]
+    got = _poisoned_stage(monkeypatch)(_pages(rows)).to_pylist()
+    assert [r["url"] for r in got] == [f"u{i}" for i in range(len(rows))]
+    assert [r["error"] for r in got] == [
+        "RuntimeError: poisoned body", "RuntimeError: poisoned lexical",
+        "KeyError: 'lowercase'", "RuntimeError: poisoned body"]
+    assert all(r["tei"] == "" and r["lexical"] == [] for r in got)
+
+
+def _artifacts(tmp_path) -> dict:
+    """Raw-field segmenter and body artifacts (``model_paths``)."""
     import json
 
-    from datacat_ray.fixtures import make_pages_table
     from datacat_ray.stages.models import BODY_LABELS, SEG_LABELS
 
     def artifact(name, labels, n_fields, template, weights):
@@ -116,10 +154,57 @@ def test_trained_artifacts_batch_equals_one_row_runs(tmp_path):
         for b in range(12)})
     body = artifact("body", BODY_LABELS, 24, "U00:%x[0,18]\nU01:%x[-1,18]\n", {
         "U00:ALLDIGIT": {"I-<entry>": 3.0}, "U01:ALLDIGIT": {"<entry>": 1.0}})
-    st = FusedExtractStage(model_paths={"segmenter": seg, "body": body})
+    return {"segmenter": seg, "body": body}
+
+
+def test_trained_artifacts_batch_equals_one_row_runs(tmp_path):
+    """Trained artifacts (``model_paths``) decode raw ``f0..fN`` columns
+    (renamed named columns) in the batch path as in a one-row run."""
+    from datacat_ray.fixtures import make_pages_table
+
+    st = FusedExtractStage(model_paths=_artifacts(tmp_path))
     assert st._seg.raw is not None and st._body.raw is not None
     batch = make_pages_table(12, 5)
     got = st(batch).to_pylist()
     assert any(r["entries"] for r in got) and any(r["lexical"] for r in got)
     for i, row in enumerate(got):
         assert row == st(batch.slice(i, 1)).to_pylist()[0], i
+
+
+def test_output_does_not_depend_on_batch_composition(monkeypatch, tmp_path):
+    """Shuffled fixture pages in random batch sizes (1..40), with the
+    vocabulary caps, the table cap or both so small that they reset
+    between batches: every row equals the one-document run of its page
+    (computed before, under the default caps), on all 13 columns, with
+    the frozen models and with trained raw-field artifacts."""
+    from datacat_ray.fixtures import make_pages_table
+    from datacat_ray.stages import crf, token_features
+
+    pages = make_pages_table(60, 9)
+    resets = []
+    for model_paths in (None, _artifacts(tmp_path)):
+        alone = [FusedExtractStage(model_paths=model_paths)(
+            pages.slice(i, 1)).to_pylist()[0] for i in range(pages.num_rows)]
+        assert any(r["lexical"] for r in alone)
+        gen = crf.VOCAB.gen
+        for seed, (vocab, tables) in enumerate(
+                [(True, False), (False, True), (True, True)]):
+            with monkeypatch.context() as m:
+                if vocab:
+                    m.setattr(crf, "_VOCAB_MAX", 40)
+                    m.setattr(token_features, "_STATIC_CACHE_MAX", 30)
+                if tables:
+                    m.setattr(crf, "_EMISSION_CACHE_MAX", 20)
+                rng = random.Random(seed)
+                order = list(range(pages.num_rows))
+                rng.shuffle(order)
+                st = FusedExtractStage(model_paths=model_paths)
+                at = 0
+                while at < len(order):
+                    rows = order[at:at + rng.randint(1, 40)]
+                    at += len(rows)
+                    got = st(pages.take(rows)).to_pylist()
+                    for i, row in zip(rows, got):
+                        assert row == alone[i], (seed, i)
+        resets.append(crf.VOCAB.gen - gen)
+    assert min(resets) >= 6, resets

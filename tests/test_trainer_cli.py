@@ -101,19 +101,19 @@ def test_train_crf_estimator_on_export(exported_corpus, crf_artifact):
 
 
 def test_raw_field_conversion_matches_serialization():
-    """The deploy-time feature conversion (named columns renamed to the
-    raw ``f{i}`` columns, ``raw_columns``) must produce exactly the values
-    training read back from the raw files — i.e. the canonical
-    serialization split into columns — for the line and the body-token
-    fields."""
+    """The deploy-time feature conversion (a raw ``f{i}`` column reads the
+    codes of the i-th named column, whose feature strings are the values'
+    ``str``) must produce exactly the values training read back from the
+    raw files — i.e. the canonical serialization split into columns — for
+    the line and the body-token fields."""
     import random
 
     from datacat_ray.fixtures import make_catalogue_html
     from datacat_ray.pipelines.extract import (
         _BODY_FIELD_NAMES,
         _LINE_FIELD_NAMES,
-        raw_columns,
     )
+    from datacat_ray.stages.crf import VOCAB
     from datacat_ray.stages.dom import parse_main_blocks
     from datacat_ray.stages.line_features import (
         featurize_lines,
@@ -139,7 +139,9 @@ def test_raw_field_conversion_matches_serialization():
          featurize_body_tokens(tokens, token_line, lines, body)[0],
          serialize_token_features),
     ):
-        raw = raw_columns(cols, {f"f{i}": n for i, n in enumerate(names)})
+        raw = {f"f{i}": [VOCAB.strings(n)[c]
+                         for c in VOCAB.codes(n, cols[n]).tolist()]
+               for i, n in enumerate(names)}
         assert feats and len(raw) == len(names)
         for t, d in enumerate(feats):
             want = serialize(d).split(" ")
