@@ -4,8 +4,9 @@ The reference loads ``resources/config/grobid-datacat.yaml`` into a
 ``DatacatConfiguration`` bean (``DatacatConfiguration.java:23-36``,
 ``GrobidDatacatMain.java:56-77``). Here a plain dataclass, loadable from a
 JSON/YAML-subset dict, carries the Ray knobs of the one fused extraction
-stage (batch size, task vs actor-pool execution, pool width, CPUs per
-worker) and the document guard rails.
+stage (batch size, CPUs per task) and the document guard rails. The stage
+runs as plain Ray tasks with a per-worker-process decoder cache
+(``pipelines/extract._fused_task``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 @dataclass
 class StageConfig:
     batch_size: int = 64
-    concurrency: int | tuple[int, int] | None = None
     num_cpus: float = 1.0
 
 
@@ -72,21 +72,11 @@ class PipelineConfig:
     # reference-style ``models:`` spec list ({name, engine, wapiti:{...}});
     # engines outside SUPPORTED_ENGINES are rejected at load
     models: list = field(default_factory=list)
-    # fused extraction stage knobs.
-    # "tasks": the stage runs as plain Ray tasks with a per-worker-process
-    # decoder cache (instant scheduling onto every free core). "actors":
-    # it runs in an autoscaling actor pool — use when per-actor state is
-    # expensive to build (heavyweight model weights).
-    execution: str = "tasks"
-    # batch_size is also the lockstep CRF decode width; the pool minimum
-    # stays at 1 so it never reserves every core of a small session, the
-    # max lets it scale out on big nodes
+    # fused extraction stage knobs; batch_size is also the lockstep CRF
+    # decode width
     segmenter: StageConfig = field(
-        default_factory=lambda: StageConfig(batch_size=128, concurrency=(1, 24))
+        default_factory=lambda: StageConfig(batch_size=128)
     )
-    # output
-    output_partitions: int = 0  # 0 = leave to Ray
-    lang_fallback: str = "fr"
     # shared scratch root for the disk-spilling ops (MinHash sig cache, LP
     # edge spill, Jaccard candidate spill, winner parquet, IVF index).
     # Empty = resolve via DATACAT_SCRATCH then tempdir; on a >1-node

@@ -14,12 +14,14 @@ documented per operator.
 - SimHash near-dup: token 3-grams → 64-bit simhash → 4×16-bit band blocking
   → Hamming-verified pairs
 - n-gram Jaccard: MinHash candidates verified with EXACT shingle Jaccard
-  (texts broadcast via ``ray.put`` — valid while the candidate side is
-  small; the 100 TB path swaps the broadcast for a bucketed join on doc_id)
+  (texts broadcast via ``ray.put`` up to ``_CAND_BROADCAST_MAX`` candidate
+  pairs; past it, a hash join on doc_id)
 - embedding near-dup: random-hyperplane LSH buckets → in-bucket cosine
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -165,7 +167,7 @@ def _bloom_of(ds, probe_ref=None, m_bits: int | None = None) -> "np.ndarray":
     tree of fold stages sized so each fold task holds ≤256 MB of partials
     and the driver sees a handful of rows even at 10^8 source batches.
     With ``probe_ref``, only rows that HIT that filter contribute (used to
-    build the new-side candidate bloom in join mode)."""
+    build the new-side candidate bloom of the join verify)."""
     from datacat_ray.functions.bloom import (
         BLOOM_BITS,
         bloom_add,
@@ -210,7 +212,6 @@ def _bloom_of(ds, probe_ref=None, m_bits: int | None = None) -> "np.ndarray":
 def incremental_dedup(
     sf_dir: str,
     snapshot_docs: int = INCR_SNAPSHOT_DOCS,
-    method: str = "auto",
 ) -> "ray.data.Dataset":
     """doc_ids of NEW documents (doc_id >= ``snapshot_docs``) whose text
     does not already appear in the ingested snapshot (doc_id <
@@ -233,22 +234,17 @@ def incremental_dedup(
     anti-join — the classic exact shape at that scale — rather than
     paying for a no-op prune.
 
-    ``method="broadcast"``: the verify fetches the matching snapshot
-    TEXTS via a membership-filtered second snapshot pass and broadcasts
-    them (O(candidates) driver memory, capped BOTH on candidate count
-    (``_BLOOM_CAND_MAX``) and on text BYTES (``_BLOOM_TEXT_BYTES_MAX`` —
-    a few huge duplicate documents must not OOM the driver) →
-    ``BroadcastIdSetTooLarge``). ``method="join"`` (the regime where
-    candidates are corpus-proportional): both sides' bloom-positive rows
-    shuffle ONCE on an int bucket of the text hash and each bucket runs a
-    vectorized ``pc.is_in`` anti-join — nothing candidate-proportional
-    ever sits on the driver; the snapshot side is pruned by a SECOND
-    bloom built over the new side's positives before the exchange.
-    ``"auto"`` tries broadcast and falls back to join at either cap,
-    pinned equal in tests (test_bloom). When the prefilter is skipped
-    (saturated), explicit ``method="broadcast"`` raises
-    ``BroadcastIdSetTooLarge`` — same contract as the caps — while
-    ``"auto"`` routes to the join.
+    Verify: the matching snapshot TEXTS are fetched by a
+    membership-filtered second snapshot pass and broadcast (O(candidates)
+    driver memory), capped BOTH on candidate count (``_BLOOM_CAND_MAX``)
+    and on text BYTES (``_BLOOM_TEXT_BYTES_MAX`` — a few huge duplicate
+    documents must not OOM the driver). Past either cap, or with the
+    prefilter skipped, the verify is a join instead: both sides'
+    bloom-positive rows shuffle ONCE on an int bucket of the text hash and
+    each bucket runs a vectorized ``pc.is_in`` anti-join — nothing
+    candidate-proportional ever sits on the driver; the snapshot side is
+    pruned by a SECOND bloom built over the new side's positives before
+    the exchange. Both verifies are pinned equal in tests (test_bloom).
 
     Operational note: this standalone form reads the snapshot's text
     twice (bloom build + text fetch) plus one NARROW doc_id-column count
@@ -357,18 +353,7 @@ def incremental_dedup(
 
         return new.map_batches(_clean, batch_format="pyarrow").union(shuffled)
 
-    if method == "broadcast" and not use_bloom:
-        # with the prefilter skipped (saturated) every new row is a
-        # "candidate" — a corpus-sized broadcast, exactly what the caps
-        # exist to prevent. Mirror the cap behavior: explicit broadcast
-        # raises (the caller chose it for its resource shape and must
-        # hear that it is unavailable), auto falls through to the join.
-        raise BroadcastIdSetTooLarge(
-            "bloom prefilter is saturated at this snapshot size "
-            f"(n={n_snap}); method='broadcast' would broadcast the whole "
-            "snapshot. Use method='join' or 'auto'."
-        )
-    if method == "join" or not use_bloom:
+    if not use_bloom:
         return _join_verify()
 
     # phase 2: new side probes the filter; DISTINCT positive hashes out
@@ -380,19 +365,14 @@ def incremental_dedup(
         )
 
     cand: set[int] = set()
-    try:
-        for b in new.map_batches(_cand, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow"
-        ):
-            cand.update(b["h"].to_pylist())
-            if len(cand) > _BLOOM_CAND_MAX:
-                raise BroadcastIdSetTooLarge(
-                    f"bloom candidate set exceeded {_BLOOM_CAND_MAX}"
-                )
-    except BroadcastIdSetTooLarge:
-        if method == "auto":
-            return _join_verify()
-        raise
+    for b in new.map_batches(_cand, batch_format="pyarrow").iter_batches(
+        batch_format="pyarrow"
+    ):
+        cand.update(b["h"].to_pylist())
+        if len(cand) > _BLOOM_CAND_MAX:
+            break
+    if len(cand) > _BLOOM_CAND_MAX:
+        return _join_verify()
     cand_sorted = np.sort(
         np.fromiter(cand, dtype=np.int64, count=len(cand)).view(np.uint64)
     )
@@ -415,21 +395,15 @@ def incremental_dedup(
     # BYTES too (a few huge duplicate documents must not OOM the driver)
     texts: list[str] = []
     nbytes = 0
-    try:
-        for b in _snap().map_batches(
-            _snap_texts, batch_format="pyarrow"
-        ).iter_batches(batch_format="pyarrow"):
-            nbytes += b["text"].nbytes
-            if nbytes > _BLOOM_TEXT_BYTES_MAX:
-                raise BroadcastIdSetTooLarge(
-                    f"candidate text broadcast exceeded "
-                    f"{_BLOOM_TEXT_BYTES_MAX} bytes"
-                )
-            texts.extend(b["text"].to_pylist())
-    except BroadcastIdSetTooLarge:
-        if method == "auto":
-            return _join_verify()
-        raise
+    for b in _snap().map_batches(
+        _snap_texts, batch_format="pyarrow"
+    ).iter_batches(batch_format="pyarrow"):
+        nbytes += b["text"].nbytes
+        if nbytes > _BLOOM_TEXT_BYTES_MAX:
+            break
+        texts.extend(b["text"].to_pylist())
+    if nbytes > _BLOOM_TEXT_BYTES_MAX:
+        return _join_verify()
     texts_ref = ray.put(frozenset(texts))
 
     def _final(t: pa.Table) -> pa.Table:
@@ -654,7 +628,7 @@ class BroadcastIdSetTooLarge(RuntimeError):
     callers fall back to the join verify path."""
 
 
-# distinct ids allowed on the driver in broadcast-verify mode. The pair
+# distinct ids allowed on the driver by the broadcast verify. The pair
 # count alone is a bad proxy (a star-shaped pair list has ~n_pairs ids; a
 # matching-shaped one has 2×), so the accumulation itself is capped too.
 _CAND_ID_BROADCAST_MAX = 4_000_000
@@ -666,19 +640,22 @@ def _fetch_candidate_values(
     source_ds: "ray.data.Dataset",
     id_col: str,
     val_col: str,
-    max_ids: int = _CAND_ID_BROADCAST_MAX,
+    max_ids: int | None = None,
 ):
     """Shared verify-phase fetch: membership-filter ``source_ds`` down to
     the ids appearing in the candidate pairs (ONE streaming pass — never a
     full driver-side read) and broadcast the {id: value} map via
     ``ray.put``. Driver memory is O(candidate ids), enforced: the id-set
-    accumulation raises ``BroadcastIdSetTooLarge`` past ``max_ids`` so the
-    caller switches to its join path (the bound is on IDS, not pairs — the
+    accumulation raises ``BroadcastIdSetTooLarge`` past ``max_ids``
+    (default ``_CAND_ID_BROADCAST_MAX``, read at call time) so the caller
+    switches to its join path (the bound is on IDS, not pairs — the
     quantity that actually sits on the driver). Consumers read the
     returned ref through ``bucketed.cached_ref`` (one deserialization per
     worker, not per batch)."""
     from datacat_ray.stages.bucketed import cached_ref
 
+    if max_ids is None:
+        max_ids = _CAND_ID_BROADCAST_MAX
     wanted: set = set()
     for b in cands.iter_batches(batch_format="pyarrow"):
         for c in id_cols:
@@ -767,7 +744,7 @@ def minhash_sigs_parquet(sf_dir: str, sig_dir: str | None = None) -> str:
 
 
 def minhash_candidate_pairs(
-    sf_dir: str, threshold: float = 0.7, method: str = "auto"
+    sf_dir: str, threshold: float = 0.7
 ) -> "ray.data.Dataset":
     """Near-duplicate pairs by MinHash-LSH — two-phase scale shape:
 
@@ -783,13 +760,13 @@ def minhash_candidate_pairs(
     (``minhash_sigs_parquet``) and READ by the band explode and each
     verify side — nothing sig-sized is ever pinned in the object store.
 
-    Verify method: ``"broadcast"`` fetches ONLY the candidate docs'
-    signatures (one streaming membership filter over the sig table, then
-    ``ray.put``) — driver memory is O(candidate IDS), enforced by the
-    accumulation cap in ``_fetch_candidate_values`` (overflow falls back
-    to join mid-stream); ``"join"`` joins the sig table once per pair side
-    — the path when the candidate set itself exceeds driver memory.
-    ``"auto"`` picks by candidate count."""
+    Verify, picked by size: up to ``_CAND_BROADCAST_MAX`` candidate pairs
+    it fetches ONLY the candidate docs' signatures (one streaming
+    membership filter over the sig table, then ``ray.put``) — driver
+    memory is O(candidate IDS), enforced by the accumulation cap in
+    ``_fetch_candidate_values`` (overflow falls back to the join
+    mid-stream); past it, it joins the sig table once per pair side — the
+    path when the candidate set itself exceeds driver memory."""
     from ray.data.aggregate import Count
 
     sig_path = minhash_sigs_parquet(sf_dir)
@@ -803,8 +780,6 @@ def minhash_candidate_pairs(
         .select_columns(["doc_a", "doc_b"])
         .materialize()  # tiny (one row per candidate pair); reused below
     )
-    if method == "auto":
-        method = "join" if cands.count() > _CAND_BROADCAST_MAX else "broadcast"
 
     def _join_verify() -> "ray.data.Dataset":
         # joins reserve one aggregator actor per partition: size to CPUs/2
@@ -825,7 +800,7 @@ def minhash_candidate_pairs(
             lambda t: _est_jaccard_batch(t, threshold), batch_format="pyarrow"
         )
 
-    if method == "join":
+    if cands.count() > _CAND_BROADCAST_MAX:
         return _join_verify()
 
     # broadcast: one streaming pass filters the sig table down to candidate
@@ -1232,7 +1207,7 @@ def neardup_clusters_sql(threshold: float = 0.7) -> str:
     no edge stay their own singleton via the LEFT JOIN. Exactly
     ``neardup_clusters``' contract (cluster_id = min doc_id in the
     component), so both the driver union-find and the distributed
-    label-propagation modes are pinned against plain ANSI SQL. The closure
+    label-propagation paths are pinned against plain ANSI SQL. The closure
     is O(component² ) rows — an ORACLE shape (fine at driver scale), not
     the engine's (Hash-to-Min rounds with O(1) driver state)."""
     pairs = minhash_pairs_sql(threshold)
@@ -1258,7 +1233,6 @@ def neardup_clusters_sql(threshold: float = 0.7) -> str:
 def neardup_clusters(
     sf_dir: str,
     threshold: float = 0.7,
-    mode: str = "auto",
     work_dir: str | None = None,
     resume: bool = False,
 ) -> "ray.data.Dataset":
@@ -1270,24 +1244,24 @@ def neardup_clusters(
 
     The candidate-pair list is ALWAYS spilled straight to ``edges``
     parquet (streaming write, never pinned in the object store — pairs are
-    corpus-proportional in exactly the regime distributed mode exists
-    for); the mode-picking count comes from parquet metadata and both
-    branches read the spilled files, so the pair pipeline runs once.
+    corpus-proportional in exactly the regime the distributed path exists
+    for); the path-picking count comes from parquet metadata and both
+    paths read the spilled files, so the pair pipeline runs once.
 
-    ``mode="driver"``: union-find over streamed edge batches + broadcast
-    root map -- O(pairs) driver memory, right while pairs are much smaller
-    than the corpus. ``mode="distributed"``: components via
-    ``label_propagation_parquet`` (O(1) driver state),
-    assignment via a map-only pass reading the converged label buckets
-    through a per-worker LRU -- the 10^12-doc path, pinned equal to the
-    driver path in tests (test_neardup_lp). ``"auto"`` switches on the
-    pair count (``_UF_MAX_PAIRS``). ``resume=True`` keeps the existing
-    ``work_dir`` checkpoints (edge list + ``_ROUND_OK`` rounds) so a
-    crashed distributed run continues instead of restarting — but ONLY
-    with an explicit ``work_dir``: the default dir is keyed by THIS
-    process's pid, so a crash-restarted process resolves a fresh dir and
-    can never find the old checkpoints (a warning is emitted for that
-    combination). The default (``resume=False``) clears checkpoints
+    Picked by the pair count: up to ``_UF_MAX_PAIRS`` pairs, union-find
+    over streamed edge batches + broadcast root map on the driver --
+    O(pairs) driver memory, right while pairs are much smaller than the
+    corpus. Past it, components via ``label_propagation_parquet`` (O(1)
+    driver state), assignment via a map-only pass reading the converged
+    label buckets through a per-worker LRU -- the 10^12-doc path, pinned
+    equal to the driver path in tests (test_neardup_lp).
+
+    ``resume=True`` keeps the existing ``work_dir`` checkpoints (edge list
+    + ``_ROUND_OK`` rounds) so a crashed distributed run continues
+    instead of restarting — but ONLY with an explicit ``work_dir``: the
+    default dir is keyed by THIS process's pid, so a crash-restarted
+    process resolves a fresh dir and can never find the old checkpoints
+    (a warning is emitted for that combination). The default (``resume=False``) clears checkpoints
     through the content-guarded ``clear_cache_dir``, never a blind rmtree
     of a caller path.
 
@@ -1306,8 +1280,8 @@ def neardup_clusters(
 
     # spill the edge list straight to parquet (streaming write — the pair
     # list is corpus-proportional in the regime that matters, so it is
-    # never pinned in the object store); the count that picks the mode
-    # comes from parquet METADATA, and both branches read the spilled
+    # never pinned in the object store); the count that picks the path
+    # comes from parquet METADATA, and both paths read the spilled
     # files, so the pair pipeline executes exactly once
     if work_dir is None:
         # per-PROCESS scratch: keyed by pid as well as the inputs, so two
@@ -1369,14 +1343,11 @@ def neardup_clusters(
         if _has_edges()
         else 0
     )
-    if mode == "auto":
-        mode = "distributed" if n_pairs > _UF_MAX_PAIRS else "driver"
-
     docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"]
     )
 
-    if mode == "distributed":
+    if n_pairs > _UF_MAX_PAIRS:
         lab_dir = label_propagation_parquet(edges_path, work_dir)
 
         def _assign_lp(t: pa.Table) -> pa.Table:
@@ -1794,25 +1765,24 @@ def ngram_jaccard_sql(threshold: float = 0.6, k: int = SHINGLE_K) -> str:
 
 
 def ngram_jaccard_pairs(
-    sf_dir: str, threshold: float = 0.6, method: str = "auto"
+    sf_dir: str, threshold: float = 0.6
 ) -> "ray.data.Dataset":
     """MinHash-LSH candidates re-verified with EXACT shingle Jaccard.
 
-    ``method="broadcast"``: ONLY the candidate docs' texts are fetched
-    (streaming membership filter over the documents table — never a full
-    driver-side read) and shipped once via ``ray.put``; driver memory is
-    O(candidates). ``method="join"`` (the 10^12-doc path, tested
-    equivalent): candidates hash-join against the documents table on doc_id
-    — twice, once per pair side — so nothing pair-related ever sits on the
-    driver. ``"auto"`` switches to join above ``_CAND_BROADCAST_MAX``
-    candidate pairs.
+    Verify, picked by size: up to ``_CAND_BROADCAST_MAX`` candidate pairs
+    ONLY the candidate docs' texts are fetched (streaming membership
+    filter over the documents table — never a full driver-side read) and
+    shipped once via ``ray.put``; driver memory is O(candidates), with the
+    same id cap and join fallback as ``minhash_candidate_pairs``. Past it
+    (the 10^12-doc path, pinned equal in tests), candidates hash-join
+    against the documents table on doc_id — twice, once per pair side — so
+    nothing pair-related ever sits on the driver.
 
     The candidate list spills to per-process parquet scratch (same pattern
-    as the neardup edge list): it is read three times (mode count, id
+    as the neardup edge list): it is read three times (size count, id
     collect, verify) but is corpus-proportional in exactly the regime the
-    join mode exists for, so pinning it in the object store would double
-    its footprint at scale; the mode-picking count comes from parquet
-    METADATA."""
+    join exists for, so pinning it in the object store would double its
+    footprint at scale; the size count comes from parquet METADATA."""
     import hashlib
     import os
 
@@ -1832,8 +1802,6 @@ def ngram_jaccard_pairs(
     minhash_candidate_pairs(sf_dir, threshold=0.5).write_parquet(spill)
     n_cands = pads.dataset(spill, format="parquet").count_rows()
     cands = ray.data.read_parquet(spill)
-    if method == "auto":
-        method = "join" if n_cands > _CAND_BROADCAST_MAX else "broadcast"
 
     def _join_verify() -> "ray.data.Dataset":
         # partition count sized to the session: each hash-join partition is
@@ -1858,7 +1826,7 @@ def ngram_jaccard_pairs(
             lambda b: _exact_jaccard_batch(b, threshold), batch_format="pyarrow"
         )
 
-    if method == "join":
+    if n_cands > _CAND_BROADCAST_MAX:
         return _join_verify()
 
     # broadcast: membership-filter the documents table down to candidate
@@ -2101,7 +2069,6 @@ def _doc_segments(text: str, w: int = PARA_W) -> list[str]:
 def paragraph_dedup(
     sf_dir: str,
     w: int = PARA_W,
-    mode: str = "join",
     drop_dir: str | None = None,
 ) -> "ray.data.Dataset":
     """Dolma-style paragraph dedup: every segment keeps only its FIRST
@@ -2111,37 +2078,60 @@ def paragraph_dedup(
     duplicate. Newline-delimited corpora would swap ``_doc_segments`` for a
     '\\n' split; the pipeline shape is identical.
 
-    Scale shape (three narrow exchanges, the wide text column never
-    shuffles):
+    Scale shape (two narrow exchanges, the wide text column never crosses
+    any exchange — the same design as the flagship's winner-parquet dedup,
+    stages/dedup.py):
       1. explode to (seg_hash:int64, seg_key:int64) — 16 bytes/segment,
          regardless of segment text width;
       2. one hash shuffle on a bucket of seg_hash; per-bucket vectorized
          min-per-run kernel emits only the DROPPED keys (duplicate volume,
          not corpus volume);
-      3. dropped keys (unioned with one 16-byte sentinel row per doc, so
-         every doc owns exactly one decision row) aggregate to a per-doc
-         id-blob — second narrow shuffle, keyed by doc bucket — and join
-         back to documents (``Dataset.join``; the doc side of that join is
-         the pipeline's one wide exchange, same volume class as D1's
-         dedup shuffle). Rebuild is a document-local re-split.
-    ``mode="prefilter"`` is the 100 TB variant (same design as the
-    flagship's winner-parquet dedup, stages/dedup.py): step 3's decision
-    rows land in doc-bucket-partitioned parquet under ``drop_dir`` and the
-    rebuild is a MAP-ONLY pass over documents that loads its buckets'
-    drop sets through a per-worker LRU — the text column never crosses
-    any exchange. Pinned row-for-row equal to the join path in
-    tests/test_paragraph_dedup.py.
+      3. the dropped keys land in doc-bucket-partitioned parquet under
+         ``drop_dir`` (second narrow shuffle, atomic rename per bucket),
+         and the rebuild is a MAP-ONLY pass over documents that loads its
+         buckets' drop sets through a per-worker LRU
+         (``_drop_bucket_sets``).
+    ``drop_dir`` must be shared storage on a multi-node cluster; it is
+    cleared (content-guarded, ``clear_cache_dir``) before the decision
+    build. Without one, a pid-keyed scratch dir is resolved (the
+    ``ngram_jaccard_pairs`` spill pattern; dead owners' dirs are reaped).
     Dolma itself uses a bloom filter for step 2's membership test; the
     exact min-key exchange here is deterministic (oracle-able) and its
     shuffle volume is bounded by segment count, not text bytes. 64-bit
     segment hashes stand in for segment text equality (collision odds at
     10^12 segments ~ 3e-6 per corpus; step 2 could carry the text for
     exactness at 10x exchange width)."""
-    from datacat_ray.stages.bucketed import add_bucket, sorted_key_bounds
+    import hashlib
+    import os
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    import pyarrow.parquet as pq
+
+    from datacat_ray.scratch import scratch_path
+    from datacat_ray.stages.bucketed import (
+        add_bucket,
+        int_bucket_codes,
+        sorted_key_bounds,
     )
+    from datacat_ray.stages.dedup import (
+        clear_cache_dir,
+        input_fingerprint,
+        reap_stale_scratch,
+    )
+
+    src = f"{sf_dir}/documents.parquet"
+    _is_drop = lambda f: f.startswith(("bucket-", ".tmp.bucket-"))  # noqa: E731
+    if drop_dir is None:
+        reap_stale_scratch("datacat_para_", _is_drop)  # dead owners' leftovers
+        digest = hashlib.sha1(f"{sf_dir}:{w}".encode()).hexdigest()[:12]
+        drop_dir = scratch_path(f"datacat_para_{digest}_{os.getpid()}")
+    if os.path.isdir(drop_dir):
+        # a bucket with zero drops is never written, so an earlier run's
+        # file for it must not survive into this one
+        clear_cache_dir(drop_dir, _is_drop)
+    os.makedirs(drop_dir, exist_ok=True)
+    # the workers' drop-set LRU is keyed on the input's identity too: a
+    # corpus regenerated at the same path must not be served old drops
+    ident = (input_fingerprint(src), w)
 
     def _explode(t: pa.Table) -> pa.Table:
         import polars as pl
@@ -2200,6 +2190,7 @@ def paragraph_dedup(
              "seg_id": pa.array(drop % _SEG_STRIDE)}
         )
 
+    docs = ray.data.read_parquet(src, columns=["doc_id", "text"])
     dropped = (
         docs.map_batches(_explode, batch_format="pyarrow")
         .groupby("__bucket")
@@ -2209,96 +2200,41 @@ def paragraph_dedup(
         )
     )
 
-    if mode == "prefilter":
-        return _paragraph_prefilter(sf_dir, w, dropped, drop_dir)
-
-    def _doc_lists(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(
-            g, sort_keys=[("doc_id", "ascending"), ("seg_id", "ascending")]
+    def _write_bucket(g: pa.Table) -> pa.Table:
+        b = int(g["__bucket"][0].as_py())
+        t = g.drop_columns(["__bucket"]).sort_by(
+            [("doc_id", "ascending"), ("seg_id", "ascending")]
         )
-        d = pc.take(g["doc_id"], order).combine_chunks().to_numpy()
-        s = pc.take(g["seg_id"], order).combine_chunks().to_numpy()
-        if len(d) == 0:
-            return pa.Table.from_pydict(
-                {"doc_id": pa.array([], pa.int64()),
-                 "drop_ids": pa.array([], pa.binary())}
-            )
-        starts = sorted_key_bounds(d)
-        ends = np.append(starts[1:], len(d))
-        # packed little-endian int64 blob, not list<int64>: Arrow's hash
-        # join rejects nested payload columns, a binary column rides free.
-        # seg_id -1 sentinels (sorted first in each run) are excluded.
-        blobs = [
-            s[a:b][s[a:b] >= 0].astype("<i8").tobytes()
-            for a, b in zip(starts, ends)
-        ]
+        tmp = os.path.join(drop_dir, f".tmp.bucket-{b:05d}.parquet")
+        pq.write_table(t, tmp)
+        os.replace(tmp, os.path.join(drop_dir, f"bucket-{b:05d}.parquet"))
         return pa.Table.from_pydict(
-            {"doc_id": pa.array(d[starts]),
-             "drop_ids": pa.array(blobs, type=pa.binary())}
+            {"bucket": pa.array([b], pa.int32()),
+             "n": pa.array([t.num_rows], pa.int64())}
         )
 
-    drop_schema = pa.schema(
-        [("doc_id", pa.int64()), ("drop_ids", pa.binary())]
-    )
-
-    def _pin_schema(t: pa.Table) -> pa.Table:
-        # a dup-free corpus leaves some shuffle partitions EMPTY and their
-        # blocks schema-less; the downstream hash join then can't find its
-        # key column — pin every block to the declared schema
-        if t.num_rows == 0:
-            return drop_schema.empty_table()
-        return t.cast(drop_schema)
-
-    # one sentinel decision row per doc: guarantees every hash-join
-    # partition that holds documents also holds matching decision rows
-    # (a right-side partition with zero blocks is schema-less and crashes
-    # Arrow's join on tiny/dup-free corpora), and turns the join into a
-    # co-partitioned 1:1 merge
-    sentinels = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    ).map_batches(
-        lambda t: pa.Table.from_pydict(
-            {"doc_id": t["doc_id"],
-             "seg_id": pa.array(
-                 np.full(t.num_rows, -1, dtype=np.int64))}
-        ),
-        batch_format="pyarrow",
-    )
-
-    drop_lists = (
-        dropped.union(sentinels)
-        .map_batches(
-            lambda t: add_bucket(t, "doc_id"), batch_format="pyarrow"
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: _doc_lists(g.drop_columns(["__bucket"])),
+    # materialize the decision build before the rebuild pass reads it
+    (
+        dropped.map_batches(
+            lambda t: add_bucket(t, "doc_id", _DROP_BUCKETS),
             batch_format="pyarrow",
         )
-        .map_batches(_pin_schema, batch_format="pyarrow")
-    )
-
-    n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 8)) // 2))
-    # strip pandas schema metadata: the join's schema-dedup hashing chokes
-    # on the unhashable metadata dict (same workaround as add_bucket)
-    docs_clean = docs.map_batches(
-        lambda t: t.replace_schema_metadata(None), batch_format="pyarrow"
-    )
-    quiet_schema_hash_warning()
-    joined = docs_clean.join(drop_lists, "inner", n_parts, on=("doc_id",))
+        .groupby("__bucket")
+        .map_groups(_write_bucket, batch_format="pyarrow")
+    ).count()
 
     def _rebuild(t: pa.Table) -> pa.Table:
+        ids = t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
+        bcodes = int_bucket_codes(ids, _DROP_BUCKETS)
         out_text: list[str | None] = []
         n_segs: list[int] = []
         n_drop: list[int] = []
-        for text, drops in zip(
-            t["text"].to_pylist(), t["drop_ids"].to_pylist()
+        for doc_id, bc, text in zip(
+            ids.tolist(), bcodes.tolist(), t["text"].to_pylist()
         ):
             segs = _doc_segments(text or "", w)
-            dset = (
-                set(np.frombuffer(drops, dtype="<i8").tolist())
-                if drops else set()
-            )
+            dset = _drop_bucket_sets(drop_dir, ident, bc).get(
+                doc_id, frozenset())
             kept = [s for i, s in enumerate(segs) if i not in dset]
             out_text.append(" ".join(kept) if kept else None)
             n_segs.append(len(segs))
@@ -2312,7 +2248,7 @@ def paragraph_dedup(
             }
         )
 
-    return joined.map_batches(_rebuild, batch_format="pyarrow")
+    return docs.map_batches(_rebuild, batch_format="pyarrow")
 
 
 PARAGRAPH_DEDUP_SQL = f"""
@@ -2354,23 +2290,22 @@ PARAGRAPH_DEDUP_SQL = f"""
 
 
 _DROP_BUCKETS = 64
-_DROP_CACHE: dict = {}
+_DROP_CACHE: "OrderedDict[tuple, dict]" = OrderedDict()
 _DROP_CACHE_MAX = 16
 
 
-def _drop_bucket_sets(drop_dir: str, b: int) -> dict[int, set[int]]:
+def _drop_bucket_sets(drop_dir: str, ident: tuple,
+                      b: int) -> dict[int, set[int]]:
     """Per-worker LRU over one decision bucket file: {doc_id: dropped
-    seg_ids}. Bounded memory at any corpus size — a worker holds at most
+    seg_ids}, keyed by ``ident`` (the input fingerprint and segment width
+    of the run that wrote ``drop_dir``) as well as the dir and bucket.
+    Bounded memory at any corpus size — a worker holds at most
     ``_DROP_CACHE_MAX`` × (dropped-segments / buckets) entries; input
     layouts where doc_ids cluster (hash-partitioned output of an upstream
     stage) touch few buckets per batch."""
     import os
-    from collections import OrderedDict
 
-    global _DROP_CACHE
-    if not isinstance(_DROP_CACHE, OrderedDict):
-        _DROP_CACHE = OrderedDict(_DROP_CACHE)
-    key = (drop_dir, b)
+    key = (drop_dir, ident, b)
     d = _DROP_CACHE.get(key)
     if d is not None:
         _DROP_CACHE.move_to_end(key)
@@ -2393,76 +2328,3 @@ def _drop_bucket_sets(drop_dir: str, b: int) -> dict[int, set[int]]:
     while len(_DROP_CACHE) > _DROP_CACHE_MAX:
         _DROP_CACHE.popitem(last=False)
     return d
-
-
-def _paragraph_prefilter(
-    sf_dir: str, w: int, dropped: "ray.data.Dataset", drop_dir: str | None
-) -> "ray.data.Dataset":
-    """The 100 TB rebuild path: decision rows → doc-bucket-partitioned
-    parquet (atomic rename per bucket), then a MAP-ONLY rebuild over the
-    documents table reading drop sets through ``_drop_bucket_sets`` — the
-    text column never crosses an exchange. ``drop_dir`` must be shared
-    storage on a multi-node cluster and fresh per run (same contract as
-    compute_winners_parquet's out_dir)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from datacat_ray.stages.bucketed import add_bucket, int_bucket_codes
-
-    if not drop_dir:
-        raise ValueError("mode='prefilter' requires drop_dir")
-    os.makedirs(drop_dir, exist_ok=True)
-
-    def _write_bucket(g: pa.Table) -> pa.Table:
-        b = int(g["__bucket"][0].as_py())
-        t = g.drop_columns(["__bucket"]).sort_by(
-            [("doc_id", "ascending"), ("seg_id", "ascending")]
-        )
-        tmp = os.path.join(drop_dir, f".tmp.bucket-{b:05d}.parquet")
-        pq.write_table(t, tmp)
-        os.replace(tmp, os.path.join(drop_dir, f"bucket-{b:05d}.parquet"))
-        return pa.Table.from_pydict(
-            {"bucket": pa.array([b], pa.int32()),
-             "n": pa.array([t.num_rows], pa.int64())}
-        )
-
-    # materialize the decision build before the rebuild pass reads it
-    (
-        dropped.map_batches(
-            lambda t: add_bucket(t, "doc_id", _DROP_BUCKETS),
-            batch_format="pyarrow",
-        )
-        .groupby("__bucket")
-        .map_groups(_write_bucket, batch_format="pyarrow")
-    ).count()
-
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-
-    def _rebuild_local(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        bcodes = int_bucket_codes(ids, _DROP_BUCKETS)
-        out_text: list[str | None] = []
-        n_segs: list[int] = []
-        n_drop: list[int] = []
-        for doc_id, bc, text in zip(
-            ids.tolist(), bcodes.tolist(), t["text"].to_pylist()
-        ):
-            segs = _doc_segments(text or "", w)
-            dset = _drop_bucket_sets(drop_dir, bc).get(doc_id, frozenset())
-            kept = [s for i, s in enumerate(segs) if i not in dset]
-            out_text.append(" ".join(kept) if kept else None)
-            n_segs.append(len(segs))
-            n_drop.append(len(dset))
-        return pa.Table.from_pydict(
-            {
-                "doc_id": t["doc_id"],
-                "dedup_text": pa.array(out_text, type=pa.string()),
-                "n_segs": pa.array(n_segs, type=pa.int64()),
-                "n_dropped": pa.array(n_drop, type=pa.int64()),
-            }
-        )
-
-    return docs.map_batches(_rebuild_local, batch_format="pyarrow")

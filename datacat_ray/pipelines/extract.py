@@ -27,6 +27,7 @@ Output schema (one row per url):
 
 from __future__ import annotations
 
+import functools
 from itertools import chain, repeat
 
 import numpy as np
@@ -36,7 +37,7 @@ import ray.data
 
 from datacat_ray.config import PipelineConfig
 from datacat_ray.stages.crf import VOCAB, CRFDecoder, with_begin_prefix
-from datacat_ray.stages.dedup import dedup_latest
+from datacat_ray.stages.dedup import dedup_latest, dedup_latest_prefilter
 from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
 from datacat_ray.stages.lexical_features import entry_codes
 from datacat_ray.stages.line_features import (
@@ -464,17 +465,11 @@ def _fused_task(
     model_paths: tuple = (),
     segment_sentences: bool = False,
 ) -> pa.Table:
-    """Task-mode wrapper around ``FusedExtractStage`` with a per-WORKER-
-    PROCESS stage cache: the decoders compile once per worker (Ray reuses
-    worker processes across tasks), after which every task runs warm.
-
-    Tasks-with-process-cache vs an actor pool is a measured trade: these
-    decoders compile in milliseconds, and plain tasks schedule onto every
-    free core instantly while an autoscaling actor pool ramps from 1 actor
-    (measured 2-6s of pool creation + ramp on a 10s job). An actor pool
-    (``execution="actors"``) is the right choice only when per-actor state
-    is expensive — multi-GB model weights, a remote connection — which is
-    exactly what ``FusedExtractStage.__init__`` models."""
+    """``FusedExtractStage`` as a plain Ray task with a per-WORKER-PROCESS
+    stage cache: the decoders compile once per worker (Ray reuses worker
+    processes across tasks), after which every task runs warm. The
+    decoders compile in milliseconds, so tasks schedule onto every free
+    core at once with no pool to create or ramp."""
     key = (max_tokens, max_blocks, start_page, end_page, tei_coordinates,
            model_paths, segment_sentences)
     st = _TASK_STAGE_CACHE.get(key)
@@ -503,23 +498,6 @@ def build_extract_pipeline(
     cfg = cfg or PipelineConfig()
     if dedup:
         ds = dedup_latest(ds, key="url", ts="warc_ts")
-    if cfg.execution == "actors":
-        return ds.map_batches(
-            FusedExtractStage,
-            fn_constructor_kwargs={
-                "max_tokens": cfg.max_tokens, "max_blocks": cfg.max_blocks,
-                "start_page": cfg.start_page, "end_page": cfg.end_page,
-                "tei_coordinates": cfg.tei_coordinates,
-                "model_paths": cfg.model_paths,
-                "segment_sentences": cfg.segment_sentences,
-            },
-            batch_format="pyarrow",
-            batch_size=cfg.segmenter.batch_size,
-            concurrency=cfg.segmenter.concurrency,
-            num_cpus=cfg.segmenter.num_cpus,
-        )
-    import functools
-
     return ds.map_batches(
         functools.partial(
             _fused_task, max_tokens=cfg.max_tokens, max_blocks=cfg.max_blocks,
@@ -535,24 +513,14 @@ def build_extract_pipeline(
 
 
 def extract_pages(
-    pages_path, cfg: PipelineConfig | None = None, dedup: str = "prefilter"
+    pages_path, cfg: PipelineConfig | None = None
 ) -> "ray.data.Dataset":
-    """read_parquet → cascade. Column pruning happens at the read: only the
-    five input-hint columns leave storage.
-
-    ``dedup``:
-    - ``"prefilter"`` (default): narrow (url, warc_ts) winner pass +
-      broadcast filter — stale captures die at the read, the wide html
-      column never crosses a shuffle (the 10^12-row design; see
-      ``dedup_latest_prefilter`` for the tie caveat + bucketed scale path).
-    - ``"exact"``: groupby-based exact dedup (one wide hash shuffle).
-    - ``"none"``: input already unique per url.
-    """
-    from datacat_ray.stages.dedup import dedup_latest_prefilter
-
-    cols = ["url", "warc_ts", "html", "text", "lang"]
-    if dedup == "prefilter":
-        ds = dedup_latest_prefilter(pages_path, columns=cols)
-        return build_extract_pipeline(ds, cfg, dedup=False)
-    ds = ray.data.read_parquet(pages_path, columns=cols)
-    return build_extract_pipeline(ds, cfg, dedup=(dedup == "exact"))
+    """read_parquet → winner prefilter → cascade. Column pruning happens at
+    the read: only the five input-hint columns leave storage. The narrow
+    (url, warc_ts) winner pass drops stale captures at the read, so the
+    wide html column never crosses a shuffle (see
+    ``dedup_latest_prefilter`` for the tie caveat and the size-picked
+    winner set)."""
+    ds = dedup_latest_prefilter(
+        pages_path, columns=["url", "warc_ts", "html", "text", "lang"])
+    return build_extract_pipeline(ds, cfg, dedup=False)

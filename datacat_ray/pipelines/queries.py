@@ -534,7 +534,7 @@ def build_retired_oracles() -> dict[str, tuple[Callable[[str], Any], str]]:
         "incremental_dedup": (incremental_dedup, INCREMENTAL_DEDUP_SQL),
         # r5: the LSH replay (minhash_pairs_sql) makes even the component
         # op SQL-expressible — a recursive min-label closure pins BOTH
-        # neardup_clusters modes against ANSI SQL
+        # neardup_clusters paths against ANSI SQL
         "neardup_clusters": (
             lambda sf: neardup_clusters(sf, threshold=0.7),
             neardup_clusters_sql(threshold=0.7),

@@ -499,7 +499,7 @@ def ngram_decontaminate(
     hashes, cross the probe — the SQL oracle compares the same strings,
     so there is no collision caveat. At a truly large eval set this flips
     to the bucketed anti-join shape (same pattern as
-    ``incremental_dedup``'s join mode)."""
+    ``incremental_dedup``'s join verify)."""
     import pyarrow.dataset as pads
 
     import ray as _ray

@@ -127,56 +127,19 @@ def _key_hash64(arr: pa.ChunkedArray | pa.Array) -> list[int]:
 def compute_winners(
     path, key: str = "url", ts: str = "warc_ts"
 ) -> dict[int, object]:
-    """Narrow winner pass: read ONLY (key, ts) (parquet column pruning),
-    local vectorized keep-latest per fragment, merge maxima on the driver
-    keyed by the 64-bit key hash.
-
-    Scale note (10^12 rows): the driver-side dict is the bench-scale
-    shortcut; the winner set is what the scale path keeps distributed —
-    hash-bucketed winner parquet + per-bucket dict load in the filter stage
-    (bucket id = hash64(url) % P, same hash as ``_bucket_of``). The
-    shuffle cost is still only (url, ts) — the wide html column never
-    moves either way.
-
-    Fast path: below ``_DRIVER_WINNER_ROWS`` input rows the narrow columns
-    are read and max-reduced on the driver with polars (~50ms/100k rows) —
-    spinning a distributed job for a 2-column read costs ~1s of fixed
-    latency that would dominate small inputs."""
+    """Narrow winner pass on the driver: read ONLY (key, ts) (parquet
+    column pruning) and max-reduce them with polars (~50ms/100k rows),
+    keyed by the 64-bit key hash. ``winner_probe`` calls it up to
+    ``_DRIVER_WINNER_ROWS`` input rows; past that the winner set stays
+    distributed (``compute_winners_parquet``) and never reaches the
+    driver. The wide html column never moves either way."""
+    import polars as pl
     import pyarrow.dataset as pads
 
-    dset = pads.dataset(path, format="parquet")
-    if dset.count_rows() <= _DRIVER_WINNER_ROWS:
-        import polars as pl
-
-        t = dset.to_table(columns=[key, ts])
-        df = pl.from_arrow(t)
-        win = df.group_by(key).agg(pl.col(ts).max())
-        hashes = win[key].hash(seed=20260817).to_list()
-        return dict(zip(hashes, win[ts].to_list()))
-
-    import ray.data as rd
-
-    narrow = rd.read_parquet(path, columns=[key, ts])
-
-    def _local(b: pa.Table) -> pa.Table:
-        b = _dedup_batch(b, key, ts)
-        return pa.Table.from_pydict(
-            {"h": pa.array(_key_hash64(b[key]), type=pa.uint64()), ts: b[ts]}
-        )
-
-    local = narrow.map_batches(_local, batch_format="pyarrow")
-    winners: dict[int, object] = {}
-    for batch in local.iter_batches(batch_format="pyarrow", batch_size=65536):
-        for h, t in zip(batch["h"].to_pylist(), batch[ts].to_pylist()):
-            # null ts never beats a real ts (None > datetime is a TypeError);
-            # an all-null key still gets seeded with None on first sight
-            if h not in winners:
-                winners[h] = t
-            elif t is not None:
-                cur = winners[h]
-                if cur is None or t > cur:
-                    winners[h] = t
-    return winners
+    t = pads.dataset(path, format="parquet").to_table(columns=[key, ts])
+    win = pl.from_arrow(t).group_by(key).agg(pl.col(ts).max())
+    hashes = win[key].hash(seed=20260817).to_list()
+    return dict(zip(hashes, win[ts].to_list()))
 
 
 WINNER_BUCKETS = 64  # winner-parquet partitions; scale to keep each bucket
@@ -391,8 +354,7 @@ def filter_winners(batch: pa.Table, ref, key: str = "url",
     """The rows of ``batch`` holding their key's winning ``ts`` in the
     broadcast winner probe ``ref`` (a ``ray.put`` of ``winners_to_arrays``,
     deserialized once per worker), then keep-latest within the batch —
-    the per-batch filter of the driver-mode ``dedup_latest_prefilter``
-    and of every ``run_extract_job`` partition."""
+    the driver-side probe of ``apply_winners``."""
     wh, wts = _cached_get(ref)
     hashes = np.array(_key_hash64(batch[key]), dtype=np.uint64)
     mask = winner_mask(hashes, _ts_np(batch[ts]), wh, wts)
@@ -400,7 +362,7 @@ def filter_winners(batch: pa.Table, ref, key: str = "url",
 
 
 class BucketWinnerFilter:
-    """Actor-pool filter stage: keeps an LRU of per-bucket winner dicts so
+    """Bucketed winner filter: keeps an LRU of per-bucket winner dicts so
     each worker holds at most ``max_cached`` × (cardinality / n_buckets)
     entries — bounded memory at any key cardinality. Input layouts where
     captures of a url cluster (Common-Crawl segment files) touch few
@@ -465,67 +427,89 @@ class BucketWinnerFilter:
         )
 
 
+_BWF_CACHE: dict[tuple, BucketWinnerFilter] = {}
+
+
+def _bucket_filter_for(winner_dir: str, key: str, ts: str):
+    """Per-worker BucketWinnerFilter cache, keyed by the winner set's OWN
+    fingerprint (from its success marker) as well as the dir — a rebuild of
+    the winner set at the same path (input regenerated mid-session) must
+    not keep serving a filter whose bucket LRU holds the old winners."""
+    try:
+        with open(os.path.join(winner_dir, "_WINNERS_OK")) as fh:
+            fp = fh.read().strip()
+    except FileNotFoundError:
+        fp = ""
+    ck = (winner_dir, fp, key, ts)
+    f = _BWF_CACHE.get(ck)
+    if f is None:
+        _BWF_CACHE.clear()
+        f = _BWF_CACHE[ck] = BucketWinnerFilter(winner_dir, key, ts)
+    return f
+
+
+def winner_probe(
+    path, winner_dir: str | None = None, key: str = "url", ts: str = "warc_ts"
+) -> tuple:
+    """The keep-latest winner set of parquet input ``path``, in the form
+    ``apply_winners`` reads. The input's row count (parquet metadata)
+    picks the build: up to ``_DRIVER_WINNER_ROWS`` rows the driver computes
+    it (``compute_winners``) and broadcasts it once by ``ray.put`` →
+    ``("driver", ref)``; past that, hash-bucketed winner parquet under
+    ``winner_dir`` (``compute_winners_parquet``; default a scratch dir keyed
+    by the input path) → ``("bucketed", winner_dir)``, read through a
+    bounded per-worker bucket LRU. Both filter to the same rows. The ref
+    rides inside a tuple, so a Ray task receiving the probe as an argument
+    does not resolve it at invocation — ``filter_winners`` deserializes it
+    once per worker."""
+    import pyarrow.dataset as pads
+
+    if pads.dataset(path, format="parquet").count_rows() <= _DRIVER_WINNER_ROWS:
+        return ("driver",
+                ray.put(winners_to_arrays(compute_winners(path, key, ts))))
+    if winner_dir is None:
+        import hashlib
+
+        from datacat_ray.scratch import scratch_path
+
+        digest = hashlib.sha1(str(path).encode()).hexdigest()[:12]
+        winner_dir = scratch_path(f"datacat_winners_{digest}")
+    return ("bucketed", compute_winners_parquet(path, winner_dir, key, ts))
+
+
+def apply_winners(batch: pa.Table, probe: tuple, key: str = "url",
+                  ts: str = "warc_ts") -> pa.Table:
+    """The rows of ``batch`` that hold their key's winning ``ts`` in the
+    ``winner_probe`` set, kept latest within the batch — the one winner
+    filter of ``dedup_latest_prefilter`` and of every ``run_extract_job``
+    partition."""
+    kind, arg = probe
+    if kind == "bucketed":
+        return _bucket_filter_for(arg, key, ts)(batch)
+    return filter_winners(batch, arg, key, ts)
+
+
 def dedup_latest_prefilter(
     path,
     key: str = "url",
     ts: str = "warc_ts",
     columns: list[str] | None = None,
-    mode: str = "auto",
     winner_dir: str | None = None,
-    filter_concurrency: int = 4,
 ) -> "ray.data.Dataset":
     """Keep-latest dedup with ZERO wide shuffle: a narrow (key, ts) winner
-    pass, then a streaming filter of the full read against the winner set.
-    Stale captures are dropped at the read — the html payload of a loser
-    never enters the pipeline.
+    pass (``winner_probe``, driver or bucketed by input size), then a
+    streaming filter of the full read against the winner set. Stale
+    captures are dropped at the read — the html payload of a loser never
+    enters the pipeline.
 
-    ``mode="driver"``: winner map broadcast via ``ray.put`` (fast below
-    ``_DRIVER_WINNER_ROWS`` input rows). ``mode="bucketed"``: the
-    >driver-memory path — hash-bucketed winner parquet
-    (``compute_winners_parquet``) probed by an actor-pool filter with a
-    bounded per-worker bucket LRU (``BucketWinnerFilter``); output is
-    byte-identical to the driver path. ``mode="auto"`` picks by row count.
-
-    Exactness caveat (both modes): two captures of one url with byte-equal
-    max ``ts`` both pass the filter (a data pathology — same-microsecond
-    recapture); the in-batch dedup removes them only when they share a
-    batch, which Ray does not promise even within one fragment (it may
-    split a small file into one-row blocks), while ``run_extract_job``
-    dedups each partition whole. Cross-fragment ones survive. Use
-    ``dedup_latest`` (exact groupby) where that matters."""
-    import ray as _ray
-    import ray.data as rd
-
-    if mode == "auto":
-        import pyarrow.dataset as pads
-
-        big = pads.dataset(path, format="parquet").count_rows() > _DRIVER_WINNER_ROWS
-        mode = "bucketed" if big else "driver"
-
-    ds = rd.read_parquet(path, columns=columns)
-
-    if mode == "bucketed":
-        if winner_dir is None:
-            import hashlib
-
-            from datacat_ray.scratch import scratch_path
-
-            digest = hashlib.sha1(str(path).encode()).hexdigest()[:12]
-            winner_dir = scratch_path(f"datacat_winners_{digest}")
-        compute_winners_parquet(path, winner_dir, key, ts)
-        return ds.map_batches(
-            BucketWinnerFilter,
-            fn_constructor_args=(winner_dir, key, ts),
-            batch_format="pyarrow",
-            # autoscaling pool with min 1: a FIXED pool of size=CPUs
-            # reserves every core and starves the upstream read stage
-            # outright on small sessions (deadlock, measured)
-            concurrency=(1, filter_concurrency),
-        )
-
-    # broadcast the winner set in probe form (sorted hash + aligned ts
-    # arrays): the per-batch test is one vectorized searchsorted
-    ref = _ray.put(winners_to_arrays(compute_winners(path, key, ts)))
-    return ds.map_batches(
-        functools.partial(filter_winners, ref=ref, key=key, ts=ts),
+    Exactness caveat: two captures of one url with byte-equal max ``ts``
+    both pass the filter (a data pathology — same-microsecond recapture);
+    the in-batch dedup removes them only when they share a batch, which
+    Ray does not promise even within one fragment (it may split a small
+    file into one-row blocks), while ``run_extract_job`` dedups each
+    partition whole. Cross-fragment ones survive. Use ``dedup_latest``
+    (exact groupby) where that matters."""
+    probe = winner_probe(path, winner_dir, key, ts)
+    return ray.data.read_parquet(path, columns=columns).map_batches(
+        functools.partial(apply_winners, probe=probe, key=key, ts=ts),
         batch_format="pyarrow")

@@ -19,8 +19,9 @@ explicit:
   → winner-filter → fused cascade kernel → atomic write). Raw tasks rather
   than ``Dataset.write_parquet`` because the Dataset writer cannot bind
   output files to input fragments, which is exactly the invariant resume
-  needs. The dedup winner map is still computed Ray-Data-natively (narrow
-  column pass) and broadcast once via ``ray.put``.
+  needs. The dedup winner set is built once per job by
+  ``stages/dedup.winner_probe`` (a driver broadcast, or bucketed winner
+  parquet past ``_DRIVER_WINNER_ROWS`` input rows).
 
 At 10^12 documents the partition count is the input fragment count (CC-
 style layouts: ~10^5-10^6 fragments); the manifest directory is a listing,
@@ -41,6 +42,7 @@ import pyarrow.parquet as pq
 import ray
 
 from datacat_ray import __version__ as ENGINE_VERSION
+from datacat_ray.config import PipelineConfig
 
 MANIFEST_DIR = "_manifest"
 
@@ -99,36 +101,12 @@ def completed_partitions(out_dir: str) -> dict[int, dict]:
     return done
 
 
-_BWF_CACHE: dict[tuple, object] = {}
-
-
-def _bucket_filter_for(winner_dir: str):
-    """Per-worker BucketWinnerFilter cache, keyed by the winner set's OWN
-    fingerprint (from its success marker) as well as the dir — a rebuild of
-    the winner set at the same path (input regenerated mid-session) must
-    not keep serving a filter whose bucket LRU holds the old winners."""
-    marker = os.path.join(winner_dir, "_WINNERS_OK")
-    try:
-        with open(marker) as fh:
-            fp = fh.read().strip()
-    except FileNotFoundError:
-        fp = ""
-    key = (winner_dir, fp)
-    f = _BWF_CACHE.get(key)
-    if f is None:
-        from datacat_ray.stages.dedup import BucketWinnerFilter
-
-        _BWF_CACHE.clear()
-        f = _BWF_CACHE[key] = BucketWinnerFilter(winner_dir)
-    return f
-
-
 @ray.remote
 def _extract_partition(
     part_id: int,
     fragments: list[str],
     out_dir: str,
-    winners_ref,
+    winners: tuple | None,
     max_tokens: int,
     max_blocks: int,
     tei_coordinates: bool = False,
@@ -139,22 +117,15 @@ def _extract_partition(
     atomic part file + lineage record. Runs as a plain Ray task; the fused
     stage object is cached per worker process (same cache as the Dataset
     path)."""
-    from datacat_ray.pipelines.extract import RESULT_SCHEMA, _fused_task
-    from datacat_ray.stages.dedup import filter_winners
+    from datacat_ray.pipelines.extract import _fused_task
+    from datacat_ray.stages.dedup import apply_winners
 
     t0 = time.time()
     tables = [pq.read_table(f) for f in fragments]
     batch = pa.concat_tables(tables)
     rows_in = batch.num_rows
-    if winners_ref is not None and winners_ref[0] == "bucketed":
-        # >driver-memory winner set: probe the hash-bucketed winner parquet
-        # through a per-worker cached BucketWinnerFilter (bounded LRU)
-        batch = _bucket_filter_for(winners_ref[1])(batch)
-    elif winners_ref is not None:
-        # winners_ref is wrapped in a 1-list so Ray does NOT auto-resolve it
-        # at task invocation — filter_winners deserializes it once per
-        # worker (the same filter as the driver-mode Dataset prefilter)
-        batch = filter_winners(batch, winners_ref[0])
+    if winners is not None:
+        batch = apply_winners(batch, winners)
     result = _fused_task(batch, max_tokens=max_tokens, max_blocks=max_blocks,
                          tei_coordinates=tei_coordinates,
                          model_paths=model_paths,
@@ -195,11 +166,14 @@ def _extract_partition(
 
 def _check_job_config(out_dir: str, tei_coordinates: bool,
                       model_paths: dict | None,
-                      segment_sentences: bool = False) -> None:
+                      segment_sentences: bool = False,
+                      max_tokens: int = PipelineConfig.max_tokens,
+                      max_blocks: int = PipelineConfig.max_blocks) -> None:
     """Bind the output directory to its extraction-config identity.
 
     Completed partitions are keyed only by partition id, so resuming with
-    a DIFFERENT config (other model artifact, toggled coordinates) would
+    a DIFFERENT config (other model artifact, toggled coordinates, other
+    caps — they change output through the ``TOO_MANY_*`` rejects) would
     silently mix outputs from two configs in one dataset. First run writes
     ``_manifest/_JOB_CONFIG.json`` (model artifacts fingerprinted by
     content, not path); later runs must match or fail with instructions.
@@ -214,6 +188,10 @@ def _check_job_config(out_dir: str, tei_coordinates: bool,
     if segment_sentences:
         # only stamped when ON: pre-flag manifests stay resumable
         cfg["segment_sentences"] = True
+    for name, v in (("max_tokens", max_tokens), ("max_blocks", max_blocks)):
+        if v != getattr(PipelineConfig, name):
+            # only stamped off the default: pre-cap manifests stay resumable
+            cfg[name] = v
     mdir = os.path.join(out_dir, MANIFEST_DIR)
     os.makedirs(mdir, exist_ok=True)
     cfg_path = os.path.join(mdir, "_JOB_CONFIG.json")
@@ -237,8 +215,8 @@ def run_extract_job(
     input_path: str,
     out_dir: str,
     fragments_per_part: int = 1,
-    max_tokens: int = 30_000,
-    max_blocks: int = 3_000,
+    max_tokens: int = PipelineConfig.max_tokens,
+    max_blocks: int = PipelineConfig.max_blocks,
     dedup: bool = True,
     max_in_flight: int = 64,
     tei_coordinates: bool = False,
@@ -263,7 +241,7 @@ def run_extract_job(
                 if f.startswith(".tmp."):
                     os.unlink(os.path.join(d, f))
     _check_job_config(out_dir, tei_coordinates, model_paths,
-                      segment_sentences)
+                      segment_sentences, max_tokens, max_blocks)
     fragments = list_fragments(input_path)
     parts = plan_partitions(fragments, fragments_per_part)
     done = completed_partitions(out_dir)
@@ -271,31 +249,13 @@ def run_extract_job(
     pending = [
         (i, frs) for i, frs in enumerate(parts) if i not in done
     ]
-    winners_ref = None
+    winners = None
     if dedup and pending:
-        import pyarrow.dataset as pads
+        from datacat_ray.stages.dedup import winner_probe
 
-        from datacat_ray.stages.dedup import (
-            _DRIVER_WINNER_ROWS,
-            compute_winners,
-            compute_winners_parquet,
-        )
-
-        n_rows = pads.dataset(input_path, format="parquet").count_rows()
-        if n_rows > _DRIVER_WINNER_ROWS:
-            # the >driver-memory path: distributed hash-bucketed winner
-            # parquet under the job's own output dir (resumable — the
-            # success marker skips the rebuild on re-invocation)
-            wdir = compute_winners_parquet(
-                input_path, os.path.join(out_dir, "_winners")
-            )
-            winners_ref = ["bucketed", wdir]
-        else:
-            from datacat_ray.stages.dedup import winners_to_arrays
-
-            winners_ref = [
-                ray.put(winners_to_arrays(compute_winners(input_path)))
-            ]
+        # a bucketed winner set lives under the job's own output dir
+        # (resumable — its success marker skips the rebuild)
+        winners = winner_probe(input_path, os.path.join(out_dir, "_winners"))
     recs = list(done.values())
     in_flight: list = []
     for part_id, frs in pending:
@@ -304,7 +264,7 @@ def run_extract_job(
             recs.extend(ray.get(ready))
         in_flight.append(
             _extract_partition.remote(
-                part_id, frs, out_dir, winners_ref, max_tokens, max_blocks,
+                part_id, frs, out_dir, winners, max_tokens, max_blocks,
                 tei_coordinates, tuple(sorted((model_paths or {}).items())),
                 segment_sentences,
             )

@@ -7,8 +7,9 @@ caps because single pathological inputs "ruin performance"): ONE url holds
 ONE user holds 40% of all events. Runs the three skew-sensitive ops
 
   * ``dedup_latest``            (in-batch pre-dedup -> int-bucket shuffle)
-  * ``dedup_latest_prefilter``  mode="bucketed" (winner parquet +
-                                ``BucketWinnerFilter`` actor pool)
+  * ``dedup_latest_prefilter``  bucketed winner set (winner parquet +
+                                per-worker ``BucketWinnerFilter``), forced
+                                through ``_DRIVER_WINNER_ROWS``
   * ``user_sessions``           (bucketed vectorized session walk)
 
 on a BALANCED and a SKEWED input of identical row count and identical
@@ -171,7 +172,12 @@ def main() -> int:
     import ray.data
 
     from datacat_ray.pipelines.relational import user_sessions
+    from datacat_ray.stages import dedup as D
     from datacat_ray.stages.dedup import dedup_latest, dedup_latest_prefilter
+
+    # the probe times the >driver-memory winner path at a size the driver
+    # path would take: force it through its threshold (read on the driver)
+    D._DRIVER_WINNER_ROWS = -1
 
     root = "/tmp/datacat_skew_probe"
     dirs = {}
@@ -192,10 +198,7 @@ def main() -> int:
     def run_prefilter(kind: str) -> int:
         wdir = f"{root}/win_{kind}"
         shutil.rmtree(wdir, ignore_errors=True)
-        return dedup_latest_prefilter(
-            dirs[kind][0], mode="bucketed", winner_dir=wdir,
-            filter_concurrency=2,
-        ).count()
+        return dedup_latest_prefilter(dirs[kind][0], winner_dir=wdir).count()
 
     def run_sessions(kind: str) -> int:
         return user_sessions(dirs[kind][1]).count()

@@ -123,12 +123,25 @@ def test_incremental_dedup_drops_cross_boundary_dups(ray_session, dup_corpus):
     assert got == want
 
 
-def test_incremental_dedup_join_mode_pinned_equal(ray_session, dup_corpus):
-    from datacat_ray.pipelines.dedup_ops import incremental_dedup
+def _verify_sides(monkeypatch):
+    """Run the caller's block once per verify of ``incremental_dedup``:
+    the broadcast (default caps) and the join (candidate cap forced below
+    any candidate count — the cap is read on the driver)."""
+    from datacat_ray.pipelines import dedup_ops
+
+    for side, cap in (("broadcast", dedup_ops._BLOOM_CAND_MAX), ("join", -1)):
+        monkeypatch.setattr(dedup_ops, "_BLOOM_CAND_MAX", cap)
+        yield side
+
+
+def test_incremental_dedup_join_mode_pinned_equal(ray_session, dup_corpus,
+                                                  monkeypatch):
+    from datacat_ray.pipelines import dedup_ops
 
     sf, expected = dup_corpus
+    monkeypatch.setattr(dedup_ops, "_BLOOM_CAND_MAX", -1)
     got = sorted(
-        r["doc_id"] for r in incremental_dedup(sf, method="join").take_all()
+        r["doc_id"] for r in dedup_ops.incremental_dedup(sf).take_all()
     )
     assert got == expected
 
@@ -158,27 +171,26 @@ def test_reap_stale_scratch(tmp_path, monkeypatch):
     assert foreign.exists()
 
 
-def test_incremental_dedup_edges(ray_session, tmp_path):
+def test_incremental_dedup_edges(ray_session, tmp_path, monkeypatch):
     """Empty snapshot (snapshot_docs=0 → nothing filtered), all-dup new
-    side (everything dropped), both modes."""
+    side (everything dropped), both verifies."""
     from datacat_ray.pipelines.dedup_ops import incremental_dedup
 
     d1 = tmp_path / "empty_snap"
     d1.mkdir()
     _write_docs(str(d1 / "documents.parquet"),
                 [300, 301, 302], ["a", "b", "a"])
-    for m in ("broadcast", "join"):
+    for m in _verify_sides(monkeypatch):
         got = sorted(r["doc_id"] for r in
-                     incremental_dedup(str(d1), method=m).take_all())
+                     incremental_dedup(str(d1)).take_all())
         assert got == [300, 301, 302], m  # no snapshot rows → all survive
 
     d2 = tmp_path / "all_dup"
     d2.mkdir()
     _write_docs(str(d2 / "documents.parquet"),
                 [0, 1, 300, 301], ["x", "y", "x", "y"])
-    for m in ("broadcast", "join"):
-        got = [r["doc_id"] for r in
-               incremental_dedup(str(d2), method=m).take_all()]
+    for m in _verify_sides(monkeypatch):
+        got = [r["doc_id"] for r in incremental_dedup(str(d2)).take_all()]
         assert got == [], m
 
 
@@ -187,20 +199,17 @@ def test_incremental_dedup_candidate_cap(ray_session, dup_corpus, monkeypatch):
 
     sf, expected = dup_corpus
     monkeypatch.setattr(dedup_ops, "_BLOOM_CAND_MAX", 3)
-    # auto falls back to the bucketed anti-join at the cap — same rows
+    # falls back to the bucketed anti-join at the cap — same rows
     got = sorted(
         r["doc_id"] for r in dedup_ops.incremental_dedup(sf).take_all()
     )
     assert got == expected
-    # explicit broadcast mode still surfaces the cap
-    with pytest.raises(dedup_ops.BroadcastIdSetTooLarge):
-        dedup_ops.incremental_dedup(sf, method="broadcast").take_all()
 
 
 def test_incremental_dedup_text_bytes_cap(ray_session, dup_corpus,
                                           monkeypatch):
     """The TEXT broadcast is byte-capped independently of the hash-count
-    cap: auto falls back to the join, broadcast raises."""
+    cap: past it the verify falls back to the join."""
     from datacat_ray.pipelines import dedup_ops
 
     sf, expected = dup_corpus
@@ -209,8 +218,6 @@ def test_incremental_dedup_text_bytes_cap(ray_session, dup_corpus,
         r["doc_id"] for r in dedup_ops.incremental_dedup(sf).take_all()
     )
     assert got == expected
-    with pytest.raises(dedup_ops.BroadcastIdSetTooLarge):
-        dedup_ops.incremental_dedup(sf, method="broadcast").take_all()
 
 
 def test_incremental_dedup_sized_filter_end_to_end(
@@ -224,10 +231,9 @@ def test_incremental_dedup_sized_filter_end_to_end(
 
     sf, expected = dup_corpus
     monkeypatch.setattr(B, "bloom_bits_for", lambda n, max_bits=0: 1 << 22)
-    for m in ("broadcast", "join"):
+    for m in _verify_sides(monkeypatch):
         got = sorted(
-            r["doc_id"]
-            for r in dedup_ops.incremental_dedup(sf, method=m).take_all()
+            r["doc_id"] for r in dedup_ops.incremental_dedup(sf).take_all()
         )
         assert got == expected, m
 
@@ -236,22 +242,14 @@ def test_incremental_dedup_saturated_bloom_skips_prefilter(
     ray_session, dup_corpus, monkeypatch
 ):
     """When even the max filter would saturate, the prefilter is skipped
-    and the plain bucketed anti-join runs — same rows for auto/join, while
-    explicit broadcast RAISES (its resource shape — O(candidates) driver
-    memory — is unavailable when every row is a candidate; silent reroute
-    to a full shuffle would betray the caller's method choice)."""
-    import pytest
-
+    and the plain bucketed anti-join runs (every row would be a candidate,
+    so the broadcast verify is never tried) — same rows."""
     import datacat_ray.functions.bloom as B
     from datacat_ray.pipelines import dedup_ops
 
     sf, expected = dup_corpus
     monkeypatch.setattr(B, "bloom_fp", lambda n, m: 1.0)
-    for m in ("auto", "join"):
-        got = sorted(
-            r["doc_id"]
-            for r in dedup_ops.incremental_dedup(sf, method=m).take_all()
-        )
-        assert got == expected, m
-    with pytest.raises(dedup_ops.BroadcastIdSetTooLarge, match="saturated"):
-        dedup_ops.incremental_dedup(sf, method="broadcast")
+    got = sorted(
+        r["doc_id"] for r in dedup_ops.incremental_dedup(sf).take_all()
+    )
+    assert got == expected

@@ -44,6 +44,19 @@ def test_validate_model_specs_names_offending_model():
         )
 
 
+@pytest.mark.parametrize("d, exc", [
+    ({"execution": "tasks"}, KeyError),
+    ({"output_partitions": 0}, KeyError),
+    ({"lang_fallback": "fr"}, KeyError),
+    ({"segmenter": {"concurrency": [1, 2]}}, TypeError),
+])
+def test_removed_config_keys_are_unknown(d, exc):
+    """Knobs nothing read are gone: a config that still sets one fails at
+    load instead of being silently ignored."""
+    with pytest.raises(exc):
+        PipelineConfig.from_dict(d)
+
+
 def test_package_import_installs_no_ray_log_filter():
     """``import datacat_ray`` alone leaves Ray's loggers alone; the
     schema-hash filter arrives once, when a join pipeline is built."""

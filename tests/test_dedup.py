@@ -1,5 +1,7 @@
 """D1 dedup: keep latest warc_ts per url (the pipeline's one shuffle)."""
 
+import os
+
 import pyarrow as pa
 
 from datacat_ray.stages.dedup import _dedup_batch, dedup_latest
@@ -43,31 +45,48 @@ def test_dedup_null_ts_never_wins():
     assert got["b"] == "bN"  # all-null url still survives
 
 
+def _parquet_winners(winner_dir):
+    """{hash: ts} of a ``compute_winners_parquet`` winner set."""
+    import pyarrow.parquet as pq
+
+    out = {}
+    for f in sorted(os.listdir(winner_dir)):
+        if f.startswith("bucket-"):
+            t = pq.read_table(os.path.join(winner_dir, f))
+            out.update(zip(t["h"].to_pylist(), t["warc_ts"].to_pylist()))
+    return out
+
+
 def test_compute_winners_distributed_path(ray_session, tmp_path, monkeypatch):
-    """Force the Ray Data winner branch (normally only above 5M rows) and
-    check it agrees with the polars driver fast path."""
+    """Force the distributed winner set (normally only above 5M rows,
+    through ``_DRIVER_WINNER_ROWS``) and check it holds exactly the
+    winners of the polars driver pass."""
     import pyarrow.parquet as pq
 
     from datacat_ray.stages import dedup as D
     from datacat_ray.fixtures import make_pages_table
 
-    p = tmp_path / "pages.parquet"
-    pq.write_table(make_pages_table(50, seed=3), str(p))
-    fast = D.compute_winners(str(tmp_path))
-    monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", 0)
-    dist = D.compute_winners(str(tmp_path))
-    assert fast == dist
+    src = tmp_path / "pages"
+    src.mkdir()
+    pq.write_table(make_pages_table(50, seed=3), str(src / "pages.parquet"))
+    fast = D.compute_winners(str(src))
+    monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
+    kind, wdir = D.winner_probe(str(src), str(tmp_path / "win"))
+    assert kind == "bucketed"
+    assert _parquet_winners(wdir) == fast
 
 
-def test_ngram_jaccard_join_path_matches_broadcast(ray_session):
+def test_ngram_jaccard_join_path_matches_broadcast(ray_session, monkeypatch):
     """The 10^12-doc verification path (hash-join candidates against the
-    documents table) must equal the bench-scale broadcast path."""
-    from datacat_ray.pipelines.dedup_ops import ngram_jaccard_pairs
+    documents table, forced through ``_CAND_BROADCAST_MAX``) must equal
+    the bench-scale broadcast path."""
+    from datacat_ray.pipelines import dedup_ops
 
     sf = "/root/testdata/sf0.001"
-    a = sorted(map(tuple, ngram_jaccard_pairs(sf, method="broadcast")
+    a = sorted(map(tuple, dedup_ops.ngram_jaccard_pairs(sf)
                    .to_pandas().values.tolist()))
-    b = sorted(map(tuple, ngram_jaccard_pairs(sf, method="join")
+    monkeypatch.setattr(dedup_ops, "_CAND_BROADCAST_MAX", -1)
+    b = sorted(map(tuple, dedup_ops.ngram_jaccard_pairs(sf)
                    .to_pandas().values.tolist()))
     assert a == b and len(a) > 0
 
@@ -133,8 +152,8 @@ def test_dedup_batch_property():
 
 
 def test_compute_winners_distributed_null_ts(ray_session, tmp_path, monkeypatch):
-    """The distributed winner merge must not crash when a null warc_ts for a
-    key arrives after (or before) a real one — None never beats a real ts,
+    """Both winner sets must not crash when a null warc_ts for a key
+    arrives after (or before) a real one — None never beats a real ts,
     all-null keys survive with None."""
     import datetime
 
@@ -150,13 +169,16 @@ def test_compute_winners_distributed_null_ts(ray_session, tmp_path, monkeypatch)
         {"url": ["a"],
          "warc_ts": pa.array([datetime.datetime(2020, 1, 1)], pa.timestamp("us"))}
     )
-    pq.write_table(t1, str(tmp_path / "p1.parquet"))
-    pq.write_table(t2, str(tmp_path / "p2.parquet"))
-    monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", 0)
-    win = D.compute_winners(str(tmp_path))
+    src = tmp_path / "pages"
+    src.mkdir()
+    pq.write_table(t1, str(src / "p1.parquet"))
+    pq.write_table(t2, str(src / "p2.parquet"))
     h = D._key_hash64(pa.array(["a", "b"]))
-    assert win[h[0]] == datetime.datetime(2020, 1, 1)
-    assert win[h[1]] is None
+    want = {h[0]: datetime.datetime(2020, 1, 1), h[1]: None}
+    assert D.compute_winners(str(src)) == want
+    monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
+    kind, wdir = D.winner_probe(str(src), str(tmp_path / "win"))
+    assert kind == "bucketed" and _parquet_winners(wdir) == want
 
 
 def test_bucketed_kernels_key_boundaries():
@@ -199,16 +221,17 @@ def test_bucketed_asof_matches_duckdb(ray_session):
     assert got == want and len(got) > 0
 
 
-def test_bucketed_winner_prefilter_matches_driver(ray_session, tmp_path):
-    """The >driver-memory winner path (bucketed winner parquet + actor-pool
-    LRU filter) must produce exactly the rows the driver-dict path keeps,
-    including null-ts keys, on a multi-fragment input with cross-fragment
-    duplicates."""
+def test_bucketed_winner_prefilter_matches_driver(ray_session, tmp_path,
+                                                  monkeypatch):
+    """The >driver-memory winner path (bucketed winner parquet + per-worker
+    LRU filter, forced through ``_DRIVER_WINNER_ROWS``) must produce
+    exactly the rows the driver-dict path keeps, including null-ts keys, on
+    a multi-fragment input with cross-fragment duplicates."""
     import datetime
 
     import pyarrow.parquet as pq
 
-    from datacat_ray.stages.dedup import dedup_latest_prefilter
+    from datacat_ray.stages import dedup as D
 
     d = datetime.datetime
     frags = [
@@ -234,18 +257,19 @@ def test_bucketed_winner_prefilter_matches_driver(ray_session, tmp_path):
             (r["url"], r["payload"]) for r in ds.take_all()
         )
 
-    driver = rows(dedup_latest_prefilter(str(src), mode="driver"))
-    bucketed = rows(dedup_latest_prefilter(
-        str(src), mode="bucketed", winner_dir=str(tmp_path / "win"),
-        filter_concurrency=1))
+    driver = rows(D.dedup_latest_prefilter(str(src)))
+    monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
+    wdir = str(tmp_path / "win")
+    bucketed = rows(D.dedup_latest_prefilter(str(src), winner_dir=wdir))
+    assert os.path.exists(os.path.join(wdir, "_WINNERS_OK"))
     assert driver == bucketed
     assert dict(driver) == {"a": "a3", "b": "b5", "c": "c9", "d": "dN"}
 
 
 def test_manifest_partitions_and_prefilter_keep_the_same_winners(
         ray_session, tmp_path):
-    """``run_extract_job``'s partitions and the driver-mode
-    ``dedup_latest_prefilter`` filter with one function and keep the same
+    """``run_extract_job``'s partitions and ``dedup_latest_prefilter``
+    filter with one function and keep the same
     rows: a same-ts tie across fragments keeps both captures (the
     documented caveat), a null ``warc_ts`` loses to any time, and an
     all-null url survives."""
@@ -275,8 +299,7 @@ def test_manifest_partitions_and_prefilter_keep_the_same_winners(
             str(src / f"part-{i}.parquet"))
 
     prefilter = sorted((r["url"], r["warc_ts"], r["text"]) for r in
-                       dedup_latest_prefilter(str(src), mode="driver")
-                       .take_all())
+                       dedup_latest_prefilter(str(src)).take_all())
     out = tmp_path / "job"
     run_extract_job(str(src), str(out))
     job = pq.read_table(str(out), columns=["url", "warc_ts",
@@ -342,14 +365,16 @@ def test_hot_url_pathological_skew(ray_session):
                    "https://cold/1": "cold"}
 
 
-def test_winner_cache_invalidated_on_input_change(ray_session, tmp_path):
-    """Regenerating data at the same path must rebuild the cached winner
-    set (fingerprint in the success marker), not serve stale winners."""
+def test_winner_cache_invalidated_on_input_change(ray_session, tmp_path,
+                                                  monkeypatch):
+    """Regenerating data at the same path must rebuild the cached bucketed
+    winner set (fingerprint in the success marker), not serve stale
+    winners."""
     import datetime
 
     import pyarrow.parquet as pq
 
-    from datacat_ray.stages.dedup import dedup_latest_prefilter
+    from datacat_ray.stages import dedup as D
 
     d = datetime.datetime
     src = tmp_path / "pages"
@@ -364,17 +389,16 @@ def test_winner_cache_invalidated_on_input_change(ray_session, tmp_path):
             )
             pq.write_table(t, str(src / f"part-{i}.parquet"))
 
+    monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
     write({"a": d(2020, 1, 1)})
-    out1 = dedup_latest_prefilter(str(src), mode="bucketed",
-                                  winner_dir=wdir).take_all()
+    out1 = D.dedup_latest_prefilter(str(src), winner_dir=wdir).take_all()
     assert {r["url"] for r in out1} == {"a"}
     # regenerate with a LATER capture at the same path
     import time
 
     time.sleep(0.01)  # ensure mtime_ns moves
     write({"a": d(2021, 6, 1)})
-    out2 = dedup_latest_prefilter(str(src), mode="bucketed",
-                                  winner_dir=wdir).take_all()
+    out2 = D.dedup_latest_prefilter(str(src), winner_dir=wdir).take_all()
     assert [r["payload"] for r in out2] == ["a@2021-06-01 00:00:00"]
 
 

@@ -140,6 +140,23 @@ def test_resume_refuses_config_change(ray_session, tmp_path, pages_dir):
         run_extract_job(pages_dir, out, tei_coordinates=True)
 
 
+def test_resume_refuses_other_caps(ray_session, tmp_path, pages_dir):
+    """The token and block caps change output through the ``TOO_MANY_*``
+    rejects, so resuming with other caps fails loudly; the default caps
+    stamp nothing, so manifests written before the caps were stamped stay
+    resumable."""
+    out = str(tmp_path / "out_caps")
+    run_extract_job(pages_dir, out)
+    with open(os.path.join(out, "_manifest", "_JOB_CONFIG.json")) as fh:
+        stamped = json.load(fh)
+    assert "max_tokens" not in stamped and "max_blocks" not in stamped
+    with pytest.raises(ValueError, match="different extraction config"):
+        run_extract_job(pages_dir, out, max_tokens=50)
+    with pytest.raises(ValueError, match="different extraction config"):
+        run_extract_job(pages_dir, out, max_blocks=7)
+    assert run_extract_job(pages_dir, out)["processed"] == 0
+
+
 def test_body_corpus_loads_with_begin_states():
     """Trainer-path body corpora carry I- begin states so a deployed model
     can mark entry starts (body_label_runs splits only on I-)."""

@@ -87,17 +87,20 @@ def test_lp_empty_edge_list(ray_session, tmp_path):
     assert label_propagation_parquet(edir, str(tmp_path / "lp")) is None
 
 
-def test_neardup_clusters_distributed_equals_driver(ray_session, tmp_path):
+def test_neardup_clusters_distributed_equals_driver(ray_session, tmp_path,
+                                                    monkeypatch):
     drv = {
         r["doc_id"]: r["cluster_id"]
-        for r in neardup_clusters(SF, mode="driver").take_all()
+        for r in neardup_clusters(SF).take_all()
     }
+    # label propagation runs past _UF_MAX_PAIRS pairs (read on the driver)
+    monkeypatch.setattr(dedup_ops, "_UF_MAX_PAIRS", -1)
     dist = {
         r["doc_id"]: r["cluster_id"]
-        for r in neardup_clusters(
-            SF, mode="distributed", work_dir=str(tmp_path / "lp")
-        ).take_all()
+        for r in neardup_clusters(SF, work_dir=str(tmp_path / "lp")).take_all()
     }
+    assert os.path.isdir(tmp_path / "lp" / "edges")
+    assert any(d.startswith("round-") for d in os.listdir(tmp_path / "lp"))
     assert drv == dist
     assert len(drv) > 0
     # at least one real (non-singleton) cluster exists in the fixture corpus
@@ -128,23 +131,23 @@ def test_fetch_candidate_values_id_cap(ray_session):
 def test_minhash_broadcast_overflow_falls_back_to_join(
     ray_session, monkeypatch
 ):
-    base = sorted(
-        (min(r["doc_a"], r["doc_b"]), max(r["doc_a"], r["doc_b"]))
-        for r in minhash_candidate_pairs(SF, threshold=0.7).take_all()
-    )
-    real = _fetch_candidate_values
+    """The join verify keeps the broadcast verify's pairs, whether it is
+    reached by the mid-stream overflow of the candidate-id accumulation
+    or picked up front by the candidate-pair count (both caps are read on
+    the driver)."""
+    def pairs():
+        return sorted(
+            (r["doc_a"], r["doc_b"], r["match_lanes"])
+            for r in minhash_candidate_pairs(SF, threshold=0.7).take_all()
+        )
 
-    def tiny_cap(*args, **kwargs):
-        kwargs["max_ids"] = 1  # force the mid-stream overflow
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dedup_ops, "_fetch_candidate_values", tiny_cap)
-    via_join = sorted(
-        (min(r["doc_a"], r["doc_b"]), max(r["doc_a"], r["doc_b"]))
-        for r in minhash_candidate_pairs(SF, threshold=0.7).take_all()
-    )
-    assert via_join == base
+    base = pairs()
     assert len(base) > 0
+    for cap, value in (("_CAND_ID_BROADCAST_MAX", 1),
+                       ("_CAND_BROADCAST_MAX", -1)):
+        with monkeypatch.context() as m:
+            m.setattr(dedup_ops, cap, value)
+            assert pairs() == base, cap
 
 
 def test_lp_resume_from_checkpoint(ray_session, tmp_path):
@@ -176,12 +179,12 @@ def test_lp_resume_from_checkpoint(ray_session, tmp_path):
     assert label_propagation_parquet(edir, work, max_rounds=64) == lab_dir
 
 
-def test_neardup_distributed_refuses_foreign_work_dir(ray_session, tmp_path):
+def test_neardup_distributed_refuses_foreign_work_dir(ray_session, tmp_path,
+                                                      monkeypatch):
     work = tmp_path / "lp"
     work.mkdir()
     (work / "precious_data.txt").write_text("do not delete")
+    monkeypatch.setattr(dedup_ops, "_UF_MAX_PAIRS", -1)
     with pytest.raises(ValueError, match="refusing to clear"):
-        neardup_clusters(
-            SF, mode="distributed", work_dir=str(work)
-        ).take_all()
+        neardup_clusters(SF, work_dir=str(work)).take_all()
     assert (work / "precious_data.txt").exists()

@@ -67,7 +67,23 @@ def test_paragraph_dedup_unique_corpus_identity(ray_session, tmp_path):
         assert rows[i]["n_dropped"] == 0
 
 
-def test_prefilter_mode_equals_join(ray_session, tmp_path):
+def _sql_rows(sf):
+    import duckdb
+
+    from datacat_ray.pipelines.dedup_ops import PARAGRAPH_DEDUP_SQL
+
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW documents AS SELECT * FROM "
+                f"read_parquet('{sf}/documents.parquet')")
+    cur = con.execute(PARAGRAPH_DEDUP_SQL)
+    names = [d[0] for d in cur.description]
+    return {r[0]: dict(zip(names, r)) for r in cur.fetchall()}
+
+
+def test_paragraph_dedup_drop_dir_matches_sql(ray_session, tmp_path):
+    """An explicit drop_dir holds the decision buckets; the rows equal the
+    SQL oracle, and a stale bucket file left in the dir by an earlier run
+    is cleared instead of read."""
     base = _words(2 * PARA_W)
     texts = [
         base,
@@ -76,15 +92,63 @@ def test_prefilter_mode_equals_join(ray_session, tmp_path):
         _words(PARA_W * 3, 500),
     ]
     sf = _write_docs(tmp_path, texts)
-    drop_dir = str(tmp_path / "drops")
-    join_rows = {r["doc_id"]: r for r in paragraph_dedup(sf).take_all()}
-    pre_rows = {
-        r["doc_id"]: r
-        for r in paragraph_dedup(
-            sf, mode="prefilter", drop_dir=drop_dir
-        ).take_all()
-    }
-    assert pre_rows == join_rows
-    import os
-
+    drop_dir = tmp_path / "drops"
+    drop_dir.mkdir()
+    # a leftover decision file dropping every segment of the unique doc 3,
+    # in a bucket this run writes nothing to
+    assert _bucket_of(3) not in {_bucket_of(1), _bucket_of(2)}
+    pq.write_table(
+        pa.Table.from_pydict({"doc_id": pa.array([3] * 3, pa.int64()),
+                              "seg_id": pa.array([0, 1, 2], pa.int64())}),
+        str(drop_dir / f"bucket-{_bucket_of(3):05d}.parquet"))
+    rows = {r["doc_id"]: r
+            for r in paragraph_dedup(sf, drop_dir=str(drop_dir)).take_all()}
+    assert rows == _sql_rows(sf)
+    assert rows[3]["dedup_text"] == texts[3]
     assert any(f.startswith("bucket-") for f in os.listdir(drop_dir))
+
+
+def _bucket_of(doc_id):
+    import numpy as np
+
+    from datacat_ray.pipelines.dedup_ops import _DROP_BUCKETS
+    from datacat_ray.stages.bucketed import int_bucket_codes
+
+    return int(int_bucket_codes(np.array([doc_id], np.int64),
+                                _DROP_BUCKETS)[0])
+
+
+def test_paragraph_dedup_regenerated_corpus_gets_fresh_rows(ray_session,
+                                                            tmp_path):
+    """A corpus regenerated at the same path in one session is deduped
+    afresh: cached drop sets of the first corpus (same drop dir) are not
+    served for the second — in the workers and in this process's view of
+    the same cache."""
+    import time
+
+    from datacat_ray.pipelines.dedup_ops import _drop_bucket_sets
+    from datacat_ray.stages.dedup import input_fingerprint
+
+    a = _words(2 * PARA_W)
+    first = [a, a, _words(PARA_W, 300)]
+    sf = _write_docs(tmp_path, first)
+    drops = str(tmp_path / "drops")
+
+    def ident():
+        return (input_fingerprint(f"{sf}/documents.parquet"), PARA_W)
+
+    rows = {r["doc_id"]: r
+            for r in paragraph_dedup(sf, drop_dir=drops).take_all()}
+    assert rows[1]["dedup_text"] is None and rows[1]["n_dropped"] == 2
+    assert _drop_bucket_sets(drops, ident(), _bucket_of(1))[1] == {0, 1}
+    time.sleep(0.01)  # the fingerprint reads mtime_ns
+    second = [a, _words(2 * PARA_W, 900), a]
+    _write_docs(tmp_path, second)
+    rows = {r["doc_id"]: r
+            for r in paragraph_dedup(sf, drop_dir=drops).take_all()}
+    assert rows == _sql_rows(sf)
+    assert rows[1]["dedup_text"] == second[1] and rows[1]["n_dropped"] == 0
+    assert rows[2]["dedup_text"] is None
+    assert 1 not in _drop_bucket_sets(drops, ident(), _bucket_of(1))
+    # the default drop dir (pid-keyed scratch) serves the same fresh rows
+    assert {r["doc_id"]: r for r in paragraph_dedup(sf).take_all()} == rows

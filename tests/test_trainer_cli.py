@@ -152,12 +152,54 @@ def test_deploy_trained_model_in_cascade(exported_corpus, tmp_path,
                                          crf_artifact, ray_session):
     """Deploy leg: a trained artifact swaps into the fused cascade via
     model_paths and labels real pages end to end."""
+    artifact, _ = crf_artifact
+    _assert_deploys_like_frozen(artifact, tmp_path)
+
+
+# a small CRF++ template over the 33 exported segmenter columns (the
+# frozen segmenter's own feature set), so the deploy leg runs without the
+# reference checkout's templates
+SMALL_SEG_TEMPLATE = """\
+# lowercase token, digit class, position, capitalisation, and flags
+U00:%x[0,2]
+U01:%x[-1,2]
+U02:%x[0,14]
+U03:%x[1,14]
+U04:%x[0,23]
+U05:%x[0,13]
+U06:%x[0,19]
+U07:%x[0,18]
+U08:%x[0,21]
+U09:%x[0,30]
+U10:%x[0,11]
+U11:%x[0,22]
+U12:%x[0,14]/%x[0,23]
+B
+"""
+
+
+def test_deploy_model_trained_on_fixture_template(exported_corpus, tmp_path,
+                                                  ray_session):
+    """The deploy leg trained on fixture pages through a template written
+    here: export (fixture), ``train_model(template_path=...)``, then the
+    artifact swaps into ``FusedExtractStage`` and zones like the frozen
+    model."""
+    template = tmp_path / "seg.template"
+    template.write_text(SMALL_SEG_TEMPLATE)
+    artifact, _ = train_model(
+        exported_corpus, model="segmenter", trainer="crf",
+        template_path=str(template), train_pct=100, max_iter=25, shards=4,
+    )
+    assert artifact["template"] == SMALL_SEG_TEMPLATE
+    _assert_deploys_like_frozen(artifact, tmp_path)
+
+
+def _assert_deploys_like_frozen(artifact, tmp_path):
     import random
 
     from datacat_ray.fixtures import make_catalogue_html
     from datacat_ray.pipelines.extract import FusedExtractStage
 
-    artifact, _ = crf_artifact
     path = save_model_json(str(tmp_path / "seg.json"), artifact)
     st = FusedExtractStage(model_paths={"segmenter": path})
     assert st._seg.raw is not None and st._body.raw is None
