@@ -12,7 +12,7 @@ runs as plain Ray tasks with a per-worker-process decoder cache
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -109,9 +109,6 @@ class PipelineConfig:
     def from_json(cls, path: str) -> "PipelineConfig":
         with open(path) as f:
             return cls.from_dict(json.load(f))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def apply_data_context(self) -> None:
         """Apply session-level Ray Data knobs. Call from code that OWNS the

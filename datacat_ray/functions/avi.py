@@ -234,16 +234,6 @@ def decode_avi_frame(payload: bytes, frame_idx: int) -> np.ndarray:
     return _decode_dib(payload, off, size, w, h)
 
 
-def decode_avi_frame_mjpeg(payload: bytes, frame_idx: int) -> np.ndarray:
-    """MJPG branch: the frame chunk is an independent baseline JPEG —
-    decode with the in-repo pure-Python codec (deterministic, no
-    subprocess)."""
-    from datacat_ray.functions.jpeg import decode_jpeg
-
-    off, size = _frame_chunks(payload, [frame_idx])[0]
-    return decode_jpeg(payload[off : off + size])
-
-
 # ---------------------------------------------------------------------------
 # compressed-codec seam (ffmpeg)
 # ---------------------------------------------------------------------------
@@ -330,11 +320,6 @@ def decode_frames_ffmpeg(
     )
     by_idx = {fi: mat[i] for i, fi in enumerate(uniq)}
     return [by_idx[fi].copy() for fi in frame_idxs]
-
-
-def decode_frame_ffmpeg(payload: bytes, frame_idx: int) -> np.ndarray:
-    """Single-frame convenience wrapper over ``decode_frames_ffmpeg``."""
-    return decode_frames_ffmpeg(payload, [frame_idx])[0]
 
 
 def decode_video_frames(

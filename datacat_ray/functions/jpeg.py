@@ -214,14 +214,6 @@ def _plane_blocks(plane: np.ndarray) -> np.ndarray:
     )
 
 
-def _blocks_plane(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
-    return (
-        blocks.reshape(h // 8, w // 8, 8, 8)
-        .transpose(0, 2, 1, 3)
-        .reshape(h, w)
-    )
-
-
 # --- encoder ----------------------------------------------------------------
 
 

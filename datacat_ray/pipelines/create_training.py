@@ -22,9 +22,9 @@ Suffixes match the reference's committed corpus layout
 pairs re-ingest through the SAME loaders the refeval pipeline uses on the
 reference's own corpus.
 
-Scale shape: one actor-pool ``map_batches`` stage (segmenter decoder
-compiled once per actor), file writes atomic (tmp + rename → idempotent
-re-runs), manifest rows returned instead of payloads so nothing
+Scale shape: one ``map_batches`` stage of plain Ray tasks (decoders
+compiled once per worker process), file writes atomic (tmp + rename →
+idempotent re-runs), manifest rows returned instead of payloads so nothing
 document-sized flows past the sink. ``out_dir`` must be shared storage on
 a multi-node cluster (same contract as every other file sink here).
 """
@@ -72,8 +72,8 @@ MANIFEST_SCHEMA = pa.schema(
 
 
 class TrainingExportStage:
-    """Actor: DOM parse → tokenize → featurize → segmenter decode → write
-    the TEI/raw pair. Decoder compiled once per actor (``__init__``)."""
+    """DOM parse → tokenize → featurize → segmenter decode → write the
+    TEI/raw pair. Decoders compiled once per instance (``__init__``)."""
 
     def __init__(self, out_dir: str, model: str = "segmenter",
                  blank: bool = False) -> None:
@@ -90,8 +90,6 @@ class TrainingExportStage:
         self.body = CRFDecoder(BODY_MODEL) if model == "body" else None
         self.tei_dir = os.path.join(out_dir, "tei")
         self.raw_dir = os.path.join(out_dir, "raw")
-        os.makedirs(self.tei_dir, exist_ok=True)
-        os.makedirs(self.raw_dir, exist_ok=True)
 
     def _write_atomic(self, path: str, content: str) -> None:
         import os
@@ -195,6 +193,12 @@ class TrainingExportStage:
         return stem, tei_path, raw_path, len(lines)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import os
+
+        # per call, not per instance: a worker reuses its instance across
+        # runs, and an output dir removed in between must come back
+        os.makedirs(self.tei_dir, exist_ok=True)
+        os.makedirs(self.raw_dir, exist_ok=True)
         res: dict[str, list] = {k: [] for k in MANIFEST_SCHEMA.names}
         for url, lang, html, text in zip(
             batch["url"].to_pylist(),
@@ -221,30 +225,44 @@ class TrainingExportStage:
         return pa.Table.from_pydict(res, schema=MANIFEST_SCHEMA)
 
 
+_EXPORT_STAGE_CACHE: dict[tuple, TrainingExportStage] = {}
+
+
+def _export_task(batch: pa.Table, out_dir: str, model: str,
+                 blank: bool) -> pa.Table:
+    """``TrainingExportStage`` as a plain Ray task with a per-worker-process
+    stage cache (the ``extract._fused_task`` shape): the decoders compile
+    once per worker, and tasks schedule onto every free core with no pool
+    to create or ramp."""
+    key = (out_dir, model, blank)
+    st = _EXPORT_STAGE_CACHE.get(key)
+    if st is None:
+        _EXPORT_STAGE_CACHE.clear()
+        st = _EXPORT_STAGE_CACHE[key] = TrainingExportStage(
+            out_dir, model, blank)
+    return st(batch)
+
+
 def create_training_pairs(
     pages: "ray.data.Dataset",
     out_dir: str,
-    concurrency: tuple[int, int] | int = (1, 8),
-    batch_size: int = 64,
-    dedup: bool = True,
     model: str = "segmenter",
     blank: bool = False,
 ) -> "ray.data.Dataset":
     """Manifest Dataset over the exported pairs. ``pages`` must carry
-    (url, lang, html, text) — the flagship input schema. With ``dedup``
-    (default) and a ``warc_ts`` column present, duplicate captures keep
-    only the latest per url first (the flagship's D1 step) so each url
-    exports exactly one pair."""
-    if dedup and "warc_ts" in (pages.schema().names or []):
+    (url, lang, html, text) — the flagship input schema. With a
+    ``warc_ts`` column present, duplicate captures keep only the latest
+    per url first (the flagship's D1 step) so each url exports exactly one
+    pair."""
+    import functools
+
+    if "warc_ts" in (pages.schema().names or []):
         from datacat_ray.stages.dedup import dedup_latest
 
-        pages = dedup_latest(pages, key="url", ts="warc_ts")
+        pages = dedup_latest(pages)
     return pages.map_batches(
-        TrainingExportStage,
-        fn_constructor_kwargs={"out_dir": out_dir, "model": model,
-                               "blank": blank},
-        concurrency=concurrency,
-        batch_size=batch_size,
+        functools.partial(_export_task, out_dir=out_dir, model=model,
+                          blank=blank),
         batch_format="pyarrow",
     )
 

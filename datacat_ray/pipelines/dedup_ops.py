@@ -21,7 +21,6 @@ documented per operator.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
@@ -32,6 +31,7 @@ import ray.data
 from ray.data.aggregate import Min
 
 from datacat_ray import quiet_schema_hash_warning
+from datacat_ray.stages.bucketed import hash64
 
 
 # ---------------------------------------------------------------------------
@@ -44,10 +44,8 @@ def _content_hash_batch(batch: pa.Table) -> pa.Table:
     # per-byte FNV loop here cost ~600 iterations/doc). The hash never
     # leaves the pipeline: every consumer groups equal texts by it, so any
     # deterministic 64-bit hash preserves the semantics.
-    import polars as pl
-
     col = pc.fill_null(batch["text"].combine_chunks(), "")
-    h = pl.from_arrow(col).hash(seed=20260817).to_numpy().view(np.int64)
+    h = hash64(col).view(np.int64)
     return pa.Table.from_pydict(
         {"doc_id": batch["doc_id"], "text_hash": pa.array(h, type=pa.int64())}
     )
@@ -69,27 +67,14 @@ def exact_dedup(sf_dir: str) -> "ray.data.Dataset":
 
 
 def latest_events(sf_dir: str) -> "ray.data.Dataset":
-    """One row per user_id: the event with max (ts, event_id) — the same
-    keep-latest dedup the flagship pipeline applies to url captures.
+    """One row per user_id: the event with max (ts, event_id) — the
+    keep-latest dedup the flagship pipeline applies to url captures
+    (``bucketed.keep_latest``: O(buckets) Python calls, not O(distinct
+    users))."""
+    from datacat_ray.stages.bucketed import keep_latest
 
-    Shape (stages/bucketed.py): within-batch vectorized keep-last, then ONE
-    hash shuffle on an int bucket of user_id and the same vectorized kernel
-    per bucket — O(buckets) Python calls, not O(distinct users)."""
-    from datacat_ray.stages.bucketed import add_bucket, keep_last
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet")
-    ds = ds.map_batches(
-        lambda t: add_bucket(
-            keep_last(t, "user_id", ["ts", "event_id"]), "user_id"
-        ),
-        batch_format="pyarrow",
-    )
-    return ds.groupby("__bucket").map_groups(
-        lambda g: keep_last(
-            g.drop_columns(["__bucket"]), "user_id", ["ts", "event_id"]
-        ),
-        batch_format="pyarrow",
-    )
+    return keep_latest(ray.data.read_parquet(f"{sf_dir}/events.parquet"),
+                       "user_id", ["ts", "event_id"])
 
 
 def duplicate_clusters(sf_dir: str) -> "ray.data.Dataset":
@@ -153,12 +138,9 @@ _BLOOM_TEXT_BYTES_MAX = 128 * 1024 * 1024  # candidate-TEXT broadcast cap
 def _text_hash64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     """Null-safe vectorized 64-bit content hash (same kernel family as
     ``_content_hash_batch``; nulls hash as empty text)."""
-    import polars as pl
-
-    c = pc.fill_null(
+    return hash64(pc.fill_null(
         col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col, ""
-    )
-    return pl.from_arrow(c).hash(seed=20260817).to_numpy().astype(np.uint64)
+    ))
 
 
 def _bloom_of(ds, probe_ref=None, m_bits: int | None = None) -> "np.ndarray":
@@ -498,11 +480,6 @@ def band_keys_matrix(sigs: np.ndarray) -> np.ndarray:
     return out.view(np.int64)
 
 
-def band_keys(sig: np.ndarray) -> list[int]:
-    """One signed-int64 bucket key per band (single-doc convenience)."""
-    return band_keys_matrix(sig.reshape(1, -1))[0].tolist()
-
-
 def _sig_rows(batch: pa.Table) -> pa.Table:
     """documents batch → (doc_id, sig): the 128-minhash signature as ONE
     fixed 1 KB little-endian binary blob (an Arrow list<int64> would pay
@@ -683,9 +660,6 @@ def _fetch_candidate_values(
     return ray.put(out)
 
 
-_SIG_MARKER = "_SIGS_OK_v1"
-
-
 def minhash_sig_cache_dir(sf_dir: str) -> str:
     """Default on-disk location of the sig cache for ``sf_dir`` — the ONE
     place the path scheme lives (bench.py clears it through this helper, so
@@ -708,38 +682,25 @@ def minhash_sigs_parquet(sf_dir: str, sig_dir: str | None = None) -> str:
     sig table in the object store via ``materialize()`` instead would hold
     ~1 KB/doc for the whole run (~1 PB at 10^12 docs); on disk it is a
     narrow columnar table every pass streams with backpressure, and a
-    resumed run skips the build entirely. Same atomic marker/fingerprint
-    protocol as ``compute_winners_parquet`` (stages/dedup.py:229) and
-    ``build_ivf_index`` (pipelines/similarity.py). ``sig_dir`` must be
+    resumed run skips the build entirely (``dedup.build_once``, the
+    protocol of the winner set and the IVF index). ``sig_dir`` must be
     shared storage on a multi-node cluster."""
-    import hashlib
     import os
 
-    from datacat_ray.stages.dedup import clear_cache_dir, input_fingerprint
+    from datacat_ray.stages.dedup import build_once, input_fingerprint
 
     src = f"{sf_dir}/documents.parquet"
     if sig_dir is None:
         sig_dir = minhash_sig_cache_dir(sf_dir)
     data_dir = os.path.join(sig_dir, "data")
-    fp = input_fingerprint(src)
-    marker = os.path.join(sig_dir, _SIG_MARKER)
-    if os.path.exists(marker):
-        with open(marker) as fh:
-            if fh.read().strip() == fp:
-                return data_dir
-    if os.path.isdir(sig_dir):
-        # stale (input changed) or torn (crashed mid-build): clear so no
-        # old-input sig file can survive into the new layout
-        clear_cache_dir(
-            sig_dir, lambda f: f == "data" or f.startswith("_SIGS")
-        )
-    os.makedirs(data_dir, exist_ok=True)
-    docs = ray.data.read_parquet(src, columns=["doc_id", "text"])
-    docs.map_batches(_sig_rows, batch_format="pyarrow").write_parquet(data_dir)
-    tmp = marker + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(fp)
-    os.replace(tmp, marker)
+
+    def _build() -> None:
+        ray.data.read_parquet(src, columns=["doc_id", "text"]).map_batches(
+            _sig_rows, batch_format="pyarrow").write_parquet(data_dir)
+
+    # "_SIGS": the marker name of caches built before ``build_once``
+    build_once(sig_dir, input_fingerprint(src),
+               lambda f: f == "data" or f.startswith("_SIGS"), _build)
     return data_dir
 
 
@@ -941,16 +902,13 @@ def minhash_pairs_sql(threshold: float = 0.7) -> str:
 # signature verify), but a boilerplate-heavy crawl emits pair lists
 # proportional to corpus size -- so past _UF_MAX_PAIRS the components run as
 # rounds of hash-partitioned min-label exchange with O(1) driver state (a
-# per-round (bucket, n_changed) fold, <= _LP_BUCKETS rows). Each round the
+# per-round (bucket, n_changed) fold, <= DEFAULT_BUCKETS rows). Each round the
 # current (node -> label) pointers are fed back in as extra edges, which is
 # the Hash-to-Min acceleration: label trees flatten as they spread, so
 # rounds grow with log(component diameter), not diameter.
 
 _UF_MAX_PAIRS = 2_000_000  # pairs; above this, label propagation
-_LP_BUCKETS = 64
 _I64MAX = np.iinfo(np.int64).max
-_LP_CACHE: dict = {}
-_LP_CACHE_MAX = 16
 
 
 def _lp_init_rows(t: pa.Table) -> pa.Table:
@@ -1031,11 +989,9 @@ def _lp_scatter(g: pa.Table) -> pa.Table:
 
 
 def _lp_fold_factory(round_dir: str):
-    """Per-bucket fold: new label = min proposal per node, written to one
-    atomic parquet file per bucket; returns only (bucket, n, n_changed)."""
-    import os
-
-    import pyarrow.parquet as pq
+    """Per-bucket fold: new label = min proposal per node, written as one
+    bucket file (``write_bucket``); returns only (bucket, n, n_changed)."""
+    from datacat_ray.stages.bucketed import write_bucket
 
     def _fold(g: pa.Table) -> pa.Table:
         b = int(g["__bucket"][0].as_py())
@@ -1050,9 +1006,7 @@ def _lp_fold_factory(round_dir: str):
             {"node": pa.array(uk, type=pa.int64()),
              "label": pa.array(newl, type=pa.int64())}
         )
-        tmp = os.path.join(round_dir, f".tmp.bucket-{b:05d}.parquet.{os.getpid()}")
-        pq.write_table(t, tmp)
-        os.replace(tmp, os.path.join(round_dir, f"bucket-{b:05d}.parquet"))
+        write_bucket(round_dir, b, t)
         return pa.Table.from_pydict(
             {"bucket": pa.array([b], pa.int32()),
              "n": pa.array([len(uk)], pa.int64()),
@@ -1075,10 +1029,7 @@ def _lp_scatter_from(edges, round_dir: str):
                 _lp_label_rows, batch_format="pyarrow"
             )
         )
-        .map_batches(
-            lambda t: add_bucket(t, "key", _LP_BUCKETS),
-            batch_format="pyarrow",
-        )
+        .map_batches(lambda t: add_bucket(t, "key"), batch_format="pyarrow")
         .groupby("__bucket")
         .map_groups(_lp_scatter, batch_format="pyarrow")
     )
@@ -1133,12 +1084,10 @@ def label_propagation_parquet(
         os.makedirs(round_dir, exist_ok=True)
         stats = (
             rows.map_batches(
-                lambda t: add_bucket(t, "node", _LP_BUCKETS),
-                batch_format="pyarrow",
-            )
+                lambda t: add_bucket(t, "node"), batch_format="pyarrow")
             .groupby("__bucket")
             .map_groups(_lp_fold_factory(round_dir), batch_format="pyarrow")
-            .take_all()  # <= _LP_BUCKETS tiny rows -- the only driver state
+            .take_all()  # <= DEFAULT_BUCKETS tiny rows: all driver state
         )
         if not stats:  # no edges at all: every doc is a singleton
             return None
@@ -1156,47 +1105,15 @@ def label_propagation_parquet(
     raise RuntimeError(f"label propagation did not converge in {max_rounds} rounds")
 
 
-def _label_bucket_map(lab_dir: str, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-worker LRU over one converged label bucket: (nodes sorted
-    ascending, aligned labels) as int64 arrays — callers probe with ONE
-    ``searchsorted`` per (batch, bucket), never a dict.get per row.
-    Bounded memory at any corpus size (same shape as the paragraph-dedup
-    decision buckets); the os.stat identity check runs once per (batch,
-    bucket), not per row."""
-    import os
-    from collections import OrderedDict
-
-    global _LP_CACHE
-    if not isinstance(_LP_CACHE, OrderedDict):
-        _LP_CACHE = OrderedDict(_LP_CACHE)
-    f = os.path.join(lab_dir, f"bucket-{b:05d}.parquet")
-    # key carries the file identity (mtime_ns, size): a long-lived worker
-    # must never serve a previous run's labels when the same path is
-    # rebuilt with different data
-    try:
-        st = os.stat(f)
-        ident = (st.st_mtime_ns, st.st_size)
-    except FileNotFoundError:
-        ident = None
-    key = (lab_dir, b, ident)
-    cached = _LP_CACHE.get(key)
-    if cached is not None:
-        _LP_CACHE.move_to_end(key)
-        return cached
-    import pyarrow.parquet as pq
-
-    if ident is not None:
-        t = pq.read_table(f)
-        nodes = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-        labels = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(nodes, kind="stable")
-        cached = (nodes[order], labels[order])
-    else:
-        cached = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    _LP_CACHE[key] = cached
-    while len(_LP_CACHE) > _LP_CACHE_MAX:
-        _LP_CACHE.popitem(last=False)
-    return cached
+def _load_labels(t: pa.Table | None) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes sorted ascending, aligned labels) of one converged label
+    bucket — callers probe with ONE ``searchsorted`` per (batch, bucket)."""
+    if t is None:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    nodes = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
+    labels = t["label"].to_numpy(zero_copy_only=False).astype(np.int64)
+    order = np.argsort(nodes, kind="stable")
+    return nodes[order], labels[order]
 
 
 def neardup_clusters_sql(threshold: float = 0.7) -> str:
@@ -1253,8 +1170,8 @@ def neardup_clusters(
     O(pairs) driver memory, right while pairs are much smaller than the
     corpus. Past it, components via ``label_propagation_parquet`` (O(1)
     driver state), assignment via a map-only pass reading the converged
-    label buckets through a per-worker LRU -- the 10^12-doc path, pinned
-    equal to the driver path in tests (test_neardup_lp).
+    label buckets through ``bucketed.read_bucket`` -- the 10^12-doc path,
+    pinned equal to the driver path in tests (test_neardup_lp).
 
     ``resume=True`` keeps the existing ``work_dir`` checkpoints (edge list
     + ``_ROUND_OK`` rounds) so a crashed distributed run continues
@@ -1269,7 +1186,11 @@ def neardup_clusters(
     connected through star links whose signature Jaccard ALSO clears the
     threshold; borderline members of a capped cluster can fall out as
     singletons."""
-    from datacat_ray.stages.bucketed import cached_ref, int_bucket_codes
+    from datacat_ray.stages.bucketed import (
+        cached_ref,
+        int_bucket_codes,
+        read_bucket,
+    )
 
     import hashlib
     import os
@@ -1357,13 +1278,13 @@ def neardup_clusters(
             cluster = ids.astype(np.int64)  # astype copies
             if lab_dir is not None:
                 # group rows by bucket: each bucket's label file is
-                # loaded/statted ONCE per batch and probed with one
-                # vectorized searchsorted (a per-row lookup thrashes the
-                # LRU — the Knuth hash interleaves sequential doc_ids
-                # across all buckets within a batch)
-                codes = int_bucket_codes(ids, _LP_BUCKETS)
+                # read ONCE per batch and probed with one vectorized
+                # searchsorted (a per-row lookup thrashes the LRU — the
+                # Knuth hash interleaves sequential doc_ids across all
+                # buckets within a batch)
+                codes = int_bucket_codes(ids)
                 for bc in np.unique(codes):
-                    nodes, labels = _label_bucket_map(lab_dir, int(bc))
+                    nodes, labels = read_bucket(lab_dir, int(bc), _load_labels)
                     sel = np.flatnonzero(codes == bc)
                     hit, npos = sorted_hits(cluster[sel], nodes)
                     cluster[sel[hit]] = labels[npos]
@@ -1458,17 +1379,6 @@ def _gram_hashes(grams: list[str]) -> np.ndarray:
         step = h * _POLY_B + mat[:, i]
         h = np.where(lens > i, step, h)
     return h
-
-
-def simhash64(text: str) -> int:
-    """64-bit SimHash over token 3-grams (unsigned value in int64
-    carrier) — single-doc reference; `_simhash_batch` computes the same
-    values batch-at-a-time."""
-    hs = _gram_hashes(_gram_list(text))
-    bits = ((hs[:, None] >> _BIT_SHIFTS) & np.uint64(1)).astype(np.int64)
-    votes = (2 * bits - 1).sum(axis=0)
-    h = int(((votes > 0) * _BIT_WEIGHTS).sum(dtype=np.uint64))
-    return h - (1 << 63)
 
 
 def _simhash_batch(batch: pa.Table) -> pa.Table:
@@ -2089,8 +1999,7 @@ def paragraph_dedup(
       3. the dropped keys land in doc-bucket-partitioned parquet under
          ``drop_dir`` (second narrow shuffle, atomic rename per bucket),
          and the rebuild is a MAP-ONLY pass over documents that loads its
-         buckets' drop sets through a per-worker LRU
-         (``_drop_bucket_sets``).
+         buckets' drop sets through the per-worker ``read_bucket`` LRU.
     ``drop_dir`` must be shared storage on a multi-node cluster; it is
     cleared (content-guarded, ``clear_cache_dir``) before the decision
     build. Without one, a pid-keyed scratch dir is resolved (the
@@ -2104,19 +2013,15 @@ def paragraph_dedup(
     import hashlib
     import os
 
-    import pyarrow.parquet as pq
-
     from datacat_ray.scratch import scratch_path
     from datacat_ray.stages.bucketed import (
         add_bucket,
         int_bucket_codes,
+        read_bucket,
         sorted_key_bounds,
+        write_bucket,
     )
-    from datacat_ray.stages.dedup import (
-        clear_cache_dir,
-        input_fingerprint,
-        reap_stale_scratch,
-    )
+    from datacat_ray.stages.dedup import clear_cache_dir, reap_stale_scratch
 
     src = f"{sf_dir}/documents.parquet"
     _is_drop = lambda f: f.startswith(("bucket-", ".tmp.bucket-"))  # noqa: E731
@@ -2129,13 +2034,8 @@ def paragraph_dedup(
         # file for it must not survive into this one
         clear_cache_dir(drop_dir, _is_drop)
     os.makedirs(drop_dir, exist_ok=True)
-    # the workers' drop-set LRU is keyed on the input's identity too: a
-    # corpus regenerated at the same path must not be served old drops
-    ident = (input_fingerprint(src), w)
 
     def _explode(t: pa.Table) -> pa.Table:
-        import polars as pl
-
         segs: list[str] = []
         keys: list[int] = []
         for doc_id, text in zip(
@@ -2157,10 +2057,7 @@ def paragraph_dedup(
         # per-segment Python FNV byte-loop here was the stage's hot path);
         # the hash only buckets equal segments together — the oracle's
         # semantics group by segment TEXT, so any deterministic hash works
-        h = (
-            pl.Series(segs).hash(seed=20260817).to_numpy().view(np.int64)
-            if segs else np.empty(0, np.int64)
-        )
+        h = hash64(segs).view(np.int64)
         return add_bucket(
             pa.Table.from_pydict(
                 {"h": pa.array(h, type=pa.int64()),
@@ -2205,9 +2102,7 @@ def paragraph_dedup(
         t = g.drop_columns(["__bucket"]).sort_by(
             [("doc_id", "ascending"), ("seg_id", "ascending")]
         )
-        tmp = os.path.join(drop_dir, f".tmp.bucket-{b:05d}.parquet")
-        pq.write_table(t, tmp)
-        os.replace(tmp, os.path.join(drop_dir, f"bucket-{b:05d}.parquet"))
+        write_bucket(drop_dir, b, t)
         return pa.Table.from_pydict(
             {"bucket": pa.array([b], pa.int32()),
              "n": pa.array([t.num_rows], pa.int64())}
@@ -2216,16 +2111,16 @@ def paragraph_dedup(
     # materialize the decision build before the rebuild pass reads it
     (
         dropped.map_batches(
-            lambda t: add_bucket(t, "doc_id", _DROP_BUCKETS),
-            batch_format="pyarrow",
-        )
+            lambda t: add_bucket(t, "doc_id"), batch_format="pyarrow")
         .groupby("__bucket")
         .map_groups(_write_bucket, batch_format="pyarrow")
     ).count()
 
     def _rebuild(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        bcodes = int_bucket_codes(ids, _DROP_BUCKETS)
+        bcodes = int_bucket_codes(ids)
+        drops = {bc: read_bucket(drop_dir, bc, _load_drops)
+                 for bc in np.unique(bcodes).tolist()}
         out_text: list[str | None] = []
         n_segs: list[int] = []
         n_drop: list[int] = []
@@ -2233,8 +2128,7 @@ def paragraph_dedup(
             ids.tolist(), bcodes.tolist(), t["text"].to_pylist()
         ):
             segs = _doc_segments(text or "", w)
-            dset = _drop_bucket_sets(drop_dir, ident, bc).get(
-                doc_id, frozenset())
+            dset = drops[bc].get(doc_id, frozenset())
             kept = [s for i, s in enumerate(segs) if i not in dset]
             out_text.append(" ".join(kept) if kept else None)
             n_segs.append(len(segs))
@@ -2289,42 +2183,18 @@ PARAGRAPH_DEDUP_SQL = f"""
 """
 
 
-_DROP_BUCKETS = 64
-_DROP_CACHE: "OrderedDict[tuple, dict]" = OrderedDict()
-_DROP_CACHE_MAX = 16
-
-
-def _drop_bucket_sets(drop_dir: str, ident: tuple,
-                      b: int) -> dict[int, set[int]]:
-    """Per-worker LRU over one decision bucket file: {doc_id: dropped
-    seg_ids}, keyed by ``ident`` (the input fingerprint and segment width
-    of the run that wrote ``drop_dir``) as well as the dir and bucket.
-    Bounded memory at any corpus size — a worker holds at most
-    ``_DROP_CACHE_MAX`` × (dropped-segments / buckets) entries; input
-    layouts where doc_ids cluster (hash-partitioned output of an upstream
-    stage) touch few buckets per batch."""
-    import os
-
-    key = (drop_dir, ident, b)
-    d = _DROP_CACHE.get(key)
-    if d is not None:
-        _DROP_CACHE.move_to_end(key)
-        return d
-    import pyarrow.parquet as pq
-
+def _load_drops(t: pa.Table | None) -> dict[int, set[int]]:
+    """{doc_id: dropped seg_ids} of one decision bucket file (written
+    doc-sorted)."""
     from datacat_ray.stages.bucketed import sorted_key_bounds
 
-    f = os.path.join(drop_dir, f"bucket-{b:05d}.parquet")
-    d = {}
-    if os.path.exists(f):  # a bucket with zero drops is never written
-        t = pq.read_table(f)
-        dids = t["doc_id"].to_numpy()
-        sids = t["seg_id"].to_numpy()
-        starts = sorted_key_bounds(dids)  # file is written doc-sorted
-        ends = np.append(starts[1:], len(dids))
-        for a, e in zip(starts, ends):
-            d[int(dids[a])] = set(sids[a:e].tolist())
-    _DROP_CACHE[key] = d
-    while len(_DROP_CACHE) > _DROP_CACHE_MAX:
-        _DROP_CACHE.popitem(last=False)
+    d: dict[int, set[int]] = {}
+    if t is None:
+        return d
+    dids = t["doc_id"].to_numpy()
+    sids = t["seg_id"].to_numpy()
+    starts = sorted_key_bounds(dids)
+    ends = np.append(starts[1:], len(dids))
+    for a, e in zip(starts, ends):
+        d[int(dids[a])] = set(sids[a:e].tolist())
     return d

@@ -497,7 +497,7 @@ def build_extract_pipeline(
     the wide html column out of any shuffle entirely."""
     cfg = cfg or PipelineConfig()
     if dedup:
-        ds = dedup_latest(ds, key="url", ts="warc_ts")
+        ds = dedup_latest(ds)
     return ds.map_batches(
         functools.partial(
             _fused_task, max_tokens=cfg.max_tokens, max_blocks=cfg.max_blocks,

@@ -17,6 +17,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from datacat_ray import quiet_schema_hash_warning
+from datacat_ray.stages.bucketed import cached_ref
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -116,20 +117,6 @@ def top_orders(sf_dir: str, k: int = 10) -> "ray.data.Dataset":
     return ds.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(k)
 
 
-_DIM_CACHE: dict[str, object] = {}
-
-
-def _cached_dim(ref) -> pa.Table:
-    """Per-worker cache of a broadcast dimension table (one deserialization
-    per worker, not one per batch)."""
-    k = ref.hex()
-    t = _DIM_CACHE.get(k)
-    if t is None:
-        _DIM_CACHE.clear()
-        t = _DIM_CACHE[k] = ray.get(ref)
-    return t
-
-
 def _broadcast_inner_join(t: pa.Table, dim: pa.Table, key: str) -> pa.Table:
     """Vectorized batch ⋈ broadcast-dim inner join (polars hash join — no
     per-row Python lookup)."""
@@ -152,7 +139,7 @@ def revenue_by_segment(sf_dir: str) -> "ray.data.Dataset":
     seg_ref = ray.put(cust)
 
     def _join(t: pa.Table) -> pa.Table:
-        joined = _broadcast_inner_join(t, _cached_dim(seg_ref), "o_custkey")
+        joined = _broadcast_inner_join(t, cached_ref(seg_ref), "o_custkey")
         return joined.select(["c_mktsegment", "o_totalprice"])
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -401,7 +388,7 @@ def revenue_by_region_nation(sf_dir: str) -> "ray.data.Dataset":
         fact = pa.Table.from_pydict(
             {"l_suppkey": t["l_suppkey"], "revenue": rev}
         )
-        joined = _broadcast_inner_join(fact, _cached_dim(ref), "l_suppkey")
+        joined = _broadcast_inner_join(fact, cached_ref(ref), "l_suppkey")
         return joined.select(["r_name", "n_name", "revenue"])
 
     def _join_partial(t: pa.Table) -> pa.Table:
@@ -663,7 +650,7 @@ def top_orders_by_segment(sf_dir: str, k: int = 3) -> "ray.data.Dataset":
     ref = ray.put(cust)
 
     def _join_local_topk(t: pa.Table) -> pa.Table:
-        j = _broadcast_inner_join(t, _cached_dim(ref), "o_custkey")
+        j = _broadcast_inner_join(t, cached_ref(ref), "o_custkey")
         # local top-k per segment inside the batch: only ≤ 5*k rows leave
         out = []
         for seg in set(j["c_mktsegment"].to_pylist()):
@@ -743,8 +730,6 @@ def doc_length_ranks(sf_dir: str) -> "ray.data.Dataset":
     import ray as _ray
 
     from ray.data.aggregate import Sum
-
-    from datacat_ray.stages.bucketed import cached_ref
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]

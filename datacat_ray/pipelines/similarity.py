@@ -228,9 +228,7 @@ def _unit_rows(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     return ids, embs / norms
 
 
-def build_ivf_index(
-    sf_dir: str, index_dir: str | None = None, overwrite: bool = False
-) -> str:
+def build_ivf_index(sf_dir: str, index_dir: str | None = None) -> str:
     """One-time IVF index build (the real thing, not a filtered scan):
 
     1. TRAIN: spherical k-means centroids on a small streamed sample.
@@ -242,9 +240,11 @@ def build_ivf_index(
 
     Probes then READ ONLY the top-nprobe matching partitions — the
     brute-force scan disappears at the filesystem level, which is the whole
-    point of an IVF layout at 10^12 vectors. Re-builds are skipped via a
-    success marker."""
+    point of an IVF layout at 10^12 vectors. Built once per input
+    fingerprint (``dedup.build_once``)."""
     import os
+
+    from datacat_ray.stages.dedup import build_once, input_fingerprint
 
     if index_dir is None:
         import hashlib
@@ -253,64 +253,44 @@ def build_ivf_index(
 
         digest = hashlib.sha1(sf_dir.encode()).hexdigest()[:12]
         index_dir = scratch_path(f"datacat_ivf_{digest}")
-    from datacat_ray.stages.dedup import input_fingerprint
 
-    # marker carries a layout version + the input fingerprint: stale caches
-    # (older format, or embeddings regenerated at the same path) rebuild
-    # instead of half-loading or silently serving the old index
-    fp = input_fingerprint(f"{sf_dir}/embeddings.parquet")
-    marker = os.path.join(index_dir, "_BUILT_v2")
-    if (
-        not overwrite
-        and os.path.exists(marker)
-        and os.path.exists(os.path.join(index_dir, "centroids.npy"))
-    ):
-        with open(marker) as fh:
-            if fh.read().strip() == fp:
-                return index_dir
-    if os.path.isdir(index_dir):
-        # clear torn/stale builds: Ray writes uniquely-named files, so a
-        # rebuild on top of leftovers would DUPLICATE vectors per bucket —
-        # refusing directories that hold anything but index artifacts
-        from datacat_ray.stages.dedup import clear_cache_dir
-
-        clear_cache_dir(
-            index_dir,
-            # "nprobe" covers nprobe.json + crashed-run .tmp files: the
-            # cached selection belongs to the index being cleared (stale
-            # after a rebuild), and refusing it would brick the dir
-            lambda f: f.startswith(("bucket=", "_BUILT", "centroids",
-                                    "nprobe")),
+    def _build() -> None:
+        src = ray.data.read_parquet(
+            f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
         )
-    os.makedirs(index_dir, exist_ok=True)
+        sample = src.limit(_IVF_SAMPLE).take_all()
+        s = np.array([r["embedding"] for r in sample], dtype=np.float64)
+        sn = np.linalg.norm(s, axis=1, keepdims=True)
+        sn[sn == 0] = 1.0
+        cent = train_ivf_centroids(s / sn)
+        np.save(os.path.join(index_dir, "centroids.npy"), cent)
+        cent_ref = ray.put(cent)
 
-    src = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    sample = src.limit(_IVF_SAMPLE).take_all()
-    s = np.array([r["embedding"] for r in sample], dtype=np.float64)
-    sn = np.linalg.norm(s, axis=1, keepdims=True)
-    sn[sn == 0] = 1.0
-    cent = train_ivf_centroids(s / sn)
-    np.save(os.path.join(index_dir, "centroids.npy"), cent)
-    cent_ref = ray.put(cent)
+        def _assign(t: pa.Table) -> pa.Table:
+            c = ray.get(cent_ref)
+            ids, unit = _unit_rows(t)
+            return pa.Table.from_pydict(
+                {
+                    "vec_id": pa.array(ids),
+                    "unit": pa.array(unit.tolist(),
+                                     type=pa.list_(pa.float64())),
+                    "bucket": pa.array(ivf_bucket_of(unit, c)),
+                }
+            )
 
-    def _assign(t: pa.Table) -> pa.Table:
-        c = ray.get(cent_ref)
-        ids, unit = _unit_rows(t)
-        return pa.Table.from_pydict(
-            {
-                "vec_id": pa.array(ids),
-                "unit": pa.array(unit.tolist(), type=pa.list_(pa.float64())),
-                "bucket": pa.array(ivf_bucket_of(unit, c)),
-            }
+        src.map_batches(_assign, batch_format="pyarrow").write_parquet(
+            index_dir, partition_cols=["bucket"]
         )
 
-    src.map_batches(_assign, batch_format="pyarrow").write_parquet(
-        index_dir, partition_cols=["bucket"]
-    )
-    with open(marker, "w") as fh:
-        fh.write(fp + "\n")
+    # index artifacts only: Ray writes uniquely-named files, so a rebuild on
+    # top of leftovers would DUPLICATE vectors per bucket. "nprobe" covers
+    # nprobe.json + crashed-run .tmp files: the cached selection belongs to
+    # the index being cleared (stale after a rebuild), and refusing it would
+    # brick the dir; "_BUILT" also covers the marker of earlier layouts
+    build_once(index_dir, input_fingerprint(f"{sf_dir}/embeddings.parquet"),
+               lambda f: f.startswith(
+                   ("bucket=", "_BUILT", "centroids", "nprobe")),
+               _build)
     return index_dir
 
 

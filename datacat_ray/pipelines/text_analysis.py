@@ -1233,7 +1233,6 @@ def source_cap_sample_sql(k: int = SOURCE_CAP_K) -> str:
 
 DUP_NGRAM_N = 8
 _GRAM_B = np.uint64(1099511628211)  # FNV prime as positional base
-_WORD_HASH_SEED = 20260817
 
 
 def _word_ngram_hashes(texts: list, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1243,7 +1242,7 @@ def _word_ngram_hashes(texts: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     batch array, windows crossing doc boundaries are masked out, and
     per-doc dedup is a lexsort + neighbor-equality mask — no per-gram
     Python."""
-    import polars as pl
+    from datacat_ray.stages.bucketed import hash64
 
     words_per_doc = [ascii_tokens(t) for t in texts]
     lens = np.fromiter((len(w) for w in words_per_doc), dtype=np.int64,
@@ -1251,8 +1250,7 @@ def _word_ngram_hashes(texts: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     flat: list[str] = [w for ws in words_per_doc for w in ws]
     if len(flat) < n:
         return np.empty(0, np.int64), np.empty(0, np.uint64)
-    wh = pl.Series(flat, dtype=pl.Utf8).hash(seed=_WORD_HASH_SEED).to_numpy()
-    wh = wh.astype(np.uint64)
+    wh = hash64(flat)
     doc_of = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
     m = len(wh) - n + 1
     g = np.zeros(m, dtype=np.uint64)
@@ -2171,11 +2169,13 @@ def corpus_prep(sf_dir: str) -> "ray.data.Dataset":
     The wide text column never crosses the exchange — only (hash, doc_id,
     lang, n_tokens). Demonstrates that the operator library composes into
     end-to-end corpus jobs without extra materialization."""
-    import polars as pl
-
     from ray.data.aggregate import Sum
 
-    from datacat_ray.stages.bucketed import add_bucket, sorted_key_bounds
+    from datacat_ray.stages.bucketed import (
+        add_bucket,
+        hash64,
+        sorted_key_bounds,
+    )
 
     allowed = frozenset(GATE_LANGS)
 
@@ -2198,15 +2198,10 @@ def corpus_prep(sf_dir: str) -> "ray.data.Dataset":
             n_toks.append(n)
         t = t.append_column("n_tokens", pa.array(n_toks, pa.int64()))
         t = t.filter(pa.array(keeps, pa.bool_()))
-        h = (
-            pl.from_arrow(
-                pc.fill_null(t["text"].combine_chunks(), "")
-            ).hash(seed=20260817).to_numpy().view(np.int64)
-            if t.num_rows else np.empty(0, np.int64)
-        )
+        h = hash64(pc.fill_null(t["text"].combine_chunks(), ""))
         out = pa.Table.from_pydict(
             {
-                "text_hash": pa.array(h, pa.int64()),
+                "text_hash": pa.array(h.view(np.int64), pa.int64()),
                 "doc_id": t["doc_id"],
                 "lang": t["lang"],
                 "n_tokens": t["n_tokens"],

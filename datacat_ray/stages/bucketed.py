@@ -1,26 +1,60 @@
-"""Bucketed vectorized per-key kernels — the engine's standard replacement
-for ``groupby(key).map_groups(python_udf)``.
+"""Hash-bucketed tables — the engine's one layer for per-key work at any
+key cardinality, and its standard replacement for
+``groupby(key).map_groups(python_udf)``.
 
 ``groupby(key).map_groups`` costs one Python call per DISTINCT key plus a
 sort-shuffle on the raw key; at 10^8 users that is 10^8 UDF invocations
-(measured 33 s of a 34 s pipeline at 5k urls in ``stages/dedup.py``). The
-bucketed shape instead hashes the key into a small int bucket column, runs
-ONE hash shuffle on the int, and applies a numpy/Arrow kernel once per
-bucket with key-boundary masks — O(buckets) Python calls, identical
-per-key semantics because every row of a key lands in the same bucket.
+(measured 33 s of a 34 s pipeline at 5k urls). The bucketed shape instead
+hashes the key into a small int bucket column, runs ONE hash shuffle on the
+int, and applies a numpy/Arrow kernel once per bucket with key-boundary
+masks — O(buckets) Python calls, identical per-key semantics because every
+row of a key lands in the same bucket.
 
-Used by ``latest_events`` / ``user_sessions`` / ``asof_purchase_attribution``
-(``pipelines/dedup_ops.py``, ``pipelines/relational.py``) and mirrored by
-the url-dedup kernels in ``stages/dedup.py``.
+This module owns every piece of that shape: the one 64-bit key hash
+(``hash64``), the bucket functions (``add_bucket``), the per-key kernels
+(``keep_last``, ``keep_first_k``), the distributed keep-latest
+(``keep_latest`` — the url dedup of ``stages/dedup.py`` and
+``latest_events``), the atomic bucket-file writer (``write_bucket``) with
+its bounded per-worker reader (``read_bucket``), and the per-worker cache
+of broadcast objects (``cached_ref``).
 """
 
 from __future__ import annotations
+
+import os
+from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 DEFAULT_BUCKETS = 64  # shuffle partitions; scale ~ cluster cores × 2
+_HASH_SEED = 20260817
+
+
+def hash64(values) -> np.ndarray:
+    """The engine's one 64-bit key hash (uint64): polars' vectorized hash
+    with a pinned seed, so every process maps a key to the same value —
+    one C call per column. ``values``: an Arrow array or chunked array, a
+    polars Series, or a list of strings. Nulls hash to a fixed value;
+    callers that mean "null == empty" fill them first."""
+    import polars as pl
+
+    if isinstance(values, (pa.Array, pa.ChunkedArray)):
+        values = pl.from_arrow(values)
+    elif not isinstance(values, pl.Series):
+        values = pl.Series(values, dtype=pl.Utf8)
+    return values.hash(seed=_HASH_SEED).to_numpy()
+
+
+def hash_buckets(
+    h: np.ndarray, n_buckets: int = DEFAULT_BUCKETS
+) -> np.ndarray:
+    """Bucket codes of ``hash64`` values: the string-key bucket function of
+    ``add_bucket``, exposed for tables keyed by the hash itself (the url
+    winner set) so writer and reader never diverge on the mapping."""
+    return (h % np.uint64(n_buckets)).astype(np.int32)
+
 
 _BCAST_CACHE: dict = {}
 _BCAST_ORDER: list = []
@@ -50,7 +84,9 @@ def cached_ref(ref, max_entries: int = 4):
     return v
 
 
-def int_bucket_codes(keys: np.ndarray, n_buckets: int) -> np.ndarray:
+def int_bucket_codes(
+    keys: np.ndarray, n_buckets: int = DEFAULT_BUCKETS
+) -> np.ndarray:
     """The integer-key bucket function of ``add_bucket``, exposed so
     write-side partitioners and read-side lookups (e.g. the paragraph-dedup
     prefilter) can never diverge on the mapping."""
@@ -78,10 +114,7 @@ def add_bucket(
         k = col.combine_chunks().to_numpy(zero_copy_only=False)
         b = int_bucket_codes(k, n_buckets)
     else:
-        import polars as pl
-
-        s = pl.from_arrow(col.combine_chunks())
-        b = (s.hash(seed=20260817) % n_buckets).cast(pl.Int32).to_numpy()
+        b = hash_buckets(hash64(col), n_buckets)
     return t.append_column("__bucket", pa.array(b, type=pa.int32()))
 
 
@@ -136,3 +169,72 @@ def keep_last(t: pa.Table, key: str, order_cols: list[str]) -> pa.Table:
     keep = np.ones(n, dtype=bool)
     keep[: n - 1] = differs
     return t.take(pc.take(order, pa.array(np.flatnonzero(keep))))
+
+
+def keep_latest(ds, key: str, order_cols: list[str]):
+    """Exact distributed keep-max-per-key over a Dataset: in-batch
+    ``keep_last`` (drops stale rows that share a read block before any
+    data moves), ONE hash shuffle on the int bucket of ``key``, then
+    ``keep_last`` once per bucket. Every row of a key lands in one bucket,
+    so the per-key winner is exact; a null order value never wins."""
+    ds = ds.map_batches(
+        lambda t: add_bucket(keep_last(t, key, order_cols), key),
+        batch_format="pyarrow",
+    )
+    return ds.groupby("__bucket").map_groups(
+        lambda g: keep_last(g.drop_columns(["__bucket"]), key, order_cols),
+        batch_format="pyarrow",
+    )
+
+
+# ---------------------------------------------------------------------------
+# bucket files: one parquet file per bucket of a hash-partitioned table
+# ---------------------------------------------------------------------------
+
+
+def _bucket_path(d: str, b: int) -> str:
+    return os.path.join(d, f"bucket-{b:05d}.parquet")
+
+
+def write_bucket(d: str, b: int, t: pa.Table) -> None:
+    """Publish ``t`` as bucket ``b`` of the table under ``d``: written to a
+    pid-keyed tmp file, then renamed into place, so a reader never sees a
+    torn file and two writers of one bucket never share a tmp. A bucket no
+    row hashed to is never written."""
+    import pyarrow.parquet as pq
+
+    path = _bucket_path(d, b)
+    tmp = os.path.join(d, f".tmp.{os.path.basename(path)}.{os.getpid()}")
+    pq.write_table(t, tmp)
+    os.replace(tmp, path)
+
+
+_BUCKET_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
+_BUCKET_CACHE_MAX = 16
+
+
+def read_bucket(d: str, b: int, load):
+    """``load(table)`` of bucket ``b`` under ``d`` through a bounded
+    per-worker LRU (``_BUCKET_CACHE_MAX`` loaded buckets per process, so
+    worker memory stays bounded at any table size). Keyed by the file's
+    path and identity (inode, mtime_ns, size) as well as ``load``: a table
+    rebuilt at the same path is never served from an earlier build. A
+    missing file is a bucket with no rows: ``load(None)`` must return the
+    empty value. Callers group a batch's rows by bucket and read each
+    bucket once per batch (one ``os.stat`` each)."""
+    path = _bucket_path(d, b)
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return load(None)
+    key = (path, load, st.st_ino, st.st_mtime_ns, st.st_size)
+    v = _BUCKET_CACHE.get(key)
+    if v is not None:
+        _BUCKET_CACHE.move_to_end(key)
+        return v
+    import pyarrow.parquet as pq
+
+    v = _BUCKET_CACHE[key] = load(pq.read_table(path))
+    while len(_BUCKET_CACHE) > _BUCKET_CACHE_MAX:
+        _BUCKET_CACHE.popitem(last=False)
+    return v

@@ -1,21 +1,17 @@
 """Per-url capture dedup: keep the latest ``warc_ts`` (SURVEY.md D1).
 
 The reference has no dedup (one file = one document); the north rule adds
-dedup by url keeping the latest capture BEFORE extraction. This is the
-pipeline's single required all-to-all shuffle (key = ``url``).
+dedup by url keeping the latest capture BEFORE extraction. The key and the
+order column are fixed (``KEY``, ``TS``), and every kernel here is the
+hash-bucketed layer of ``stages/bucketed.py``:
 
-Scale strategy (SURVEY.md §7.3):
-
-1. **Within-batch pre-dedup** (``map_batches``, vectorized): drops stale
-   captures that happen to co-locate in a read fragment — in Common-Crawl
-   layouts captures of a url cluster in the same segment files, so this
-   eliminates most duplicate volume before any data moves.
-2. **Hash-shuffle group dedup** (``groupby(key).map_groups``): exact global
-   winner per url. Ties on ``warc_ts`` break deterministically (last row in
-   (ts, stable-order) sort wins).
-
-The wide ``html`` column crosses the shuffle exactly once and only for rows
-that survive step 1.
+* ``dedup_latest`` — the exact shuffle dedup over a Dataset
+  (``bucketed.keep_latest``: in-batch keep-latest, one hash shuffle on the
+  int bucket of the url, keep-latest per bucket). The wide ``html`` column
+  crosses the shuffle once, only for rows that survive the in-batch step.
+* ``dedup_latest_prefilter`` / ``run_extract_job`` — a narrow (url,
+  warc_ts) winner set (``winner_probe``) that the full read is filtered
+  against, so the payload of a stale capture never moves at all.
 """
 
 from __future__ import annotations
@@ -25,125 +21,51 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
 
+from datacat_ray.stages.bucketed import (
+    cached_ref,
+    hash64,
+    hash_buckets,
+    keep_last,
+    keep_latest,
+    read_bucket,
+    write_bucket,
+)
 
-def _dedup_batch(batch: pa.Table, key: str, ts: str) -> pa.Table:
-    """Vectorized within-batch keep-latest: stable sort by (key, ts) then
-    keep each key's last occurrence."""
-    n = batch.num_rows
-    if n <= 1:
-        return batch
-    # nulls sort FIRST: a null capture time means "unknown, oldest" — the
-    # default at_end placement would crown a null-ts row as latest
-    order = pc.sort_indices(
-        batch,
-        sort_keys=[(key, "ascending"), (ts, "ascending")],
-        null_placement="at_start",
-    )
-    sorted_keys = pc.take(batch[key], order).combine_chunks()
-    # a sorted row wins if the NEXT sorted row has a different key (or none)
-    differs = pc.not_equal(
-        sorted_keys.slice(1), sorted_keys.slice(0, n - 1)
-    ).to_numpy(zero_copy_only=False)
-    keep = np.ones(n, dtype=bool)
-    keep[: n - 1] = differs
-    winners = pc.take(order, pa.array(np.flatnonzero(keep)))
-    return batch.take(winners)
+KEY = "url"
+TS = "warc_ts"
 
 
-DEFAULT_BUCKETS = 256  # shuffle partitions; scale ~ cluster cores × 2
-
-
-def _bucket_of(keys: pa.Array | pa.ChunkedArray | list, n_buckets: int) -> np.ndarray:
-    """Deterministic (process-independent) key → bucket: the vectorized
-    polars 64-bit hash (one C call per column) mod n_buckets. Correctness
-    needs only that every capture of a key maps to ONE bucket on every
-    worker, which the pinned-seed hash guarantees."""
-    h = np.array(_key_hash64(keys), dtype=np.uint64)
-    return (h % np.uint64(n_buckets)).astype(np.int32)
-
-
-def dedup_latest(
-    ds: "ray.data.Dataset",
-    key: str = "url",
-    ts: str = "warc_ts",
-    n_buckets: int = DEFAULT_BUCKETS,
-) -> "ray.data.Dataset":
-    """Keep, per ``key``, the single row with the largest ``ts``.
-
-    NOT ``groupby(key).map_groups`` — that is a sort shuffle on a wide
-    string key plus one Python UDF call per distinct key (measured 33s of a
-    34s pipeline at 5k urls). Instead: hash ``key`` into ``n_buckets``
-    int buckets, shuffle on the small int, and run the VECTORIZED
-    keep-latest kernel once per bucket. All captures of one url share a
-    bucket, so per-url semantics are exact."""
-    ds = ds.map_batches(
-        lambda b: _dedup_batch(b, key, ts), batch_format="pyarrow"
-    )
-
-    def _add_bucket(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "__bucket", pa.array(_bucket_of(b[key], n_buckets))
-        )
-
-    def _dedup_bucket(g: pa.Table) -> pa.Table:
-        return _dedup_batch(g.drop_columns(["__bucket"]), key, ts)
-
-    ds = ds.map_batches(_add_bucket, batch_format="pyarrow")
-    return ds.groupby("__bucket").map_groups(_dedup_bucket, batch_format="pyarrow")
+def dedup_latest(ds: "ray.data.Dataset") -> "ray.data.Dataset":
+    """Keep, per url, the single row with the largest ``warc_ts`` (a null
+    ``warc_ts`` never wins) — exact, through one shuffle on a small int
+    bucket of the url, never a per-url Python call."""
+    return keep_latest(ds, KEY, [TS])
 
 
 # ---------------------------------------------------------------------------
 # prefilter dedup: the 100 TB path — the wide payload never crosses a shuffle
 # ---------------------------------------------------------------------------
 
-def _cached_get(ref) -> dict:
-    """Per-worker deserialization cache for the broadcast winner map (the
-    ``ray.put`` once / read-in-every-task pattern; without the cache every
-    batch would re-deserialize the dict). Delegates to the shared bounded
-    cache in ``stages/bucketed.py`` — one implementation, one policy."""
-    from datacat_ray.stages.bucketed import cached_ref
-
-    return cached_ref(ref)
-
-
 _DRIVER_WINNER_ROWS = 5_000_000
 
 
-def _key_hash64(arr: pa.ChunkedArray | pa.Array) -> list[int]:
-    """Vectorized deterministic 64-bit hash of a string column (polars
-    ahash with pinned seeds — stable across processes). Collision odds at
-    10^6 keys ~ 3e-8; int keys keep the broadcast winner map ~10× smaller
-    than a str-keyed dict and unpickling at ms per worker."""
-    import polars as pl
-
-    s = pl.from_arrow(arr if isinstance(arr, (pa.Array, pa.ChunkedArray)) else pa.array(arr))
-    return s.hash(seed=20260817).to_list()
-
-
-def compute_winners(
-    path, key: str = "url", ts: str = "warc_ts"
-) -> dict[int, object]:
-    """Narrow winner pass on the driver: read ONLY (key, ts) (parquet
+def compute_winners(path) -> dict[int, object]:
+    """Narrow winner pass on the driver: read ONLY (url, warc_ts) (parquet
     column pruning) and max-reduce them with polars (~50ms/100k rows),
-    keyed by the 64-bit key hash. ``winner_probe`` calls it up to
+    keyed by the 64-bit url hash (int keys keep the broadcast ~10× smaller
+    than a str-keyed dict). ``winner_probe`` calls it up to
     ``_DRIVER_WINNER_ROWS`` input rows; past that the winner set stays
     distributed (``compute_winners_parquet``) and never reaches the
     driver. The wide html column never moves either way."""
     import polars as pl
     import pyarrow.dataset as pads
 
-    t = pads.dataset(path, format="parquet").to_table(columns=[key, ts])
-    win = pl.from_arrow(t).group_by(key).agg(pl.col(ts).max())
-    hashes = win[key].hash(seed=20260817).to_list()
-    return dict(zip(hashes, win[ts].to_list()))
-
-
-WINNER_BUCKETS = 64  # winner-parquet partitions; scale to keep each bucket
-# dict « worker heap (10^12 keys × 16 B / P — at that scale use P ~ 65536)
+    t = pads.dataset(path, format="parquet").to_table(columns=[KEY, TS])
+    win = pl.from_arrow(t).group_by(KEY).agg(pl.col(TS).max())
+    return dict(zip(hash64(win[KEY]).tolist(), win[TS].to_list()))
 
 
 def input_fingerprint(path) -> str:
@@ -223,77 +145,76 @@ def clear_cache_dir(d: str, allowed) -> None:
     shutil.rmtree(d)
 
 
-def compute_winners_parquet(
-    path,
-    out_dir: str,
-    key: str = "url",
-    ts: str = "warc_ts",
-    n_buckets: int = WINNER_BUCKETS,
-) -> str:
-    """Distributed winner set for >driver-memory key cardinality: narrow
-    (key, ts) read → per-fragment vectorized keep-latest → ONE hash shuffle
-    on ``crc-style`` int bucket of the 64-bit key hash → per-bucket
-    keep-latest → one parquet file per bucket (``bucket-%05d.parquet``,
-    atomic rename). The driver never materializes a winner; only
-    (hash, ts) pairs cross the shuffle. ``out_dir`` must be shared storage
-    on a multi-node cluster (object store / NFS), same as any shuffle
-    spill target."""
-    import numpy as np
+BUILT_MARKER = "_BUILT_OK"
 
+
+def build_once(d: str, fingerprint: str, allowed, build) -> None:
+    """Build a derived-artifact directory once per input ``fingerprint``:
+    a marker holding the fingerprint of a finished build skips ``build``;
+    otherwise a stale (input changed) or torn (crashed mid-build)
+    directory is cleared through ``clear_cache_dir`` (entries must pass
+    ``allowed`` or be the marker), ``build()`` fills the fresh directory,
+    and the marker is published atomically last."""
+    marker = os.path.join(d, BUILT_MARKER)
+    try:
+        with open(marker) as fh:
+            if fh.read().strip() == fingerprint:
+                return
+    except FileNotFoundError:
+        pass
+    if os.path.isdir(d):
+        clear_cache_dir(
+            d, lambda f: f.startswith(BUILT_MARKER) or allowed(f))
+    os.makedirs(d, exist_ok=True)
+    build()
+    tmp = f"{marker}.tmp.{os.getpid()}"
+    with open(tmp, "w") as fh:
+        fh.write(fingerprint + "\n")
+    os.replace(tmp, marker)
+
+
+def compute_winners_parquet(path, out_dir: str) -> str:
+    """Distributed winner set for >driver-memory url cardinality: narrow
+    (url, warc_ts) read → per-fragment keep-latest → ONE hash shuffle on
+    the bucket of the 64-bit url hash → per-bucket keep-latest → one
+    ``write_bucket`` file of (h, warc_ts) per bucket. The driver never
+    materializes a winner; only (hash, ts) pairs cross the shuffle. Built
+    once per input fingerprint (``build_once``). ``out_dir`` must be shared
+    storage on a multi-node cluster (object store / NFS), same as any
+    shuffle spill target."""
     import ray.data as rd
 
-    from datacat_ray.stages.bucketed import keep_last
-
-    fp = input_fingerprint(path)
-    marker = os.path.join(out_dir, "_WINNERS_OK")
-    if os.path.exists(marker):
-        with open(marker) as fh:
-            if fh.read().strip() == fp:
-                return out_dir  # finished build over the SAME input bytes
-    if os.path.isdir(out_dir):
-        # stale (input changed) OR torn (crashed mid-build): clear so no
-        # old-input bucket file can survive into the new layout — refusing
-        # directories that hold anything but winner artifacts
-        clear_cache_dir(
-            out_dir,
-            lambda f: f.startswith(("bucket-", ".tmp.bucket-", "_WINNERS")),
-        )
-    os.makedirs(out_dir, exist_ok=True)
-
     def _local(b: pa.Table) -> pa.Table:
-        b = _dedup_batch(b, key, ts)
-        h = np.array(_key_hash64(b[key]), dtype=np.uint64)
+        b = keep_last(b, KEY, [TS])
+        h = hash64(b[KEY])
         return pa.Table.from_pydict(
-            {
-                "h": pa.array(h, type=pa.uint64()),
-                ts: b[ts],
-                "__bucket": pa.array(
-                    (h % np.uint64(n_buckets)).astype(np.int32)),
-            }
+            {"h": pa.array(h, type=pa.uint64()), TS: b[TS],
+             "__bucket": pa.array(hash_buckets(h))}
         )
 
     def _reduce_bucket(g: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
         b = int(g["__bucket"][0].as_py())
-        win = keep_last(g.drop_columns(["__bucket"]), "h", [ts])
-        tmp = os.path.join(out_dir, f".tmp.bucket-{b:05d}.parquet.{os.getpid()}")
-        pq.write_table(win, tmp)
-        os.replace(tmp, os.path.join(out_dir, f"bucket-{b:05d}.parquet"))
+        win = keep_last(g.drop_columns(["__bucket"]), "h", [TS])
+        write_bucket(out_dir, b, win)
         return pa.Table.from_pydict(
             {"bucket": pa.array([b], pa.int32()),
              "n_keys": pa.array([win.num_rows], pa.int64())}
         )
 
-    narrow = rd.read_parquet(path, columns=[key, ts])
-    summary = (
-        narrow.map_batches(_local, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_reduce_bucket, batch_format="pyarrow")
-    )
-    summary.materialize()  # drive the writes; summary itself is tiny
-    with open(marker, "w") as fh:
-        fh.write(fp + "\n")
+    def _build() -> None:
+        (
+            rd.read_parquet(path, columns=[KEY, TS])
+            .map_batches(_local, batch_format="pyarrow")
+            .groupby("__bucket")
+            .map_groups(_reduce_bucket, batch_format="pyarrow")
+            .materialize()  # drive the writes; the summary itself is tiny
+        )
+
+    # "_WINNERS": the marker name of sets built before ``build_once``
+    build_once(
+        out_dir, input_fingerprint(path),
+        lambda f: f.startswith(("bucket-", ".tmp.bucket-", "_WINNERS")),
+        _build)
     return out_dir
 
 
@@ -349,124 +270,33 @@ def _ts_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return np.array(col.to_pylist(), dtype=object)
 
 
-def filter_winners(batch: pa.Table, ref, key: str = "url",
-                   ts: str = "warc_ts") -> pa.Table:
-    """The rows of ``batch`` holding their key's winning ``ts`` in the
-    broadcast winner probe ``ref`` (a ``ray.put`` of ``winners_to_arrays``,
-    deserialized once per worker), then keep-latest within the batch —
-    the driver-side probe of ``apply_winners``."""
-    wh, wts = _cached_get(ref)
-    hashes = np.array(_key_hash64(batch[key]), dtype=np.uint64)
-    mask = winner_mask(hashes, _ts_np(batch[ts]), wh, wts)
-    return _dedup_batch(batch.filter(pa.array(mask)), key, ts)
+def _load_winners(t: pa.Table | None) -> tuple[np.ndarray, np.ndarray]:
+    """(h sorted ascending, aligned winner ts) of one winner bucket —
+    arrays, not a dict, so the probe is one ``searchsorted`` per batch."""
+    if t is None:
+        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=object)
+    h = t["h"].to_numpy(zero_copy_only=False).astype(np.uint64)
+    order = np.argsort(h, kind="stable")
+    return h[order], _ts_np(t[TS])[order]
 
 
-class BucketWinnerFilter:
-    """Bucketed winner filter: keeps an LRU of per-bucket winner dicts so
-    each worker holds at most ``max_cached`` × (cardinality / n_buckets)
-    entries — bounded memory at any key cardinality. Input layouts where
-    captures of a url cluster (Common-Crawl segment files) touch few
-    buckets per batch; worst-case random layouts re-read bucket files,
-    trading IO for the driver-dict's unbounded heap."""
-
-    def __init__(
-        self,
-        winner_dir: str,
-        key: str = "url",
-        ts: str = "warc_ts",
-        n_buckets: int = WINNER_BUCKETS,
-        max_cached: int = 16,
-    ):
-        self._dir = winner_dir
-        self._key, self._ts, self._n = key, ts, n_buckets
-        self._max = max_cached
-        from collections import OrderedDict
-
-        self._lru: "OrderedDict[int, tuple]" = OrderedDict()
-
-    def _bucket_arrays(self, b: int) -> tuple[np.ndarray, np.ndarray]:
-        """(h sorted ascending, aligned winner ts) for one bucket — arrays,
-        not a dict, so the probe is one ``searchsorted`` per batch instead
-        of a Python ``dict.get`` per row."""
-        cached = self._lru.get(b)
-        if cached is not None:
-            self._lru.move_to_end(b)
-            return cached
-        import pyarrow.parquet as pq
-
-        f = os.path.join(self._dir, f"bucket-{b:05d}.parquet")
-        if os.path.exists(f):
-            t = pq.read_table(f)
-            h = t["h"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            w = _ts_np(t[self._ts])
-            order = np.argsort(h, kind="stable")
-            cached = (h[order], w[order])
-        else:  # bucket with zero keys is never written
-            cached = (np.empty(0, dtype=np.uint64), np.empty(0, dtype=object))
-        self._lru[b] = cached
-        while len(self._lru) > self._max:
-            self._lru.popitem(last=False)
-        return cached
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        n = batch.num_rows
-        if n == 0:
-            return batch
-        hashes = np.array(_key_hash64(batch[self._key]), dtype=np.uint64)
-        buckets = (hashes % np.uint64(self._n)).astype(np.int64)
-        tss = _ts_np(batch[self._ts])
-        mask = np.zeros(n, dtype=bool)
-        for b in np.unique(buckets):
-            wh, wts = self._bucket_arrays(int(b))
-            sel = np.flatnonzero(buckets == b)
-            mask[sel] = winner_mask(hashes[sel], tss[sel], wh, wts)
-        return _dedup_batch(
-            batch.filter(pa.array(mask)), self._key, self._ts
-        )
-
-
-_BWF_CACHE: dict[tuple, BucketWinnerFilter] = {}
-
-
-def _bucket_filter_for(winner_dir: str, key: str, ts: str):
-    """Per-worker BucketWinnerFilter cache, keyed by the winner set's OWN
-    fingerprint (from its success marker) as well as the dir — a rebuild of
-    the winner set at the same path (input regenerated mid-session) must
-    not keep serving a filter whose bucket LRU holds the old winners."""
-    try:
-        with open(os.path.join(winner_dir, "_WINNERS_OK")) as fh:
-            fp = fh.read().strip()
-    except FileNotFoundError:
-        fp = ""
-    ck = (winner_dir, fp, key, ts)
-    f = _BWF_CACHE.get(ck)
-    if f is None:
-        _BWF_CACHE.clear()
-        f = _BWF_CACHE[ck] = BucketWinnerFilter(winner_dir, key, ts)
-    return f
-
-
-def winner_probe(
-    path, winner_dir: str | None = None, key: str = "url", ts: str = "warc_ts"
-) -> tuple:
+def winner_probe(path, winner_dir: str | None = None) -> tuple:
     """The keep-latest winner set of parquet input ``path``, in the form
     ``apply_winners`` reads. The input's row count (parquet metadata)
     picks the build: up to ``_DRIVER_WINNER_ROWS`` rows the driver computes
     it (``compute_winners``) and broadcasts it once by ``ray.put`` →
     ``("driver", ref)``; past that, hash-bucketed winner parquet under
     ``winner_dir`` (``compute_winners_parquet``; default a scratch dir keyed
-    by the input path) → ``("bucketed", winner_dir)``, read through a
-    bounded per-worker bucket LRU. Both filter to the same rows. The ref
+    by the input path) → ``("bucketed", winner_dir)``, read through the
+    bounded per-worker ``read_bucket``. Both filter to the same rows. The ref
     rides inside a tuple, so a Ray task receiving the probe as an argument
-    does not resolve it at invocation — ``filter_winners`` deserializes it
+    does not resolve it at invocation — ``apply_winners`` deserializes it
     once per worker."""
     import pyarrow.dataset as pads
 
     if pads.dataset(path, format="parquet").count_rows() <= _DRIVER_WINNER_ROWS:
         return ("driver",
-                ray.put(winners_to_arrays(compute_winners(path, key, ts))))
+                ray.put(winners_to_arrays(compute_winners(path))))
     if winner_dir is None:
         import hashlib
 
@@ -474,25 +304,32 @@ def winner_probe(
 
         digest = hashlib.sha1(str(path).encode()).hexdigest()[:12]
         winner_dir = scratch_path(f"datacat_winners_{digest}")
-    return ("bucketed", compute_winners_parquet(path, winner_dir, key, ts))
+    return ("bucketed", compute_winners_parquet(path, winner_dir))
 
 
-def apply_winners(batch: pa.Table, probe: tuple, key: str = "url",
-                  ts: str = "warc_ts") -> pa.Table:
-    """The rows of ``batch`` that hold their key's winning ``ts`` in the
-    ``winner_probe`` set, kept latest within the batch — the one winner
-    filter of ``dedup_latest_prefilter`` and of every ``run_extract_job``
-    partition."""
+def apply_winners(batch: pa.Table, probe: tuple) -> pa.Table:
+    """The rows of ``batch`` that hold their url's winning ``warc_ts`` in
+    the ``winner_probe`` set, kept latest within the batch — the one
+    winner filter of ``dedup_latest_prefilter`` and of every
+    ``run_extract_job`` partition. A bucketed set is probed bucket by
+    bucket, each bucket read once per batch."""
     kind, arg = probe
-    if kind == "bucketed":
-        return _bucket_filter_for(arg, key, ts)(batch)
-    return filter_winners(batch, arg, key, ts)
+    hashes = hash64(batch[KEY])
+    tss = _ts_np(batch[TS])
+    if kind == "driver":
+        mask = winner_mask(hashes, tss, *cached_ref(arg))
+    else:
+        mask = np.zeros(batch.num_rows, dtype=bool)
+        buckets = hash_buckets(hashes)
+        for b in np.unique(buckets):
+            sel = np.flatnonzero(buckets == b)
+            mask[sel] = winner_mask(hashes[sel], tss[sel],
+                                    *read_bucket(arg, int(b), _load_winners))
+    return keep_last(batch.filter(pa.array(mask)), KEY, [TS])
 
 
 def dedup_latest_prefilter(
     path,
-    key: str = "url",
-    ts: str = "warc_ts",
     columns: list[str] | None = None,
     winner_dir: str | None = None,
 ) -> "ray.data.Dataset":
@@ -509,7 +346,6 @@ def dedup_latest_prefilter(
     file into one-row blocks), while ``run_extract_job`` dedups each
     partition whole. Cross-fragment ones survive. Use ``dedup_latest``
     (exact groupby) where that matters."""
-    probe = winner_probe(path, winner_dir, key, ts)
+    probe = winner_probe(path, winner_dir)
     return ray.data.read_parquet(path, columns=columns).map_batches(
-        functools.partial(apply_winners, probe=probe, key=key, ts=ts),
-        batch_format="pyarrow")
+        functools.partial(apply_winners, probe=probe), batch_format="pyarrow")

@@ -11,7 +11,8 @@ rows:
     incremental_dedup         broadcast / join      _BLOOM_CAND_MAX
     neardup_clusters          driver / distributed  _UF_MAX_PAIRS
     dedup_latest_prefilter    driver / bucketed     _DRIVER_WINNER_ROWS
-      (keep the latest event per user over ``events.parquet``)
+      (keep the latest event per user: ``events.parquet`` as url
+      captures, ``url`` = user_id, ``warc_ts`` = ts, in two fragments)
 
 One untimed run of each side warms worker processes and caches; then
 each round runs both sides of the pair, alternating which side goes
@@ -55,10 +56,13 @@ def pairs(tmp: str):
     from datacat_ray.pipelines import dedup_ops as DO
     from datacat_ray.stages import dedup as D
 
+    captures: dict[str, str] = {}
+
     def latest_event(sf):
+        if sf not in captures:
+            captures[sf] = _event_captures(sf, tmp)
         return D.dedup_latest_prefilter(
-            f"{sf}/events.parquet", key="user_id", ts="ts",
-            winner_dir=tempfile.mkdtemp(dir=tmp))
+            captures[sf], winner_dir=tempfile.mkdtemp(dir=tmp))
 
     return [
         ("minhash_candidate_pairs", DO, "_CAND_BROADCAST_MAX",
@@ -77,6 +81,23 @@ def pairs(tmp: str):
          (("driver", D._DRIVER_WINNER_ROWS), ("bucketed", -1)),
          latest_event),
     ]
+
+
+def _event_captures(sf: str, tmp: str) -> str:
+    """``events.parquet`` rewritten as a url-capture table (the url dedup's
+    fixed key and order columns), split over two fragments."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    ev = pq.read_table(f"{sf}/events.parquet")
+    caps = pa.table({"url": pc.cast(ev["user_id"], pa.string()),
+                     "warc_ts": ev["ts"], "event_id": ev["event_id"]})
+    d = tempfile.mkdtemp(dir=tmp)
+    half = caps.num_rows // 2
+    pq.write_table(caps.slice(0, half), os.path.join(d, "a.parquet"))
+    pq.write_table(caps.slice(half), os.path.join(d, "b.parquet"))
+    return d
 
 
 def digest(rows: list[dict]) -> str:

@@ -7,9 +7,10 @@ caps because single pathological inputs "ruin performance"): ONE url holds
 ONE user holds 40% of all events. Runs the three skew-sensitive ops
 
   * ``dedup_latest``            (in-batch pre-dedup -> int-bucket shuffle)
-  * ``dedup_latest_prefilter``  bucketed winner set (winner parquet +
-                                per-worker ``BucketWinnerFilter``), forced
-                                through ``_DRIVER_WINNER_ROWS``
+  * ``dedup_latest_prefilter``  bucketed winner set (winner bucket files
+                                read through the per-worker
+                                ``bucketed.read_bucket``), forced through
+                                ``_DRIVER_WINNER_ROWS``
   * ``user_sessions``           (bucketed vectorized session walk)
 
 on a BALANCED and a SKEWED input of identical row count and identical
@@ -191,9 +192,7 @@ def main() -> int:
         dirs[kind] = (cdir, edir)
 
     def run_dedup(kind: str) -> int:
-        return dedup_latest(
-            ray.data.read_parquet(dirs[kind][0]), key="url", ts="warc_ts"
-        ).count()
+        return dedup_latest(ray.data.read_parquet(dirs[kind][0])).count()
 
     def run_prefilter(kind: str) -> int:
         wdir = f"{root}/win_{kind}"

@@ -24,7 +24,7 @@ def test_create_training_roundtrip(ray_session, tmp_path):
         pages_dir, columns=["url", "warc_ts", "lang", "html", "text"]
     )
     out_dir = str(tmp_path / "bootstrap")
-    manifest = create_training_pairs(pages, out_dir, concurrency=1).take_all()
+    manifest = create_training_pairs(pages, out_dir).take_all()
 
     assert len(manifest) == 25
     assert all(r["error"] is None for r in manifest)
@@ -63,12 +63,12 @@ def test_create_training_idempotent_rerun(ray_session, tmp_path):
         pages_dir, columns=["url", "warc_ts", "lang", "html", "text"]
     )
     out_dir = str(tmp_path / "bootstrap")
-    first = create_training_pairs(pages, out_dir, concurrency=1).take_all()
+    first = create_training_pairs(pages, out_dir).take_all()
     snap = {
         r["tei_path"]: open(r["tei_path"], encoding="utf-8").read()
         for r in first
     }
-    second = create_training_pairs(pages, out_dir, concurrency=1).take_all()
+    second = create_training_pairs(pages, out_dir).take_all()
     assert {r["stem"] for r in first} == {r["stem"] for r in second}
     for path, content in snap.items():
         assert open(path, encoding="utf-8").read() == content
@@ -88,7 +88,7 @@ def test_create_training_body_and_blank_variants(ray_session, tmp_path):
     # body (labeled): raw = token features, TEI = entry-tagged body
     out_b = str(tmp_path / "body")
     mb = create_training_pairs(
-        pages, out_b, concurrency=1, model="body"
+        pages, out_b, model="body"
     ).take_all()
     assert all(r["error"] is None for r in mb)
     labeled = [r for r in mb if r["n_lines"] > 0]
@@ -106,7 +106,7 @@ def test_create_training_body_and_blank_variants(ray_session, tmp_path):
     # segmenter blank: TEI has the text but NO zone tags
     out_s = str(tmp_path / "seg_blank")
     ms = create_training_pairs(
-        pages, out_s, concurrency=1, blank=True
+        pages, out_s, blank=True
     ).take_all()
     assert all(r["error"] is None for r in ms)
     r = next(r for r in ms if r["n_lines"] > 0)
@@ -120,7 +120,7 @@ def test_create_training_body_and_blank_variants(ray_session, tmp_path):
     # body blank: untagged body token stream
     out_bb = str(tmp_path / "body_blank")
     mbb = create_training_pairs(
-        pages, out_bb, concurrency=1, model="body", blank=True
+        pages, out_bb, model="body", blank=True
     ).take_all()
     assert all(r["error"] is None for r in mbb)
     r = next(r for r in mbb if r["n_lines"] > 0)

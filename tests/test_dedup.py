@@ -4,7 +4,8 @@ import os
 
 import pyarrow as pa
 
-from datacat_ray.stages.dedup import _dedup_batch, dedup_latest
+from datacat_ray.stages.bucketed import keep_last
+from datacat_ray.stages.dedup import dedup_latest
 
 
 def _table():
@@ -18,7 +19,7 @@ def _table():
 
 
 def test_dedup_batch_vectorized():
-    out = _dedup_batch(_table(), "url", "warc_ts")
+    out = keep_last(_table(), "url", ["warc_ts"])
     got = dict(zip(out["url"].to_pylist(), out["payload"].to_pylist()))
     assert got == {"a": "a7", "b": "b20", "c": "c5"}
 
@@ -28,7 +29,7 @@ def test_dedup_latest_global(ray_session):
 
     # duplicates split ACROSS blocks → within-batch pre-dedup alone can't win
     ds = ray.data.from_arrow(_table()).repartition(3)
-    out = dedup_latest(ds, key="url", ts="warc_ts").take_all()
+    out = dedup_latest(ds).take_all()
     got = {r["url"]: r["payload"] for r in out}
     assert got == {"a": "a7", "b": "b20", "c": "c5"}
     assert len(out) == 3
@@ -39,7 +40,7 @@ def test_dedup_null_ts_never_wins():
         {"url": ["a", "a", "b"], "warc_ts": pa.array([7, None, None], pa.int64()),
          "payload": ["a7", "aN", "bN"]}
     )
-    out = _dedup_batch(t, "url", "warc_ts")
+    out = keep_last(t, "url", ["warc_ts"])
     got = dict(zip(out["url"].to_pylist(), out["payload"].to_pylist()))
     assert got["a"] == "a7"  # non-null beats null
     assert got["b"] == "bN"  # all-null url still survives
@@ -138,7 +139,7 @@ def test_dedup_batch_property():
             "warc_ts": pa.array([ts for _, ts in rows], pa.int64()),
             "payload": [f"{i}" for i in range(len(rows))],
         })
-        out = _dedup_batch(t, "url", "warc_ts")
+        out = keep_last(t, "url", ["warc_ts"])
         keys = out["url"].to_pylist()
         assert len(keys) == len(set(keys)) == len({k for k, _ in rows})
         got_ts = dict(zip(keys, out["warc_ts"].to_pylist()))
@@ -173,7 +174,9 @@ def test_compute_winners_distributed_null_ts(ray_session, tmp_path, monkeypatch)
     src.mkdir()
     pq.write_table(t1, str(src / "p1.parquet"))
     pq.write_table(t2, str(src / "p2.parquet"))
-    h = D._key_hash64(pa.array(["a", "b"]))
+    from datacat_ray.stages.bucketed import hash64
+
+    h = hash64(pa.array(["a", "b"])).tolist()
     want = {h[0]: datetime.datetime(2020, 1, 1), h[1]: None}
     assert D.compute_winners(str(src)) == want
     monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
@@ -261,7 +264,7 @@ def test_bucketed_winner_prefilter_matches_driver(ray_session, tmp_path,
     monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
     wdir = str(tmp_path / "win")
     bucketed = rows(D.dedup_latest_prefilter(str(src), winner_dir=wdir))
-    assert os.path.exists(os.path.join(wdir, "_WINNERS_OK"))
+    assert os.path.exists(os.path.join(wdir, "_BUILT_OK"))
     assert driver == bucketed
     assert dict(driver) == {"a": "a3", "b": "b5", "c": "c9", "d": "dN"}
 
@@ -359,7 +362,7 @@ def test_hot_url_pathological_skew(ray_session):
         }
     )
     ds = ray.data.from_arrow(t).repartition(16)
-    out = dedup_latest(ds, key="url", ts="warc_ts").take_all()
+    out = dedup_latest(ds).take_all()
     got = {r["url"]: r["payload"] for r in out}
     assert got == {"https://hot.example.org/": f"p{n-1}",
                    "https://cold/1": "cold"}
@@ -400,6 +403,32 @@ def test_winner_cache_invalidated_on_input_change(ray_session, tmp_path,
     write({"a": d(2021, 6, 1)})
     out2 = D.dedup_latest_prefilter(str(src), winner_dir=wdir).take_all()
     assert [r["payload"] for r in out2] == ["a@2021-06-01 00:00:00"]
+
+
+def test_read_bucket_serves_the_current_file(tmp_path):
+    """The shared bucket-file reader caches per worker but never serves a
+    replaced file: a bucket rewritten at the same path, then deleted, then
+    written again reads as it is on disk each time."""
+    from datacat_ray.stages.bucketed import read_bucket, write_bucket
+
+    d = str(tmp_path)
+    loads = []
+
+    def load(t):
+        loads.append(t is not None)
+        return [] if t is None else t["x"].to_pylist()
+
+    write_bucket(d, 3, pa.table({"x": [1, 2]}))
+    assert read_bucket(d, 3, load) == [1, 2]
+    assert read_bucket(d, 3, load) == [1, 2]
+    assert loads == [True]  # the second read is a cache hit
+    write_bucket(d, 3, pa.table({"x": [7, 8, 9]}))
+    assert read_bucket(d, 3, load) == [7, 8, 9]
+    (name,) = os.listdir(d)  # published atomically: no tmp file left
+    os.remove(os.path.join(d, name))
+    assert read_bucket(d, 3, load) == []  # a missing bucket reads as empty
+    write_bucket(d, 3, pa.table({"x": [4]}))
+    assert read_bucket(d, 3, load) == [4]
 
 
 def test_clear_cache_dir_refuses_foreign_dirs(tmp_path):
@@ -502,9 +531,7 @@ def test_skew_kill_bucketed_kernels(ray_session, tmp_path):
         dirs[kind] = (cdir, edir)
 
     def run_dedup(kind):
-        return dedup_latest(
-            ray.data.read_parquet(dirs[kind][0]), key="url", ts="warc_ts"
-        ).count()
+        return dedup_latest(ray.data.read_parquet(dirs[kind][0])).count()
 
     def run_sessions(kind):
         return user_sessions(dirs[kind][1]).count()

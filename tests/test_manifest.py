@@ -112,7 +112,7 @@ def test_job_bucketed_winner_path_identical(ray_session, tmp_path, pages_dir):
 
     with mock.patch.object(D, "_DRIVER_WINNER_ROWS", 0):
         s = run_extract_job(pages_dir, out_b)
-    assert (tmp_path / "bucketed" / "_winners" / "_WINNERS_OK").exists()
+    assert (tmp_path / "bucketed" / "_winners" / "_BUILT_OK").exists()
 
     def rows(d):
         import os

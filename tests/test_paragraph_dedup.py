@@ -111,11 +111,9 @@ def test_paragraph_dedup_drop_dir_matches_sql(ray_session, tmp_path):
 def _bucket_of(doc_id):
     import numpy as np
 
-    from datacat_ray.pipelines.dedup_ops import _DROP_BUCKETS
     from datacat_ray.stages.bucketed import int_bucket_codes
 
-    return int(int_bucket_codes(np.array([doc_id], np.int64),
-                                _DROP_BUCKETS)[0])
+    return int(int_bucket_codes(np.array([doc_id], np.int64))[0])
 
 
 def test_paragraph_dedup_regenerated_corpus_gets_fresh_rows(ray_session,
@@ -126,22 +124,19 @@ def test_paragraph_dedup_regenerated_corpus_gets_fresh_rows(ray_session,
     the same cache."""
     import time
 
-    from datacat_ray.pipelines.dedup_ops import _drop_bucket_sets
-    from datacat_ray.stages.dedup import input_fingerprint
+    from datacat_ray.pipelines.dedup_ops import _load_drops
+    from datacat_ray.stages.bucketed import read_bucket
 
     a = _words(2 * PARA_W)
     first = [a, a, _words(PARA_W, 300)]
     sf = _write_docs(tmp_path, first)
     drops = str(tmp_path / "drops")
 
-    def ident():
-        return (input_fingerprint(f"{sf}/documents.parquet"), PARA_W)
-
     rows = {r["doc_id"]: r
             for r in paragraph_dedup(sf, drop_dir=drops).take_all()}
     assert rows[1]["dedup_text"] is None and rows[1]["n_dropped"] == 2
-    assert _drop_bucket_sets(drops, ident(), _bucket_of(1))[1] == {0, 1}
-    time.sleep(0.01)  # the fingerprint reads mtime_ns
+    assert read_bucket(drops, _bucket_of(1), _load_drops)[1] == {0, 1}
+    time.sleep(0.01)  # the bucket-file identity reads mtime_ns
     second = [a, _words(2 * PARA_W, 900), a]
     _write_docs(tmp_path, second)
     rows = {r["doc_id"]: r
@@ -149,6 +144,6 @@ def test_paragraph_dedup_regenerated_corpus_gets_fresh_rows(ray_session,
     assert rows == _sql_rows(sf)
     assert rows[1]["dedup_text"] == second[1] and rows[1]["n_dropped"] == 0
     assert rows[2]["dedup_text"] is None
-    assert 1 not in _drop_bucket_sets(drops, ident(), _bucket_of(1))
+    assert 1 not in read_bucket(drops, _bucket_of(1), _load_drops)
     # the default drop dir (pid-keyed scratch) serves the same fresh rows
     assert {r["doc_id"]: r for r in paragraph_dedup(sf).take_all()} == rows

@@ -28,7 +28,7 @@ def exported_corpus(ray_session, tmp_path_factory):
         pages_dir, columns=["url", "warc_ts", "lang", "html", "text"]
     )
     out_dir = str(tmp / "corpus")
-    create_training_pairs(pages, out_dir, concurrency=1).take_all()
+    create_training_pairs(pages, out_dir).take_all()
     return out_dir
 
 
