@@ -14,9 +14,18 @@ documented per operator.
 - SimHash near-dup: token 3-grams → 64-bit simhash → 4×16-bit band blocking
   → Hamming-verified pairs
 - n-gram Jaccard: MinHash candidates verified with EXACT shingle Jaccard
-  (texts broadcast via ``ray.put`` up to ``_CAND_BROADCAST_MAX`` candidate
-  pairs; past it, a hash join on doc_id)
-- embedding near-dup: random-hyperplane LSH buckets → in-bucket cosine
+- embedding near-dup: random-hyperplane LSH buckets → exact cosine
+
+The four near-duplicate pair ops share one pair layer. ``bucket_pairs``
+turns one bucket's ids into pairs (all pairs up to a cap, star pairs
+around the min id above it, one logged warning); ``candidate_pairs`` is
+the candidate build (bucket groupby → ``bucket_pairs`` → pair dedup);
+``verify_pairs`` verifies candidates with an op's batch kernel over
+``(a, b, value_a, value_b)``, broadcasting the candidate ids' values up to
+``_CAND_BROADCAST_MAX`` pairs and hash-joining the value table past it
+(``bucketed.hash_join``). MinHash, n-gram Jaccard and embedding pairs go
+through all three; SimHash keeps its in-bucket Hamming check over
+``bucket_pairs``.
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ import ray
 import ray.data
 from ray.data.aggregate import Min
 
-from datacat_ray import quiet_schema_hash_warning
 from datacat_ray.stages.bucketed import hash64
 
 
@@ -529,71 +537,65 @@ MAX_BUCKET = 64  # skew guard: above this a bucket is boilerplate-like and
 # all-pairs would be O(n²); such buckets degrade to STAR pairs (see below)
 
 
-def _bucket_cands(group: pa.Table) -> pa.Table:
-    """One LSH bucket → candidate (doc_a, doc_b) pairs, doc_a < doc_b.
+# ---------------------------------------------------------------------------
+# the near-duplicate pair layer: MinHash, n-gram Jaccard, embedding and
+# SimHash pairs all go bucket rows → ``bucket_pairs`` → (for the verifying
+# ops) ``candidate_pairs`` → ``verify_pairs``
+# ---------------------------------------------------------------------------
 
-    ≤ MAX_BUCKET members: all pairs. Hot buckets (boilerplate-heavy
-    clusters) emit STAR pairs around the min doc_id instead — O(n) rows
-    that keep the near-dup cluster CONNECTED for component-style dedup
-    rather than silently dropping it; the degradation is logged."""
-    ids = sorted(set(group["doc_id"].to_pylist()))
+
+def bucket_pairs(ids: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of one LSH bucket → candidate pairs (a, b), a < b, over the
+    DISTINCT ids (a repeated id counts once).
+
+    ≤ ``cap`` ids: all pairs. A hot bucket (boilerplate-heavy cluster)
+    emits STAR pairs around its min id instead — O(n) rows that keep the
+    cluster CONNECTED for component-style dedup rather than silently
+    dropping it; the degradation is logged."""
+    ids = np.unique(np.asarray(ids, dtype=np.int64))
     n = len(ids)
-    a_col: list[int] = []
-    b_col: list[int] = []
-    if n > MAX_BUCKET:
+    if n > cap:
         import logging
 
         logging.getLogger(__name__).warning(
             "hot LSH bucket: %d members > cap %d — emitting %d star pairs "
-            "around doc %d instead of %d all-pairs",
-            n, MAX_BUCKET, n - 1, ids[0], n * (n - 1) // 2,
+            "around id %d instead of %d all-pairs",
+            n, cap, n - 1, ids[0], n * (n - 1) // 2,
         )
-        rep = ids[0]
-        a_col = [rep] * (n - 1)
-        b_col = ids[1:]
-    elif n >= 2:
-        for i in range(n):
-            for j in range(i + 1, n):
-                a_col.append(ids[i])
-                b_col.append(ids[j])
-    return pa.Table.from_pydict(
-        {
-            "doc_a": pa.array(a_col, type=pa.int64()),
-            "doc_b": pa.array(b_col, type=pa.int64()),
-        }
-    )
+        return np.full(n - 1, ids[0]), ids[1:]
+    ii, jj = np.triu_indices(n, k=1)
+    return ids[ii], ids[jj]
 
 
-def _est_jaccard_batch(batch: pa.Table, threshold: float) -> pa.Table:
-    """(doc_a, doc_b, sig_a, sig_b) → signature-estimated Jaccard ≥
-    threshold, fully vectorized (one stacked equality over all pairs).
-    ``match_lanes`` is the integer count of agreeing signature lanes
-    (``est_jaccard`` × N_PERM) — the exact-integer surface the SQL oracle
-    compares on (a float column would drag round-half-to-even divergence
-    into the value hash)."""
-    if batch.num_rows == 0:
+def _pair_cols(col: str) -> tuple[str, str]:
+    """Pair-side names of an id or value column: doc_id → doc_a/doc_b,
+    vec_id → vec_a/vec_b, sig → sig_a/sig_b."""
+    base = col.removesuffix("_id")
+    return f"{base}_a", f"{base}_b"
+
+
+def candidate_pairs(bands, id_col: str, cap: int) -> "ray.data.Dataset":
+    """(bucket, ``id_col``) band rows → the distinct candidate pairs
+    (``<id>_a``, ``<id>_b``): bucket groupby → ``bucket_pairs`` → pair
+    dedup groupby. Only the narrow band rows cross the first shuffle;
+    the result is materialized (one row per candidate pair, read again by
+    the verify)."""
+    from ray.data.aggregate import Count
+
+    a, b = _pair_cols(id_col)
+
+    def _pairs(g: pa.Table) -> pa.Table:
+        x, y = bucket_pairs(g[id_col].to_numpy(), cap)
         return pa.Table.from_pydict(
-            {"doc_a": pa.array([], pa.int64()),
-             "doc_b": pa.array([], pa.int64()),
-             "est_jaccard": pa.array([], pa.float64()),
-             "match_lanes": pa.array([], pa.int64())}
-        )
-    a = np.vstack([np.frombuffer(x, dtype="<u8")
-                   for x in batch["sig_a"].to_pylist()])
-    b = np.vstack([np.frombuffer(x, dtype="<u8")
-                   for x in batch["sig_b"].to_pylist()])
-    eq = a == b
-    jac = eq.mean(axis=1)
-    keep = jac >= threshold
-    return pa.Table.from_pydict(
-        {
-            "doc_a": pc.take(batch["doc_a"], pa.array(np.flatnonzero(keep))),
-            "doc_b": pc.take(batch["doc_b"], pa.array(np.flatnonzero(keep))),
-            "est_jaccard": pa.array(np.round(jac[keep], 6), type=pa.float64()),
-            "match_lanes": pa.array(
-                eq.sum(axis=1)[keep].astype(np.int64), type=pa.int64()
-            ),
-        }
+            {a: pa.array(x, pa.int64()), b: pa.array(y, pa.int64())})
+
+    return (
+        bands.groupby("bucket")
+        .map_groups(_pairs, batch_format="pyarrow")
+        .groupby([a, b])
+        .aggregate(Count(alias_name="__nb"))
+        .select_columns([a, b])
+        .materialize()
     )
 
 
@@ -602,7 +604,7 @@ _CAND_BROADCAST_MAX = 2_000_000  # pairs; above this, verify via join
 
 class BroadcastIdSetTooLarge(RuntimeError):
     """The candidate-ID set outgrew the broadcast bound mid-accumulation;
-    callers fall back to the join verify path."""
+    ``verify_pairs`` falls back to the join."""
 
 
 # distinct ids allowed on the driver by the broadcast verify. The pair
@@ -617,29 +619,26 @@ def _fetch_candidate_values(
     source_ds: "ray.data.Dataset",
     id_col: str,
     val_col: str,
-    max_ids: int | None = None,
 ):
-    """Shared verify-phase fetch: membership-filter ``source_ds`` down to
+    """Broadcast verify's fetch: membership-filter ``source_ds`` down to
     the ids appearing in the candidate pairs (ONE streaming pass — never a
     full driver-side read) and broadcast the {id: value} map via
     ``ray.put``. Driver memory is O(candidate ids), enforced: the id-set
-    accumulation raises ``BroadcastIdSetTooLarge`` past ``max_ids``
-    (default ``_CAND_ID_BROADCAST_MAX``, read at call time) so the caller
-    switches to its join path (the bound is on IDS, not pairs — the
-    quantity that actually sits on the driver). Consumers read the
-    returned ref through ``bucketed.cached_ref`` (one deserialization per
-    worker, not per batch)."""
+    accumulation raises ``BroadcastIdSetTooLarge`` past
+    ``_CAND_ID_BROADCAST_MAX`` (read at call time) so ``verify_pairs``
+    switches to the join (the bound is on IDS, not pairs — the quantity
+    that actually sits on the driver). Consumers read the returned ref
+    through ``bucketed.cached_ref`` (one deserialization per worker, not
+    per batch)."""
     from datacat_ray.stages.bucketed import cached_ref
 
-    if max_ids is None:
-        max_ids = _CAND_ID_BROADCAST_MAX
     wanted: set = set()
     for b in cands.iter_batches(batch_format="pyarrow"):
         for c in id_cols:
             wanted.update(b[c].to_pylist())
-        if len(wanted) > max_ids:
+        if len(wanted) > _CAND_ID_BROADCAST_MAX:
             raise BroadcastIdSetTooLarge(
-                f"candidate id set exceeded {max_ids} "
+                f"candidate id set exceeded {_CAND_ID_BROADCAST_MAX} "
                 f"({len(wanted)} ids and counting)"
             )
     # broadcast as a SORTED int array: the per-batch membership test is
@@ -660,8 +659,93 @@ def _fetch_candidate_values(
     return ray.put(out)
 
 
+def verify_pairs(
+    cands: "ray.data.Dataset",
+    source: "ray.data.Dataset",
+    id_col: str,
+    val_col: str,
+    kernel,
+) -> "ray.data.Dataset":
+    """Verify candidate pairs (``<id>_a``, ``<id>_b``) with
+    ``kernel(a, b, value_a, value_b)`` — the id arrays and the two value
+    lists of one batch — where the values are ``source``'s ``val_col``
+    keyed by ``id_col``. The verify is picked by size:
+
+    * up to ``_CAND_BROADCAST_MAX`` candidate pairs, ONLY the candidate
+      ids' values are fetched (``_fetch_candidate_values``) and broadcast;
+      driver memory is O(candidate ids), and an id set past
+      ``_CAND_ID_BROADCAST_MAX`` falls back to the join mid-stream;
+    * past it, ``source`` is hash-joined once per pair side — nothing
+      pair-related sits on the driver (the 10^12-doc path).
+
+    No candidates verify to the kernel's own empty table: an empty
+    candidate set reaches the join as schema-less shuffle blocks, which
+    the join cannot finalize."""
+    from datacat_ray.stages.bucketed import cached_ref, hash_join
+
+    a, b = _pair_cols(id_col)
+    va, vb = _pair_cols(val_col)
+    n = cands.count()
+    if n == 0:
+        none = pa.array([], pa.int64())
+        return ray.data.from_arrow(kernel(none, none, [], []))
+    if n <= _CAND_BROADCAST_MAX:
+        try:
+            ref = _fetch_candidate_values(cands, (a, b), source, id_col, val_col)
+        except BroadcastIdSetTooLarge:
+            pass
+        else:
+            def _broadcast(t: pa.Table) -> pa.Table:
+                m = cached_ref(ref)
+                return kernel(t[a], t[b], [m[x] for x in t[a].to_pylist()],
+                              [m[y] for y in t[b].to_pylist()])
+
+            return cands.map_batches(_broadcast, batch_format="pyarrow")
+
+    def _side(i: str, v: str) -> "ray.data.Dataset":
+        return source.map_batches(
+            lambda t: t.select([id_col, val_col]).rename_columns([i, v]),
+            batch_format="pyarrow",
+        )
+
+    joined = hash_join(hash_join(cands, _side(a, va), a), _side(b, vb), b)
+    return joined.map_batches(
+        lambda t: kernel(t[a], t[b], t[va].to_pylist(), t[vb].to_pylist()),
+        batch_format="pyarrow",
+    )
+
+
+# ---------------------------------------------------------------------------
+# MinHash pairs
+# ---------------------------------------------------------------------------
+
+
+def _est_jaccard(a, b, sig_a: list, sig_b: list, threshold: float) -> pa.Table:
+    """Pairs whose signature-estimated Jaccard is ≥ threshold, fully
+    vectorized (one stacked equality over all pairs). ``match_lanes`` is
+    the integer count of agreeing signature lanes (``est_jaccard`` ×
+    N_PERM) — the exact-integer surface the SQL oracle compares on (a
+    float column would drag round-half-to-even divergence into the value
+    hash)."""
+    x = np.frombuffer(b"".join(sig_a), dtype="<u8").reshape(len(sig_a), N_PERM)
+    y = np.frombuffer(b"".join(sig_b), dtype="<u8").reshape(len(sig_b), N_PERM)
+    eq = x == y
+    jac = eq.mean(axis=1)
+    keep = np.flatnonzero(jac >= threshold)
+    return pa.Table.from_pydict(
+        {
+            "doc_a": pc.take(a, pa.array(keep)),
+            "doc_b": pc.take(b, pa.array(keep)),
+            "est_jaccard": pa.array(
+                np.round(jac[keep], 6), type=pa.float64()),
+            "match_lanes": pa.array(
+                eq.sum(axis=1)[keep].astype(np.int64), type=pa.int64()),
+        }
+    )
+
+
 def minhash_sig_cache_dir(sf_dir: str) -> str:
-    """Default on-disk location of the sig cache for ``sf_dir`` — the ONE
+    """On-disk location of the sig cache for ``sf_dir`` — the ONE
     place the path scheme lives (bench.py clears it through this helper, so
     a scheme change can never silently turn its cold numbers warm). Rooted
     at the shared scratch root (``DATACAT_SCRATCH`` /
@@ -675,7 +759,7 @@ def minhash_sig_cache_dir(sf_dir: str) -> str:
     return scratch_path(f"datacat_sigs_{digest}")
 
 
-def minhash_sigs_parquet(sf_dir: str, sig_dir: str | None = None) -> str:
+def minhash_sigs_parquet(sf_dir: str) -> str:
     """Write the (doc_id, sig) MinHash signature table to parquet ONCE per
     input fingerprint and return the data directory — "write sigs once,
     read three times" (band explode + both join-verify sides). Pinning the
@@ -683,15 +767,14 @@ def minhash_sigs_parquet(sf_dir: str, sig_dir: str | None = None) -> str:
     ~1 KB/doc for the whole run (~1 PB at 10^12 docs); on disk it is a
     narrow columnar table every pass streams with backpressure, and a
     resumed run skips the build entirely (``dedup.build_once``, the
-    protocol of the winner set and the IVF index). ``sig_dir`` must be
-    shared storage on a multi-node cluster."""
+    protocol of the winner set and the IVF index). The cache lives in
+    ``minhash_sig_cache_dir``."""
     import os
 
     from datacat_ray.stages.dedup import build_once, input_fingerprint
 
     src = f"{sf_dir}/documents.parquet"
-    if sig_dir is None:
-        sig_dir = minhash_sig_cache_dir(sf_dir)
+    sig_dir = minhash_sig_cache_dir(sf_dir)
     data_dir = os.path.join(sig_dir, "data")
 
     def _build() -> None:
@@ -710,83 +793,23 @@ def minhash_candidate_pairs(
     """Near-duplicate pairs by MinHash-LSH — two-phase scale shape:
 
     1. signature pass (map_batches, once per doc) → narrow (bucket, doc_id)
-       band rows → bucket groupby → candidate pairs (star-capped hot
-       buckets) → pair dedup groupby. Only 16 B/row crosses the band
-       shuffle.
-    2. verify: the sig table joins each pair side once (2 × 1 KB per
-       CANDIDATE, not 16 KB per doc), then one vectorized signature-Jaccard
-       kernel filters by threshold.
+       band rows → ``candidate_pairs`` (star-capped hot buckets, pair
+       dedup). Only 16 B/row crosses the band shuffle.
+    2. ``verify_pairs`` with the vectorized signature-Jaccard kernel: the
+       candidate docs' signatures are broadcast, or, past the size pick,
+       the sig table joins each pair side once (2 × 1 KB per CANDIDATE,
+       not 16 KB per doc).
 
     The sig table is written to parquet once per input fingerprint
     (``minhash_sigs_parquet``) and READ by the band explode and each
-    verify side — nothing sig-sized is ever pinned in the object store.
-
-    Verify, picked by size: up to ``_CAND_BROADCAST_MAX`` candidate pairs
-    it fetches ONLY the candidate docs' signatures (one streaming
-    membership filter over the sig table, then ``ray.put``) — driver
-    memory is O(candidate IDS), enforced by the accumulation cap in
-    ``_fetch_candidate_values`` (overflow falls back to the join
-    mid-stream); past it, it joins the sig table once per pair side — the
-    path when the candidate set itself exceeds driver memory."""
-    from ray.data.aggregate import Count
-
-    sig_path = minhash_sigs_parquet(sf_dir)
-    sigs = ray.data.read_parquet(sig_path)
-    bands = sigs.map_batches(_band_rows, batch_format="pyarrow")
-    cands = (
-        bands.groupby("bucket")
-        .map_groups(_bucket_cands, batch_format="pyarrow")
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Count(alias_name="__nb"))
-        .select_columns(["doc_a", "doc_b"])
-        .materialize()  # tiny (one row per candidate pair); reused below
-    )
-
-    def _join_verify() -> "ray.data.Dataset":
-        # joins reserve one aggregator actor per partition: size to CPUs/2
-        # so two chained joins cannot deadlock a small session (measured).
-        # Each side is a FRESH read of the sig parquet — read #2 and #3.
-        n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 8)) // 2))
-        a_side = ray.data.read_parquet(sig_path).map_batches(
-            lambda t: t.rename_columns(["doc_a", "sig_a"]), batch_format="pyarrow"
-        )
-        b_side = ray.data.read_parquet(sig_path).map_batches(
-            lambda t: t.rename_columns(["doc_b", "sig_b"]), batch_format="pyarrow"
-        )
-        quiet_schema_hash_warning()
-        joined = cands.join(a_side, "inner", n_parts, on=("doc_a",)).join(
-            b_side, "inner", n_parts, on=("doc_b",)
-        )
-        return joined.map_batches(
-            lambda t: _est_jaccard_batch(t, threshold), batch_format="pyarrow"
-        )
-
-    if cands.count() > _CAND_BROADCAST_MAX:
-        return _join_verify()
-
-    # broadcast: one streaming pass filters the sig table down to candidate
-    # docs; only those (bounded by the candidate-ID cap) reach the driver
-    from datacat_ray.stages.bucketed import cached_ref
-
-    try:
-        sig_ref = _fetch_candidate_values(
-            cands, ("doc_a", "doc_b"), sigs, "doc_id", "sig"
-        )
-    except BroadcastIdSetTooLarge:
-        return _join_verify()
-
-    def _verify(t: pa.Table) -> pa.Table:
-        m = cached_ref(sig_ref)
-        t = t.append_column(
-            "sig_a", pa.array([m[d] for d in t["doc_a"].to_pylist()],
-                              type=pa.binary())
-        ).append_column(
-            "sig_b", pa.array([m[d] for d in t["doc_b"].to_pylist()],
-                              type=pa.binary())
-        )
-        return _est_jaccard_batch(t, threshold)
-
-    return cands.map_batches(_verify, batch_format="pyarrow")
+    verify pass — nothing sig-sized is ever pinned in the object store."""
+    sigs = ray.data.read_parquet(minhash_sigs_parquet(sf_dir))
+    cands = candidate_pairs(
+        sigs.map_batches(_band_rows, batch_format="pyarrow"), "doc_id",
+        MAX_BUCKET)
+    return verify_pairs(
+        cands, sigs, "doc_id", "sig",
+        lambda a, b, x, y: _est_jaccard(a, b, x, y, threshold))
 
 
 def minhash_pairs_query(
@@ -1192,23 +1215,21 @@ def neardup_clusters(
         read_bucket,
     )
 
-    import hashlib
     import os
 
     import pyarrow.dataset as pads
 
-    from datacat_ray.stages.dedup import clear_cache_dir
+    from datacat_ray.stages.dedup import clear_cache_dir, pid_scratch_dir
 
+    _is_lp = lambda f: f == "edges" or f.startswith("round-")  # noqa: E731
     # spill the edge list straight to parquet (streaming write — the pair
     # list is corpus-proportional in the regime that matters, so it is
     # never pinned in the object store); the count that picks the path
     # comes from parquet METADATA, and both paths read the spilled
     # files, so the pair pipeline executes exactly once
     if work_dir is None:
-        # per-PROCESS scratch: keyed by pid as well as the inputs, so two
-        # concurrent runs over the same corpus (paired bench probes) never
-        # clear each other's edge spill mid-read. Cross-process resume
-        # needs an explicit work_dir; dead owners' dirs are reaped here.
+        # per-PROCESS scratch (paired bench probes run concurrently):
+        # cross-process resume needs an explicit work_dir
         if resume:
             import warnings
 
@@ -1220,17 +1241,8 @@ def neardup_clusters(
                 "scratch. Pass work_dir= to make resume effective.",
                 stacklevel=2,
             )
-        from datacat_ray.stages.dedup import reap_stale_scratch
-
-        reap_stale_scratch(
-            "datacat_lp_", lambda f: f == "edges" or f.startswith("round-")
-        )
-        digest = hashlib.sha1(
-            f"{sf_dir}:{threshold}".encode()
-        ).hexdigest()[:12]
-        from datacat_ray.scratch import scratch_path
-
-        work_dir = scratch_path(f"datacat_lp_{digest}_{os.getpid()}")
+        work_dir = pid_scratch_dir("datacat_lp_", f"{sf_dir}:{threshold}",
+                                   _is_lp)
     edges_path = os.path.join(work_dir, "edges")
 
     def _has_edges() -> bool:
@@ -1250,10 +1262,7 @@ def neardup_clusters(
             # refuse to clear anything that is not LP artifacts — a
             # blind rmtree of a caller-supplied path is how unrelated
             # data gets destroyed (same guard as every other cache dir)
-            clear_cache_dir(
-                work_dir,
-                lambda f: f == "edges" or f.startswith("round-"),
-            )
+            clear_cache_dir(work_dir, _is_lp)
         os.makedirs(edges_path, exist_ok=True)
         minhash_candidate_pairs(sf_dir, threshold).select_columns(
             ["doc_a", "doc_b"]
@@ -1436,51 +1445,25 @@ def _simhash_band_rows(batch: pa.Table) -> pa.Table:
 
 
 def _simhash_bucket_pairs(group: pa.Table, max_hamming: int) -> pa.Table:
-    n = group.num_rows
-    a_col, b_col, ham = [], [], []
-
-    def _emit(i: int, j: int, doc_ids, hs) -> None:
-        if doc_ids[i] == doc_ids[j]:
-            return
-        d = bin(hs[i] ^ hs[j]).count("1")
-        if d <= max_hamming:
-            a, b = sorted((doc_ids[i], doc_ids[j]))
-            a_col.append(a)
-            b_col.append(b)
-            ham.append(d)
-
-    if n >= 2:
-        doc_ids = group["doc_id"].to_pylist()
-        hs = [h + (1 << 63) for h in group["simhash"].to_pylist()]
-        if n > MAX_BUCKET:
-            # hot bucket: STAR pairs around min doc_id — O(n), keeps the
-            # cluster connected instead of silently dropping it (logged)
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "hot SimHash bucket: %d members > cap %d — star pairs only",
-                n, MAX_BUCKET,
-            )
-            rep = min(range(n), key=lambda i: doc_ids[i])
-            for j in range(n):
-                if j != rep:
-                    _emit(rep, j, doc_ids, hs)
-        else:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    _emit(i, j, doc_ids, hs)
+    """One band bucket → its ``bucket_pairs`` whose simhashes differ in at
+    most ``max_hamming`` bits."""
+    ids = group["doc_id"].to_numpy()
+    a, b = bucket_pairs(ids, MAX_BUCKET)
+    uniq, first = np.unique(ids, return_index=True)
+    hs = group["simhash"].to_numpy()[first]
+    x = hs[np.searchsorted(uniq, a)] ^ hs[np.searchsorted(uniq, b)]
+    ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+    keep = ham <= max_hamming
     return pa.Table.from_pydict(
         {
-            "doc_a": pa.array(a_col, type=pa.int64()),
-            "doc_b": pa.array(b_col, type=pa.int64()),
-            "hamming": pa.array(ham, type=pa.int64()),
+            "doc_a": pa.array(a[keep], type=pa.int64()),
+            "doc_b": pa.array(b[keep], type=pa.int64()),
+            "hamming": pa.array(ham[keep], type=pa.int64()),
         }
     )
 
 
 def simhash_pairs(sf_dir: str, max_hamming: int = 3) -> "ray.data.Dataset":
-    from ray.data.aggregate import Min as _Min
-
     bands = simhash_signatures(sf_dir).map_batches(
         _simhash_band_rows, batch_format="pyarrow"
     )
@@ -1488,7 +1471,7 @@ def simhash_pairs(sf_dir: str, max_hamming: int = 3) -> "ray.data.Dataset":
         lambda g: _simhash_bucket_pairs(g, max_hamming), batch_format="pyarrow"
     )
     return pairs.groupby(["doc_a", "doc_b"]).aggregate(
-        _Min("hamming", alias_name="hamming")
+        Min("hamming", alias_name="hamming")
     )
 
 
@@ -1604,18 +1587,16 @@ def simhash_pairs_sql(max_hamming: int = 3) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _exact_jaccard_batch(batch: pa.Table, threshold: float) -> pa.Table:
-    """(doc_a, doc_b, text_a, text_b) → pairs whose EXACT shingle Jaccard
-    meets the threshold. All arithmetic stays in integers (the threshold
-    test is ``inter * 1e6 >= threshold_micros * union`` and the reported
-    value is half-up-rounded micros) so the result is bit-identical to the
-    SQL oracle — no float-division or round-half-to-even divergence."""
+def _exact_jaccard(a, b, text_a: list, text_b: list,
+                   threshold: float) -> pa.Table:
+    """Pairs whose EXACT shingle Jaccard meets the threshold. All
+    arithmetic stays in integers (the threshold test is ``inter * 1e6 >=
+    threshold_micros * union`` and the reported value is half-up-rounded
+    micros) so the result is bit-identical to the SQL oracle — no
+    float-division or round-half-to-even divergence."""
     thr_micros = int(round(threshold * 1_000_000))
     keep_a, keep_b, jac = [], [], []
-    for x, y, ta, tb in zip(
-        batch["doc_a"].to_pylist(), batch["doc_b"].to_pylist(),
-        batch["text_a"].to_pylist(), batch["text_b"].to_pylist(),
-    ):
+    for x, y, ta, tb in zip(a.to_pylist(), b.to_pylist(), text_a, text_b):
         sa = set(char_shingles(ta).tolist())
         sb = set(char_shingles(tb).tolist())
         inter, uni = len(sa & sb), len(sa | sb)
@@ -1677,92 +1658,33 @@ def ngram_jaccard_sql(threshold: float = 0.6, k: int = SHINGLE_K) -> str:
 def ngram_jaccard_pairs(
     sf_dir: str, threshold: float = 0.6
 ) -> "ray.data.Dataset":
-    """MinHash-LSH candidates re-verified with EXACT shingle Jaccard.
-
-    Verify, picked by size: up to ``_CAND_BROADCAST_MAX`` candidate pairs
-    ONLY the candidate docs' texts are fetched (streaming membership
-    filter over the documents table — never a full driver-side read) and
-    shipped once via ``ray.put``; driver memory is O(candidates), with the
-    same id cap and join fallback as ``minhash_candidate_pairs``. Past it
-    (the 10^12-doc path, pinned equal in tests), candidates hash-join
-    against the documents table on doc_id — twice, once per pair side — so
-    nothing pair-related ever sits on the driver.
+    """MinHash-LSH candidates (threshold 0.5) re-verified with EXACT
+    shingle Jaccard through ``verify_pairs`` — the documents' texts are
+    broadcast for the candidate ids, or, past the size pick, the documents
+    table is hash-joined on doc_id once per pair side.
 
     The candidate list spills to per-process parquet scratch (same pattern
     as the neardup edge list): it is read three times (size count, id
     collect, verify) but is corpus-proportional in exactly the regime the
     join exists for, so pinning it in the object store would double its
     footprint at scale; the size count comes from parquet METADATA."""
-    import hashlib
     import os
 
-    import pyarrow.dataset as pads
-
-    from datacat_ray.stages.dedup import clear_cache_dir, reap_stale_scratch
+    from datacat_ray.stages.dedup import clear_cache_dir, pid_scratch_dir
 
     _is_pq = lambda f: f.endswith(".parquet")  # noqa: E731
-    reap_stale_scratch("datacat_njp_", _is_pq)  # dead owners' leftovers
-    digest = hashlib.sha1(f"{sf_dir}:{threshold}".encode()).hexdigest()[:12]
-    from datacat_ray.scratch import scratch_path
-
-    spill = scratch_path(f"datacat_njp_{digest}_{os.getpid()}")
+    spill = pid_scratch_dir("datacat_njp_", f"{sf_dir}:{threshold}", _is_pq)
     if os.path.isdir(spill):
         clear_cache_dir(spill, _is_pq)
     os.makedirs(spill, exist_ok=True)
-    minhash_candidate_pairs(sf_dir, threshold=0.5).write_parquet(spill)
-    n_cands = pads.dataset(spill, format="parquet").count_rows()
-    cands = ray.data.read_parquet(spill)
-
-    def _join_verify() -> "ray.data.Dataset":
-        # partition count sized to the session: each hash-join partition is
-        # backed by an aggregator actor reserving a core — two 16-partition
-        # joins DEADLOCK a 4-CPU session outright (measured), so cap at
-        # half the CPUs per join
-        n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 8)) // 2))
-        docs = ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-        )
-        a_side = docs.map_batches(
-            lambda t: t.rename_columns(["doc_a", "text_a"]), batch_format="pyarrow"
-        )
-        b_side = docs.map_batches(
-            lambda t: t.rename_columns(["doc_b", "text_b"]), batch_format="pyarrow"
-        )
-        quiet_schema_hash_warning()
-        joined = cands.join(a_side, "inner", n_parts, on=("doc_a",)).join(
-            b_side, "inner", n_parts, on=("doc_b",)
-        )
-        return joined.map_batches(
-            lambda b: _exact_jaccard_batch(b, threshold), batch_format="pyarrow"
-        )
-
-    if n_cands > _CAND_BROADCAST_MAX:
-        return _join_verify()
-
-    # broadcast: membership-filter the documents table down to candidate
-    # docs in one streaming pass; only those texts reach the driver
-    from datacat_ray.stages.bucketed import cached_ref
-
-    docs_ds = ray.data.read_parquet(
+    minhash_candidate_pairs(sf_dir, threshold=0.5).select_columns(
+        ["doc_a", "doc_b"]).write_parquet(spill)
+    docs = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
-    try:
-        text_ref = _fetch_candidate_values(
-            cands, ("doc_a", "doc_b"), docs_ds, "doc_id", "text"
-        )
-    except BroadcastIdSetTooLarge:
-        return _join_verify()
-
-    def _verify(batch: pa.Table) -> pa.Table:
-        texts = cached_ref(text_ref)
-        t = batch.append_column(
-            "text_a", pa.array([texts[x] for x in batch["doc_a"].to_pylist()])
-        ).append_column(
-            "text_b", pa.array([texts[y] for y in batch["doc_b"].to_pylist()])
-        )
-        return _exact_jaccard_batch(t, threshold)
-
-    return cands.map_batches(_verify, batch_format="pyarrow")
+    return verify_pairs(
+        ray.data.read_parquet(spill), docs, "doc_id", "text",
+        lambda a, b, x, y: _exact_jaccard(a, b, x, y, threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -1798,12 +1720,15 @@ def _unit_matrix(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
 def _unit_rows(batch: pa.Table) -> pa.Table:
     """(vec_id, unit): unit-normalized vectors, streamed from the raw read
     by the verify phase (never materialized — the 'sig table' of this
-    family lives in the source parquet, re-normalized on demand)."""
+    family lives in the source parquet, re-normalized on demand). Each
+    vector is ONE little-endian float64 binary blob, as the MinHash sig
+    is: a join cannot carry a list column as a non-key field."""
     vec_ids, unit = _unit_matrix(batch)
+    unit = np.ascontiguousarray(unit, dtype="<f8")
     return pa.Table.from_pydict(
         {
             "vec_id": pa.array(vec_ids),
-            "unit": pa.array(unit.tolist(), type=pa.list_(pa.float64())),
+            "unit": pa.array([r.tobytes() for r in unit], type=pa.binary()),
         }
     )
 
@@ -1835,29 +1760,20 @@ EMBED_MAX_BUCKET = 4096  # above this a cell is degenerate (all-same spam);
 # degrade to star pairs around min vec_id (logged) instead of dropping
 
 
-def _embed_bucket_cands(group: pa.Table) -> pa.Table:
-    ids = sorted(set(group["vec_id"].to_pylist()))
-    n = len(ids)
-    a_col: list[int] = []
-    b_col: list[int] = []
-    if n > EMBED_MAX_BUCKET:
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "hot embedding-LSH bucket: %d members > cap %d — star pairs only",
-            n, EMBED_MAX_BUCKET,
-        )
-        a_col = [ids[0]] * (n - 1)
-        b_col = ids[1:]
-    elif n >= 2:
-        ii, jj = np.triu_indices(n, k=1)
-        arr = np.array(ids, dtype=np.int64)
-        a_col = arr[ii].tolist()
-        b_col = arr[jj].tolist()
+def _cosine(a, b, unit_a: list, unit_b: list, threshold: float) -> pa.Table:
+    """Pairs whose unit vectors (``_unit_rows`` blobs) have cosine ≥
+    threshold."""
+    n = len(unit_a)
+    x = np.frombuffer(b"".join(unit_a), dtype="<f8")
+    y = np.frombuffer(b"".join(unit_b), dtype="<f8")
+    dim = len(x) // n if n else 0
+    cos = np.einsum("ij,ij->i", x.reshape(n, dim), y.reshape(n, dim))
+    keep = np.flatnonzero(cos >= threshold)
     return pa.Table.from_pydict(
         {
-            "vec_a": pa.array(a_col, type=pa.int64()),
-            "vec_b": pa.array(b_col, type=pa.int64()),
+            "vec_a": pc.take(a, pa.array(keep)),
+            "vec_b": pc.take(b, pa.array(keep)),
+            "cosine": pa.array(np.round(cos[keep], 6), type=pa.float64()),
         }
     )
 
@@ -1866,97 +1782,24 @@ def embedding_neardup_pairs(
     sf_dir: str, threshold: float = 0.45
 ) -> "ray.data.Dataset":
     """Near-duplicate embedding pairs: multi-table random-hyperplane LSH
-    buckets over NARROW (bucket, vec_id) band rows, candidate pairs deduped
-    across tables, then exact-cosine verification with the unit vectors
-    fetched once per candidate (streaming membership filter + broadcast —
-    the same two-phase shape as MinHash; at beyond-driver candidate counts
-    the join path applies). NOTHING row-count-proportional is ever pinned:
-    the band pass normalizes inline off the parquet read, and the verify
-    pass streams a fresh ``_unit_rows`` pass membership-filtered down to
-    candidate ids (re-normalizing a candidate vector costs ~nothing next
-    to re-reading it; at 100 TB the alternative — a unit-vector
+    buckets over NARROW (bucket, vec_id) band rows, ``candidate_pairs``
+    deduped across tables, then exact-cosine ``verify_pairs`` over unit
+    vectors — the same two-phase shape as MinHash. NOTHING
+    row-count-proportional is ever pinned: the band pass normalizes
+    inline off the parquet read, and the verify streams a fresh
+    ``_unit_rows`` pass (re-normalizing a candidate vector costs ~nothing
+    next to re-reading it; at 100 TB the alternative — a unit-vector
     ``materialize()`` — would pin the whole embeddings table). Recall < 1
     by construction (tune N_TABLES/N_PLANES to the threshold; the driver
     testdata's max off-diagonal cosine is ~0.51, so a 0.9-style threshold
     would be vacuous there)."""
-    from ray.data.aggregate import Count as _Count
-
     ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet")
-    # streamed (lazy) unit view for the verify phase — never materialized
-    units = ds.map_batches(_unit_rows, batch_format="pyarrow")
-    bands = ds.map_batches(_embed_band_rows, batch_format="pyarrow")
-    cands = (
-        bands.groupby("bucket")
-        .map_groups(_embed_bucket_cands, batch_format="pyarrow")
-        .groupby(["vec_a", "vec_b"])
-        .aggregate(_Count(alias_name="__nb"))
-        .select_columns(["vec_a", "vec_b"])
-        .materialize()  # tiny: one row per candidate pair
-    )
-    from datacat_ray.stages.bucketed import cached_ref
-
-    def _cos_rows(va, vb, a: np.ndarray, b: np.ndarray) -> pa.Table:
-        cos = np.einsum("ij,ij->i", a, b)
-        keep = cos >= threshold
-        idx = pa.array(np.flatnonzero(keep))
-        return pa.Table.from_pydict(
-            {
-                "vec_a": pc.take(va, idx),
-                "vec_b": pc.take(vb, idx),
-                "cosine": pa.array(np.round(cos[keep], 6), type=pa.float64()),
-            }
-        )
-
-    def _join_verify() -> "ray.data.Dataset":
-        # candidate ids outgrew the broadcast bound: join the unit table
-        # once per pair side instead (nothing pair-related on the driver)
-        n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 8)) // 2))
-        a_side = units.map_batches(
-            lambda t: t.rename_columns(["vec_a", "unit_a"]),
-            batch_format="pyarrow",
-        )
-        b_side = units.map_batches(
-            lambda t: t.rename_columns(["vec_b", "unit_b"]),
-            batch_format="pyarrow",
-        )
-        quiet_schema_hash_warning()
-        joined = cands.join(a_side, "inner", n_parts, on=("vec_a",)).join(
-            b_side, "inner", n_parts, on=("vec_b",)
-        )
-
-        def _vj(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return pa.Table.from_pydict(
-                    {"vec_a": pa.array([], pa.int64()),
-                     "vec_b": pa.array([], pa.int64()),
-                     "cosine": pa.array([], pa.float64())}
-                )
-            a = np.array(t["unit_a"].to_pylist(), dtype=np.float64)
-            b = np.array(t["unit_b"].to_pylist(), dtype=np.float64)
-            return _cos_rows(t["vec_a"], t["vec_b"], a, b)
-
-        return joined.map_batches(_vj, batch_format="pyarrow")
-
-    try:
-        unit_ref = _fetch_candidate_values(
-            cands, ("vec_a", "vec_b"), units, "vec_id", "unit"
-        )
-    except BroadcastIdSetTooLarge:
-        return _join_verify()
-
-    def _verify(t: pa.Table) -> pa.Table:
-        m = cached_ref(unit_ref)
-        if t.num_rows == 0:
-            return pa.Table.from_pydict(
-                {"vec_a": pa.array([], pa.int64()),
-                 "vec_b": pa.array([], pa.int64()),
-                 "cosine": pa.array([], pa.float64())}
-            )
-        a = np.array([m[v] for v in t["vec_a"].to_pylist()], dtype=np.float64)
-        b = np.array([m[v] for v in t["vec_b"].to_pylist()], dtype=np.float64)
-        return _cos_rows(t["vec_a"], t["vec_b"], a, b)
-
-    return cands.map_batches(_verify, batch_format="pyarrow")
+    cands = candidate_pairs(
+        ds.map_batches(_embed_band_rows, batch_format="pyarrow"), "vec_id",
+        EMBED_MAX_BUCKET)
+    return verify_pairs(
+        cands, ds.map_batches(_unit_rows, batch_format="pyarrow"), "vec_id",
+        "unit", lambda a, b, x, y: _cosine(a, b, x, y, threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -2002,18 +1845,16 @@ def paragraph_dedup(
          buckets' drop sets through the per-worker ``read_bucket`` LRU.
     ``drop_dir`` must be shared storage on a multi-node cluster; it is
     cleared (content-guarded, ``clear_cache_dir``) before the decision
-    build. Without one, a pid-keyed scratch dir is resolved (the
-    ``ngram_jaccard_pairs`` spill pattern; dead owners' dirs are reaped).
+    build. Without one, a pid-keyed scratch dir is resolved
+    (``dedup.pid_scratch_dir``; dead owners' dirs are reaped).
     Dolma itself uses a bloom filter for step 2's membership test; the
     exact min-key exchange here is deterministic (oracle-able) and its
     shuffle volume is bounded by segment count, not text bytes. 64-bit
     segment hashes stand in for segment text equality (collision odds at
     10^12 segments ~ 3e-6 per corpus; step 2 could carry the text for
     exactness at 10x exchange width)."""
-    import hashlib
     import os
 
-    from datacat_ray.scratch import scratch_path
     from datacat_ray.stages.bucketed import (
         add_bucket,
         int_bucket_codes,
@@ -2021,14 +1862,12 @@ def paragraph_dedup(
         sorted_key_bounds,
         write_bucket,
     )
-    from datacat_ray.stages.dedup import clear_cache_dir, reap_stale_scratch
+    from datacat_ray.stages.dedup import clear_cache_dir, pid_scratch_dir
 
     src = f"{sf_dir}/documents.parquet"
     _is_drop = lambda f: f.startswith(("bucket-", ".tmp.bucket-"))  # noqa: E731
     if drop_dir is None:
-        reap_stale_scratch("datacat_para_", _is_drop)  # dead owners' leftovers
-        digest = hashlib.sha1(f"{sf_dir}:{w}".encode()).hexdigest()[:12]
-        drop_dir = scratch_path(f"datacat_para_{digest}_{os.getpid()}")
+        drop_dir = pid_scratch_dir("datacat_para_", f"{sf_dir}:{w}", _is_drop)
     if os.path.isdir(drop_dir):
         # a bucket with zero drops is never written, so an earlier run's
         # file for it must not survive into this one

@@ -16,8 +16,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from datacat_ray import quiet_schema_hash_warning
-from datacat_ray.stages.bucketed import cached_ref
+from datacat_ray.stages.bucketed import cached_ref, hash_join
 
 
 def _read(sf_dir: str, table: str, columns: list[str] | None = None):
@@ -571,9 +570,7 @@ def order_lineitem_join(sf_dir: str) -> "ray.data.Dataset":
     revenue joined to the orders table — the one join family where neither
     side broadcasts. The lineitem side is pre-aggregated per orderkey with
     a map-side combiner BEFORE the join, so the exchange moves one row per
-    order, not one per item. Join partitions sized to CPUs/2 (aggregator
-    actors reserve a core each — two 16-partition joins deadlock a 4-CPU
-    session, measured)."""
+    order, not one per item (``bucketed.hash_join``)."""
     import numpy as np
 
     li = _read(sf_dir, "lineitem",
@@ -604,9 +601,7 @@ def order_lineitem_join(sf_dir: str) -> "ray.data.Dataset":
         )
     )
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    n_parts = max(2, min(16, int(ray.cluster_resources().get("CPU", 8)) // 2))
-    quiet_schema_hash_warning()
-    joined = orders.join(per_order, "inner", n_parts, on=("o_orderkey",))
+    joined = hash_join(orders, per_order, "o_orderkey")
 
     def _project(t: pa.Table) -> pa.Table:
         tp = t["o_totalprice"].to_numpy(zero_copy_only=False)

@@ -14,9 +14,10 @@ This module owns every piece of that shape: the one 64-bit key hash
 (``hash64``), the bucket functions (``add_bucket``), the per-key kernels
 (``keep_last``, ``keep_first_k``), the distributed keep-latest
 (``keep_latest`` — the url dedup of ``stages/dedup.py`` and
-``latest_events``), the atomic bucket-file writer (``write_bucket``) with
-its bounded per-worker reader (``read_bucket``), and the per-worker cache
-of broadcast objects (``cached_ref``).
+``latest_events``), the shuffle hash join (``hash_join``), the atomic
+bucket-file writer (``write_bucket``) with its bounded per-worker reader
+(``read_bucket``), and the per-worker cache of broadcast objects
+(``cached_ref``).
 """
 
 from __future__ import annotations
@@ -185,6 +186,20 @@ def keep_latest(ds, key: str, order_cols: list[str]):
         lambda g: keep_last(g.drop_columns(["__bucket"]), key, order_cols),
         batch_format="pyarrow",
     )
+
+
+def hash_join(left, right, on: str):
+    """Inner shuffle hash join of two Datasets on column ``on``. Partitions
+    are sized to half the session's CPUs (2 to 16): every partition is
+    backed by an aggregator actor that reserves a core, and two chained
+    16-partition joins deadlock a 4-CPU session (measured)."""
+    import ray as _ray
+
+    from datacat_ray import quiet_schema_hash_warning
+
+    n_parts = max(2, min(16, int(_ray.cluster_resources().get("CPU", 8)) // 2))
+    quiet_schema_hash_warning()
+    return left.join(right, "inner", n_parts, on=(on,))
 
 
 # ---------------------------------------------------------------------------

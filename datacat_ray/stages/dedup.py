@@ -129,6 +129,22 @@ def reap_stale_scratch(prefix: str, allowed) -> None:
             pass  # not ours / raced — leave it
 
 
+def pid_scratch_dir(prefix: str, key: str, allowed) -> str:
+    """This process's scratch dir for inputs ``key``:
+    ``<prefix><sha1(key)[:12]>_<pid>`` under the scratch root, after
+    reaping dead owners' ``prefix`` dirs (``reap_stale_scratch``). Keyed
+    by pid as well as the inputs, so two concurrent runs over the same
+    corpus never clear each other's spill mid-read; the caller decides
+    whether an existing dir is cleared."""
+    import hashlib
+
+    from datacat_ray.scratch import scratch_path
+
+    reap_stale_scratch(prefix, allowed)
+    digest = hashlib.sha1(key.encode()).hexdigest()[:12]
+    return scratch_path(f"{prefix}{digest}_{os.getpid()}")
+
+
 def clear_cache_dir(d: str, allowed) -> None:
     """Remove a stale/torn derived-artifact directory — but ONLY if every
     entry looks like one of ours (``allowed(name)``). A caller pointing a

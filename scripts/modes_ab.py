@@ -1,6 +1,6 @@
 """Alternated A/B of both paths of every size-picked operator pair.
 
-Five operators pick between two paths only from a size they measure.
+Six operators pick between two paths only from a size they measure.
 This script forces each side through that pair's threshold constant (read
 on the driver), times both sides at the scale factors ``sf0.01`` and
 ``sf0.1`` of the test data, and checks that both sides return the same
@@ -8,6 +8,7 @@ rows:
 
     minhash_candidate_pairs   broadcast / join      _CAND_BROADCAST_MAX
     ngram_jaccard_pairs       broadcast / join      _CAND_BROADCAST_MAX
+    embedding_neardup_pairs   broadcast / join      _CAND_BROADCAST_MAX
     incremental_dedup         broadcast / join      _BLOOM_CAND_MAX
     neardup_clusters          driver / distributed  _UF_MAX_PAIRS
     dedup_latest_prefilter    driver / bucketed     _DRIVER_WINNER_ROWS
@@ -71,6 +72,9 @@ def pairs(tmp: str):
         ("ngram_jaccard_pairs", DO, "_CAND_BROADCAST_MAX",
          (("broadcast", DO._CAND_BROADCAST_MAX), ("join", -1)),
          DO.ngram_jaccard_pairs),
+        ("embedding_neardup_pairs", DO, "_CAND_BROADCAST_MAX",
+         (("broadcast", DO._CAND_BROADCAST_MAX), ("join", -1)),
+         DO.embedding_neardup_pairs),
         ("incremental_dedup", DO, "_BLOOM_CAND_MAX",
          (("broadcast", DO._BLOOM_CAND_MAX), ("join", -1)),
          DO.incremental_dedup),

@@ -77,21 +77,6 @@ def test_compute_winners_distributed_path(ray_session, tmp_path, monkeypatch):
     assert _parquet_winners(wdir) == fast
 
 
-def test_ngram_jaccard_join_path_matches_broadcast(ray_session, monkeypatch):
-    """The 10^12-doc verification path (hash-join candidates against the
-    documents table, forced through ``_CAND_BROADCAST_MAX``) must equal
-    the bench-scale broadcast path."""
-    from datacat_ray.pipelines import dedup_ops
-
-    sf = "/root/testdata/sf0.001"
-    a = sorted(map(tuple, dedup_ops.ngram_jaccard_pairs(sf)
-                   .to_pandas().values.tolist()))
-    monkeypatch.setattr(dedup_ops, "_CAND_BROADCAST_MAX", -1)
-    b = sorted(map(tuple, dedup_ops.ngram_jaccard_pairs(sf)
-                   .to_pandas().values.tolist()))
-    assert a == b and len(a) > 0
-
-
 def test_hll_approx_distinct(ray_session):
     """HLL sketch: within the error bound of exact distinct, and register
     merge is order-insensitive."""

@@ -1,6 +1,7 @@
 """Distributed connected components (min-label propagation) for
 neardup_clusters, pinned equal to the driver union-find, plus the
-candidate-id broadcast cap and its join fallback."""
+near-duplicate pair layer: the bucket-pair kernel, the candidate-id
+broadcast cap, and the verify sides of the pair ops."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from datacat_ray.pipelines import dedup_ops
 from datacat_ray.pipelines.dedup_ops import (
     BroadcastIdSetTooLarge,
     _fetch_candidate_values,
+    bucket_pairs,
     label_propagation_parquet,
-    minhash_candidate_pairs,
     neardup_clusters,
 )
 
@@ -107,7 +108,7 @@ def test_neardup_clusters_distributed_equals_driver(ray_session, tmp_path,
     assert any(d != c for d, c in drv.items())
 
 
-def test_fetch_candidate_values_id_cap(ray_session):
+def test_fetch_candidate_values_id_cap(ray_session, monkeypatch):
     import ray.data
 
     cands = ray.data.from_arrow(
@@ -122,32 +123,87 @@ def test_fetch_candidate_values_id_cap(ray_session):
              "text": [f"t{i}" for i in range(10)]}
         )
     )
+    monkeypatch.setattr(dedup_ops, "_CAND_ID_BROADCAST_MAX", 3)
     with pytest.raises(BroadcastIdSetTooLarge):
         _fetch_candidate_values(
-            cands, ("doc_a", "doc_b"), src, "doc_id", "text", max_ids=3
+            cands, ("doc_a", "doc_b"), src, "doc_id", "text"
         )
 
 
-def test_minhash_broadcast_overflow_falls_back_to_join(
-    ray_session, monkeypatch
-):
-    """The join verify keeps the broadcast verify's pairs, whether it is
-    reached by the mid-stream overflow of the candidate-id accumulation
-    or picked up front by the candidate-pair count (both caps are read on
-    the driver)."""
-    def pairs():
-        return sorted(
-            (r["doc_a"], r["doc_b"], r["match_lanes"])
-            for r in minhash_candidate_pairs(SF, threshold=0.7).take_all()
-        )
+def test_bucket_pairs_all_pairs_star_pairs_and_repeated_ids(caplog):
+    """The one bucket → pairs kernel of the four pair ops: all pairs up to
+    the cap, star pairs around the min id above it (with one warning), a
+    repeated id counted once."""
+    import logging
 
-    base = pairs()
+    def pairs(ids, cap):
+        a, b = bucket_pairs(np.array(ids, dtype=np.int64), cap)
+        return list(zip(a.tolist(), b.tolist()))
+
+    with caplog.at_level(logging.WARNING, logger=dedup_ops.__name__):
+        assert pairs([9, 4, 7, 4], 3) == [(4, 7), (4, 9), (7, 9)]
+        assert pairs([5], 3) == [] and pairs([5, 5], 3) == []
+        assert not caplog.records
+        assert pairs([9, 4, 7, 4, 12], 3) == [(4, 7), (4, 9), (4, 12)]
+    assert len(caplog.records) == 1
+    assert "star pairs" in caplog.records[0].getMessage()
+
+
+PAIR_OPS = ("minhash_candidate_pairs", "ngram_jaccard_pairs",
+            "embedding_neardup_pairs")
+
+
+@pytest.mark.parametrize("op", PAIR_OPS)
+def test_pair_verify_sides_equal(ray_session, monkeypatch, op):
+    """The join verify returns the broadcast verify's rows, whether it is
+    picked up front by the candidate-pair count or reached by the
+    mid-stream overflow of the candidate-id accumulation (both caps are
+    read on the driver)."""
+    def rows():
+        return sorted(tuple(sorted(r.items()))
+                      for r in getattr(dedup_ops, op)(SF).take_all())
+
+    base = rows()
     assert len(base) > 0
-    for cap, value in (("_CAND_ID_BROADCAST_MAX", 1),
-                       ("_CAND_BROADCAST_MAX", -1)):
+    for cap, value in (("_CAND_BROADCAST_MAX", -1),
+                       ("_CAND_ID_BROADCAST_MAX", 1)):
         with monkeypatch.context() as m:
             m.setattr(dedup_ops, cap, value)
-            assert pairs() == base, cap
+            assert rows() == base, cap
+
+
+@pytest.mark.parametrize("op,cols", [
+    ("minhash_candidate_pairs", ["doc_a", "doc_b", "est_jaccard",
+                                 "match_lanes"]),
+    ("ngram_jaccard_pairs", ["doc_a", "doc_b", "jaccard_micros"]),
+    ("embedding_neardup_pairs", ["vec_a", "vec_b", "cosine"]),
+])
+def test_pair_ops_empty_candidate_set(ray_session, tmp_path, monkeypatch,
+                                      op, cols):
+    """A duplicate-free corpus has no candidate pairs: both verify sides
+    return zero rows with the op's own columns (the join side used to
+    fail on the schema-less blocks of the empty candidate shuffle)."""
+    rng = np.random.RandomState(3)
+    words = [f"w{i}x" for i in range(5000)]
+    pq.write_table(
+        pa.table({"doc_id": pa.array(range(30), pa.int64()),
+                  "text": [" ".join(rng.choice(words, 40))
+                           for _ in range(30)]}),
+        str(tmp_path / "documents.parquet"),
+    )
+    v = rng.standard_normal(16)  # v and -v never share an LSH cell
+    pq.write_table(
+        pa.table({"vec_id": pa.array([0, 1], pa.int64()),
+                  "embedding": pa.array([v.tolist(), (-v).tolist()],
+                                        pa.list_(pa.float32())),
+                  "label": pa.array([0, 0], pa.int32())}),
+        str(tmp_path / "embeddings.parquet"),
+    )
+    for value in (dedup_ops._CAND_BROADCAST_MAX, -1):
+        monkeypatch.setattr(dedup_ops, "_CAND_BROADCAST_MAX", value)
+        ds = getattr(dedup_ops, op)(str(tmp_path))
+        assert ds.take_all() == [], value
+        assert ds.schema().names == cols, value
 
 
 def test_lp_resume_from_checkpoint(ray_session, tmp_path):
