@@ -5,28 +5,22 @@ documents in a fixed global order (doc_id) and slices it into ``seq_len``-
 token sequences; each document's placement is fully determined by the
 EXCLUSIVE prefix sum of token counts over all earlier documents. This is
 the one training-data op whose result depends on a *global scan*, so its
-distributed shape matters more than most:
+distributed shape matters more than most. It is ``bucketed.running_sum``
+(shared with ``text_analysis.deterministic_shuffle`` and
+``token_budget_head``) over:
 
-1. **Count pass** (narrow): tokenize each doc once, emit
-   ``(doc_id, n_tokens, __bucket)`` where the bucket is a CONTIGUOUS
-   doc_id range (``doc_id * P // (max_id + 1)`` — range partitioning, not
-   hash, because prefix order must be preserved across buckets). Max
-   doc_id comes from parquet row-group statistics — metadata only, no
-   data read.
-2. **Bucket subtotals**: a map-side partial sum per batch (≤ P tiny rows
-   per batch) then one small ``groupby(__bucket).sum`` — the shuffle
-   exchanges P partials, not row counts.
-3. **Exclusive scan over bucket subtotals on the driver** — P numbers,
-   O(P) work regardless of corpus size.
-4. **Placement pass**: one hash shuffle of the narrow counts on
-   ``__bucket``, then a vectorized per-bucket kernel (sort by doc_id,
-   ``np.cumsum``, add the bucket's scan offset). O(P) Python calls.
-
-The narrow count table is materialized between passes 1 and 4 so the text
-is tokenized exactly once: at 10^12 docs that is ~24 TB of (int64×3) in
-the object store — the same order as any shuffle of the key space, and
-Ray spills it; pass ``two_pass="recompute"`` to trade a second tokenize
-of the full corpus for zero spill instead.
+- **Count pass** (narrow): tokenize each doc once, emit
+  ``(doc_id, n_tokens, __bucket)`` where the bucket is a CONTIGUOUS
+  doc_id range (``doc_id * P // (max_id + 1)`` — range partitioning, not
+  hash, because prefix order must be preserved across buckets; P is
+  ``bucketed.DEFAULT_BUCKETS``). Max doc_id comes from parquet row-group
+  statistics — metadata only, no data read. The narrow count table is
+  materialized, so the text is tokenized exactly once.
+- **Bucket subtotals, exclusive scan on the driver** — P numbers, O(P)
+  work regardless of corpus size.
+- **Placement pass**: one shuffle of the narrow counts on ``__bucket``,
+  then a vectorized per-bucket kernel (sort by doc_id, ``np.cumsum``, add
+  the bucket's scan offset). O(P) Python calls.
 
 The reference has no packing op (its corpus loop is one-file-one-doc,
 ``EngineDatacat.java:135-144``); this is part of the beyond-reference
@@ -41,10 +35,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Sum
+
+from datacat_ray.stages import bucketed
 
 DEFAULT_SEQ_LEN = 2048
-DEFAULT_BUCKETS = 64
 
 
 def max_doc_id(path: str, column: str = "doc_id") -> int:
@@ -78,17 +72,8 @@ def max_doc_id(path: str, column: str = "doc_id") -> int:
     return int(best)
 
 
-def _range_bucket(ids: np.ndarray, hi: int, n_buckets: int) -> np.ndarray:
-    """Contiguous range partition of [0, hi] into n_buckets (order-
-    preserving across buckets, unlike a hash)."""
-    return (ids.astype(np.int64) * n_buckets // (hi + 1)).astype(np.int32)
-
-
 def pack_sequences(
-    sf_dir: str,
-    seq_len: int = DEFAULT_SEQ_LEN,
-    n_buckets: int = DEFAULT_BUCKETS,
-    two_pass: str = "materialize",
+    sf_dir: str, seq_len: int = DEFAULT_SEQ_LEN
 ) -> "ray.data.Dataset":
     """(doc_id, n_tokens, chunk_id, chunk_pos): each doc's target training
     sequence (``chunk_id``) and token offset within it (``chunk_pos``)
@@ -99,6 +84,7 @@ def pack_sequences(
 
     path = f"{sf_dir}/documents.parquet"
     hi = max_doc_id(path)
+    n_buckets = bucketed.DEFAULT_BUCKETS
 
     def _count(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -110,51 +96,27 @@ def pack_sequences(
             {
                 "doc_id": pa.array(ids, pa.int64()),
                 "n_tokens": pa.array(counts, pa.int64()),
-                "__bucket": pa.array(_range_bucket(ids, hi, n_buckets)),
+                # contiguous doc-id ranges: order-preserving across buckets
+                "__bucket": pa.array(
+                    (ids * n_buckets // (hi + 1)).astype(np.int32)),
             }
         )
 
-    counts = ray.data.read_parquet(path, columns=["doc_id", "text"]) \
-        .map_batches(_count, batch_format="pyarrow")
-    if two_pass == "materialize":
-        counts = counts.materialize()  # tokenize once; narrow table spills
-
-    # bucket subtotals: map-side partial (≤ n_buckets rows per batch) then
-    # one tiny groupby — the exchange moves partials, not docs
-    def _partial(t: pa.Table) -> pa.Table:
-        return t.group_by(["__bucket"]).aggregate([("n_tokens", "sum")])
-
-    subtotal_rows = (
-        counts.map_batches(_partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .aggregate(Sum("n_tokens_sum", alias_name="bucket_tokens"))
-        .take_all()  # ≤ n_buckets rows — O(P), corpus-size independent
-    )
-    subtotals = {r["__bucket"]: r["bucket_tokens"] for r in subtotal_rows}
-    offsets: dict[int, int] = {}
-    acc = 0
-    for b in sorted(subtotals):
-        offsets[b] = acc
-        acc += int(subtotals[b])
-
-    def _place(g: pa.Table) -> pa.Table:
-        b = int(g["__bucket"][0].as_py())
-        order = pc.sort_indices(g, sort_keys=[("doc_id", "ascending")])
-        ids = pc.take(g["doc_id"], order).combine_chunks().to_numpy()
-        nt = pc.take(g["n_tokens"], order).combine_chunks().to_numpy()
-        before = offsets[b] + np.cumsum(nt) - nt  # exclusive prefix sum
+    def _place(t: pa.Table, cum: np.ndarray) -> pa.Table:
+        before = cum - t["n_tokens"].to_numpy()  # exclusive prefix sum
         return pa.Table.from_pydict(
             {
-                "doc_id": pa.array(ids, pa.int64()),
-                "n_tokens": pa.array(nt, pa.int64()),
+                "doc_id": t["doc_id"],
+                "n_tokens": t["n_tokens"],
                 "chunk_id": pa.array(before // seq_len, pa.int64()),
                 "chunk_pos": pa.array(before % seq_len, pa.int64()),
             }
         )
 
-    return counts.groupby("__bucket").map_groups(
-        _place, batch_format="pyarrow"
-    )
+    counts = ray.data.read_parquet(path, columns=["doc_id", "text"]) \
+        .map_batches(_count, batch_format="pyarrow")
+    return bucketed.running_sum(counts, n_buckets, "n_tokens", ["doc_id"],
+                                _place)
 
 
 def pack_sequences_sql(seq_len: int = DEFAULT_SEQ_LEN) -> str:

@@ -1,30 +1,66 @@
 """Text-analysis operators over the ``documents`` table (training-data ops).
 
-Large-scale-pipeline staples, each expressed as a vectorized / row-kernel
-``map_batches`` over ``ray.data.read_parquet(documents)``:
+Three shapes, each written once:
 
-- token counting (whitespace tokenization, SQL-checkable),
-- text stats (ASCII digit/upper/punct counts, SQL-checkable),
-- language ID (stopword-profile heuristic — the engine analogue of the
-  reference's ``LanguageUtilities.runLanguageId`` on a ~500-char sample,
+- **Per-document column map** (``_doc_map``): one read of (doc_id, text)
+  and one ``map_batches`` that appends one typed column group per text
+  kernel — token counts (whitespace and BPE-ish), text stats, language ID
+  (stopword-profile heuristic, the engine analogue of the reference's
+  ``LanguageUtilities.runLanguageId`` on a ~500-char sample,
   ``DatacatSegmenterParser.java:666-682``, with the same fallback-to-"fr"
-  convention when nothing matches),
-- quality scoring (length / punctuation / stopword ratios),
-- document fingerprinting (64-bit FNV-1a rolling hash over normalized
-  tokens).
+  convention), quality scores (one sum, ``_quality_sum``), PII redaction,
+  fingerprints (64-bit FNV-1a rolling hash over normalized tokens) and
+  repetition stats. The fused ops (``token_counts``, ``doc_profile``) list
+  several kernels in the one pass. No shuffle. The doc-local filters
+  (``corpus_filter``, ``corpus_gate``, ``stratified_sample``) and the
+  broadcast-set filters (``decontaminate``, ``ngram_decontaminate``,
+  ``temperature_mix``'s pick, ``oov_ratio``'s scorer) are map-only too.
+- **Combiner top-k** (``_top_k``): per-batch Counter partials, one
+  groupby-sum shuffle, sort, limit — ``top_terms``, ``top_bigrams``,
+  ``top_grams`` and ``oov_ratio``'s vocabulary.
+- **Bucketed shuffles** (``stages/bucketed.py``): the doc-term rows of
+  ``tfidf_top_terms`` and ``unigram_logprob`` (``_doc_term_rows``); the
+  in-bucket term runs (``_term_runs`` over ``key_runs``) of those two and
+  ``term_postings``; ``dup_ngram_fraction``'s gram-hash buckets; the per-source cap; the gate
+  + exact dedup of ``corpus_prep``; and the global running sum without a
+  global sort (``running_sum``) behind ``deterministic_shuffle`` and
+  ``token_budget_head`` (and ``packing.pack_sequences``). The term,
+  gram and doc-id buckets number ``bucketed.DEFAULT_BUCKETS``, read on the
+  driver when the op is called.
 
-All are embarrassingly parallel: no shuffle anywhere.
+Every ``*_SQL`` / ``*_sql()`` string is the DuckDB oracle of its op.
 """
 
 from __future__ import annotations
 
+import collections
+import hashlib
+import itertools
+import math
 import re
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
+import ray
 import ray.data
+from ray.data.aggregate import Sum
+
+from datacat_ray.stages import bucketed
+from datacat_ray.stages.bucketed import (
+    add_bucket,
+    cached_ref,
+    hash64,
+    hash_buckets,
+    keep_first_k,
+    key_runs,
+    run_rank,
+    running_sum,
+    sorted_key_bounds,
+)
 
 # RE2's \s (the class every SQL oracle uses) is exactly [ \t\n\f\r] —
 # NO vertical tab, and none of Python's Unicode whitespace (NBSP, U+2028,
@@ -54,16 +90,49 @@ def _read_documents(sf_dir: str, columns: list[str]) -> "ray.data.Dataset":
 
 
 # ---------------------------------------------------------------------------
-# token counting
+# the per-document column map: every doc-local text op is one read of
+# (doc_id, text) and one map_batches that appends each text kernel's typed
+# columns; the fused ops (token_counts, doc_profile) list several kernels
 # ---------------------------------------------------------------------------
 
 
-def _token_count_batch(batch: pa.Table) -> pa.Table:
-    texts = batch["text"].to_pylist()
-    counts = [len(ascii_tokens(t)) for t in texts]
-    return pa.Table.from_pydict(
-        {"doc_id": batch["doc_id"], "n_tokens": pa.array(counts, type=pa.int64())}
+def _doc_columns(*kernels):
+    """Batch function of the column map: ``doc_id``, then each kernel's
+    columns. A kernel is ``(names, type, fn)``: ``fn(text)`` gives one
+    value per document, or a tuple of ``len(names)`` values."""
+
+    def _batch(batch: pa.Table) -> pa.Table:
+        texts = batch["text"].to_pylist()
+        out = {"doc_id": batch["doc_id"]}
+        for names, typ, fn in kernels:
+            vals = [fn(t) for t in texts]
+            cols = [vals] if len(names) == 1 else list(zip(*vals))
+            for name, col in zip(names, cols or [[]] * len(names)):
+                out[name] = pa.array(col, typ)
+        return pa.Table.from_pydict(out)
+
+    return _batch
+
+
+def _doc_map(sf_dir: str, *kernels) -> "ray.data.Dataset":
+    return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
+        _doc_columns(*kernels), batch_format="pyarrow"
     )
+
+
+# ---------------------------------------------------------------------------
+# token counting
+# ---------------------------------------------------------------------------
+
+# BPE-ish pre-tokenization: letter runs, single digits, single symbols —
+# the GPT-2-style split shape, RE2-compatible so DuckDB runs the SAME regex
+BPE_SPLIT_PATTERN = r"[A-Za-z]+|[0-9]|[^A-Za-z0-9\s]"
+_BPE_RE = re.compile(BPE_SPLIT_PATTERN)
+
+_TOKENS = (("n_tokens",), pa.int64(), lambda t: len(ascii_tokens(t)))
+_BPE_TOKENS = (
+    ("n_bpe_tokens",), pa.int64(), lambda t: len(_BPE_RE.findall(t or ""))
+)
 
 
 def token_count(sf_dir: str) -> "ray.data.Dataset":
@@ -72,25 +141,7 @@ def token_count(sf_dir: str) -> "ray.data.Dataset":
     Oracle: ``len(regexp_split_to_array(trim(text), '\\s+'))`` with the
     empty-string → 0 convention.
     """
-    return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        _token_count_batch, batch_format="pyarrow"
-    )
-
-
-# BPE-ish pre-tokenization: letter runs, single digits, single symbols —
-# the GPT-2-style split shape, RE2-compatible so DuckDB runs the SAME regex
-BPE_SPLIT_PATTERN = r"[A-Za-z]+|[0-9]|[^A-Za-z0-9\s]"
-_BPE_RE = re.compile(BPE_SPLIT_PATTERN)
-
-
-def _bpe_count_batch(batch: pa.Table) -> pa.Table:
-    counts = [
-        len(_BPE_RE.findall(t or "")) for t in batch["text"].to_pylist()
-    ]
-    return pa.Table.from_pydict(
-        {"doc_id": batch["doc_id"],
-         "n_bpe_tokens": pa.array(counts, type=pa.int64())}
-    )
+    return _doc_map(sf_dir, _TOKENS)
 
 
 def token_count_bpe(sf_dir: str) -> "ray.data.Dataset":
@@ -98,9 +149,7 @@ def token_count_bpe(sf_dir: str) -> "ray.data.Dataset":
     runs / single digits / single symbols) — the LLM-training token
     estimate, vs the whitespace count of ``token_count``. The oracle runs
     the IDENTICAL RE2 pattern via regexp_extract_all."""
-    return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        _bpe_count_batch, batch_format="pyarrow"
-    )
+    return _doc_map(sf_dir, _BPE_TOKENS)
 
 
 TOKEN_COUNT_BPE_SQL = f"""
@@ -117,22 +166,7 @@ def token_counts(sf_dir: str) -> "ray.data.Dataset":
     ONE pass — the registry consolidation of ``token_count`` +
     ``token_count_bpe`` (both operators stay; one driver row covers both
     so every oracled query fits the driver's query budget)."""
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
-
-    def _batch(t: pa.Table) -> pa.Table:
-        texts = t["text"].to_pylist()
-        return pa.Table.from_pydict(
-            {
-                "doc_id": t["doc_id"],
-                "n_tokens": pa.array(
-                    [len(ascii_tokens(x)) for x in texts], pa.int64()),
-                "n_bpe_tokens": pa.array(
-                    [len(_BPE_RE.findall(x or "")) for x in texts],
-                    pa.int64()),
-            }
-        )
-
-    return ds.map_batches(_batch, batch_format="pyarrow")
+    return _doc_map(sf_dir, _TOKENS, _BPE_TOKENS)
 
 
 TOKEN_COUNTS_SQL = rf"""
@@ -152,32 +186,26 @@ TOKEN_COUNTS_SQL = rf"""
 # ---------------------------------------------------------------------------
 
 
-def _text_stats_batch(batch: pa.Table) -> pa.Table:
-    texts = batch["text"].to_pylist()
-    n_chars, n_digits, n_upper, n_punct = [], [], [], []
-    for t in texts:
-        t = t or ""
-        n_chars.append(len(t))
-        n_digits.append(sum(1 for c in t if "0" <= c <= "9"))
-        n_upper.append(sum(1 for c in t if "A" <= c <= "Z"))
-        n_punct.append(sum(1 for c in t if c in _PUNCT_SET))
-    return pa.Table.from_pydict(
-        {
-            "doc_id": batch["doc_id"],
-            "n_chars_calc": pa.array(n_chars, type=pa.int64()),
-            "n_digits": pa.array(n_digits, type=pa.int64()),
-            "n_upper": pa.array(n_upper, type=pa.int64()),
-            "n_punct": pa.array(n_punct, type=pa.int64()),
-        }
+def _text_stats_row(t: str | None) -> tuple[int, int, int, int]:
+    t = t or ""
+    return (
+        len(t),
+        sum(1 for c in t if "0" <= c <= "9"),
+        sum(1 for c in t if "A" <= c <= "Z"),
+        sum(1 for c in t if c in _PUNCT_SET),
     )
+
+
+_TEXT_STATS = (
+    ("n_chars_calc", "n_digits", "n_upper", "n_punct"), pa.int64(),
+    _text_stats_row,
+)
 
 
 def text_stats(sf_dir: str) -> "ray.data.Dataset":
     """(doc_id, n_chars_calc, n_digits, n_upper, n_punct) — ASCII classes
     only, so DuckDB regexp counts reproduce the numbers exactly."""
-    return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        _text_stats_batch, batch_format="pyarrow"
-    )
+    return _doc_map(sf_dir, _TEXT_STATS)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +226,8 @@ def lang_id_text(text: str) -> str:
     return best_lang
 
 
-def _lang_id_batch(batch: pa.Table) -> pa.Table:
-    preds = [lang_id_text(t) for t in batch["text"].to_pylist()]
-    return pa.Table.from_pydict(
-        {"doc_id": batch["doc_id"], "lang_pred": pa.array(preds, type=pa.string())}
-    )
-
-
 def lang_id(sf_dir: str) -> "ray.data.Dataset":
-    return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        _lang_id_batch, batch_format="pyarrow"
-    )
+    return _doc_map(sf_dir, (("lang_pred",), pa.string(), lang_id_text))
 
 
 def lang_id_sql() -> str:
@@ -295,42 +314,46 @@ def fingerprint_sql() -> str:
 # ---------------------------------------------------------------------------
 
 
-def top_terms(sf_dir: str, k: int = 20) -> pa.Table:
-    """Corpus-wide top-k terms by occurrence. The canonical combiner
-    pattern: each batch pre-aggregates its term counts locally (a Counter →
-    one (term, partial_count) row per DISTINCT term per batch), so the
-    groupby shuffle moves vocabulary-sized partials instead of one row per
-    token — at web scale that is ~100× less exchange volume. Final top-k
-    ties break (count DESC, term ASC), mirrored in the oracle SQL."""
-    import collections
+def _top_k(sf_dir: str, k: int, col: str, grams) -> pa.Table:
+    """Corpus-wide top-``k`` grams by occurrence, the combiner pattern:
+    each batch pre-aggregates its counts locally (a Counter over
+    ``grams(tokens)`` → one (gram, partial) row per DISTINCT gram per
+    batch), so the groupby shuffle moves vocabulary-sized partials instead
+    of one row per token — at web scale that is ~100× less exchange
+    volume. Then groupby-sum, sort (n DESC, gram ASC) — the oracle's
+    tie-break — and limit ``k``. Output columns: (``col``, n)."""
 
-    from ray.data.aggregate import Sum
-
-    ds = _read_documents(sf_dir, ["text"])
-
-    def _partial_counts(batch: pa.Table) -> pa.Table:
+    def _partials(batch: pa.Table) -> pa.Table:
         c: collections.Counter = collections.Counter()
         for t in batch["text"].to_pylist():
-            c.update(ascii_tokens(t))
+            c.update(grams(ascii_tokens(t)))
         return pa.Table.from_pydict(
             {
-                "term": pa.array(list(c.keys()), type=pa.string()),
+                col: pa.array(list(c.keys()), type=pa.string()),
                 "partial": pa.array(list(c.values()), type=pa.int64()),
             }
         )
 
-    totals = (
-        ds.map_batches(_partial_counts, batch_format="pyarrow")
-        .groupby("term")
+    top = (
+        _read_documents(sf_dir, ["text"])
+        .map_batches(_partials, batch_format="pyarrow")
+        .groupby(col)
         .aggregate(Sum("partial", alias_name="n"))
+        .sort(["n", col], descending=[True, False])
+        .limit(k)
+        .take_all()
     )
-    top = totals.sort(["n", "term"], descending=[True, False]).limit(k).take_all()
     return pa.Table.from_pydict(
         {
-            "term": pa.array([r["term"] for r in top], type=pa.string()),
+            col: pa.array([r[col] for r in top], type=pa.string()),
             "n": pa.array([r["n"] for r in top], type=pa.int64()),
         }
     )
+
+
+def top_terms(sf_dir: str, k: int = 20) -> pa.Table:
+    """(term, n): corpus-wide top-k terms by occurrence (``_top_k``)."""
+    return _top_k(sf_dir, k, "term", lambda toks: toks)
 
 
 TOP_TERMS_SQL = r"""
@@ -356,17 +379,11 @@ def oov_ratio(sf_dir: str, vocab_k: int = OOV_VOCAB_K) -> "ray.data.Dataset":
     pass. Two stages, one combiner-backed shuffle for the vocab, then
     map-only scoring; vocabulary ties break (count DESC, term ASC) exactly
     as in the SQL oracle."""
-    import ray as _ray
-
-    from datacat_ray.stages.bucketed import cached_ref
-
     vocab_tbl = top_terms(sf_dir, k=vocab_k)
     vocab = frozenset(vocab_tbl["term"].to_pylist())
-    ref = _ray.put(vocab)
+    ref = ray.put(vocab)
 
     def _score(t: pa.Table) -> pa.Table:
-        import math
-
         v = cached_ref(ref)
         out = []
         for text in t["text"].to_pylist():
@@ -432,19 +449,15 @@ def decontaminate(sf_dir: str) -> "ray.data.Dataset":
     read and broadcast as a set (``ray.put``) — a broadcast ANTI-join;
     the corpus side streams once. At a billion-doc eval set this flips to
     the bucketed-join shape; eval sets are small by construction."""
-    import pyarrow.dataset as pads
-
     dset = pads.dataset(f"{sf_dir}/documents.parquet", format="parquet")
     ev = dset.to_table(
         columns=["text"],
         filter=pads.field("doc_id") < DECONTAM_EVAL_DOCS,
     )
-    import ray as _ray
 
-    from datacat_ray.stages.bucketed import cached_ref
 
     bad = frozenset(doc_fingerprint(t) for t in ev["text"].to_pylist())
-    ref = _ray.put(bad)
+    ref = ray.put(bad)
 
     def _filter(t: pa.Table) -> pa.Table:
         b = cached_ref(ref)
@@ -500,12 +513,6 @@ def ngram_decontaminate(
     so there is no collision caveat. At a truly large eval set this flips
     to the bucketed anti-join shape (same pattern as
     ``incremental_dedup``'s join verify)."""
-    import pyarrow.dataset as pads
-
-    import ray as _ray
-
-    from datacat_ray.stages.bucketed import cached_ref
-
     dset = pads.dataset(f"{sf_dir}/documents.parquet", format="parquet")
     ev = dset.to_table(
         columns=["text"],
@@ -515,11 +522,9 @@ def ngram_decontaminate(
     for t in ev["text"].to_pylist():
         eval_grams.update(_word_ngrams(t, n))
     value_set = pa.array(sorted(eval_grams), pa.string())
-    ref = _ray.put(value_set)
+    ref = ray.put(value_set)
 
     def _filter(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         # empty batches are fine: shape-(1,) starts broadcasts with
         # shape-(0,) counts to an empty any_hit, and the mask is typed
         ids = np.asarray(t["doc_id"].to_pylist(), dtype=np.int64)
@@ -601,15 +606,6 @@ def temperature_mix(
     Scale shape: per-source totals are a tiny aggregate (|sources| rows,
     map-side combinable); the thresholds broadcast as a dict; the corpus
     side is one map-only streaming pass."""
-    import hashlib
-    import math
-
-    from ray.data.aggregate import Sum
-
-    import ray as _ray
-
-    from datacat_ray.stages.bucketed import cached_ref
-
     totals = (
         _read_documents(sf_dir, ["source", "n_chars"])
         .groupby("source")
@@ -622,7 +618,7 @@ def temperature_mix(
         )
         for r in totals
     }
-    ref = _ray.put(thr)
+    ref = ray.put(thr)
 
     def _u_micros(doc_id: int) -> int:
         d = hashlib.md5(f"{seed}:{doc_id}".encode()).digest()
@@ -712,38 +708,10 @@ def stratified_sample_sql() -> str:
 
 
 def top_bigrams(sf_dir: str, k: int = 20) -> pa.Table:
-    """Corpus-wide top-k adjacent-token bigrams — same map-side-combiner
-    shape as ``top_terms`` (per-batch Counter → (bigram, partial) rows →
-    small groupby-sum → sort-limit)."""
-    import collections
-
-    from ray.data.aggregate import Sum
-
-    ds = _read_documents(sf_dir, ["text"])
-
-    def _partials(batch: pa.Table) -> pa.Table:
-        c: collections.Counter = collections.Counter()
-        for t in batch["text"].to_pylist():
-            toks = ascii_tokens(t)
-            c.update(f"{a} {b}" for a, b in zip(toks, toks[1:]))
-        return pa.Table.from_pydict(
-            {
-                "bigram": pa.array(list(c.keys()), type=pa.string()),
-                "partial": pa.array(list(c.values()), type=pa.int64()),
-            }
-        )
-
-    totals = (
-        ds.map_batches(_partials, batch_format="pyarrow")
-        .groupby("bigram")
-        .aggregate(Sum("partial", alias_name="n"))
-    )
-    top = totals.sort(["n", "bigram"], descending=[True, False]).limit(k).take_all()
-    return pa.Table.from_pydict(
-        {
-            "bigram": pa.array([r["bigram"] for r in top], type=pa.string()),
-            "n": pa.array([r["n"] for r in top], type=pa.int64()),
-        }
+    """(bigram, n): corpus-wide top-k adjacent-token bigrams (``_top_k``)."""
+    return _top_k(
+        sf_dir, k, "bigram",
+        lambda toks: (f"{a} {b}" for a, b in zip(toks, toks[1:])),
     )
 
 
@@ -815,62 +783,39 @@ def quality_features(text: str) -> dict:
     }
 
 
-def quality_score_value(text: str) -> float:
+def _quality_sum(text: str) -> float:
     """Composite [0,1] quality score: rewards sane word length, stopword
-    presence and alphabetic density; penalizes punctuation soup."""
-    f = quality_features(text)
-    score = 0.0
-    if 20 <= f["n_chars"] <= 100_000:
-        score += 0.25
-    if 2.0 <= f["mean_word_len"] <= 12.0:
-        score += 0.25
-    score += 0.25 * min(1.0, f["stopword_ratio"] / 0.2)
-    score += 0.25 * f["alpha_ratio"]
-    score -= 0.5 * max(0.0, f["punct_ratio"] - 0.2)
-    return round(max(0.0, min(1.0, score)), 6)
-
-
-def _quality_batch(batch: pa.Table) -> pa.Table:
-    scores = [quality_score_value(t) for t in batch["text"].to_pylist()]
-    return pa.Table.from_pydict(
-        {"doc_id": batch["doc_id"], "quality": pa.array(scores, type=pa.float64())}
-    )
-
-
-def quality_score(sf_dir: str) -> "ray.data.Dataset":
-    return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        _quality_batch, batch_format="pyarrow"
-    )
-
-
-def quality_score_micros_value(text: str) -> int:
-    """Integer-micros quality score with a DuckDB-replayable formula: the
-    same terms as ``quality_score_value``, accumulated in a FIXED order
-    (left-assoc, matching the SQL expression tree term for term) so both
-    engines produce the identical IEEE double before the final
-    floor(x·1e6 + 0.5)."""
-    import math
-
+    presence and alphabetic density; penalizes punctuation soup. The five
+    terms accumulate in a FIXED order (left-assoc, matching the SQL
+    expression tree of ``quality_score_micros_sql`` term for term), so both
+    engines produce the identical IEEE double before rounding."""
     f = quality_features(text)
     s = (0.25 if 20 <= f["n_chars"] <= 100_000 else 0.0)
     s = s + (0.25 if 2.0 <= f["mean_word_len"] <= 12.0 else 0.0)
     s = s + 0.25 * min(1.0, f["stopword_ratio"] / 0.2)
     s = s + 0.25 * f["alpha_ratio"]
     s = s - 0.5 * max(0.0, f["punct_ratio"] - 0.2)
-    return int(math.floor(max(0.0, min(1.0, s)) * 1_000_000 + 0.5))
+    return max(0.0, min(1.0, s))
+
+
+def quality_score_value(text: str) -> float:
+    return round(_quality_sum(text), 6)
+
+
+def quality_score_micros_value(text: str) -> int:
+    """Integer-micros quality score: floor(x·1e6 + 0.5), DuckDB-replayable."""
+    return int(np.floor(_quality_sum(text) * 1_000_000 + 0.5))
+
+
+_QUALITY_MICROS = (("quality_micros",), pa.int64(), quality_score_micros_value)
+
+
+def quality_score(sf_dir: str) -> "ray.data.Dataset":
+    return _doc_map(sf_dir, (("quality",), pa.float64(), quality_score_value))
 
 
 def quality_score_micros(sf_dir: str) -> "ray.data.Dataset":
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
-
-    def _batch(t: pa.Table) -> pa.Table:
-        v = [quality_score_micros_value(x) for x in t["text"].to_pylist()]
-        return pa.Table.from_pydict(
-            {"doc_id": t["doc_id"],
-             "quality_micros": pa.array(v, type=pa.int64())}
-        )
-
-    return ds.map_batches(_batch, batch_format="pyarrow")
+    return _doc_map(sf_dir, _QUALITY_MICROS)
 
 
 def quality_score_micros_sql() -> str:
@@ -996,20 +941,7 @@ def redact_pii(sf_dir: str) -> "ray.data.Dataset":
     """(doc_id, redacted): emails/phones replaced with placeholder tokens —
     compiled-regex scalar kernel, embarrassingly parallel. The oracle runs
     the identical RE2 pattern via regexp_replace."""
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
-
-    def _redact(t: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "doc_id": t["doc_id"],
-                "redacted": pa.array(
-                    [redact_pii_text(x) for x in t["text"].to_pylist()],
-                    type=pa.string(),
-                ),
-            }
-        )
-
-    return ds.map_batches(_redact, batch_format="pyarrow")
+    return _doc_map(sf_dir, (("redacted",), pa.string(), redact_pii_text))
 
 
 REDACT_PII_SQL = f"""
@@ -1047,17 +979,11 @@ def doc_fingerprint(text: str) -> int:
     return h - (1 << 64) if h >= (1 << 63) else h
 
 
-def _fingerprint_batch(batch: pa.Table) -> pa.Table:
-    fps = [doc_fingerprint(t) for t in batch["text"].to_pylist()]
-    return pa.Table.from_pydict(
-        {"doc_id": batch["doc_id"], "fingerprint": pa.array(fps, type=pa.int64())}
-    )
+_FINGERPRINT = (("fingerprint",), pa.int64(), doc_fingerprint)
 
 
 def fingerprint(sf_dir: str) -> "ray.data.Dataset":
-    return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        _fingerprint_batch, batch_format="pyarrow"
-    )
+    return _doc_map(sf_dir, _FINGERPRINT)
 
 
 TEXT_STATS_SQL = r"""
@@ -1076,17 +1002,7 @@ def doc_profile(sf_dir: str) -> "ray.data.Dataset":
     ``text_stats`` + ``quality_score_micros`` + ``fingerprint``. All three
     kernels run in ONE pass over one narrow read (cheaper than three
     separate reads, and one driver row covers all three operators)."""
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
-
-    def _batch(t: pa.Table) -> pa.Table:
-        out = _text_stats_batch(t)
-        q = [quality_score_micros_value(x) for x in t["text"].to_pylist()]
-        fp = _fingerprint_batch(t)["fingerprint"]
-        return out.append_column(
-            "quality_micros", pa.array(q, pa.int64())
-        ).append_column("fingerprint", fp.combine_chunks())
-
-    return ds.map_batches(_batch, batch_format="pyarrow")
+    return _doc_map(sf_dir, _TEXT_STATS, _QUALITY_MICROS, _FINGERPRINT)
 
 
 def doc_profile_sql() -> str:
@@ -1110,28 +1026,15 @@ def repetition_stats_row(text: str | None) -> tuple[int, int, int, int, int]:
     quality gates (duplicate-word fraction = 1 - distinct/total; top-bigram
     fraction = top_bigram_count/n_bigrams). Integers only so the oracle
     value-hash is float-free."""
-    from collections import Counter
-
     words = ascii_tokens(text)
     n = len(words)
     if n == 0:
         return 0, 0, 0, 0, 0
-    wc = Counter(words)
+    wc = collections.Counter(words)
     if n == 1:
         return 1, 1, 1, 0, 0
-    bc = Counter(zip(words, words[1:]))
+    bc = collections.Counter(zip(words, words[1:]))
     return n, len(wc), max(wc.values()), n - 1, max(bc.values())
-
-
-def _repetition_batch(batch: pa.Table) -> pa.Table:
-    rows = [repetition_stats_row(t) for t in batch["text"].to_pylist()]
-    cols = list(zip(*rows)) if rows else ([], [], [], [], [])
-    names = ["n_words", "n_distinct_words", "top_word_count", "n_bigrams",
-             "top_bigram_count"]
-    out = {"doc_id": batch["doc_id"]}
-    for name, col in zip(names, cols):
-        out[name] = pa.array(col, type=pa.int64())
-    return pa.Table.from_pydict(out)
 
 
 def repetition_stats(sf_dir: str) -> "ray.data.Dataset":
@@ -1139,9 +1042,9 @@ def repetition_stats(sf_dir: str) -> "ray.data.Dataset":
     duplicated words' and 'fraction of characters in the most common
     n-gram' — the crawl-corpus repetition filters). Embarrassingly
     parallel; one narrow read, no shuffle."""
-    return _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
-        _repetition_batch, batch_format="pyarrow"
-    )
+    names = ("n_words", "n_distinct_words", "top_word_count", "n_bigrams",
+             "top_bigram_count")
+    return _doc_map(sf_dir, (names, pa.int64(), repetition_stats_row))
 
 
 REPETITION_STATS_SQL = r"""
@@ -1200,8 +1103,6 @@ def source_cap_sample(sf_dir: str, k: int = SOURCE_CAP_K) -> "ray.data.Dataset":
     k rows before any data moves), then ONE hash shuffle on an int bucket
     of ``source`` and the same vectorized rank kernel per bucket. Never a
     per-key Python call."""
-    from datacat_ray.stages.bucketed import add_bucket, keep_first_k
-
     ds = _read_documents(sf_dir, ["doc_id", "source"])
 
     def _local_cap(t: pa.Table) -> pa.Table:
@@ -1242,8 +1143,6 @@ def _word_ngram_hashes(texts: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     batch array, windows crossing doc boundaries are masked out, and
     per-doc dedup is a lexsort + neighbor-equality mask — no per-gram
     Python."""
-    from datacat_ray.stages.bucketed import hash64
-
     words_per_doc = [ascii_tokens(t) for t in texts]
     lens = np.fromiter((len(w) for w in words_per_doc), dtype=np.int64,
                        count=len(words_per_doc))
@@ -1269,7 +1168,7 @@ def _word_ngram_hashes(texts: list, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dup_ngram_fraction(
-    sf_dir: str, n: int = DUP_NGRAM_N, n_buckets: int = 64
+    sf_dir: str, n: int = DUP_NGRAM_N
 ) -> "ray.data.Dataset":
     """Per-doc fraction of distinct word ``n``-grams that appear in at
     least one OTHER document — the corpus-level duplicate-text signal the
@@ -1286,8 +1185,7 @@ def dup_ngram_fraction(
     3. union zero rows (every doc appears even with < n words) and a
        distributed ``groupby(doc_id).sum`` over the int partials.
     """
-    from ray.data.aggregate import Sum
-
+    n_buckets = bucketed.DEFAULT_BUCKETS
     ds = _read_documents(sf_dir, ["doc_id", "text"])
 
     def _explode(t: pa.Table) -> pa.Table:
@@ -1299,9 +1197,7 @@ def dup_ngram_fraction(
                 # bit-reinterpret so Arrow stores int64; values compare by
                 # identity only, signedness is irrelevant
                 "gram": pa.array(g.view(np.int64), pa.int64()),
-                "__bucket": pa.array(
-                    (g % np.uint64(n_buckets)).astype(np.int32)
-                ),
+                "__bucket": pa.array(hash_buckets(g, n_buckets)),
             }
         )
 
@@ -1309,11 +1205,7 @@ def dup_ngram_fraction(
         d = t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
         g = t["gram"].combine_chunks().to_numpy(zero_copy_only=False)
         order = np.argsort(g, kind="stable")
-        gs = g[order]
-        starts = np.flatnonzero(
-            np.concatenate([[True], gs[1:] != gs[:-1]])
-        )
-        run_len = np.diff(np.append(starts, len(gs)))
+        _, run_len = key_runs(g[order])
         df = np.repeat(run_len, run_len)  # per-row document frequency
         dup = (df > 1).astype(np.int64)
         ds_sorted = d[order]
@@ -1417,9 +1309,42 @@ def dup_ngram_fraction_sql(n: int = DUP_NGRAM_N) -> str:
 TFIDF_K = 5
 
 
-def tfidf_top_terms(
-    sf_dir: str, k: int = TFIDF_K, n_buckets: int = 64
-) -> "ray.data.Dataset":
+def _doc_term_rows(batch: pa.Table, sentinel: bool = False) -> pa.Table:
+    """(doc_id, term, n): one row per distinct term of each document with
+    its in-document count. ``sentinel`` gives a zero-token document one
+    ("", 0) row, so it still reaches the output."""
+    docs: list[int] = []
+    terms: list[str] = []
+    ns: list[int] = []
+    for doc_id, text in zip(
+        batch["doc_id"].to_pylist(), batch["text"].to_pylist()
+    ):
+        c = collections.Counter(ascii_tokens(text))
+        if sentinel and not c:
+            c[""] = 0
+        docs.extend([doc_id] * len(c))
+        terms.extend(c.keys())
+        ns.extend(c.values())
+    return pa.Table.from_pydict(
+        {
+            "doc_id": pa.array(docs, pa.int64()),
+            "term": pa.array(terms, pa.string()),
+            "n": pa.array(ns, pa.int64()),
+        }
+    )
+
+
+def _term_runs(g: pa.Table) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+    """A term-bucketed table (``__bucket`` dropped) sorted by term, with
+    its term runs (``key_runs``): a term's rows all live in one bucket, so
+    its run is its whole corpus."""
+    t = g.drop_columns(["__bucket"]).sort_by([("term", "ascending")])
+    starts, lens = key_runs(
+        t["term"].combine_chunks().to_numpy(zero_copy_only=False))
+    return t, starts, lens
+
+
+def tfidf_top_terms(sf_dir: str, k: int = TFIDF_K) -> "ray.data.Dataset":
     """Per-doc top-``k`` terms by tf*idf (idf = ln(N/df)) with (score DESC,
     term ASC) tie-break -- the classic keyword/feature extractor.
 
@@ -1429,56 +1354,19 @@ def tfidf_top_terms(
     narrow rows. (1) bucket by term: a term's rows live wholly in one
     bucket, so its document frequency is just its run length after an
     in-bucket sort, and scores are computed in place -- one vectorized
-    kernel per bucket, O(n_buckets) Python calls. (2) bucket by doc:
+    kernel per bucket, O(buckets) Python calls. (2) bucket by doc:
     vectorized per-bucket top-k (``keep_first_k``) + rank. The only
     driver-side state is the scalar N (parquet metadata; no data read).
     Ranking compares the ROUNDED integer micros with term-ASC tie-break,
     so Ray and SQL can never disagree on order within a doc."""
-    import collections
-
-    import pyarrow.parquet as _pq
-
-    from datacat_ray.stages.bucketed import (
-        add_bucket,
-        keep_first_k,
-        sorted_key_bounds,
-    )
-
-    path = f"{sf_dir}/documents.parquet"
-    n_docs = _pq.ParquetFile(path).metadata.num_rows
-    ds = ray.data.read_parquet(path, columns=["doc_id", "text"])
-
-    def _dt_rows(batch: pa.Table) -> pa.Table:
-        docs: list[int] = []
-        terms: list[str] = []
-        tfs: list[int] = []
-        for doc_id, text in zip(
-            batch["doc_id"].to_pylist(), batch["text"].to_pylist()
-        ):
-            c = collections.Counter(ascii_tokens(text))
-            docs.extend([doc_id] * len(c))
-            terms.extend(c.keys())
-            tfs.extend(c.values())
-        return add_bucket(
-            pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array(docs, pa.int64()),
-                    "term": pa.array(terms, pa.string()),
-                    "tf": pa.array(tfs, pa.int64()),
-                }
-            ),
-            "term",
-            n_buckets,
-        )
+    n_buckets = bucketed.DEFAULT_BUCKETS
+    n_docs = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
 
     def _score_bucket(g: pa.Table) -> pa.Table:
-        t = g.drop_columns(["__bucket"]).sort_by([("term", "ascending")])
-        tv = t["term"].combine_chunks().to_numpy(zero_copy_only=False)
-        starts = sorted_key_bounds(tv)
-        run_len = np.diff(np.append(starts, len(tv)))
+        t, _, run_len = _term_runs(g)
         df = np.repeat(run_len, run_len).astype(np.float64)
         tf = (
-            t["tf"].combine_chunks().to_numpy(zero_copy_only=False)
+            t["n"].combine_chunks().to_numpy(zero_copy_only=False)
             .astype(np.float64)
         )
         score = np.floor(tf * np.log(n_docs / df) * 1_000_000 + 0.5).astype(
@@ -1504,14 +1392,8 @@ def tfidf_top_terms(
         )
         # keep_first_k returns rows in (doc, neg_score, term) order, so the
         # in-run offset IS the rank
-        ids = t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
-        starts = sorted_key_bounds(ids)
-        run_len = np.diff(np.append(starts, len(ids)))
-        rank = (
-            np.arange(len(ids), dtype=np.int64)
-            - np.repeat(starts, run_len)
-            + 1
-        )
+        rank = run_rank(
+            t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)) + 1
         return pa.Table.from_pydict(
             {
                 "doc_id": t["doc_id"],
@@ -1522,7 +1404,11 @@ def tfidf_top_terms(
         )
 
     return (
-        ds.map_batches(_dt_rows, batch_format="pyarrow")
+        _read_documents(sf_dir, ["doc_id", "text"])
+        .map_batches(
+            lambda b: add_bucket(_doc_term_rows(b), "term", n_buckets),
+            batch_format="pyarrow",
+        )
         .groupby("__bucket")
         .map_groups(_score_bucket, batch_format="pyarrow")
         .groupby("__bucket")
@@ -1566,7 +1452,7 @@ POSTINGS_CAP = 20
 
 
 def term_postings(
-    sf_dir: str, cap: int = POSTINGS_CAP, n_buckets: int = 64
+    sf_dir: str, cap: int = POSTINGS_CAP
 ) -> "ray.data.Dataset":
     """(term, df, postings): corpus document frequency plus the first
     ``cap`` doc_ids (ascending, comma-joined) per term — the inverted-index
@@ -1579,8 +1465,6 @@ def term_postings(
     most (partial_df:int64 + cap doc_ids) per distinct term, and the single
     hash shuffle on the term bucket moves vocabulary-bounded data however
     many trillion tokens went in."""
-    import collections
-
     ds = _read_documents(sf_dir, ["doc_id", "text"])
 
     def _partials(t: pa.Table) -> pa.Table:
@@ -1602,49 +1486,32 @@ def term_postings(
             }
         )
 
-    from datacat_ray.stages.bucketed import add_bucket
+    n_buckets = bucketed.DEFAULT_BUCKETS
 
-    def _merge_bucket(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        order = _pc.sort_indices(t, sort_keys=[("term", "ascending")])
-        t = t.take(order)
-        terms = t["term"].to_pylist()
-        pdfs = t["pdf"].to_pylist()
+    def _merge_bucket(g: pa.Table) -> pa.Table:
+        t, starts, lens = _term_runs(g)
         plists = t["plist"].to_pylist()
-        out_t, out_df, out_p = [], [], []
-        i = 0
-        while i < len(terms):
-            j = i
-            df = 0
-            acc: list[int] = []
-            while j < len(terms) and terms[j] == terms[i]:
-                df += pdfs[j]
-                acc.extend(plists[j])
-                j += 1
-            acc.sort()
-            out_t.append(terms[i])
-            out_df.append(df)
-            out_p.append(",".join(map(str, acc[:cap])))
-            i = j
         return pa.Table.from_pydict(
             {
-                "term": pa.array(out_t, pa.string()),
-                "df": pa.array(out_df, pa.int64()),
-                "postings": pa.array(out_p, pa.string()),
+                "term": t["term"].take(pa.array(starts)),
+                "df": pa.array(
+                    np.add.reduceat(t["pdf"].to_numpy(), starts), pa.int64()),
+                "postings": pa.array(
+                    [",".join(map(str, sorted(
+                        itertools.chain.from_iterable(plists[a:a + n])
+                    )[:cap])) for a, n in zip(starts, lens)],
+                    pa.string(),
+                ),
             }
         )
 
     return (
-        ds.map_batches(_partials, batch_format="pyarrow")
-        .map_batches(
-            lambda t: add_bucket(t, "term", n_buckets), batch_format="pyarrow"
-        )
-        .groupby("__bucket")
-        .map_groups(
-            lambda g: _merge_bucket(g.drop_columns(["__bucket"])),
+        ds.map_batches(
+            lambda t: add_bucket(_partials(t), "term", n_buckets),
             batch_format="pyarrow",
         )
+        .groupby("__bucket")
+        .map_groups(_merge_bucket, batch_format="pyarrow")
     )
 
 
@@ -1670,7 +1537,7 @@ def term_postings_sql(cap: int = POSTINGS_CAP) -> str:
 # ---------------------------------------------------------------------------
 
 
-def unigram_logprob(sf_dir: str, n_buckets: int = 64) -> "ray.data.Dataset":
+def unigram_logprob(sf_dir: str) -> "ray.data.Dataset":
     """Per-doc unigram negative log-likelihood under the corpus's own
     unigram model -- the CCNet/Wikipedia-LM quality-filter shape (docs with
     high average NLL are "surprising" relative to the corpus: noise, spam,
@@ -1687,71 +1554,17 @@ def unigram_logprob(sf_dir: str, n_buckets: int = 64) -> "ray.data.Dataset":
     moves three-int64 rows only. Every token's nll is rounded to integer
     micros BEFORE summation, so per-doc totals are exact integer sums --
     order-independent and bit-equal to the SQL mirror."""
-    import collections
-
-    from ray.data.aggregate import Sum
-
-    from datacat_ray.stages.bucketed import add_bucket, sorted_key_bounds
-
+    n_buckets = bucketed.DEFAULT_BUCKETS
     ds = _read_documents(sf_dir, ["doc_id", "text"])
 
-    def _tok_counts(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_pydict(
-            {
-                "n": pa.array(
-                    [
-                        sum(len(ascii_tokens(t)) for t in
-                            batch["text"].to_pylist())
-                    ],
-                    pa.int64(),
-                )
-            }
-        )
-
-    total_row = (
-        ds.map_batches(_tok_counts, batch_format="pyarrow")
-        .aggregate(Sum("n", alias_name="total"))
-    )
-    total = int((total_row or {}).get("total") or 0)
-
-    def _dt_rows(batch: pa.Table) -> pa.Table:
-        docs: list[int] = []
-        terms: list[str] = []
-        cnts: list[int] = []
-        for doc_id, text in zip(
-            batch["doc_id"].to_pylist(), batch["text"].to_pylist()
-        ):
-            c = collections.Counter(ascii_tokens(text))
-            if not c:
-                # sentinel keeps zero-token docs in the output (cnt = 0
-                # contributes nothing to either sum)
-                docs.append(doc_id)
-                terms.append("")
-                cnts.append(0)
-                continue
-            docs.extend([doc_id] * len(c))
-            terms.extend(c.keys())
-            cnts.extend(c.values())
-        return add_bucket(
-            pa.Table.from_pydict(
-                {
-                    "doc_id": pa.array(docs, pa.int64()),
-                    "term": pa.array(terms, pa.string()),
-                    "cnt": pa.array(cnts, pa.int64()),
-                }
-            ),
-            "term",
-            n_buckets,
-        )
+    # the corpus token total: one int64 on the driver
+    total = int(_doc_map(sf_dir, _TOKENS).sum("n_tokens") or 0)
 
     def _nll_bucket(g: pa.Table) -> pa.Table:
-        t = g.drop_columns(["__bucket"]).sort_by([("term", "ascending")])
-        tv = t["term"].combine_chunks().to_numpy(zero_copy_only=False)
-        cnt = t["cnt"].combine_chunks().to_numpy(zero_copy_only=False)
-        starts = sorted_key_bounds(tv)
-        run_len = np.diff(np.append(starts, len(tv)))
+        t, starts, run_len = _term_runs(g)
+        cnt = t["n"].combine_chunks().to_numpy(zero_copy_only=False)
         n_term = np.repeat(np.add.reduceat(cnt, starts), run_len)
-        nll = np.zeros(len(tv), dtype=np.int64)
+        nll = np.zeros(len(cnt), dtype=np.int64)
         pos = n_term > 0  # sentinel runs (cnt 0 everywhere) stay at 0
         nll[pos] = np.floor(
             -np.log(n_term[pos] / float(total)) * 1_000_000 + 0.5
@@ -1791,7 +1604,11 @@ def unigram_logprob(sf_dir: str, n_buckets: int = 64) -> "ray.data.Dataset":
         )
 
     return (
-        ds.map_batches(_dt_rows, batch_format="pyarrow")
+        ds.map_batches(
+            lambda b: add_bucket(
+                _doc_term_rows(b, sentinel=True), "term", n_buckets),
+            batch_format="pyarrow",
+        )
         .groupby("__bucket")
         .map_groups(_nll_bucket, batch_format="pyarrow")
         .groupby("__bucket")
@@ -1841,40 +1658,50 @@ GATE_DUP_WORD_PCT = 40  # drop when duplicated-word fraction > 40%
 GATE_LANGS = ("en", "fr", "de", "es")
 
 
+def gate_reason(words: list[str], lang: str | None, n_chars: int) -> str:
+    """The first corpus gate a document fails, in rule order too_short →
+    too_long → dup_words → lang, or 'ok'. Rules are integer/set
+    comparisons only (the duplicate-word test is ``(n - distinct) * 100 >
+    pct * n``)."""
+    n = len(words)
+    if n < GATE_MIN_WORDS:
+        return "too_short"
+    if n_chars > GATE_MAX_CHARS:
+        return "too_long"
+    if (n - len(set(words))) * 100 > GATE_DUP_WORD_PCT * n:
+        return "dup_words"
+    if lang not in GATE_LANGS:
+        return "lang"
+    return "ok"
+
+
+def _gate_batch(t: pa.Table) -> tuple[pa.Array, pa.Array]:
+    """(reason, n_tokens) of each document of a (text, lang, n_chars)
+    batch."""
+    reasons, n_toks = [], []
+    for text, lang, n_chars in zip(
+        t["text"].to_pylist(), t["lang"].to_pylist(), t["n_chars"].to_pylist()
+    ):
+        words = ascii_tokens(text)
+        reasons.append(gate_reason(words, lang, n_chars))
+        n_toks.append(len(words))
+    return pa.array(reasons, pa.string()), pa.array(n_toks, pa.int64())
+
+
 def corpus_gate(sf_dir: str) -> "ray.data.Dataset":
     """(doc_id, keep, reason): the mixer every crawl corpus runs before
     training — each doc either passes every gate (reason='ok') or is
-    tagged with the FIRST failing rule, so downstream can both filter and
-    audit drop composition. Rules are integer/set comparisons only (the
-    duplicate-word test is ``(n - distinct) * 100 > pct * n``), one
-    doc-local pass, no shuffle."""
-    allowed = frozenset(GATE_LANGS)
+    tagged with the FIRST failing rule (``gate_reason``), so downstream
+    can both filter and audit drop composition. One doc-local pass, no
+    shuffle."""
 
     def _gate(t: pa.Table) -> pa.Table:
-        keeps, reasons = [], []
-        for text, lang, n_chars in zip(
-            t["text"].to_pylist(), t["lang"].to_pylist(),
-            t["n_chars"].to_pylist(),
-        ):
-            words = ascii_tokens(text)
-            n = len(words)
-            if n < GATE_MIN_WORDS:
-                r = "too_short"
-            elif n_chars > GATE_MAX_CHARS:
-                r = "too_long"
-            elif (n - len(set(words))) * 100 > GATE_DUP_WORD_PCT * n:
-                r = "dup_words"
-            elif lang not in allowed:
-                r = "lang"
-            else:
-                r = "ok"
-            keeps.append(r == "ok")
-            reasons.append(r)
+        reasons, _ = _gate_batch(t)
         return pa.Table.from_pydict(
             {
                 "doc_id": t["doc_id"],
-                "keep": pa.array(keeps, pa.bool_()),
-                "reason": pa.array(reasons, pa.string()),
+                "keep": pc.equal(reasons, "ok"),
+                "reason": reasons,
             }
         )
 
@@ -1919,6 +1746,26 @@ CORPUS_GATE_SQL = rf"""
 # ---------------------------------------------------------------------------
 
 
+def _md5_tag(t: pa.Table, seed: str, **cols) -> pa.Table:
+    """(doc_id, *cols, h, __bucket): h = md5(seed:doc_id) hex, the shuffle
+    order key; its first byte is the bucket, a range partition of that
+    order into 256 uniform buckets."""
+    hs = [
+        hashlib.md5(f"{seed}:{d}".encode()).hexdigest()
+        for d in t["doc_id"].to_pylist()
+    ]
+    return pa.Table.from_pydict(
+        {
+            "doc_id": t["doc_id"],
+            **cols,
+            "h": pa.array(hs, pa.string()),
+            "__bucket": pa.array(
+                np.array([int(h[:2], 16) for h in hs], dtype=np.int32)
+            ),
+        }
+    )
+
+
 def deterministic_shuffle(sf_dir: str, seed: str = "epoch0") -> "ray.data.Dataset":
     """(doc_id, shuffle_rank): a reproducible global permutation — rank in
     ascending md5(seed || ':' || doc_id) order. This is how a training run
@@ -1926,85 +1773,19 @@ def deterministic_shuffle(sf_dir: str, seed: str = "epoch0") -> "ray.data.Datase
     nondeterministic across cluster shapes; a hash rank is a pure function
     of the data).
 
-    Shape: md5 is uniform, so the first hash byte range-partitions the
-    corpus into 256 even buckets. Pass 1 counts per bucket with a map-side
-    combine (256-row exchange) and prefix-sums offsets on the driver; pass
-    2 is ONE shuffle on the hash byte plus an in-bucket sort — global rank
-    with no global sort, balanced by construction (no skew mitigation
-    needed: uniformity is the partitioner). md5 (not a faster 128-bit
-    hash) is deliberate: DuckDB computes the identical digest, making the
-    permutation SQL-checkable."""
-    import hashlib
-
-    import ray as _ray
-
-    from ray.data.aggregate import Sum
-
-    from datacat_ray.stages.bucketed import cached_ref
-
-    ds = _read_documents(sf_dir, ["doc_id"])
-
-    def _digests(t: pa.Table) -> tuple[list[str], np.ndarray]:
-        hs = [
-            hashlib.md5(f"{seed}:{d}".encode()).hexdigest()
-            for d in t["doc_id"].to_pylist()
-        ]
-        return hs, np.array([int(h[:2], 16) for h in hs], dtype=np.int32)
-
-    def _count(t: pa.Table) -> pa.Table:
-        _, b = _digests(t)
-        return pa.Table.from_pydict(
-            {
-                "b": pa.array(np.arange(256, dtype=np.int32)),
-                "n": pa.array(np.bincount(b, minlength=256).astype(np.int64)),
-            }
-        )
-
-    counts = (
-        ds.map_batches(_count, batch_format="pyarrow")
-        .groupby("b")
-        .aggregate(Sum("n", alias_name="n"))
-        .take_all()
+    Shape: ``running_sum`` with weight 1 over the md5 first-byte buckets
+    (``_md5_tag``) — global rank with no global sort, balanced by
+    construction (md5 is uniform, so no skew mitigation is needed). md5
+    (not a faster 128-bit hash) is deliberate: DuckDB computes the
+    identical digest, making the permutation SQL-checkable."""
+    tagged = _read_documents(sf_dir, ["doc_id"]).map_batches(
+        lambda t: _md5_tag(t, seed), batch_format="pyarrow"
     )
-    per_b = {r["b"]: r["n"] for r in counts}
-    offsets = np.zeros(256, dtype=np.int64)
-    acc = 0
-    for b in range(256):
-        offsets[b] = acc
-        acc += per_b.get(b, 0)
-    off_ref = _ray.put(offsets)
-
-    def _tag(t: pa.Table) -> pa.Table:
-        hs, b = _digests(t)
-        return pa.Table.from_pydict(
-            {
-                "doc_id": t["doc_id"],
-                "h": pa.array(hs, pa.string()),
-                "__bucket": pa.array(b),
-            }
-        )
-
-    def _rank_bucket(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        off = cached_ref(off_ref)
-        order = _pc.sort_indices(t, sort_keys=[("h", "ascending")])
-        t = t.take(order)
-        b = int(t["__bucket"][0].as_py())
-        return pa.Table.from_pydict(
-            {
-                "doc_id": t["doc_id"],
-                "shuffle_rank": pa.array(
-                    off[b] + 1 + np.arange(t.num_rows, dtype=np.int64),
-                    pa.int64(),
-                ),
-            }
-        )
-
-    return (
-        ds.map_batches(_tag, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_rank_bucket, batch_format="pyarrow")
+    return running_sum(
+        tagged, 256, None, ["h"],
+        lambda t, cum: pa.Table.from_pydict(
+            {"doc_id": t["doc_id"], "shuffle_rank": pa.array(cum, pa.int64())}
+        ),
     )
 
 
@@ -2034,99 +1815,27 @@ def token_budget_head(
     cut to a token budget reproducibly (the cut is a pure function of the
     data, stable across cluster shapes and resumes).
 
-    Shape: a global running sum with NO global sort — md5's first byte
-    range-partitions the order into 256 uniform buckets; pass 1 exchanges
-    256 (bucket, token-sum) partial rows and prefix-sums the per-bucket
-    TOKEN offsets on the driver; pass 2 is one bucket shuffle + in-bucket
-    sort + local cumsum + offset. Buckets whose offset already exceeds the
-    budget drop their rows in the kernel (at 10^12 docs, a pushdown filter
-    on the hash byte would skip those buckets at the read)."""
-    import hashlib
-
-    import ray as _ray
-
-    from ray.data.aggregate import Sum
-
-    from datacat_ray.stages.bucketed import cached_ref
-
-    ds = _read_documents(sf_dir, ["doc_id", "text"])
+    Shape: ``running_sum`` of ``n_tokens`` over the md5 first-byte buckets
+    in (h, doc_id) order — a global running sum with NO global sort — then
+    the ``cum_tokens <= budget`` filter of the SQL oracle's QUALIFY."""
 
     def _tag(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"].to_pylist()
-        hs = [hashlib.md5(f"{seed}:{d}".encode()).hexdigest() for d in ids]
+        n = [len(ascii_tokens(x)) for x in t["text"].to_pylist()]
+        return _md5_tag(t, seed, n_tokens=pa.array(n, pa.int64()))
+
+    def _head(t: pa.Table, cum: np.ndarray) -> pa.Table:
         return pa.Table.from_pydict(
             {
                 "doc_id": t["doc_id"],
-                "n_tokens": pa.array(
-                    [len(ascii_tokens(x)) for x in t["text"].to_pylist()],
-                    pa.int64(),
-                ),
-                "h": pa.array(hs, pa.string()),
-                "__bucket": pa.array(
-                    np.array([int(h[:2], 16) for h in hs], dtype=np.int32)
-                ),
+                "n_tokens": t["n_tokens"],
+                "cum_tokens": pa.array(cum, pa.int64()),
             }
-        )
+        ).filter(pa.array(cum <= budget))
 
-    tagged = ds.map_batches(_tag, batch_format="pyarrow")
-
-    def _bucket_sums(t: pa.Table) -> pa.Table:
-        b = t["__bucket"].to_numpy(zero_copy_only=False)
-        n = t["n_tokens"].to_numpy(zero_copy_only=False)
-        return pa.Table.from_pydict(
-            {
-                "b": pa.array(np.arange(256, dtype=np.int32)),
-                "tok": pa.array(
-                    np.bincount(b, weights=n, minlength=256).astype(np.int64)
-                ),
-            }
-        )
-
-    counts = (
-        tagged.map_batches(_bucket_sums, batch_format="pyarrow")
-        .groupby("b")
-        .aggregate(Sum("tok", alias_name="tok"))
-        .take_all()
+    tagged = _read_documents(sf_dir, ["doc_id", "text"]).map_batches(
+        _tag, batch_format="pyarrow"
     )
-    per_b = {r["b"]: r["tok"] for r in counts}
-    offsets = np.zeros(256, dtype=np.int64)
-    acc = 0
-    for b in range(256):
-        offsets[b] = acc
-        acc += per_b.get(b, 0)
-    off_ref = _ray.put(offsets)
-
-    def _head_bucket(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        off = cached_ref(off_ref)
-        b = int(t["__bucket"][0].as_py())
-        empty = pa.Table.from_pydict(
-            {"doc_id": pa.array([], pa.int64()),
-             "n_tokens": pa.array([], pa.int64()),
-             "cum_tokens": pa.array([], pa.int64())}
-        )
-        if off[b] >= budget:
-            return empty  # the whole bucket is past the cut
-        order = _pc.sort_indices(
-            t, sort_keys=[("h", "ascending"), ("doc_id", "ascending")]
-        )
-        t = t.take(order)
-        n = t["n_tokens"].to_numpy(zero_copy_only=False)
-        cum = off[b] + np.cumsum(n)
-        keep = cum <= budget
-        return pa.Table.from_pydict(
-            {
-                "doc_id": t["doc_id"].filter(pa.array(keep, pa.bool_())),
-                "n_tokens": pa.array(n[keep], pa.int64()),
-                "cum_tokens": pa.array(cum[keep], pa.int64()),
-            }
-        )
-
-    return (
-        tagged.groupby("__bucket")
-        .map_groups(_head_bucket, batch_format="pyarrow")
-    )
+    return running_sum(tagged, 256, "n_tokens", ["h", "doc_id"], _head)
 
 
 def token_budget_head_sql(
@@ -2169,35 +1878,10 @@ def corpus_prep(sf_dir: str) -> "ray.data.Dataset":
     The wide text column never crosses the exchange — only (hash, doc_id,
     lang, n_tokens). Demonstrates that the operator library composes into
     end-to-end corpus jobs without extra materialization."""
-    from ray.data.aggregate import Sum
-
-    from datacat_ray.stages.bucketed import (
-        add_bucket,
-        hash64,
-        sorted_key_bounds,
-    )
-
-    allowed = frozenset(GATE_LANGS)
 
     def _gate_hash(t: pa.Table) -> pa.Table:
-        keeps = []
-        n_toks = []
-        for text, lang, n_chars in zip(
-            t["text"].to_pylist(), t["lang"].to_pylist(),
-            t["n_chars"].to_pylist(),
-        ):
-            words = ascii_tokens(text)
-            n = len(words)
-            ok = (
-                n >= GATE_MIN_WORDS
-                and n_chars <= GATE_MAX_CHARS
-                and (n - len(set(words))) * 100 <= GATE_DUP_WORD_PCT * n
-                and lang in allowed
-            )
-            keeps.append(ok)
-            n_toks.append(n)
-        t = t.append_column("n_tokens", pa.array(n_toks, pa.int64()))
-        t = t.filter(pa.array(keeps, pa.bool_()))
+        reasons, n_toks = _gate_batch(t)
+        t = t.append_column("n_tokens", n_toks).filter(pc.equal(reasons, "ok"))
         h = hash64(pc.fill_null(t["text"].combine_chunks(), ""))
         out = pa.Table.from_pydict(
             {

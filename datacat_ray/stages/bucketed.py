@@ -14,7 +14,9 @@ This module owns every piece of that shape: the one 64-bit key hash
 (``hash64``), the bucket functions (``add_bucket``), the per-key kernels
 (``keep_last``, ``keep_first_k``), the distributed keep-latest
 (``keep_latest`` — the url dedup of ``stages/dedup.py`` and
-``latest_events``), the shuffle hash join (``hash_join``), the atomic
+``latest_events``), the key-run kernel (``key_runs``, ``run_rank``), the
+global running sum over range buckets (``running_sum``), the shuffle hash
+join (``hash_join``), the atomic
 bucket-file writer (``write_bucket``) with its bounded per-worker reader
 (``read_bucket``), and the per-worker cache of broadcast objects
 (``cached_ref``).
@@ -129,13 +131,25 @@ def sorted_key_bounds(uid: np.ndarray) -> np.ndarray:
     return np.flatnonzero(starts)
 
 
+def key_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(start, length) of each key run in a key-sorted array: the one run
+    kernel of the in-bucket ops. A run's length is its key's row count."""
+    starts = sorted_key_bounds(keys)
+    return starts, np.diff(np.append(starts, len(keys)))
+
+
+def run_rank(keys: np.ndarray) -> np.ndarray:
+    """0-based rank of each row within its key run of a key-sorted array."""
+    starts, lens = key_runs(keys)
+    return np.arange(len(keys), dtype=np.int64) - np.repeat(starts, lens)
+
+
 def keep_first_k(
     t: pa.Table, key: str, order_cols: list[str], k: int
 ) -> pa.Table:
     """Vectorized per-key rank filter: keep each key's first ``k`` rows in
     (key, *order_cols) ascending order — ``row_number() OVER (PARTITION BY
-    key ORDER BY order_cols) <= k`` without a per-key Python call. Rank
-    within a key run is ``arange(n) - repeat(run_start, run_len)``."""
+    key ORDER BY order_cols) <= k`` without a per-key Python call."""
     n = t.num_rows
     if n == 0 or k <= 0:
         return t.slice(0, 0) if k <= 0 else t
@@ -146,10 +160,53 @@ def keep_first_k(
     sorted_keys = pc.take(t[key], order).combine_chunks().to_numpy(
         zero_copy_only=False
     )
-    starts = sorted_key_bounds(sorted_keys)
-    run_len = np.diff(np.append(starts, n))
-    rank = np.arange(n, dtype=np.int64) - np.repeat(starts, run_len)
+    rank = run_rank(sorted_keys)
     return t.take(pc.take(order, pa.array(np.flatnonzero(rank < k))))
+
+
+def running_sum(tagged, n_buckets: int, weight: str | None,
+                sort_keys: list[str], finish):
+    """A global running sum of ``weight`` (``None``: 1 per row) without a
+    global sort. ``tagged`` carries an int32 ``__bucket`` in [0,
+    ``n_buckets``) that range-partitions the global order (an md5 byte, a
+    doc-id range); within a bucket the order is ``sort_keys`` ascending.
+
+    ``tagged`` is materialized once, so both passes read the same rows.
+    Pass 1 sums the weight per bucket (a map-side partial, then at most
+    ``n_buckets`` rows reach the driver), and the driver takes exclusive
+    prefix sums of the bucket totals. Pass 2 is one shuffle on the bucket,
+    an in-bucket sort, and offset + cumsum. ``finish(t, cum)`` gets one
+    bucket's sorted rows (``__bucket`` dropped) and each row's inclusive
+    running sum, and returns the output rows."""
+    from ray.data.aggregate import Sum
+
+    tagged = tagged.materialize()
+    col, fn = (weight, "sum") if weight else ("__bucket", "count")
+
+    totals = np.zeros(n_buckets, dtype=np.int64)
+    for r in (
+        tagged.map_batches(
+            lambda t: t.group_by("__bucket").aggregate([(col, fn)]),
+            batch_format="pyarrow",
+        )
+        .groupby("__bucket")
+        .aggregate(Sum(f"{col}_{fn}", alias_name="w"))
+        .take_all()
+    ):
+        totals[r["__bucket"]] = r["w"]
+    offsets = np.cumsum(totals) - totals
+
+    def _place(g: pa.Table) -> pa.Table:
+        b = g["__bucket"][0].as_py()
+        g = g.drop_columns(["__bucket"])
+        g = g.take(pc.sort_indices(
+            g, sort_keys=[(k, "ascending") for k in sort_keys]))
+        w = (np.ones(g.num_rows, dtype=np.int64) if weight is None else
+             g[weight].combine_chunks().to_numpy(zero_copy_only=False))
+        return finish(g, offsets[b] + np.cumsum(w))
+
+    return tagged.groupby("__bucket").map_groups(
+        _place, batch_format="pyarrow")
 
 
 def keep_last(t: pa.Table, key: str, order_cols: list[str]) -> pa.Table:

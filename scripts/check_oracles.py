@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -56,7 +57,8 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
+    # the checkout this script lives in, so a copy tests its own tree
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     import __ray_entry__ as e
 
     con = duckdb.connect()

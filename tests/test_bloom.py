@@ -150,11 +150,13 @@ def test_reap_stale_scratch(tmp_path, monkeypatch):
     """Dead-owner pid-keyed scratch dirs are reaped; live-pid and
     foreign-content dirs are left alone."""
     import os
-    import tempfile
 
+    from datacat_ray.scratch import ENV_VAR
     from datacat_ray.stages.dedup import reap_stale_scratch
 
-    monkeypatch.setattr(tempfile, "gettempdir", lambda: str(tmp_path))
+    # the variable outranks every other scratch root, so the test's root
+    # holds whatever the caller's environment sets
+    monkeypatch.setenv(ENV_VAR, str(tmp_path))
     dead = tmp_path / "datacat_njp_abc123_999999999"
     dead.mkdir()
     (dead / "part-0.parquet").write_bytes(b"x")

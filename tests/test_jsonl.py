@@ -24,9 +24,10 @@ def test_jsonl_roundtrip_and_ops(ray_session, tmp_path):
     assert got_map == want_map  # text survives JSON round-trip byte-exactly
 
     # the per-batch text kernels run over the JSONL-sourced Dataset directly
-    from datacat_ray.pipelines.text_analysis import _token_count_batch
+    from datacat_ray.pipelines.text_analysis import _TOKENS, _doc_columns
 
-    counts = ds.map_batches(_token_count_batch, batch_format="pyarrow").take_all()
+    counts = ds.map_batches(
+        _doc_columns(_TOKENS), batch_format="pyarrow").take_all()
     assert len(counts) == 500 and all(c["n_tokens"] >= 0 for c in counts)
 
 

@@ -68,14 +68,16 @@ def test_repetition_stats_row():
 # ---------------------------------------------------------------------------
 
 
-def test_pack_sequences_matches_serial_scan(ray_session):
+def test_pack_sequences_matches_serial_scan(ray_session, monkeypatch):
     import pyarrow.parquet as pq
 
     from datacat_ray.pipelines.packing import pack_sequences
     from datacat_ray.pipelines.text_analysis import ascii_tokens
+    from datacat_ray.stages import bucketed
 
     seq_len = 512
-    out = pack_sequences(SF, seq_len=seq_len, n_buckets=7).take_all()
+    monkeypatch.setattr(bucketed, "DEFAULT_BUCKETS", 7)
+    out = pack_sequences(SF, seq_len=seq_len).take_all()
     got = {
         r["doc_id"]: (r["n_tokens"], r["chunk_id"], r["chunk_pos"])
         for r in out
@@ -94,17 +96,18 @@ def test_pack_sequences_matches_serial_scan(ray_session):
     assert got == want
 
 
-def test_pack_sequences_bucket_count_invariant(ray_session):
+def test_pack_sequences_bucket_count_invariant(ray_session, monkeypatch):
     """Placement must be independent of the partition count P."""
     from datacat_ray.pipelines.packing import pack_sequences
+    from datacat_ray.stages import bucketed
 
-    a = sorted(
-        map(tuple, (r.values() for r in pack_sequences(SF, n_buckets=3).take_all()))
-    )
-    b = sorted(
-        map(tuple, (r.values() for r in pack_sequences(SF, n_buckets=64).take_all()))
-    )
-    assert a == b
+    def run(p):
+        monkeypatch.setattr(bucketed, "DEFAULT_BUCKETS", p)
+        return sorted(
+            map(tuple, (r.values() for r in pack_sequences(SF).take_all()))
+        )
+
+    assert run(3) == run(64)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +139,9 @@ def test_source_cap_sample(ray_session):
 # ---------------------------------------------------------------------------
 
 
-def test_dup_ngram_fraction_matches_brute_force(ray_session, tmp_path):
+def test_dup_ngram_fraction_matches_brute_force(
+    ray_session, tmp_path, monkeypatch
+):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -144,6 +149,7 @@ def test_dup_ngram_fraction_matches_brute_force(ray_session, tmp_path):
         ascii_tokens,
         dup_ngram_fraction,
     )
+    from datacat_ray.stages import bucketed
 
     n = 3
     texts = [
@@ -165,9 +171,10 @@ def test_dup_ngram_fraction_matches_brute_force(ray_session, tmp_path):
     d.mkdir()
     pq.write_table(tbl, d / "documents.parquet")
 
+    monkeypatch.setattr(bucketed, "DEFAULT_BUCKETS", 4)
     out = {
         r["doc_id"]: (r["n_ngrams"], r["n_dup"], r["dup_frac_micros"])
-        for r in dup_ngram_fraction(str(d), n=n, n_buckets=4).take_all()
+        for r in dup_ngram_fraction(str(d), n=n).take_all()
     }
 
     grams = [
@@ -234,7 +241,7 @@ def test_tfidf_top_terms(ray_session, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_term_postings_matches_brute_force(ray_session):
+def test_term_postings_matches_brute_force(ray_session, monkeypatch):
     import collections
 
     import pyarrow.parquet as pq
@@ -244,15 +251,17 @@ def test_term_postings_matches_brute_force(ray_session):
         ascii_tokens,
         term_postings,
     )
+    from datacat_ray.stages import bucketed
 
     cap = 3
+    monkeypatch.setattr(bucketed, "DEFAULT_BUCKETS", 8)
     ctx = DataContext.get_current()
     old = ctx.target_max_block_size
     try:
         ctx.target_max_block_size = 16 * 1024  # many batches → real merges
         out = {
             r["term"]: (r["df"], r["postings"])
-            for r in term_postings(SF, cap=cap, n_buckets=8).take_all()
+            for r in term_postings(SF, cap=cap).take_all()
         }
     finally:
         ctx.target_max_block_size = old

@@ -1,6 +1,7 @@
 """Oracle parity for operators retired from the driver registry by the
 slot-50 budget (consolidated into token_counts / top_grams / doc_profile
-or redundant with a surviving entry). Retirement must not lose
+or redundant with a surviving entry), and for the registry entries of the
+text ops (``text_analysis`` and ``packing``). Retirement must not lose
 correctness coverage: every retired op is still compared against its
 DuckDB oracle here, at sf0.001, with the driver's compare semantics
 (sort columns by name, sort rows, exact values)."""
@@ -11,7 +12,12 @@ import duckdb
 import pandas as pd
 import pytest
 
-from datacat_ray.pipelines.queries import build_retired_oracles
+from datacat_ray.pipelines import packing, text_analysis
+from datacat_ray.pipelines.queries import (
+    build_oracle_sql,
+    build_queries,
+    build_retired_oracles,
+)
 
 SF = "/root/testdata/sf0.001"
 TABLES = ("region", "nation", "customer", "supplier", "part", "orders",
@@ -39,9 +45,7 @@ def con():
     c.close()
 
 
-@pytest.mark.parametrize("name", sorted(build_retired_oracles()))
-def test_retired_op_matches_oracle(ray_session, con, name):
-    fn, sql = build_retired_oracles()[name]
+def _assert_matches(con, name, fn, sql):
     got = _canon(_to_df(fn(SF)))
     want = _canon(con.execute(sql).df())
     assert list(got.columns) == list(want.columns), name
@@ -49,6 +53,30 @@ def test_retired_op_matches_oracle(ray_session, con, name):
     pd.testing.assert_frame_equal(
         got, want, check_dtype=False, check_exact=True
     )
+
+
+@pytest.mark.parametrize("name", sorted(build_retired_oracles()))
+def test_retired_op_matches_oracle(ray_session, con, name):
+    _assert_matches(con, name, *build_retired_oracles()[name])
+
+
+def _text_op_entries() -> list[str]:
+    """Registry entries whose operator lives in ``text_analysis`` or
+    ``packing`` (each entry is named after its operator) and that have an
+    oracle."""
+    return sorted(
+        name for name in build_oracle_sql()
+        if name in build_queries()
+        and (hasattr(text_analysis, name) or hasattr(packing, name))
+    )
+
+
+@pytest.mark.parametrize("name", _text_op_entries())
+def test_text_op_matches_registry_oracle(ray_session, con, name):
+    """The text ops' registry entries against their registry oracles, so
+    the oracle comparison runs in the test suite and not only in
+    ``scripts/check_oracles.py``."""
+    _assert_matches(con, name, build_queries()[name], build_oracle_sql()[name])
 
 
 def test_r5_mixing_ops_non_vacuous(ray_session):
