@@ -1,7 +1,7 @@
 """The flagship extraction pipeline (SURVEY.md §3.3 Ray shape).
 
-    read_parquet(pages)                               # url warc_ts html text lang
-      → dedup (winner prefilter, or groupby url keeping max warc_ts)
+    read_parquet(pages) or WARC segments              # url warc_ts html text lang
+      → dedup (winner filter at the read, or groupby url keeping max warc_ts)
       → map_batches(FusedExtractStage)                # the whole cascade, per batch:
           DOM parse + tokenize + caps + line features # S2' M1-M6
           → segmenter CRF → zones                     # ST1 M13
@@ -493,8 +493,9 @@ def build_extract_pipeline(
     add object-store traffic).
 
     ``dedup=True`` uses the exact groupby dedup (one wide shuffle). Prefer
-    ``extract_pages`` for parquet inputs — its winner-prefilter dedup keeps
-    the wide html column out of any shuffle entirely."""
+    the flagships — ``extract_pages`` for parquet input,
+    ``sources.warc.extract_pages_warc`` for WARC input: their winner-set
+    dedup keeps the wide html column out of any shuffle entirely."""
     cfg = cfg or PipelineConfig()
     if dedup:
         ds = dedup_latest(ds)

@@ -5,7 +5,7 @@ stream with backpressure instead of pinning in the object store: the MinHash
 signature cache (``pipelines/dedup_ops.minhash_sigs_parquet``), the
 label-propagation edge spill (``neardup_clusters``), the Jaccard candidate
 spill (``ngram_jaccard_verify``), the dedup winner parquet
-(``stages/dedup.compute_winners_parquet``) and the IVF index
+(``stages/dedup.compute_winners_bucketed``) and the IVF index
 (``pipelines/similarity.build_ivf_index``). On a multi-node cluster these
 MUST live on storage every node can read (an NFS/object-store mount) — a
 node-local ``/tmp`` written by one worker is invisible to readers scheduled

@@ -7,12 +7,15 @@ page. This module provides:
 
 - ``write_warc`` — fixture/test writer (gzip or plain),
 - ``parse_warc_bytes`` — record parser (url, warc_ts µs, html bytes),
-- ``read_warc`` — a Ray Dataset of pages-schema rows: one read task per
-  WARC file via ``read_binary_files`` + a flat parse ``map_batches``.
-  Common-Crawl segment files are ~1 GB, one blob per task — sized to the
-  worker heap like any wide-binary batch; a Datasource subclass that
-  streams records within a file is the refinement path if single files
-  outgrow the heap.
+- ``read_warc`` — a Ray Dataset of pages-schema rows through the streaming
+  ``WarcDatasource``: one read task per file walks its records
+  (``segment_records``) and yields ``_RECORDS_PER_BLOCK``-row Arrow blocks,
+  so a ~1 GB Common-Crawl segment never has to fit a worker heap,
+- ``extract_pages_warc`` — the flagship over WARC input, shuffle-free: a
+  narrow key pass over the segments builds the latest-capture winner set,
+  and one streaming read → winner filter → fused stage execution follows,
+- ``write_wet`` — the WET sink (extracted plain text as WARC conversion
+  records).
 
 The pages schema matches ``fixtures.PAGES_SCHEMA`` (url, warc_ts, html,
 text, lang), so ``build_extract_pipeline`` consumes WARC input unchanged.
@@ -23,7 +26,9 @@ from __future__ import annotations
 import datetime
 import gzip
 import io
+import itertools
 
+import numpy as np
 import pyarrow as pa
 
 _CRLF = b"\r\n"
@@ -163,16 +168,25 @@ def iter_warc_records(stream):
 
 class WarcDatasource:
     """Streaming WARC datasource: each file is read as a stream and
-    records batch out incrementally (``records_per_block`` rows per Arrow
-    block), so a 1 GB Common-Crawl segment never has to fit a worker heap
-    — the scale-true read path. Gzip (member-per-record, the CC layout)
-    is detected by magic and decompressed on the fly."""
+    records batch out incrementally (``_RECORDS_PER_BLOCK`` rows per Arrow
+    block, read when the datasource is built), so a 1 GB Common-Crawl
+    segment never has to fit a worker heap — the scale-true read path.
+    Gzip (member-per-record, the CC layout) is detected by magic and
+    decompressed on the fly.
 
-    def __new__(cls, paths, records_per_block: int = 256):
+    ``winners``, when set to a ``dedup.winner_set`` over ``segment_keys``
+    rows (``latest_captures``), filters each block's records before they
+    become Arrow rows: only each url's winning capture is read out."""
+
+    def __new__(cls, paths):
         from ray.data.datasource import FileBasedDatasource
+
+        per_block = _RECORDS_PER_BLOCK
 
         class _Impl(FileBasedDatasource):
             _FILE_EXTENSIONS = None  # accept any listed path
+            winners = None
+            _ranks = None
 
             def _open_input_source(self, filesystem, path, **open_args):
                 # RAW bytes, always: the base class force-detects gzip
@@ -191,27 +205,101 @@ class WarcDatasource:
                 )
 
             def _read_stream(self, f, path):
-                batch: list[dict] = []
-                for rec in segment_records(f, path):
-                    batch.append(rec)
-                    if len(batch) >= records_per_block:
-                        yield _records_table(batch)
-                        batch = []
-                if batch:
-                    yield _records_table(batch)
+                if self.winners is not None and self._ranks is None:
+                    self._ranks = {p: i for i, p in enumerate(self._paths())}
+                recs = enumerate(segment_records(f, path))
+                while chunk := list(itertools.islice(recs, per_block)):
+                    if self.winners is not None:
+                        chunk = _winning(chunk, self._ranks[path],
+                                         self.winners)
+                    if chunk:
+                        yield _records_table([r for _, r in chunk])
 
         return _Impl(paths)
 
 
-def segment_records(f, path: str = ""):
+_RECORDS_PER_BLOCK = 256
+_MAX_IN_FLIGHT = 64  # pass-1 tasks outstanding, as in ``run_extract_job``
+
+
+def _keys(urls: list, tss: list, rank: int, ordinals) -> pa.Table:
+    """(url, warc_ts, pos) rows of records of the ``rank``-th segment:
+    ``pos`` = rank << 32 | record ordinal, the capture's input position
+    (one segment holds far fewer than 2**32 records)."""
+    from datacat_ray.stages.dedup import KEY, POS, TS
+
+    pos = np.fromiter(ordinals, np.int64, len(urls)) | (np.int64(rank) << 32)
+    return pa.table({KEY: pa.array(urls, pa.string()),
+                     TS: pa.array(tss, pa.int64()), POS: pos})
+
+
+def _winning(chunk: list, rank: int, probe: tuple) -> list:
+    """The (ordinal, record) pairs of ``chunk`` that hold their url's
+    winning capture in ``probe`` (``dedup.winner_keep``)."""
+    from datacat_ray.stages.dedup import winner_keep
+
+    keep = winner_keep(_keys([r["url"] for _, r in chunk],
+                             [r["warc_ts"] for _, r in chunk], rank,
+                             (i for i, _ in chunk)), probe)
+    return [c for c, k in zip(chunk, keep) if k]
+
+
+def segment_keys(src, rank: int, path: str) -> tuple[int, pa.Table]:
+    """Pass 1 over one segment: (records read, their ``dedup.winner_keys``
+    rows (h, warc_ts, pos)). The segment is opened the way ``src``, the
+    reader's ``WarcDatasource``, opens it and walked by the same
+    ``segment_records``, so the ordinals match the reader's, damage and
+    resyncs included. Silent: the reader's pass logs the damage once."""
+    from datacat_ray.stages.dedup import winner_keys
+
+    urls: list = []
+    tss: list = []
+    with src._open_input_source(src._filesystem, path) as f:
+        for rec in segment_records(f, path, warn=False):
+            urls.append(rec["url"])
+            tss.append(rec["warc_ts"])
+    return len(urls), winner_keys(_keys(urls, tss, rank, range(len(urls))))
+
+
+def latest_captures(src) -> tuple:
+    """The winner set of the WARC datasource ``src``: pass 1 runs one
+    plain Ray task per segment (``segment_keys``, at most
+    ``_MAX_IN_FLIGHT`` outstanding), and ``dedup.winner_set`` keeps each
+    url's latest (``warc_ts``, ``pos``) — a total order, so exactly one
+    capture per url wins, whatever the block layout. Only key rows move;
+    the size pick is the parquet path's, over the records read."""
+    import ray
+    import ray.data
+
+    from datacat_ray.stages.dedup import winner_set
+
+    files = list(src._paths())
+    task = ray.remote(num_returns=2)(segment_keys)
+    src_ref = ray.put(src)
+    counts, tables, in_flight = [], [], []
+    for rank, path in enumerate(files):
+        if len(in_flight) >= _MAX_IN_FLIGHT:
+            _, in_flight = ray.wait(in_flight, num_returns=1)
+        n, t = task.remote(src_ref, rank, path)
+        counts.append(n)
+        tables.append(t)
+        in_flight.append(t)
+    return winner_set(
+        sum(ray.get(counts)),
+        lambda: pa.concat_tables(ray.get(tables)),
+        lambda: ray.data.from_arrow_refs(tables),
+        files)
+
+
+def segment_records(f, path: str = "", warn: bool = True):
     """Yield the {url, warc_ts, html} response records of one WARC segment
     stream ``f`` (raw bytes). Gzip (member-per-record, the CC layout) is
     detected by magic and decompressed on the fly; a damaged member (or
     one that decompresses to garbage framing) costs only its own records:
     the stream resyncs to the next gzip member, with a warning naming
-    ``path``. A gzip record is yielded only once every member it was read
-    from has checked out, so a member damaged past its record's last byte
-    still costs that record."""
+    ``path`` (unless ``warn`` is False). A gzip record is yielded only
+    once every member it was read from has checked out, so a member
+    damaged past its record's last byte still costs that record."""
     import collections
     import logging
     import zlib
@@ -233,8 +321,9 @@ def segment_records(f, path: str = ""):
             return False
         n_resync += 1
         pending.clear()  # read from the damaged member
-        log.warning("WARC segment %s: %s after %d records — resynced to "
-                    "the next gzip member", path, why, n_ok)
+        if warn:
+            log.warning("WARC segment %s: %s after %d records — resynced "
+                        "to the next gzip member", path, why, n_ok)
         records = _gz_record_iter(gzraw)
         return True
 
@@ -273,7 +362,7 @@ def segment_records(f, path: str = ""):
                f"damaged gzip member ({type(damage).__name__}: {damage})")
         if _try_resync(why):
             continue
-        if damage is not None:
+        if damage is not None and warn:
             log.warning(
                 "WARC segment %s truncated/corrupt after %d records "
                 "(%s: %s) — keeping the readable prefix",
@@ -460,25 +549,36 @@ def _records_table(recs: list[dict]) -> pa.Table:
     )
 
 
-def read_warc(paths, records_per_block: int = 256) -> "ray.data.Dataset":
+def read_warc(paths) -> "ray.data.Dataset":
     """WARC file(s) → Dataset in the pages schema (url, warc_ts, html,
     text, lang), streamed record-by-record via ``WarcDatasource``."""
     import ray.data
 
-    return ray.data.read_datasource(
-        WarcDatasource(paths, records_per_block=records_per_block)
-    )
+    return ray.data.read_datasource(WarcDatasource(paths))
 
 
 def extract_pages_warc(paths, cfg=None) -> "ray.data.Dataset":
-    """Flagship cascade directly over WARC input: read_warc → exact
-    bucketed keep-latest dedup (the winner-prefilter variant needs a
-    parquet-statistics pass, so WARC uses the groupby path) → fused
-    extraction."""
+    """Flagship cascade directly over WARC input, shuffle-free: a narrow
+    key pass over the segments builds the winner set
+    (``latest_captures``), then ONE streaming execution reads the
+    segments, drops every stale capture before it becomes an Arrow row
+    and runs the fused extraction. Exactly one row per url, the latest
+    ``warc_ts``, a same-second tie going to the later input position
+    (segment rank in the reader's file list, then record ordinal). A file
+    listed twice (also through its directory) is read once. Lazy: the
+    caller consumes the Dataset."""
+    import ray.data
+
     from datacat_ray.config import PipelineConfig
     from datacat_ray.pipelines.extract import build_extract_pipeline
 
-    return build_extract_pipeline(read_warc(paths), cfg or PipelineConfig())
+    src = WarcDatasource(paths)
+    files = list(dict.fromkeys(src._paths()))
+    if len(files) < len(src._paths()):
+        src = WarcDatasource(files)
+    src.winners = latest_captures(src)
+    return build_extract_pipeline(ray.data.read_datasource(src),
+                                  cfg or PipelineConfig(), dedup=False)
 
 
 # ---------------------------------------------------------------------------

@@ -245,17 +245,29 @@ def keep_latest(ds, key: str, order_cols: list[str]):
     )
 
 
+def _no_metadata(t: pa.Table) -> pa.Table:
+    return t.replace_schema_metadata(None)
+
+
 def hash_join(left, right, on: str):
     """Inner shuffle hash join of two Datasets on column ``on``. Partitions
     are sized to half the session's CPUs (2 to 16): every partition is
     backed by an aggregator actor that reserves a core, and two chained
-    16-partition joins deadlock a 4-CPU session (measured)."""
+    16-partition joins deadlock a 4-CPU session (measured). Both inputs
+    lose their schema metadata first, as in ``add_bucket``: Ray's schema
+    de-dup hashes block schemas, and a schema carrying metadata (pandas
+    metadata of a parquet read) is unhashable, and every aggregator would
+    log that. Read tasks that split a parquet file into blocks still log
+    it before this map; ``quiet_schema_hash_warning`` hides the driver's
+    own copies."""
     import ray as _ray
 
     from datacat_ray import quiet_schema_hash_warning
 
     n_parts = max(2, min(16, int(_ray.cluster_resources().get("CPU", 8)) // 2))
     quiet_schema_hash_warning()
+    left, right = (d.map_batches(_no_metadata, batch_format="pyarrow")
+                   for d in (left, right))
     return left.join(right, "inner", n_parts, on=(on,))
 
 

@@ -9,9 +9,14 @@ hash-bucketed layer of ``stages/bucketed.py``:
   (``bucketed.keep_latest``: in-batch keep-latest, one hash shuffle on the
   int bucket of the url, keep-latest per bucket). The wide ``html`` column
   crosses the shuffle once, only for rows that survive the in-batch step.
-* ``dedup_latest_prefilter`` / ``run_extract_job`` — a narrow (url,
-  warc_ts) winner set (``winner_probe``) that the full read is filtered
-  against, so the payload of a stale capture never moves at all.
+* winner sets — a narrow key pass builds the set of winning (url hash,
+  ``warc_ts``[, ``pos``]) rows (``winner_set``: on the driver, or bucketed
+  past ``_DRIVER_WINNER_ROWS`` input rows), and the full read is filtered
+  against it (``winner_keep``), so the payload of a stale capture never
+  moves at all. Parquet input (``winner_probe``): ``dedup_latest_prefilter``
+  and ``run_extract_job``. WARC input (``sources/warc.py``): the flagship
+  ``extract_pages_warc``, whose key rows carry ``pos``, the capture's
+  input position, so exactly one capture per url wins.
 """
 
 from __future__ import annotations
@@ -46,26 +51,51 @@ def dedup_latest(ds: "ray.data.Dataset") -> "ray.data.Dataset":
 
 
 # ---------------------------------------------------------------------------
-# prefilter dedup: the 100 TB path — the wide payload never crosses a shuffle
+# winner sets: the 100 TB path — the wide payload never crosses a shuffle
 # ---------------------------------------------------------------------------
 
 _DRIVER_WINNER_ROWS = 5_000_000
+POS = "pos"
 
 
-def compute_winners(path) -> dict[int, object]:
-    """Narrow winner pass on the driver: read ONLY (url, warc_ts) (parquet
-    column pruning) and max-reduce them with polars (~50ms/100k rows),
-    keyed by the 64-bit url hash (int keys keep the broadcast ~10× smaller
-    than a str-keyed dict). ``winner_probe`` calls it up to
-    ``_DRIVER_WINNER_ROWS`` input rows; past that the winner set stays
-    distributed (``compute_winners_parquet``) and never reaches the
-    driver. The wide html column never moves either way."""
+def winner_keys(t: pa.Table) -> pa.Table:
+    """The key rows of a winner set: ``h`` (``hash64`` of the url),
+    ``warc_ts`` and, where the input carries it, ``pos`` — the capture's
+    input position, which breaks a ``warc_ts`` tie (WARC input: segment
+    rank and record ordinal, ``sources/warc.py``)."""
+    cols = {"h": pa.array(hash64(t[KEY]), pa.uint64()), TS: t[TS]}
+    if POS in t.column_names:
+        cols[POS] = t[POS]
+    return pa.table(cols)
+
+
+def latest_keys(keys: pa.Table) -> pa.Table:
+    """One row per ``h`` of a ``winner_keys`` table, sorted by ``h``: the
+    largest (``warc_ts``, ``pos``), where a null ``warc_ts`` never wins
+    (polars sort with nulls first, then the last row of each key)."""
     import polars as pl
+
+    order = [c for c in (TS, POS) if c in keys.column_names]
+    df = pl.from_arrow(keys).sort(["h", *order], maintain_order=True)
+    return df.unique("h", keep="last", maintain_order=True).to_arrow()
+
+
+def parquet_keys(path) -> pa.Table:
+    """The ``winner_keys`` rows of parquet input ``path``: only (url,
+    warc_ts) is read (parquet column pruning), the wide html column never
+    moves."""
     import pyarrow.dataset as pads
 
-    t = pads.dataset(path, format="parquet").to_table(columns=[KEY, TS])
-    win = pl.from_arrow(t).group_by(KEY).agg(pl.col(TS).max())
-    return dict(zip(hash64(win[KEY]).tolist(), win[TS].to_list()))
+    return winner_keys(pads.dataset(path, format="parquet").to_table(
+        columns=[KEY, TS]))
+
+
+def compute_winners(path) -> pa.Table:
+    """The driver winner table of parquet input ``path``: ``latest_keys``
+    of its ``parquet_keys`` — what ``winner_probe`` builds up to
+    ``_DRIVER_WINNER_ROWS`` input rows, kept as a function of its own for
+    perfbench's ``dedup.winners_s`` probe."""
+    return latest_keys(parquet_keys(path))
 
 
 def input_fingerprint(path) -> str:
@@ -189,59 +219,67 @@ def build_once(d: str, fingerprint: str, allowed, build) -> None:
     os.replace(tmp, marker)
 
 
-def compute_winners_parquet(path, out_dir: str) -> str:
-    """Distributed winner set for >driver-memory url cardinality: narrow
-    (url, warc_ts) read → per-fragment keep-latest → ONE hash shuffle on
-    the bucket of the 64-bit url hash → per-bucket keep-latest → one
-    ``write_bucket`` file of (h, warc_ts) per bucket. The driver never
-    materializes a winner; only (hash, ts) pairs cross the shuffle. Built
-    once per input fingerprint (``build_once``). ``out_dir`` must be shared
-    storage on a multi-node cluster (object store / NFS), same as any
-    shuffle spill target."""
-    import ray.data as rd
+def winner_bucket(h: np.ndarray, pos: np.ndarray | None) -> np.ndarray:
+    """The bucket a winner-set row is filed under and probed in: the hash
+    bucket of ``h``, or, for key rows that carry ``pos`` (WARC input), the
+    segment rank ``pos >> 32`` — a WARC read task walks one segment, so it
+    probes one bucket file, which the per-worker ``read_bucket`` cache
+    then holds for the whole segment."""
+    if pos is None:
+        return hash_buckets(h)
+    return (pos >> 32).astype(np.int32)
 
-    def _local(b: pa.Table) -> pa.Table:
-        b = keep_last(b, KEY, [TS])
-        h = hash64(b[KEY])
-        return pa.Table.from_pydict(
-            {"h": pa.array(h, type=pa.uint64()), TS: b[TS],
-             "__bucket": pa.array(hash_buckets(h))}
-        )
 
-    def _reduce_bucket(g: pa.Table) -> pa.Table:
+def compute_winners_bucketed(keys: "ray.data.Dataset", out_dir: str,
+                             fingerprint: str) -> str:
+    """The winner set past driver memory: per-block ``latest_keys`` of
+    ``keys`` (a Dataset of ``winner_keys`` blocks) → ONE hash shuffle on
+    the bucket of ``h`` → per-bucket ``latest_keys`` → one
+    ``write_bucket`` file of key rows per ``winner_bucket``. Rows that
+    carry ``pos`` are filed by segment rank, which takes a second narrow
+    shuffle of the winners (a url's captures must first meet in one hash
+    bucket). The driver never materializes a winner; only key rows cross
+    the shuffles. Built once per input ``fingerprint`` (``build_once``).
+    ``out_dir`` must be shared storage on a multi-node cluster (object
+    store / NFS), same as any shuffle spill target."""
+
+    def _filed(t: pa.Table) -> pa.Table:
+        pos = t[POS].to_numpy() if POS in t.column_names else None
+        b = winner_bucket(t["h"].to_numpy(), pos)
+        return t.append_column("__bucket", pa.array(b, pa.int32()))
+
+    def _write(g: pa.Table) -> pa.Table:
         b = int(g["__bucket"][0].as_py())
-        win = keep_last(g.drop_columns(["__bucket"]), "h", [TS])
-        write_bucket(out_dir, b, win)
+        write_bucket(out_dir, b, g.drop_columns(["__bucket"]))
         return pa.Table.from_pydict(
             {"bucket": pa.array([b], pa.int32()),
-             "n_keys": pa.array([win.num_rows], pa.int64())}
+             "n_keys": pa.array([g.num_rows], pa.int64())}
         )
 
+    def _local(t: pa.Table) -> pa.Table:
+        t = latest_keys(t)
+        b = hash_buckets(t["h"].to_numpy())
+        return t.append_column("__bucket", pa.array(b, pa.int32()))
+
+    def _reduce_bucket(g: pa.Table) -> pa.Table:
+        win = _filed(latest_keys(g.drop_columns(["__bucket"])))
+        return win if POS in win.column_names else _write(win)
+
     def _build() -> None:
-        (
-            rd.read_parquet(path, columns=[KEY, TS])
-            .map_batches(_local, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(_reduce_bucket, batch_format="pyarrow")
-            .materialize()  # drive the writes; the summary itself is tiny
-        )
+        wins = (keys.map_batches(_local, batch_format="pyarrow")
+                .groupby("__bucket")
+                .map_groups(_reduce_bucket, batch_format="pyarrow"))
+        if POS in keys.schema().names:  # filed by segment rank
+            wins = wins.groupby("__bucket").map_groups(
+                _write, batch_format="pyarrow")
+        wins.materialize()  # drive the writes; the summary itself is tiny
 
     # "_WINNERS": the marker name of sets built before ``build_once``
     build_once(
-        out_dir, input_fingerprint(path),
+        out_dir, fingerprint,
         lambda f: f.startswith(("bucket-", ".tmp.bucket-", "_WINNERS")),
         _build)
     return out_dir
-
-
-def winners_to_arrays(winners: dict) -> tuple[np.ndarray, np.ndarray]:
-    """{hash64: ts} → (h sorted ascending uint64, aligned ts) — the
-    broadcast form every winner probe consumes (one searchsorted per
-    batch instead of a dict.get per row)."""
-    h = np.fromiter(winners.keys(), dtype=np.uint64, count=len(winners))
-    w = np.array(list(winners.values()), dtype=object)
-    order = np.argsort(h, kind="stable")
-    return h[order], w[order]
 
 
 def sorted_hits(
@@ -261,86 +299,118 @@ def sorted_hits(
 
 
 def winner_mask(
-    hashes: np.ndarray, tss: np.ndarray,
-    wh: np.ndarray, wts: np.ndarray,
+    hashes: np.ndarray, vals: dict[str, np.ndarray],
+    wh: np.ndarray, wvals: dict[str, np.ndarray],
 ) -> np.ndarray:
     """Vectorized winner test: row i survives iff its key hash is a winner
-    AND its ts equals the winning ts. ``wh`` must be sorted ascending."""
+    AND every order column the winner set carries (``wvals``: ``warc_ts``,
+    and ``pos`` where present) equals the row's (``vals``). ``wh`` must be
+    sorted ascending."""
     mask = np.zeros(len(hashes), dtype=bool)
     hit, wpos = sorted_hits(hashes, wh)
-    mask[hit] = wts[wpos] == tss[hit]
+    ok = np.ones(len(hit), dtype=bool)
+    for c, w in wvals.items():
+        ok &= w[wpos] == vals[c][hit]
+    mask[hit] = ok
     return mask
 
 
-def _ts_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Timestamp column → numpy for vectorized equality. Null-free columns
+def _eq_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """Order column → numpy for vectorized equality. Null-free columns
     take the no-boxing ``to_numpy`` path (int64/str in C); columns WITH
     nulls fall back to object dtype via ``to_pylist`` so a null compares
     as Python ``None`` on both sides (``to_numpy`` would turn a null int
     into NaN, and NaN != NaN would silently drop every null-ts winner)."""
     if col.null_count == 0:
-        a = col.to_numpy(zero_copy_only=False)
         # numeric/bool dtypes compare exactly; anything else (strings,
         # dates) already lands as object
-        return a
+        return col.to_numpy(zero_copy_only=False)
     return np.array(col.to_pylist(), dtype=object)
 
 
-def _load_winners(t: pa.Table | None) -> tuple[np.ndarray, np.ndarray]:
-    """(h sorted ascending, aligned winner ts) of one winner bucket —
-    arrays, not a dict, so the probe is one ``searchsorted`` per batch."""
+def _load_winners(t: pa.Table | None) -> tuple[np.ndarray, dict]:
+    """(h sorted ascending, {order column: aligned values}) of a winner
+    table (the driver set or one bucket file) — arrays, not a dict, so
+    the probe is one ``searchsorted`` per batch. None (a bucket no key
+    hashed to) holds no winners."""
     if t is None:
-        return np.empty(0, dtype=np.uint64), np.empty(0, dtype=object)
+        return np.empty(0, dtype=np.uint64), {}
     h = t["h"].to_numpy(zero_copy_only=False).astype(np.uint64)
     order = np.argsort(h, kind="stable")
-    return h[order], _ts_np(t[TS])[order]
+    return h[order], {c: _eq_np(t[c])[order] for c in (TS, POS)
+                      if c in t.column_names}
 
 
-def winner_probe(path, winner_dir: str | None = None) -> tuple:
-    """The keep-latest winner set of parquet input ``path``, in the form
-    ``apply_winners`` reads. The input's row count (parquet metadata)
-    picks the build: up to ``_DRIVER_WINNER_ROWS`` rows the driver computes
-    it (``compute_winners``) and broadcasts it once by ``ray.put`` →
-    ``("driver", ref)``; past that, hash-bucketed winner parquet under
-    ``winner_dir`` (``compute_winners_parquet``; default a scratch dir keyed
-    by the input path) → ``("bucketed", winner_dir)``, read through the
-    bounded per-worker ``read_bucket``. Both filter to the same rows. The ref
-    rides inside a tuple, so a Ray task receiving the probe as an argument
-    does not resolve it at invocation — ``apply_winners`` deserializes it
-    once per worker."""
-    import pyarrow.dataset as pads
-
-    if pads.dataset(path, format="parquet").count_rows() <= _DRIVER_WINNER_ROWS:
-        return ("driver",
-                ray.put(winners_to_arrays(compute_winners(path))))
+def winner_set(n_rows: int, keys, key_blocks, inputs,
+               winner_dir: str | None = None) -> tuple:
+    """The one size pick of a keep-latest winner set over ``n_rows`` input
+    rows, in the form ``winner_keep`` reads. Up to ``_DRIVER_WINNER_ROWS``
+    the driver builds it (``latest_keys(keys())``, ``keys()`` a
+    ``winner_keys`` table) and broadcasts it once by ``ray.put`` →
+    ``("driver", ref)``; past that, bucketed (``winner_bucket``) winner
+    parquet under ``winner_dir`` from ``key_blocks()``, a Dataset of
+    ``winner_keys`` blocks (``compute_winners_bucketed``; default dir a
+    scratch dir keyed by ``inputs``, the input listing whose
+    ``input_fingerprint`` marks the build) → ``("bucketed", winner_dir)``,
+    read through the bounded per-worker ``read_bucket``. Both filter to
+    the same rows. The ref rides inside a tuple, so a Ray task receiving
+    the probe as an argument does not resolve it at invocation —
+    ``winner_keep`` deserializes it once per worker."""
+    if n_rows <= _DRIVER_WINNER_ROWS:
+        return ("driver", ray.put(_load_winners(latest_keys(keys()))))
     if winner_dir is None:
         import hashlib
 
         from datacat_ray.scratch import scratch_path
 
-        digest = hashlib.sha1(str(path).encode()).hexdigest()[:12]
+        digest = hashlib.sha1(str(inputs).encode()).hexdigest()[:12]
         winner_dir = scratch_path(f"datacat_winners_{digest}")
-    return ("bucketed", compute_winners_parquet(path, winner_dir))
+    return ("bucketed", compute_winners_bucketed(
+        key_blocks(), winner_dir, input_fingerprint(inputs)))
+
+
+def winner_probe(path, winner_dir: str | None = None) -> tuple:
+    """The ``winner_set`` of parquet input ``path``, sized by its row count
+    (parquet metadata); only (url, warc_ts) is read."""
+    import pyarrow.dataset as pads
+
+    return winner_set(
+        pads.dataset(path, format="parquet").count_rows(),
+        lambda: parquet_keys(path),
+        lambda: ray.data.read_parquet(path, columns=[KEY, TS]).map_batches(
+            winner_keys, batch_format="pyarrow"),
+        path, winner_dir)
+
+
+def winner_keep(batch: pa.Table, probe: tuple) -> np.ndarray:
+    """The one winner filter: the mask of the rows of ``batch`` (url,
+    warc_ts and, where the set carries it, pos) that hold their url's
+    winning values in the ``winner_set`` ``probe``. A bucketed set is
+    probed bucket by bucket (``winner_bucket``), each bucket read once per
+    batch."""
+    kind, arg = probe
+    hashes = hash64(batch[KEY])
+    vals = {c: _eq_np(batch[c]) for c in (TS, POS)
+            if c in batch.column_names}
+    if kind == "driver":
+        return winner_mask(hashes, vals, *cached_ref(arg))
+    mask = np.zeros(batch.num_rows, dtype=bool)
+    buckets = winner_bucket(hashes, vals.get(POS))
+    for b in np.unique(buckets):
+        sel = np.flatnonzero(buckets == b)
+        mask[sel] = winner_mask(
+            hashes[sel], {c: v[sel] for c, v in vals.items()},
+            *read_bucket(arg, int(b), _load_winners))
+    return mask
 
 
 def apply_winners(batch: pa.Table, probe: tuple) -> pa.Table:
-    """The rows of ``batch`` that hold their url's winning ``warc_ts`` in
-    the ``winner_probe`` set, kept latest within the batch — the one
-    winner filter of ``dedup_latest_prefilter`` and of every
-    ``run_extract_job`` partition. A bucketed set is probed bucket by
-    bucket, each bucket read once per batch."""
-    kind, arg = probe
-    hashes = hash64(batch[KEY])
-    tss = _ts_np(batch[TS])
-    if kind == "driver":
-        mask = winner_mask(hashes, tss, *cached_ref(arg))
-    else:
-        mask = np.zeros(batch.num_rows, dtype=bool)
-        buckets = hash_buckets(hashes)
-        for b in np.unique(buckets):
-            sel = np.flatnonzero(buckets == b)
-            mask[sel] = winner_mask(hashes[sel], tss[sel],
-                                    *read_bucket(arg, int(b), _load_winners))
+    """The rows of parquet pages ``batch`` that ``winner_keep`` keeps, kept
+    latest within the batch — the winner filter of
+    ``dedup_latest_prefilter`` and of every ``run_extract_job``
+    partition (a parquet set carries no ``pos``, so a same-``warc_ts`` tie
+    passes the filter)."""
+    mask = winner_keep(batch, probe)
     return keep_last(batch.filter(pa.array(mask)), KEY, [TS])
 
 

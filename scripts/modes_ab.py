@@ -1,6 +1,6 @@
 """Alternated A/B of both paths of every size-picked operator pair.
 
-Six operators pick between two paths only from a size they measure.
+Seven operators pick between two paths only from a size they measure.
 This script forces each side through that pair's threshold constant (read
 on the driver), times both sides at the scale factors ``sf0.01`` and
 ``sf0.1`` of the test data, and checks that both sides return the same
@@ -14,13 +14,17 @@ rows:
     dedup_latest_prefilter    driver / bucketed     _DRIVER_WINNER_ROWS
       (keep the latest event per user: ``events.parquet`` as url
       captures, ``url`` = user_id, ``warc_ts`` = ts, in two fragments)
+    extract_pages_warc        driver / bucketed     _DRIVER_WINNER_ROWS
+      (the same captures as four gzip WARC segments, one small page per
+      event, through the whole WARC flagship)
 
 One untimed run of each side warms worker processes and caches; then
 each round runs both sides of the pair, alternating which side goes
 first. Each operator finishes all its rounds before the next one starts. A side
 is timed from building its Dataset to the end of ``take_all``. The
-bucketed winner side gets a fresh ``winner_dir`` per run, so its winner
-parquet is rebuilt every time like the driver side's winner map.
+bucketed winner side gets a fresh ``winner_dir`` (WARC: a fresh
+``DATACAT_SCRATCH``) per run, so its winner parquet is rebuilt every time
+like the driver side's winner map.
 
 Usage (from the repository root, no options):
 
@@ -59,11 +63,21 @@ def pairs(tmp: str):
 
     captures: dict[str, str] = {}
 
+    segments: dict[str, list[str]] = {}
+
     def latest_event(sf):
         if sf not in captures:
             captures[sf] = _event_captures(sf, tmp)
         return D.dedup_latest_prefilter(
             captures[sf], winner_dir=tempfile.mkdtemp(dir=tmp))
+
+    def latest_event_warc(sf):
+        from datacat_ray.sources.warc import extract_pages_warc
+
+        if sf not in segments:
+            segments[sf] = _event_segments(sf, tmp)
+        os.environ["DATACAT_SCRATCH"] = tempfile.mkdtemp(dir=tmp)
+        return extract_pages_warc(segments[sf])
 
     return [
         ("minhash_candidate_pairs", DO, "_CAND_BROADCAST_MAX",
@@ -84,6 +98,9 @@ def pairs(tmp: str):
         ("dedup_latest_prefilter", D, "_DRIVER_WINNER_ROWS",
          (("driver", D._DRIVER_WINNER_ROWS), ("bucketed", -1)),
          latest_event),
+        ("extract_pages_warc", D, "_DRIVER_WINNER_ROWS",
+         (("driver", D._DRIVER_WINNER_ROWS), ("bucketed", -1)),
+         latest_event_warc),
     ]
 
 
@@ -102,6 +119,29 @@ def _event_captures(sf: str, tmp: str) -> str:
     pq.write_table(caps.slice(0, half), os.path.join(d, "a.parquet"))
     pq.write_table(caps.slice(half), os.path.join(d, "b.parquet"))
     return d
+
+
+def _event_segments(sf: str, tmp: str, n_segments: int = 4) -> list[str]:
+    """``events.parquet`` as gzip WARC segments: one response record per
+    event (url = user_id, WARC-Date = ts to the second, a one-paragraph
+    page naming the event), in ``n_segments`` contiguous slices."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from datacat_ray.sources.warc import write_warc
+
+    ev = pq.read_table(f"{sf}/events.parquet")
+    ev = ev.set_column(1, "ts", ev["ts"].cast(pa.int64())).to_pylist()
+    recs = [{"url": f"https://users.example.org/{e['user_id']}",
+             "warc_ts": e["ts"],
+             "html": (f"<html><body><p>{e['event_type']} {e['value']} "
+                      f"{e['event_id']}</p></body></html>").encode()}
+            for e in ev]
+    d = tempfile.mkdtemp(dir=tmp)
+    step = -(-len(recs) // n_segments)
+    return [write_warc(os.path.join(d, f"seg-{k}.warc.gz"),
+                       recs[k * step:(k + 1) * step])
+            for k in range(n_segments)]
 
 
 def digest(rows: list[dict]) -> str:

@@ -225,14 +225,15 @@ def test_sorted_hits_matches_brute_force(keys, pool):
 def test_winner_mask_matches_dict_probe(rows, winners):
     """winner_mask == {hash: ts}.get probe per row (the r3 reference
     implementation it replaced)."""
-    from datacat_ray.stages.dedup import winner_mask, winners_to_arrays
+    from datacat_ray.stages.dedup import winner_mask
 
     wdict = {}
     for h, ts in winners:
         wdict[h] = max(ts, wdict.get(h, ts))
     hashes = np.array([r[0] for r in rows], dtype=np.uint64)
     tss = np.array([r[1] for r in rows], dtype=np.int64)
-    wh, wts = winners_to_arrays({np.uint64(k): v for k, v in wdict.items()})
-    got = winner_mask(hashes, tss, wh, wts)
+    wh = np.array(sorted(wdict), dtype=np.uint64)
+    wts = np.array([wdict[h] for h in sorted(wdict)], dtype=np.int64)
+    got = winner_mask(hashes, {"warc_ts": tss}, wh, {"warc_ts": wts})
     want = [wdict.get(r[0]) == r[1] for r in rows]
     assert got.tolist() == want

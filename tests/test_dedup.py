@@ -46,15 +46,20 @@ def test_dedup_null_ts_never_wins():
     assert got["b"] == "bN"  # all-null url still survives
 
 
+def _winner_dict(t):
+    """{hash: ts} of a winner table."""
+    return dict(zip(t["h"].to_pylist(), t["warc_ts"].to_pylist()))
+
+
 def _parquet_winners(winner_dir):
-    """{hash: ts} of a ``compute_winners_parquet`` winner set."""
+    """{hash: ts} of a ``compute_winners_bucketed`` winner set."""
     import pyarrow.parquet as pq
 
     out = {}
     for f in sorted(os.listdir(winner_dir)):
         if f.startswith("bucket-"):
             t = pq.read_table(os.path.join(winner_dir, f))
-            out.update(zip(t["h"].to_pylist(), t["warc_ts"].to_pylist()))
+            out.update(_winner_dict(t))
     return out
 
 
@@ -70,7 +75,7 @@ def test_compute_winners_distributed_path(ray_session, tmp_path, monkeypatch):
     src = tmp_path / "pages"
     src.mkdir()
     pq.write_table(make_pages_table(50, seed=3), str(src / "pages.parquet"))
-    fast = D.compute_winners(str(src))
+    fast = _winner_dict(D.compute_winners(str(src)))
     monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
     kind, wdir = D.winner_probe(str(src), str(tmp_path / "win"))
     assert kind == "bucketed"
@@ -163,7 +168,7 @@ def test_compute_winners_distributed_null_ts(ray_session, tmp_path, monkeypatch)
 
     h = hash64(pa.array(["a", "b"])).tolist()
     want = {h[0]: datetime.datetime(2020, 1, 1), h[1]: None}
-    assert D.compute_winners(str(src)) == want
+    assert _winner_dict(D.compute_winners(str(src))) == want
     monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
     kind, wdir = D.winner_probe(str(src), str(tmp_path / "win"))
     assert kind == "bucketed" and _parquet_winners(wdir) == want

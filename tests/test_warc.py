@@ -153,10 +153,12 @@ def test_warc_parser_fuzz_roundtrip():
     prop()
 
 
-def test_streaming_datasource_matches_whole_file_parse(ray_session, tmp_path):
-    """The streaming datasource (small records_per_block forces multiple
-    yielded blocks per file) produces exactly the records the whole-file
-    parser sees."""
+def test_streaming_datasource_matches_whole_file_parse(ray_session, tmp_path,
+                                                      monkeypatch):
+    """The streaming datasource (a small ``_RECORDS_PER_BLOCK`` forces
+    multiple yielded blocks per file) produces exactly the records the
+    whole-file parser sees."""
+    from datacat_ray.sources import warc as W
     from datacat_ray.sources.warc import read_warc
 
     recs, _ = _records(19, 9)
@@ -165,7 +167,8 @@ def test_streaming_datasource_matches_whole_file_parse(ray_session, tmp_path):
     f2 = str(tmp_path / "plain.warc")
     write_warc(f2, recs[:3], compress=False)
 
-    ds = read_warc([f, f2], records_per_block=2)
+    monkeypatch.setattr(W, "_RECORDS_PER_BLOCK", 2)
+    ds = read_warc([f, f2])
     rows = sorted(
         (r["url"], r["html"]) for r in ds.take_all()
     )
@@ -514,3 +517,178 @@ def test_member_stream_close_is_a_noop_across_resyncs():
     assert urls == [_DAMAGE_RECS[i]["url"] for i in (0, 2, 4)]
     gzraw.close()
     assert not gzraw.closed and not raw.closed
+
+
+def _capture_member(url: str, ts: int, html: bytes, bad_date: bool) -> bytes:
+    """One gzip member holding one response record (a malformed WARC-Date
+    when ``bad_date``: the reader reads it as ``warc_ts`` 0)."""
+    import gzip
+    import re
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as d:
+        p = f"{d}/one.warc"
+        write_warc(p, [{"url": url, "warc_ts": ts, "html": html}],
+                   compress=False)
+        with open(p, "rb") as fh:
+            rec = fh.read()
+    if bad_date:
+        rec = re.sub(rb"WARC-Date: [^\r]*", b"WARC-Date: not-a-date", rec)
+    return gzip.compress(rec)
+
+
+_CAPTURE = st.tuples(
+    st.integers(0, 5),  # url
+    st.integers(0, 3),  # whole second: same-second ties are likely
+    st.integers(0, 9).map(lambda x: x == 0),  # malformed date
+    st.integers(0, 9).map(lambda x: x == 0),  # damaged gzip member
+)
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(segments=st.lists(st.lists(_CAPTURE, min_size=1, max_size=12),
+                         min_size=1, max_size=4),
+       hot=st.sampled_from([0, 0, 240]),
+       xor_at=st.integers(10, 60),
+       repeat=st.booleans())
+def test_warc_flagship_row_set_property(ray_session, tmp_path, segments,
+                                        hot, xor_at, repeat):
+    """The WARC flagship keeps exactly one row per url: the capture with
+    the largest (warc_ts, input position), where the position is (segment
+    rank, record ordinal) — a polars reference of the rule over the
+    records the reader can read (damaged members cost their own record;
+    malformed dates read as 0). Same-url captures span segments, one hot
+    url may hold hundreds of captures, ``_RECORDS_PER_BLOCK`` = 2 forces
+    many blocks, and the first segment may be listed twice (it is read
+    once). The bucketed winner set equals the driver one, and on tie-free
+    inputs the rows equal the groupby dedup path's."""
+    import datetime
+    import os
+    import tempfile
+    from unittest import mock
+
+    import polars as pl
+
+    from datacat_ray.pipelines.extract import build_extract_pipeline
+    from datacat_ray.sources import warc as W
+    from datacat_ray.stages import dedup as D
+
+    base = 1_700_000_000_000_000
+    segments = [list(s) for s in segments]
+    for i in range(hot):  # the hot url, spread over every segment
+        segments[i % len(segments)].append((99, i % 3, False, False))
+    d = tempfile.mkdtemp(dir=tmp_path)
+    paths, ref = [], []
+    for rank, caps in enumerate(segments):
+        members = []
+        for idx, (u, sec, bad_date, damaged) in enumerate(caps):
+            url = f"https://p.example.org/{u}"
+            html = f"<html><body><p>cap {rank} {idx}</p></body></html>"
+            mem = bytearray(_capture_member(url, base + sec * 1_000_000,
+                                            html.encode(), bad_date))
+            if damaged:
+                mem[min(xor_at, len(mem) - 1)] ^= 0x5A
+            else:
+                ref.append((url, 0 if bad_date else base + sec * 1_000_000,
+                            rank, idx))
+            members.append(bytes(mem))
+        paths.append(os.path.join(d, f"seg-{rank}.warc.gz"))
+        with open(paths[-1], "wb") as fh:
+            fh.write(b"".join(members))
+
+    ref_df = pl.DataFrame(ref, schema=["url", "ts", "rank", "idx"],
+                          orient="row")
+    want_df = (ref_df.sort(["url", "ts", "rank", "idx"])
+               .group_by("url", maintain_order=True).last())
+    want = set(want_df.iter_rows())
+    if repeat:
+        paths.append(paths[0])
+
+    def rows(ds):
+        out = ds.take_all()
+        assert len(out) == len({r["url"] for r in out})  # one row per url
+        return sorted(out, key=lambda r: r["url"])
+
+    def key_set(out):
+        epoch, us = datetime.datetime(1970, 1, 1), datetime.timedelta(
+            microseconds=1)
+        got = set()
+        for r in out:
+            _, rank, idx = r["main_text"].split()
+            got.add((r["url"], (r["warc_ts"] - epoch) // us, int(rank),
+                     int(idx)))
+        return got
+
+    with mock.patch.object(W, "_RECORDS_PER_BLOCK", 2), \
+            mock.patch.dict(os.environ,
+                            {"DATACAT_SCRATCH": str(tmp_path / "scratch")}):
+        driver = rows(W.extract_pages_warc(paths))
+        assert key_set(driver) == want
+        with mock.patch.object(D, "_DRIVER_WINNER_ROWS", -1):
+            assert rows(W.extract_pages_warc(paths)) == driver
+        at_max = ref_df.join(want_df.select(["url", "ts"]),
+                             on=["url", "ts"]).height
+        if at_max == want_df.height:  # tie-free: one capture at each max
+            assert rows(build_extract_pipeline(W.read_warc(paths))) == driver
+
+
+def test_resync_warning_logged_once_per_job(ray_session, tmp_path, caplog):
+    """The flagship walks each segment twice (the key pass, then the
+    reader). The key pass is silent, so a damaged member's resync warning
+    is logged once, by the reader; both passes see the same records."""
+    import logging
+
+    from datacat_ray.sources import warc as W
+    from datacat_ray.stages.dedup import winner_keys
+
+    members = [bytearray(m) for m in _DAMAGE_MEMBERS[:5]]
+    members[2][len(members[2]) // 2] ^= 0xFF
+    seg = tmp_path / "damaged.warc.gz"
+    seg.write_bytes(b"".join(members))
+    src = W.WarcDatasource([str(seg)])
+    (path,) = src._paths()
+
+    with caplog.at_level(logging.WARNING, logger=W.__name__):
+        n, keys = W.segment_keys(src, 0, path)
+    assert n == 4 and caplog.records == []
+
+    with caplog.at_level(logging.WARNING, logger=W.__name__):
+        with src._open_input_source(src._filesystem, path) as f:
+            read = [r for t in src._read_stream(f, path)
+                    for r in t.to_pylist()]
+    kept = [_DAMAGE_RECS[i] for i in (0, 1, 3, 4)]
+    assert [r["url"] for r in read] == [r["url"] for r in kept]
+    assert [r.getMessage().count("resynced") for r in caplog.records] == [1]
+    want = W._keys([r["url"] for r in kept], [r["warc_ts"] for r in kept],
+                   0, range(4))
+    assert keys.equals(winner_keys(want))
+
+
+def test_bucketed_warc_winners_are_filed_by_segment_rank(
+        ray_session, tmp_path, monkeypatch):
+    """Past the driver size the WARC winner set is filed by segment rank
+    (``dedup.winner_bucket``): a read task probes the one bucket file of
+    its segment, holding only that segment's winners."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from datacat_ray.sources import warc as W
+    from datacat_ray.stages import dedup as D
+
+    recs, _ = _records(61, 6)
+    later = [dict(r, warc_ts=r["warc_ts"] + 60_000_000) for r in recs[:4]]
+    segs = [write_warc(str(tmp_path / "a.warc.gz"), recs),
+            write_warc(str(tmp_path / "b.warc.gz"), later)]
+    monkeypatch.setenv("DATACAT_SCRATCH", str(tmp_path / "scratch"))
+    monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
+    src = W.WarcDatasource(segs)
+    kind, wdir = W.latest_captures(src)
+    assert kind == "bucketed"
+    files = sorted(f for f in os.listdir(wdir) if f.startswith("bucket-"))
+    assert files == ["bucket-00000.parquet", "bucket-00001.parquet"]
+    for rank, f in enumerate(files):
+        pos = pq.read_table(os.path.join(wdir, f))["pos"].to_numpy()
+        assert sorted(pos >> 32) == [rank] * (2 if rank == 0 else 4)
