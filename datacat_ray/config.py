@@ -14,6 +14,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+#: Ray tasks outstanding in the per-file task loops (``run_extract_job``,
+#: ``stages/dedup.keys_by_file``)
+MAX_IN_FLIGHT = 64
+
 
 @dataclass
 class StageConfig:

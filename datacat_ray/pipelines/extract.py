@@ -1,7 +1,7 @@
 """The flagship extraction pipeline (SURVEY.md §3.3 Ray shape).
 
-    read_parquet(pages) or WARC segments              # url warc_ts html text lang
-      → dedup (winner filter at the read, or groupby url keeping max warc_ts)
+    parquet pages or WARC segments                    # url warc_ts html text lang
+      → keep-latest per url (winner filter at the read)
       → map_batches(FusedExtractStage)                # the whole cascade, per batch:
           DOM parse + tokenize + caps + line features # S2' M1-M6
           → segmenter CRF → zones                     # ST1 M13
@@ -37,7 +37,7 @@ import ray.data
 
 from datacat_ray.config import PipelineConfig
 from datacat_ray.stages.crf import VOCAB, CRFDecoder, with_begin_prefix
-from datacat_ray.stages.dedup import dedup_latest, dedup_latest_prefilter
+from datacat_ray.stages.dedup import dedup_latest_prefilter
 from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
 from datacat_ray.stages.lexical_features import entry_codes
 from datacat_ray.stages.line_features import (
@@ -485,20 +485,14 @@ def _fused_task(
 def build_extract_pipeline(
     ds: "ray.data.Dataset",
     cfg: PipelineConfig | None = None,
-    dedup: bool = True,
 ) -> "ray.data.Dataset":
     """Compose the cascade over a pages Dataset (lazy; caller consumes):
     one fused stage (see ``FusedExtractStage`` for why fusing beats a stage
     chain here — every operator is document-local, so stage boundaries only
-    add object-store traffic).
-
-    ``dedup=True`` uses the exact groupby dedup (one wide shuffle). Prefer
-    the flagships — ``extract_pages`` for parquet input,
-    ``sources.warc.extract_pages_warc`` for WARC input: their winner-set
-    dedup keeps the wide html column out of any shuffle entirely."""
+    add object-store traffic). It does not dedup: the flagships keep each
+    url's latest capture at the read; other Datasets with several captures
+    of a url go through ``stages.dedup.dedup_latest`` first."""
     cfg = cfg or PipelineConfig()
-    if dedup:
-        ds = dedup_latest(ds)
     return ds.map_batches(
         functools.partial(
             _fused_task, max_tokens=cfg.max_tokens, max_blocks=cfg.max_blocks,
@@ -516,12 +510,11 @@ def build_extract_pipeline(
 def extract_pages(
     pages_path, cfg: PipelineConfig | None = None
 ) -> "ray.data.Dataset":
-    """read_parquet → winner prefilter → cascade. Column pruning happens at
-    the read: only the five input-hint columns leave storage. The narrow
-    (url, warc_ts) winner pass drops stale captures at the read, so the
-    wide html column never crosses a shuffle (see
-    ``dedup_latest_prefilter`` for the tie caveat and the size-picked
-    winner set)."""
+    """Parquet pages → keep-latest at the read → cascade. Column pruning
+    happens at the read: only the five input-hint columns leave storage.
+    The narrow winner pass drops stale captures at the read, so the wide
+    html column never crosses a shuffle: one row per url, a ``warc_ts`` tie
+    going to the later input position (``dedup_latest_prefilter``)."""
     ds = dedup_latest_prefilter(
         pages_path, columns=["url", "warc_ts", "html", "text", "lang"])
-    return build_extract_pipeline(ds, cfg, dedup=False)
+    return build_extract_pipeline(ds, cfg)

@@ -45,17 +45,12 @@ def max_doc_id(path: str, column: str = "doc_id") -> int:
     """Max of an int column from parquet row-group statistics (metadata
     pages only — nothing is decoded). Falls back to a narrow scan if a
     writer omitted statistics."""
-    import os
-
     import pyarrow.parquet as pq
 
-    files = (
-        [os.path.join(path, f) for f in sorted(os.listdir(path))
-         if f.endswith(".parquet")]
-        if os.path.isdir(path) else [path]
-    )
+    from datacat_ray.stages.dedup import list_fragments
+
     best: int | None = None
-    for f in files:
+    for f in list_fragments(path):
         md = pq.ParquetFile(f).metadata
         idx = md.schema.to_arrow_schema().get_field_index(column)
         for rg in range(md.num_row_groups):

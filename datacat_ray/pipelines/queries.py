@@ -178,9 +178,9 @@ from datacat_ray.pipelines.training import (
 
 
 def extract_flagship(sf_dir: str) -> "ray.data.Dataset":
-    """The full cascade (dedup → DOM strip → tokenize → CRF×2 → TEI/text)
-    over the documents table deterministically wrapped into the pages schema
-    (``pages_from_documents``). Returns (doc_id, extracted_text, n_lines,
+    """The full cascade (DOM strip → tokenize → CRF×2 → TEI/text) over the
+    documents table deterministically wrapped into the pages schema
+    (``pages_from_documents``: one url per doc_id). Returns (doc_id, extracted_text, n_lines,
     n_tokens) — extracted_text is the byte-identity surface: the extractor
     must recover EXACTLY the document text out of the boilerplate-wrapped
     HTML (reference rawtxt semantics, DatacatSegmenterParser.java:820-827)."""

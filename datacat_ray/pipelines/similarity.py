@@ -310,6 +310,8 @@ def ivf_topk(
     batch)."""
     import os
 
+    from datacat_ray.stages.dedup import list_fragments
+
     index_dir = build_ivf_index(sf_dir, index_dir)
     if nprobe == "auto":
         # n_queries threads through so the cached selection key matches
@@ -326,12 +328,7 @@ def ivf_topk(
         if os.path.isdir(d)
     ]
     # explicit file list: read_parquet takes dirs only as a single root path
-    probe_dirs = [
-        os.path.join(d, f)
-        for d in probe_dirs
-        for f in sorted(os.listdir(d))
-        if f.endswith(".parquet")
-    ]
+    probe_dirs = list_fragments(probe_dirs)
     if not probe_dirs:
         # every probed centroid is a dead (never-written) cell — an empty
         # result, not a crash on read_parquet([])

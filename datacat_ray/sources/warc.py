@@ -179,15 +179,11 @@ class WarcDatasource:
     become Arrow rows: only each url's winning capture is read out."""
 
     def __new__(cls, paths):
-        from ray.data.datasource import FileBasedDatasource
+        from datacat_ray.sources.ranked import RankedDatasource
 
         per_block = _RECORDS_PER_BLOCK
 
-        class _Impl(FileBasedDatasource):
-            _FILE_EXTENSIONS = None  # accept any listed path
-            winners = None
-            _ranks = None
-
+        class _Impl(RankedDatasource):
             def _open_input_source(self, filesystem, path, **open_args):
                 # RAW bytes, always: the base class force-detects gzip
                 # from the .gz extension and lets Arrow decompress, which
@@ -205,12 +201,10 @@ class WarcDatasource:
                 )
 
             def _read_stream(self, f, path):
-                if self.winners is not None and self._ranks is None:
-                    self._ranks = {p: i for i, p in enumerate(self._paths())}
                 recs = enumerate(segment_records(f, path))
                 while chunk := list(itertools.islice(recs, per_block)):
                     if self.winners is not None:
-                        chunk = _winning(chunk, self._ranks[path],
+                        chunk = _winning(chunk, self._rank(path),
                                          self.winners)
                     if chunk:
                         yield _records_table([r for _, r in chunk])
@@ -219,18 +213,6 @@ class WarcDatasource:
 
 
 _RECORDS_PER_BLOCK = 256
-_MAX_IN_FLIGHT = 64  # pass-1 tasks outstanding, as in ``run_extract_job``
-
-
-def _keys(urls: list, tss: list, rank: int, ordinals) -> pa.Table:
-    """(url, warc_ts, pos) rows of records of the ``rank``-th segment:
-    ``pos`` = rank << 32 | record ordinal, the capture's input position
-    (one segment holds far fewer than 2**32 records)."""
-    from datacat_ray.stages.dedup import KEY, POS, TS
-
-    pos = np.fromiter(ordinals, np.int64, len(urls)) | (np.int64(rank) << 32)
-    return pa.table({KEY: pa.array(urls, pa.string()),
-                     TS: pa.array(tss, pa.int64()), POS: pos})
 
 
 def _winning(chunk: list, rank: int, probe: tuple) -> list:
@@ -238,9 +220,9 @@ def _winning(chunk: list, rank: int, probe: tuple) -> list:
     winning capture in ``probe`` (``dedup.winner_keep``)."""
     from datacat_ray.stages.dedup import winner_keep
 
-    keep = winner_keep(_keys([r["url"] for _, r in chunk],
-                             [r["warc_ts"] for _, r in chunk], rank,
-                             (i for i, _ in chunk)), probe)
+    keep = winner_keep([r["url"] for _, r in chunk],
+                       pa.array([r["warc_ts"] for _, r in chunk], pa.int64()),
+                       rank, [i for i, _ in chunk], probe)
     return [c for c, k in zip(chunk, keep) if k]
 
 
@@ -258,32 +240,22 @@ def segment_keys(src, rank: int, path: str) -> tuple[int, pa.Table]:
         for rec in segment_records(f, path, warn=False):
             urls.append(rec["url"])
             tss.append(rec["warc_ts"])
-    return len(urls), winner_keys(_keys(urls, tss, rank, range(len(urls))))
+    return len(urls), winner_keys(urls, pa.array(tss, pa.int64()), rank,
+                                  np.arange(len(urls)))
 
 
 def latest_captures(src) -> tuple:
     """The winner set of the WARC datasource ``src``: pass 1 runs one
-    plain Ray task per segment (``segment_keys``, at most
-    ``_MAX_IN_FLIGHT`` outstanding), and ``dedup.winner_set`` keeps each
-    url's latest (``warc_ts``, ``pos``) — a total order, so exactly one
-    capture per url wins, whatever the block layout. Only key rows move;
-    the size pick is the parquet path's, over the records read."""
+    plain Ray task per segment (``dedup.keys_by_file`` of
+    ``segment_keys``), and ``dedup.winner_set`` keeps each url's latest
+    (``warc_ts``, ``pos``), over the records read. Only key rows move."""
     import ray
     import ray.data
 
-    from datacat_ray.stages.dedup import winner_set
+    from datacat_ray.stages.dedup import keys_by_file, winner_set
 
     files = list(src._paths())
-    task = ray.remote(num_returns=2)(segment_keys)
-    src_ref = ray.put(src)
-    counts, tables, in_flight = [], [], []
-    for rank, path in enumerate(files):
-        if len(in_flight) >= _MAX_IN_FLIGHT:
-            _, in_flight = ray.wait(in_flight, num_returns=1)
-        n, t = task.remote(src_ref, rank, path)
-        counts.append(n)
-        tables.append(t)
-        in_flight.append(t)
+    counts, tables = keys_by_file(files, segment_keys, ray.put(src))
     return winner_set(
         sum(ray.get(counts)),
         lambda: pa.concat_tables(ray.get(tables)),
@@ -569,7 +541,6 @@ def extract_pages_warc(paths, cfg=None) -> "ray.data.Dataset":
     caller consumes the Dataset."""
     import ray.data
 
-    from datacat_ray.config import PipelineConfig
     from datacat_ray.pipelines.extract import build_extract_pipeline
 
     src = WarcDatasource(paths)
@@ -577,8 +548,7 @@ def extract_pages_warc(paths, cfg=None) -> "ray.data.Dataset":
     if len(files) < len(src._paths()):
         src = WarcDatasource(files)
     src.winners = latest_captures(src)
-    return build_extract_pipeline(ray.data.read_datasource(src),
-                                  cfg or PipelineConfig(), dedup=False)
+    return build_extract_pipeline(ray.data.read_datasource(src), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -2,26 +2,24 @@
 
 The reference has no dedup (one file = one document); the north rule adds
 dedup by url keeping the latest capture BEFORE extraction. The key and the
-order column are fixed (``KEY``, ``TS``), and every kernel here is the
-hash-bucketed layer of ``stages/bucketed.py``:
+order column are fixed (``KEY``, ``TS``):
 
-* ``dedup_latest`` — the exact shuffle dedup over a Dataset
-  (``bucketed.keep_latest``: in-batch keep-latest, one hash shuffle on the
-  int bucket of the url, keep-latest per bucket). The wide ``html`` column
-  crosses the shuffle once, only for rows that survive the in-batch step.
-* winner sets — a narrow key pass builds the set of winning (url hash,
-  ``warc_ts``[, ``pos``]) rows (``winner_set``: on the driver, or bucketed
-  past ``_DRIVER_WINNER_ROWS`` input rows), and the full read is filtered
-  against it (``winner_keep``), so the payload of a stale capture never
-  moves at all. Parquet input (``winner_probe``): ``dedup_latest_prefilter``
-  and ``run_extract_job``. WARC input (``sources/warc.py``): the flagship
-  ``extract_pages_warc``, whose key rows carry ``pos``, the capture's
-  input position, so exactly one capture per url wins.
+* winner sets, both flagships — per url the capture with the largest
+  (``warc_ts``, ``pos``) wins, a null ``warc_ts`` never winning, where
+  ``pos`` = file rank << 32 | ordinal in the file is the capture's input
+  position: a total order, so exactly one capture per url wins. A narrow
+  key pass builds the ``winner_keys`` rows, ``winner_set`` keeps each
+  url's latest (on the driver, or bucketed by file rank past
+  ``_DRIVER_WINNER_ROWS`` input rows), and the readers drop every other
+  capture (``winner_keep``), so a stale payload never leaves its read.
+  Parquet (``winner_probe``): ``dedup_latest_prefilter`` and
+  ``run_extract_job``; WARC: ``sources/warc.extract_pages_warc``.
+* ``dedup_latest`` — the shuffle keep-latest over a Dataset without input
+  positions (``bucketed.keep_latest``).
 """
 
 from __future__ import annotations
 
-import functools
 import os
 
 import numpy as np
@@ -29,11 +27,11 @@ import pyarrow as pa
 
 import ray.data
 
+from datacat_ray.config import MAX_IN_FLIGHT
 from datacat_ray.stages.bucketed import (
     cached_ref,
     hash64,
     hash_buckets,
-    keep_last,
     keep_latest,
     read_bucket,
     write_bucket,
@@ -41,6 +39,7 @@ from datacat_ray.stages.bucketed import (
 
 KEY = "url"
 TS = "warc_ts"
+POS = "pos"
 
 
 def dedup_latest(ds: "ray.data.Dataset") -> "ray.data.Dataset":
@@ -55,18 +54,32 @@ def dedup_latest(ds: "ray.data.Dataset") -> "ray.data.Dataset":
 # ---------------------------------------------------------------------------
 
 _DRIVER_WINNER_ROWS = 5_000_000
-POS = "pos"
+# in a winner set's build fingerprint: another key-row format is rebuilt
+_KEY_FORMAT = "h,warc_ts,pos;bucket=rank"
 
 
-def winner_keys(t: pa.Table) -> pa.Table:
-    """The key rows of a winner set: ``h`` (``hash64`` of the url),
-    ``warc_ts`` and, where the input carries it, ``pos`` — the capture's
-    input position, which breaks a ``warc_ts`` tie (WARC input: segment
-    rank and record ordinal, ``sources/warc.py``)."""
-    cols = {"h": pa.array(hash64(t[KEY]), pa.uint64()), TS: t[TS]}
-    if POS in t.column_names:
-        cols[POS] = t[POS]
-    return pa.table(cols)
+def list_fragments(path) -> list[str]:
+    """The one listing of an input, whose indexes are the file ranks: a
+    directory gives its sorted ``*.parquet`` files, a file itself, a list
+    each item's; a file listed twice keeps its first place (read once)."""
+    files: list[str] = []
+    for p in path if isinstance(path, (list, tuple)) else [path]:
+        p = os.path.normpath(str(p))
+        if os.path.isdir(p):
+            files.extend(sorted(os.path.join(p, f) for f in os.listdir(p)
+                                if f.endswith(".parquet")))
+        else:
+            files.append(p)
+    return list(dict.fromkeys(files))
+
+
+def winner_keys(urls, tss, ranks, ordinals) -> pa.Table:
+    """The key rows of captures: ``h`` (``hash64`` of the url),
+    ``warc_ts`` and ``pos`` = file rank (one, or one per capture) << 32 |
+    ordinal in the file (a file holds far fewer than 2**32 captures)."""
+    pos = (np.asarray(ranks, np.int64) << 32) | np.asarray(ordinals, np.int64)
+    return pa.table({"h": pa.array(hash64(urls), pa.uint64()), TS: tss,
+                     POS: pos})
 
 
 def latest_keys(keys: pa.Table) -> pa.Table:
@@ -75,51 +88,63 @@ def latest_keys(keys: pa.Table) -> pa.Table:
     (polars sort with nulls first, then the last row of each key)."""
     import polars as pl
 
-    order = [c for c in (TS, POS) if c in keys.column_names]
-    df = pl.from_arrow(keys).sort(["h", *order], maintain_order=True)
+    df = pl.from_arrow(keys).sort(["h", TS, POS])
     return df.unique("h", keep="last", maintain_order=True).to_arrow()
 
 
-def parquet_keys(path) -> pa.Table:
-    """The ``winner_keys`` rows of parquet input ``path``: only (url,
-    warc_ts) is read (parquet column pruning), the wide html column never
-    moves."""
+def parquet_keys(files: list[str]) -> pa.Table:
+    """The ``winner_keys`` rows of a ``list_fragments`` listing, on the
+    driver: one (url, warc_ts) read, which keeps the listing order, and
+    ``pos`` from the fragments' metadata row counts."""
     import pyarrow.dataset as pads
 
-    return winner_keys(pads.dataset(path, format="parquet").to_table(
-        columns=[KEY, TS]))
+    ds = pads.dataset(files, format="parquet")
+    t = ds.to_table(columns=[KEY, TS])
+    n = np.array([f.metadata.num_rows for f in ds.get_fragments()], np.int64)
+    first = np.repeat(np.cumsum(n) - n, n)
+    return winner_keys(t[KEY], t[TS], np.repeat(np.arange(len(n)), n),
+                       np.arange(t.num_rows) - first)
+
+
+def fragment_keys(rank: int, path: str) -> tuple[int, pa.Table]:
+    """(rows, ``winner_keys`` rows) of the ``rank``-th parquet fragment."""
+    import pyarrow.parquet as pq
+
+    t = pq.read_table(path, columns=[KEY, TS])
+    return t.num_rows, winner_keys(t[KEY], t[TS], rank,
+                                   np.arange(t.num_rows))
+
+
+def keys_by_file(files: list[str], file_keys, *args) -> tuple[list, list]:
+    """A key pass as one Ray task per file (at most ``MAX_IN_FLIGHT``
+    outstanding) of ``file_keys(*args, rank, path)`` → (rows read, their
+    ``winner_keys``): the refs of the counts and of the key tables."""
+    task = ray.remote(num_returns=2)(file_keys)
+    refs, in_flight = [], []
+    for rank, path in enumerate(files):
+        if len(in_flight) >= MAX_IN_FLIGHT:
+            _, in_flight = ray.wait(in_flight, num_returns=1)
+        refs.append(task.remote(*args, rank, path))
+        in_flight.append(refs[-1][1])
+    return [n for n, _ in refs], [t for _, t in refs]
 
 
 def compute_winners(path) -> pa.Table:
-    """The driver winner table of parquet input ``path``: ``latest_keys``
-    of its ``parquet_keys`` — what ``winner_probe`` builds up to
-    ``_DRIVER_WINNER_ROWS`` input rows, kept as a function of its own for
-    perfbench's ``dedup.winners_s`` probe."""
-    return latest_keys(parquet_keys(path))
+    """The driver winner table of parquet input ``path``, as
+    ``winner_probe`` builds it (perfbench's ``dedup.winners_s`` probe)."""
+    return latest_keys(parquet_keys(list_fragments(path)))
 
 
 def input_fingerprint(path) -> str:
-    """Cheap content fingerprint of parquet input (a directory, a file, or
-    a list of either): sha1 over the sorted (path, size, mtime_ns) listing.
-    Cached artifacts derived from an input (winner sets, indexes) store
-    this in their success marker so a REGENERATED input at the same path
-    invalidates the cache instead of silently serving stale results."""
+    """Cheap content fingerprint of an input: sha1 over the (path, size,
+    mtime_ns) of its ``list_fragments`` listing, in order. Cached artifacts
+    derived from an input (winner sets, indexes) store this in their
+    success marker so a REGENERATED input at the same path invalidates the
+    cache instead of silently serving stale results."""
     import hashlib
 
-    files: list[str] = []
-    paths = path if isinstance(path, (list, tuple)) else [path]
-    for p in paths:
-        p = str(p)
-        if os.path.isdir(p):
-            files.extend(
-                os.path.join(p, f)
-                for f in os.listdir(p)
-                if f.endswith(".parquet")
-            )
-        else:
-            files.append(p)
     h = hashlib.sha1()
-    for f in sorted(files):
+    for f in list_fragments(path):
         st = os.stat(f)
         h.update(f"{f}:{st.st_size}:{st.st_mtime_ns}\n".encode())
     return h.hexdigest()
@@ -219,34 +244,31 @@ def build_once(d: str, fingerprint: str, allowed, build) -> None:
     os.replace(tmp, marker)
 
 
-def winner_bucket(h: np.ndarray, pos: np.ndarray | None) -> np.ndarray:
-    """The bucket a winner-set row is filed under and probed in: the hash
-    bucket of ``h``, or, for key rows that carry ``pos`` (WARC input), the
-    segment rank ``pos >> 32`` — a WARC read task walks one segment, so it
-    probes one bucket file, which the per-worker ``read_bucket`` cache
-    then holds for the whole segment."""
-    if pos is None:
-        return hash_buckets(h)
+def winner_bucket(pos: np.ndarray) -> np.ndarray:
+    """The bucket a winner-set row is filed under: its file rank, so a
+    read task probes one bucket file per file (``winner_keep``)."""
     return (pos >> 32).astype(np.int32)
 
 
 def compute_winners_bucketed(keys: "ray.data.Dataset", out_dir: str,
                              fingerprint: str) -> str:
     """The winner set past driver memory: per-block ``latest_keys`` of
-    ``keys`` (a Dataset of ``winner_keys`` blocks) → ONE hash shuffle on
-    the bucket of ``h`` → per-bucket ``latest_keys`` → one
-    ``write_bucket`` file of key rows per ``winner_bucket``. Rows that
-    carry ``pos`` are filed by segment rank, which takes a second narrow
-    shuffle of the winners (a url's captures must first meet in one hash
-    bucket). The driver never materializes a winner; only key rows cross
-    the shuffles. Built once per input ``fingerprint`` (``build_once``).
-    ``out_dir`` must be shared storage on a multi-node cluster (object
-    store / NFS), same as any shuffle spill target."""
+    ``keys`` (a Dataset of ``winner_keys`` blocks) → a hash shuffle on the
+    bucket of ``h`` → per-bucket ``latest_keys`` → a shuffle of the winners
+    on ``winner_bucket`` → one ``write_bucket`` file per file rank. Only
+    key rows cross the shuffles. Built once per input ``fingerprint``
+    (``build_once``). ``out_dir`` must be shared storage on a multi-node
+    cluster (object store / NFS), same as any shuffle spill target."""
 
-    def _filed(t: pa.Table) -> pa.Table:
-        pos = t[POS].to_numpy() if POS in t.column_names else None
-        b = winner_bucket(t["h"].to_numpy(), pos)
-        return t.append_column("__bucket", pa.array(b, pa.int32()))
+    def _local(t: pa.Table) -> pa.Table:
+        t = latest_keys(t)
+        b = hash_buckets(t["h"].to_numpy())
+        return t.append_column("__bucket", pa.array(b))
+
+    def _reduce_bucket(g: pa.Table) -> pa.Table:
+        win = latest_keys(g.drop_columns(["__bucket"]))
+        b = winner_bucket(win[POS].to_numpy())
+        return win.append_column("__bucket", pa.array(b))
 
     def _write(g: pa.Table) -> pa.Table:
         b = int(g["__bucket"][0].as_py())
@@ -256,23 +278,12 @@ def compute_winners_bucketed(keys: "ray.data.Dataset", out_dir: str,
              "n_keys": pa.array([g.num_rows], pa.int64())}
         )
 
-    def _local(t: pa.Table) -> pa.Table:
-        t = latest_keys(t)
-        b = hash_buckets(t["h"].to_numpy())
-        return t.append_column("__bucket", pa.array(b, pa.int32()))
-
-    def _reduce_bucket(g: pa.Table) -> pa.Table:
-        win = _filed(latest_keys(g.drop_columns(["__bucket"])))
-        return win if POS in win.column_names else _write(win)
-
     def _build() -> None:
-        wins = (keys.map_batches(_local, batch_format="pyarrow")
-                .groupby("__bucket")
-                .map_groups(_reduce_bucket, batch_format="pyarrow"))
-        if POS in keys.schema().names:  # filed by segment rank
-            wins = wins.groupby("__bucket").map_groups(
-                _write, batch_format="pyarrow")
-        wins.materialize()  # drive the writes; the summary itself is tiny
+        (keys.map_batches(_local, batch_format="pyarrow")
+         .groupby("__bucket").map_groups(_reduce_bucket,
+                                         batch_format="pyarrow")
+         .groupby("__bucket").map_groups(_write, batch_format="pyarrow")
+         .materialize())  # drive the writes; the summary itself is tiny
 
     # "_WINNERS": the marker name of sets built before ``build_once``
     build_once(
@@ -303,9 +314,9 @@ def winner_mask(
     wh: np.ndarray, wvals: dict[str, np.ndarray],
 ) -> np.ndarray:
     """Vectorized winner test: row i survives iff its key hash is a winner
-    AND every order column the winner set carries (``wvals``: ``warc_ts``,
-    and ``pos`` where present) equals the row's (``vals``). ``wh`` must be
-    sorted ascending."""
+    AND every order column of the winner set (``wvals``: ``warc_ts`` and
+    ``pos``) equals the row's (``vals``). ``wh`` must be sorted
+    ascending."""
     mask = np.zeros(len(hashes), dtype=bool)
     hit, wpos = sorted_hits(hashes, wh)
     ok = np.ones(len(hit), dtype=bool)
@@ -331,14 +342,13 @@ def _eq_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
 def _load_winners(t: pa.Table | None) -> tuple[np.ndarray, dict]:
     """(h sorted ascending, {order column: aligned values}) of a winner
     table (the driver set or one bucket file) — arrays, not a dict, so
-    the probe is one ``searchsorted`` per batch. None (a bucket no key
-    hashed to) holds no winners."""
+    the probe is one ``searchsorted`` per batch. None (a rank no winner
+    was filed under) holds no winners."""
     if t is None:
         return np.empty(0, dtype=np.uint64), {}
     h = t["h"].to_numpy(zero_copy_only=False).astype(np.uint64)
     order = np.argsort(h, kind="stable")
-    return h[order], {c: _eq_np(t[c])[order] for c in (TS, POS)
-                      if c in t.column_names}
+    return h[order], {c: _eq_np(t[c])[order] for c in (TS, POS)}
 
 
 def winner_set(n_rows: int, keys, key_blocks, inputs,
@@ -347,15 +357,15 @@ def winner_set(n_rows: int, keys, key_blocks, inputs,
     rows, in the form ``winner_keep`` reads. Up to ``_DRIVER_WINNER_ROWS``
     the driver builds it (``latest_keys(keys())``, ``keys()`` a
     ``winner_keys`` table) and broadcasts it once by ``ray.put`` →
-    ``("driver", ref)``; past that, bucketed (``winner_bucket``) winner
-    parquet under ``winner_dir`` from ``key_blocks()``, a Dataset of
-    ``winner_keys`` blocks (``compute_winners_bucketed``; default dir a
-    scratch dir keyed by ``inputs``, the input listing whose
-    ``input_fingerprint`` marks the build) → ``("bucketed", winner_dir)``,
-    read through the bounded per-worker ``read_bucket``. Both filter to
-    the same rows. The ref rides inside a tuple, so a Ray task receiving
-    the probe as an argument does not resolve it at invocation —
-    ``winner_keep`` deserializes it once per worker."""
+    ``("driver", ref)``; past that, bucketed winner parquet under
+    ``winner_dir`` from ``key_blocks()``, a Dataset of ``winner_keys``
+    blocks (``compute_winners_bucketed``; default dir a scratch dir keyed
+    by ``inputs``, the input listing whose ``input_fingerprint`` marks the
+    build) → ``("bucketed", winner_dir)``, read through the bounded
+    per-worker ``read_bucket``. Both filter to the same rows. The ref rides
+    inside a tuple, so a Ray task receiving the probe as an argument does
+    not resolve it at invocation — ``winner_keep`` deserializes it once
+    per worker."""
     if n_rows <= _DRIVER_WINNER_ROWS:
         return ("driver", ray.put(_load_winners(latest_keys(keys()))))
     if winner_dir is None:
@@ -366,52 +376,36 @@ def winner_set(n_rows: int, keys, key_blocks, inputs,
         digest = hashlib.sha1(str(inputs).encode()).hexdigest()[:12]
         winner_dir = scratch_path(f"datacat_winners_{digest}")
     return ("bucketed", compute_winners_bucketed(
-        key_blocks(), winner_dir, input_fingerprint(inputs)))
+        key_blocks(), winner_dir,
+        f"{_KEY_FORMAT}:{input_fingerprint(inputs)}"))
 
 
 def winner_probe(path, winner_dir: str | None = None) -> tuple:
-    """The ``winner_set`` of parquet input ``path``, sized by its row count
-    (parquet metadata); only (url, warc_ts) is read."""
+    """The ``winner_set`` of parquet input ``path`` (its
+    ``list_fragments``), sized by its metadata row count; only (url,
+    warc_ts) is read."""
     import pyarrow.dataset as pads
 
+    files = list_fragments(path)
     return winner_set(
-        pads.dataset(path, format="parquet").count_rows(),
-        lambda: parquet_keys(path),
-        lambda: ray.data.read_parquet(path, columns=[KEY, TS]).map_batches(
-            winner_keys, batch_format="pyarrow"),
-        path, winner_dir)
+        pads.dataset(files, format="parquet").count_rows(),
+        lambda: parquet_keys(files),
+        lambda: ray.data.from_arrow_refs(
+            keys_by_file(files, fragment_keys)[1]),
+        files, winner_dir)
 
 
-def winner_keep(batch: pa.Table, probe: tuple) -> np.ndarray:
-    """The one winner filter: the mask of the rows of ``batch`` (url,
-    warc_ts and, where the set carries it, pos) that hold their url's
-    winning values in the ``winner_set`` ``probe``. A bucketed set is
-    probed bucket by bucket (``winner_bucket``), each bucket read once per
-    batch."""
+def winner_keep(urls, tss, rank: int, ordinals, probe: tuple) -> np.ndarray:
+    """The one winner filter, called by the readers: the mask of the
+    captures (url, warc_ts, ordinal) of the ``rank``-th input file that are
+    their url's winner in the ``winner_set`` ``probe`` (bucketed: in the
+    bucket file of ``rank``, their ``winner_bucket``)."""
+    keys = winner_keys(urls, tss, rank, ordinals)
     kind, arg = probe
-    hashes = hash64(batch[KEY])
-    vals = {c: _eq_np(batch[c]) for c in (TS, POS)
-            if c in batch.column_names}
-    if kind == "driver":
-        return winner_mask(hashes, vals, *cached_ref(arg))
-    mask = np.zeros(batch.num_rows, dtype=bool)
-    buckets = winner_bucket(hashes, vals.get(POS))
-    for b in np.unique(buckets):
-        sel = np.flatnonzero(buckets == b)
-        mask[sel] = winner_mask(
-            hashes[sel], {c: v[sel] for c, v in vals.items()},
-            *read_bucket(arg, int(b), _load_winners))
-    return mask
-
-
-def apply_winners(batch: pa.Table, probe: tuple) -> pa.Table:
-    """The rows of parquet pages ``batch`` that ``winner_keep`` keeps, kept
-    latest within the batch — the winner filter of
-    ``dedup_latest_prefilter`` and of every ``run_extract_job``
-    partition (a parquet set carries no ``pos``, so a same-``warc_ts`` tie
-    passes the filter)."""
-    mask = winner_keep(batch, probe)
-    return keep_last(batch.filter(pa.array(mask)), KEY, [TS])
+    wins = (cached_ref(arg) if kind == "driver"
+            else read_bucket(arg, rank, _load_winners))
+    return winner_mask(keys["h"].to_numpy(),
+                       {c: _eq_np(keys[c]) for c in (TS, POS)}, *wins)
 
 
 def dedup_latest_prefilter(
@@ -419,19 +413,14 @@ def dedup_latest_prefilter(
     columns: list[str] | None = None,
     winner_dir: str | None = None,
 ) -> "ray.data.Dataset":
-    """Keep-latest dedup with ZERO wide shuffle: a narrow (key, ts) winner
-    pass (``winner_probe``, driver or bucketed by input size), then a
-    streaming filter of the full read against the winner set. Stale
-    captures are dropped at the read — the html payload of a loser never
-    enters the pipeline.
+    """Keep-latest dedup with ZERO wide shuffle over parquet input
+    ``path``: a narrow winner pass (``winner_probe``), then one read
+    (``sources.ranked.ParquetFragments``) that drops every capture but
+    each url's winner in its read task. Exactly one row per url: the
+    largest (``warc_ts``, fragment rank, row ordinal)."""
+    from datacat_ray.sources.ranked import ParquetFragments
 
-    Exactness caveat: two captures of one url with byte-equal max ``ts``
-    both pass the filter (a data pathology — same-microsecond recapture);
-    the in-batch dedup removes them only when they share a batch, which
-    Ray does not promise even within one fragment (it may split a small
-    file into one-row blocks), while ``run_extract_job`` dedups each
-    partition whole. Cross-fragment ones survive. Use ``dedup_latest``
-    (exact groupby) where that matters."""
-    probe = winner_probe(path, winner_dir)
-    return ray.data.read_parquet(path, columns=columns).map_batches(
-        functools.partial(apply_winners, probe=probe), batch_format="pyarrow")
+    files = list_fragments(path)
+    src = ParquetFragments(files)
+    src.columns, src.winners = columns, winner_probe(files, winner_dir)
+    return ray.data.read_datasource(src)

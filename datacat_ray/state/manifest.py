@@ -15,13 +15,13 @@ explicit:
   fragments, row counts in/out/rejected, output bytes + sha256, engine and
   model versions, wall time. Resume = anti-join pending partitions against
   completed manifest records before any work is scheduled.
-- **Execution**: the per-partition unit runs as one Ray task (read fragment
-  → winner-filter → fused cascade kernel → atomic write). Raw tasks rather
-  than ``Dataset.write_parquet`` because the Dataset writer cannot bind
-  output files to input fragments, which is exactly the invariant resume
-  needs. The dedup winner set is built once per job by
-  ``stages/dedup.winner_probe`` (a driver broadcast, or bucketed winner
-  parquet past ``_DRIVER_WINNER_ROWS`` input rows).
+- **Execution**: the per-partition unit runs as one Ray task (winner-
+  filtered fragment read ``sources.ranked.read_fragment`` → fused cascade
+  kernel → atomic write). Raw tasks rather than ``Dataset.write_parquet``
+  because the Dataset writer cannot bind output files to input fragments,
+  which is exactly the invariant resume needs. The dedup winner set is
+  built once per job by ``stages/dedup.winner_probe`` over the same input
+  listing (``list_fragments``) as the partitions.
 
 At 10^12 documents the partition count is the input fragment count (CC-
 style layouts: ~10^5-10^6 fragments); the manifest directory is a listing,
@@ -42,7 +42,8 @@ import pyarrow.parquet as pq
 import ray
 
 from datacat_ray import __version__ as ENGINE_VERSION
-from datacat_ray.config import PipelineConfig
+from datacat_ray.config import MAX_IN_FLIGHT, PipelineConfig
+from datacat_ray.stages.dedup import list_fragments, winner_probe
 
 MANIFEST_DIR = "_manifest"
 
@@ -67,23 +68,6 @@ def model_hash() -> str:
     return h.hexdigest()[:16]
 
 
-def list_fragments(input_path: str) -> list[str]:
-    return sorted(
-        os.path.join(input_path, f)
-        for f in os.listdir(input_path)
-        if f.endswith(".parquet")
-    )
-
-
-def plan_partitions(
-    fragments: list[str], fragments_per_part: int = 1
-) -> list[list[str]]:
-    return [
-        fragments[i : i + fragments_per_part]
-        for i in range(0, len(fragments), fragments_per_part)
-    ]
-
-
 def completed_partitions(out_dir: str) -> dict[int, dict]:
     """Scan the manifest directory; return {partition_id: record} for every
     partition whose record says done (the record is only ever written after
@@ -105,6 +89,7 @@ def completed_partitions(out_dir: str) -> dict[int, dict]:
 def _extract_partition(
     part_id: int,
     fragments: list[str],
+    first_rank: int,
     out_dir: str,
     winners: tuple | None,
     max_tokens: int,
@@ -113,19 +98,20 @@ def _extract_partition(
     model_paths: tuple = (),
     segment_sentences: bool = False,
 ) -> dict:
-    """One checkpoint unit: fragments → winner-filter → fused cascade →
-    atomic part file + lineage record. Runs as a plain Ray task; the fused
-    stage object is cached per worker process (same cache as the Dataset
-    path)."""
+    """One checkpoint unit: fragments (ranks ``first_rank`` on) →
+    winner-filtered read → fused cascade → atomic part file + lineage
+    record. Runs as a plain Ray task; the fused stage object is cached per
+    worker process (same cache as the Dataset path)."""
     from datacat_ray.pipelines.extract import _fused_task
-    from datacat_ray.stages.dedup import apply_winners
+    from datacat_ray.sources.ranked import read_fragment
 
     t0 = time.time()
-    tables = [pq.read_table(f) for f in fragments]
-    batch = pa.concat_tables(tables)
-    rows_in = batch.num_rows
-    if winners is not None:
-        batch = apply_winners(batch, winners)
+    files = [pq.ParquetFile(f) for f in fragments]
+    rows_in = sum(pf.metadata.num_rows for pf in files)
+    batch = pa.concat_tables(
+        [t for rank, pf in enumerate(files, first_rank)
+         for t in read_fragment(pf, rank, winners)]
+        or [files[0].schema_arrow.empty_table()])
     result = _fused_task(batch, max_tokens=max_tokens, max_blocks=max_blocks,
                          tei_coordinates=tei_coordinates,
                          model_paths=model_paths,
@@ -218,16 +204,16 @@ def run_extract_job(
     max_tokens: int = PipelineConfig.max_tokens,
     max_blocks: int = PipelineConfig.max_blocks,
     dedup: bool = True,
-    max_in_flight: int = 64,
     tei_coordinates: bool = False,
     model_paths: dict | None = None,
     segment_sentences: bool = False,
 ) -> dict:
-    """Checkpointed flagship run over a parquet directory. Safe to re-invoke
-    after a crash: completed partitions are skipped via the manifest
-    (outputs byte-identical to a single uninterrupted run — the per-
-    partition kernel is deterministic and partition boundaries are fixed by
-    the input listing).
+    """Checkpointed flagship run over parquet input (a directory, a file or
+    a list: its ``list_fragments`` listing). Safe to re-invoke after a
+    crash: completed partitions are skipped via the manifest (outputs
+    byte-identical to a single uninterrupted run — the per-partition kernel
+    is deterministic, and partition boundaries and fragment ranks are fixed
+    by the input listing).
 
     Returns a job summary {partitions_total, skipped, processed, rows_out,
     rejected, wall_sec}."""
@@ -243,7 +229,9 @@ def run_extract_job(
     _check_job_config(out_dir, tei_coordinates, model_paths,
                       segment_sentences, max_tokens, max_blocks)
     fragments = list_fragments(input_path)
-    parts = plan_partitions(fragments, fragments_per_part)
+    # partition k holds the fragments ranked k * fragments_per_part on
+    parts = [fragments[i:i + fragments_per_part]
+             for i in range(0, len(fragments), fragments_per_part)]
     done = completed_partitions(out_dir)
 
     pending = [
@@ -251,20 +239,19 @@ def run_extract_job(
     ]
     winners = None
     if dedup and pending:
-        from datacat_ray.stages.dedup import winner_probe
-
         # a bucketed winner set lives under the job's own output dir
         # (resumable — its success marker skips the rebuild)
-        winners = winner_probe(input_path, os.path.join(out_dir, "_winners"))
+        winners = winner_probe(fragments, os.path.join(out_dir, "_winners"))
     recs = list(done.values())
     in_flight: list = []
     for part_id, frs in pending:
-        if len(in_flight) >= max_in_flight:
+        if len(in_flight) >= MAX_IN_FLIGHT:
             ready, in_flight = ray.wait(in_flight, num_returns=1)
             recs.extend(ray.get(ready))
         in_flight.append(
             _extract_partition.remote(
-                part_id, frs, out_dir, winners, max_tokens, max_blocks,
+                part_id, frs, part_id * fragments_per_part, out_dir, winners,
+                max_tokens, max_blocks,
                 tei_coordinates, tuple(sorted((model_paths or {}).items())),
                 segment_sentences,
             )

@@ -13,10 +13,13 @@ rows:
     neardup_clusters          driver / distributed  _UF_MAX_PAIRS
     dedup_latest_prefilter    driver / bucketed     _DRIVER_WINNER_ROWS
       (keep the latest event per user: ``events.parquet`` as url
-      captures, ``url`` = user_id, ``warc_ts`` = ts, in two fragments)
+      captures, ``url`` = user_id, ``warc_ts`` = ts, in two fragments;
+      the bucketed side files the winners by fragment rank, so a read
+      task probes the one bucket file of its fragment)
     extract_pages_warc        driver / bucketed     _DRIVER_WINNER_ROWS
       (the same captures as four gzip WARC segments, one small page per
-      event, through the whole WARC flagship)
+      event, through the whole WARC flagship; the bucketed side files
+      the winners by segment rank, one bucket file per read task)
 
 One untimed run of each side warms worker processes and caches; then
 each round runs both sides of the pair, alternating which side goes

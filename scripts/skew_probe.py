@@ -7,10 +7,11 @@ caps because single pathological inputs "ruin performance"): ONE url holds
 ONE user holds 40% of all events. Runs the three skew-sensitive ops
 
   * ``dedup_latest``            (in-batch pre-dedup -> int-bucket shuffle)
-  * ``dedup_latest_prefilter``  bucketed winner set (winner bucket files
-                                read through the per-worker
-                                ``bucketed.read_bucket``), forced through
-                                ``_DRIVER_WINNER_ROWS``
+  * ``dedup_latest_prefilter``  bucketed winner set (one winner bucket
+                                file per fragment rank: a read task
+                                probes its fragment's file through the
+                                per-worker ``bucketed.read_bucket``),
+                                forced through ``_DRIVER_WINNER_ROWS``
   * ``user_sessions``           (bucketed vectorized session walk)
 
 on a BALANCED and a SKEWED input of identical row count and identical

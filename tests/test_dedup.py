@@ -1,8 +1,10 @@
-"""D1 dedup: keep latest warc_ts per url (the pipeline's one shuffle)."""
+"""D1 dedup: keep latest warc_ts per url."""
 
 import os
 
 import pyarrow as pa
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from datacat_ray.stages.bucketed import keep_last
 from datacat_ray.stages.dedup import dedup_latest
@@ -262,10 +264,9 @@ def test_bucketed_winner_prefilter_matches_driver(ray_session, tmp_path,
 def test_manifest_partitions_and_prefilter_keep_the_same_winners(
         ray_session, tmp_path):
     """``run_extract_job``'s partitions and ``dedup_latest_prefilter``
-    filter with one function and keep the same
-    rows: a same-ts tie across fragments keeps both captures (the
-    documented caveat), a null ``warc_ts`` loses to any time, and an
-    all-null url survives."""
+    filter with one function and keep the same rows: a same-ts tie across
+    fragments goes to the later fragment, a null ``warc_ts`` loses to any
+    time, and an all-null url survives."""
     import datetime
 
     import pyarrow.parquet as pq
@@ -299,9 +300,175 @@ def test_manifest_partitions_and_prefilter_keep_the_same_winners(
                                            "extracted_text"]).to_pylist()
     job = sorted((r["url"], r["warc_ts"], r["extracted_text"]) for r in job)
     assert prefilter == job == [
-        ("a", d(2020, 1, 2), "a first tie"),
         ("a", d(2020, 1, 2), "a second tie"), ("b", d(2020, 1, 3), "b dated"),
         ("c", d(2020, 1, 4), "c new"), ("n", None, "n null only")]
+
+
+_PAGE = st.tuples(
+    st.integers(0, 5),  # url
+    st.one_of(st.none(), st.integers(0, 3)),  # second: ties, null warc_ts
+)
+
+
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(fragments=st.lists(st.lists(_PAGE, min_size=1, max_size=9),
+                          min_size=1, max_size=4),
+       repeat=st.booleans())
+def test_parquet_row_set_property(ray_session, tmp_path, fragments, repeat):
+    """The parquet paths keep exactly one row per url: the capture with
+    the largest (warc_ts, fragment rank, row ordinal), a null ``warc_ts``
+    never winning — the polars reference of the WARC flagship's property
+    (``keep_latest_oracle``). ``dedup_latest_prefilter`` with the driver
+    and the bucketed winner set, and ``run_extract_job``, over fragments
+    of random sizes where same-second ties and null ``warc_ts`` are likely,
+    the first fragment maybe listed twice (it is read once)."""
+    import datetime
+    import tempfile
+    from unittest import mock
+
+    import pyarrow.parquet as pq
+    from keep_latest_oracle import latest_rows
+
+    from datacat_ray.fixtures import PAGES_SCHEMA
+    from datacat_ray.stages import dedup as D
+    from datacat_ray.state.manifest import run_extract_job
+
+    base = datetime.datetime(2020, 1, 1)
+    d = tempfile.mkdtemp(dir=tmp_path)
+    paths, ref = [], []
+    for rank, caps in enumerate(fragments):
+        urls = [f"https://p.example.org/{u}" for u, _ in caps]
+        tss = [None if s is None else base + datetime.timedelta(seconds=s)
+               for _, s in caps]
+        ref += [(u, ts, rank, i) for i, (u, ts) in enumerate(zip(urls, tss))]
+        paths.append(os.path.join(d, f"frag-{rank}.parquet"))
+        pq.write_table(pa.Table.from_pydict(
+            {"url": urls, "warc_ts": tss, "html": [None] * len(caps),
+             "text": [f"cap {rank} {i}" for i in range(len(caps))],
+             "lang": ["fr"] * len(caps)}, schema=PAGES_SCHEMA), paths[-1])
+    want = latest_rows(ref)
+    if repeat:
+        paths.append(paths[0])
+
+    def key_set(rows, col):
+        got = [(r["url"], r["warc_ts"], *map(int, r[col].split()[1:]))
+               for r in rows]
+        assert len(got) == len({g[0] for g in got})  # one row per url
+        return set(got)
+
+    assert key_set(D.dedup_latest_prefilter(paths).take_all(), "text") == want
+    with mock.patch.object(D, "_DRIVER_WINNER_ROWS", -1):
+        bucketed = D.dedup_latest_prefilter(
+            paths, winner_dir=tempfile.mkdtemp(dir=tmp_path))
+        assert key_set(bucketed.take_all(), "text") == want
+    out = tempfile.mkdtemp(dir=tmp_path)
+    run_extract_job(paths, out)
+    job = pq.read_table(out, columns=["url", "warc_ts", "extracted_text"])
+    assert key_set(job.to_pylist(), "extracted_text") == want
+
+
+def test_parquet_keys_keep_the_listing_order(tmp_path):
+    """``parquet_keys`` reads every fragment in one ``to_table``, and takes
+    ``pos`` from the fragments' metadata row counts, so that read must keep
+    the fragments in listing order: over a listing out of name order, with
+    multi-row-group and empty fragments, its keys equal the keys read
+    fragment by fragment."""
+    import random
+
+    import pyarrow.parquet as pq
+
+    from datacat_ray.stages import dedup as D
+
+    rng = random.Random(5)
+    files = []
+    for i in range(12):
+        n = rng.choice([0, 1, 5, 23, 40])
+        t = pa.table({"url": [f"u{rng.randint(0, 30)}" for _ in range(n)],
+                      "warc_ts": pa.array(range(n), pa.int64())})
+        files.append(str(tmp_path / f"f{i:02d}.parquet"))
+        pq.write_table(t, files[-1], row_group_size=7)
+    rng.shuffle(files)
+    want = pa.concat_tables(D.fragment_keys(rank, f)[1]
+                            for rank, f in enumerate(files))
+    assert D.parquet_keys(files).equals(want)
+
+
+def test_bucketed_parquet_winners_are_filed_by_fragment_rank(
+        ray_session, tmp_path, monkeypatch):
+    """Past the driver size the parquet winner set is filed by fragment
+    rank (``dedup.winner_bucket``), as the WARC one is by segment rank: a
+    read task probes the one bucket file of its fragment, holding only
+    that fragment's winners."""
+    import datetime
+
+    import pyarrow.parquet as pq
+
+    from datacat_ray.stages import dedup as D
+
+    d = datetime.datetime
+    src = tmp_path / "pages"
+    src.mkdir()
+    for name, n, ts in (("a", 6, d(2020, 1, 1)), ("b", 4, d(2020, 1, 2))):
+        pq.write_table(pa.table(
+            {"url": [f"u{i}" for i in range(n)],
+             "warc_ts": pa.array([ts] * n, pa.timestamp("us"))}),
+            str(src / f"{name}.parquet"))
+    monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
+    kind, wdir = D.winner_probe(str(src), str(tmp_path / "win"))
+    assert kind == "bucketed"
+    files = sorted(f for f in os.listdir(wdir) if f.startswith("bucket-"))
+    assert files == ["bucket-00000.parquet", "bucket-00001.parquet"]
+    for rank, f in enumerate(files):
+        pos = pq.read_table(os.path.join(wdir, f))["pos"].to_numpy()
+        assert sorted(pos >> 32) == [rank] * (2 if rank == 0 else 4)
+
+
+def test_winner_dir_of_an_older_key_format_is_rebuilt(ray_session, tmp_path,
+                                                      monkeypatch):
+    """A job's bucketed winner dir built in the earlier key format — (h,
+    warc_ts) rows, no ``pos``, filed by url hash — under the unchanged
+    input fingerprint is rebuilt on resume, not served: the key-row format
+    is part of the build fingerprint."""
+    import datetime
+
+    import pyarrow.parquet as pq
+
+    from datacat_ray.fixtures import PAGES_SCHEMA
+    from datacat_ray.stages import dedup as D
+    from datacat_ray.stages.bucketed import hash_buckets, write_bucket
+    from datacat_ray.state.manifest import run_extract_job
+
+    d = datetime.datetime
+    src = tmp_path / "pages"
+    src.mkdir()
+    for i, rows in enumerate([[("a", d(2020, 1, 1), "a old"),
+                               ("b", d(2020, 1, 5), "b new")],
+                              [("a", d(2020, 1, 3), "a new"),
+                               ("b", d(2020, 1, 2), "b old")]]):
+        pq.write_table(pa.Table.from_pydict(
+            {"url": [r[0] for r in rows], "warc_ts": [r[1] for r in rows],
+             "html": [None] * 2, "text": [r[2] for r in rows],
+             "lang": ["fr"] * 2}, schema=PAGES_SCHEMA),
+            str(src / f"part-{i}.parquet"))
+    out = tmp_path / "job"
+    wdir = out / "_winners"
+    wdir.mkdir(parents=True)
+    old = D.latest_keys(D.parquet_keys(D.list_fragments(str(src))))
+    old = old.drop_columns(["pos"])
+    buckets = hash_buckets(old["h"].to_numpy())
+    for b in set(buckets.tolist()):
+        write_bucket(str(wdir), b, old.filter(pa.array(buckets == b)))
+    (wdir / D.BUILT_MARKER).write_text(D.input_fingerprint(str(src)) + "\n")
+
+    monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
+    run_extract_job(str(src), str(out))
+    job = pq.read_table(str(out), columns=["url", "extracted_text"])
+    assert sorted(job["extracted_text"].to_pylist()) == ["a new", "b new"]
+    for f in os.listdir(wdir):
+        if f.startswith("bucket-"):
+            assert "pos" in pq.read_schema(str(wdir / f)).names
 
 
 def test_minhash_hot_bucket_star_pairs(ray_session, tmp_path):

@@ -87,7 +87,7 @@ def test_fragments_per_part_grouping(ray_session, tmp_path, pages_dir):
     produces the same row set."""
     import math
 
-    from datacat_ray.state.manifest import list_fragments
+    from datacat_ray.stages.dedup import list_fragments
 
     n_frags = len(list_fragments(pages_dir))
     out = str(tmp_path / "grouped")

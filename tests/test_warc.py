@@ -569,7 +569,7 @@ def test_warc_flagship_row_set_property(ray_session, tmp_path, segments,
     import tempfile
     from unittest import mock
 
-    import polars as pl
+    from keep_latest_oracle import latest_rows
 
     from datacat_ray.pipelines.extract import build_extract_pipeline
     from datacat_ray.sources import warc as W
@@ -598,11 +598,7 @@ def test_warc_flagship_row_set_property(ray_session, tmp_path, segments,
         with open(paths[-1], "wb") as fh:
             fh.write(b"".join(members))
 
-    ref_df = pl.DataFrame(ref, schema=["url", "ts", "rank", "idx"],
-                          orient="row")
-    want_df = (ref_df.sort(["url", "ts", "rank", "idx"])
-               .group_by("url", maintain_order=True).last())
-    want = set(want_df.iter_rows())
+    want = latest_rows(ref)
     if repeat:
         paths.append(paths[0])
 
@@ -628,10 +624,11 @@ def test_warc_flagship_row_set_property(ray_session, tmp_path, segments,
         assert key_set(driver) == want
         with mock.patch.object(D, "_DRIVER_WINNER_ROWS", -1):
             assert rows(W.extract_pages_warc(paths)) == driver
-        at_max = ref_df.join(want_df.select(["url", "ts"]),
-                             on=["url", "ts"]).height
-        if at_max == want_df.height:  # tie-free: one capture at each max
-            assert rows(build_extract_pipeline(W.read_warc(paths))) == driver
+        at_max = {(url, ts) for url, ts, _, _ in want}
+        if sum((url, ts) in at_max for url, ts, _, _ in ref) == len(want):
+            # tie-free: one capture at each max
+            assert rows(build_extract_pipeline(
+                D.dedup_latest(W.read_warc(paths)))) == driver
 
 
 def test_resync_warning_logged_once_per_job(ray_session, tmp_path, caplog):
@@ -639,6 +636,8 @@ def test_resync_warning_logged_once_per_job(ray_session, tmp_path, caplog):
     reader). The key pass is silent, so a damaged member's resync warning
     is logged once, by the reader; both passes see the same records."""
     import logging
+
+    import pyarrow as pa
 
     from datacat_ray.sources import warc as W
     from datacat_ray.stages.dedup import winner_keys
@@ -661,9 +660,10 @@ def test_resync_warning_logged_once_per_job(ray_session, tmp_path, caplog):
     kept = [_DAMAGE_RECS[i] for i in (0, 1, 3, 4)]
     assert [r["url"] for r in read] == [r["url"] for r in kept]
     assert [r.getMessage().count("resynced") for r in caplog.records] == [1]
-    want = W._keys([r["url"] for r in kept], [r["warc_ts"] for r in kept],
-                   0, range(4))
-    assert keys.equals(winner_keys(want))
+    want = winner_keys([r["url"] for r in kept],
+                       pa.array([r["warc_ts"] for r in kept], pa.int64()), 0,
+                       range(4))
+    assert keys.equals(want)
 
 
 def test_bucketed_warc_winners_are_filed_by_segment_rank(
