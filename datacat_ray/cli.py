@@ -201,17 +201,14 @@ def cmd_create_training(args) -> int:
     (``EngineDatacat.java:166-330``): ``<stem>.training.datacat.tei.xml``
     (pre-labeled zone TEI for human correction) +
     ``<stem>.training.datacat`` (raw 33-field feature lines) under
-    ``OUT/tei`` and ``OUT/raw``, the reference's committed corpus layout."""
+    ``OUT/tei`` and ``OUT/raw``, the reference's committed corpus layout.
+    One pair per url of the parquet pages ``INPUT``, from its latest
+    capture (the flagship's keep-latest)."""
     _init_ray(args.num_cpus)
     from datacat_ray.pipelines.create_training import create_training_pairs
 
-    import ray.data as rd
-
-    pages = rd.read_parquet(
-        args.input, columns=["url", "warc_ts", "lang", "html", "text"]
-    )
     manifest = create_training_pairs(
-        pages, args.out, model=args.model, blank=args.blank
+        args.input, args.out, model=args.model, blank=args.blank
     )
     rows = manifest.take_all()
     n_err = sum(1 for r in rows if r["error"])

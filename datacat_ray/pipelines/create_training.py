@@ -22,7 +22,8 @@ Suffixes match the reference's committed corpus layout
 pairs re-ingest through the SAME loaders the refeval pipeline uses on the
 reference's own corpus.
 
-Scale shape: one ``map_batches`` stage of plain Ray tasks (decoders
+Scale shape: the flagship's keep-latest read (one pair per url), then
+one ``map_batches`` stage of plain Ray tasks (decoders
 compiled once per worker process), file writes atomic (tmp + rename →
 idempotent re-runs), manifest rows returned instead of payloads so nothing
 document-sized flows past the sink. ``out_dir`` must be shared storage on
@@ -36,6 +37,7 @@ import pyarrow as pa
 import ray.data
 
 from datacat_ray.stages.crf import CRFDecoder, with_begin_prefix
+from datacat_ray.stages.dedup import dedup_latest_prefilter
 from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
 from datacat_ray.stages.line_features import (
     _FIELD_NAMES as _LINE_FIELD_NAMES,
@@ -244,22 +246,22 @@ def _export_task(batch: pa.Table, out_dir: str, model: str,
 
 
 def create_training_pairs(
-    pages: "ray.data.Dataset",
+    pages_path,
     out_dir: str,
     model: str = "segmenter",
     blank: bool = False,
 ) -> "ray.data.Dataset":
-    """Manifest Dataset over the exported pairs. ``pages`` must carry
-    (url, lang, html, text) — the flagship input schema. With a
-    ``warc_ts`` column present, duplicate captures keep only the latest
-    per url first (the flagship's D1 step) so each url exports exactly one
-    pair."""
+    """Manifest Dataset over the exported pairs of the parquet pages at
+    ``pages_path`` (a directory, a file or a list of them), which carry
+    (url, warc_ts, lang, html, text) — the flagship input schema. The pages
+    are read through the flagship's keep-latest
+    (``dedup.dedup_latest_prefilter``), so each url exports exactly one
+    pair, from its latest capture, a ``warc_ts`` tie going to the later
+    input position."""
     import functools
 
-    if "warc_ts" in (pages.schema().names or []):
-        from datacat_ray.stages.dedup import dedup_latest
-
-        pages = dedup_latest(pages)
+    pages = dedup_latest_prefilter(
+        pages_path, columns=["url", "lang", "html", "text"])
     return pages.map_batches(
         functools.partial(_export_task, out_dir=out_dir, model=model,
                           blank=blank),

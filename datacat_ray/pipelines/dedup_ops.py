@@ -1139,6 +1139,22 @@ def _load_labels(t: pa.Table | None) -> tuple[np.ndarray, np.ndarray]:
     return nodes[order], labels[order]
 
 
+def sorted_hits(
+    keys: np.ndarray, sorted_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Membership probe against a sorted array: returns (row indices of
+    ``keys`` found in ``sorted_keys``, their positions in ``sorted_keys``)
+    — the searchsorted+clamp+equality probe of the LP label assignment
+    (``neardup_clusters``) against a ``_load_labels`` bucket."""
+    if sorted_keys.size == 0:
+        e = np.empty(0, dtype=np.int64)
+        return e, e
+    pos = np.searchsorted(sorted_keys, keys)
+    pos_c = np.minimum(pos, sorted_keys.size - 1)
+    hit = np.flatnonzero(sorted_keys[pos_c] == keys)
+    return hit, pos_c[hit]
+
+
 def neardup_clusters_sql(threshold: float = 0.7) -> str:
     """Connected-components oracle over the SQL-replayed MinHash pair
     graph (``minhash_pairs_sql``): a recursive min-label closure —
@@ -1281,8 +1297,6 @@ def neardup_clusters(
         lab_dir = label_propagation_parquet(edges_path, work_dir)
 
         def _assign_lp(t: pa.Table) -> pa.Table:
-            from datacat_ray.stages.dedup import sorted_hits
-
             ids = t["doc_id"].combine_chunks().to_numpy(zero_copy_only=False)
             cluster = ids.astype(np.int64)  # astype copies
             if lab_dir is not None:

@@ -489,9 +489,11 @@ def build_extract_pipeline(
     """Compose the cascade over a pages Dataset (lazy; caller consumes):
     one fused stage (see ``FusedExtractStage`` for why fusing beats a stage
     chain here — every operator is document-local, so stage boundaries only
-    add object-store traffic). It does not dedup: the flagships keep each
-    url's latest capture at the read; other Datasets with several captures
-    of a url go through ``stages.dedup.dedup_latest`` first."""
+    add object-store traffic). It does not dedup: the keep-latest rule
+    names a capture by its input position, which only a read knows, so
+    pages with several captures of a url are read through
+    ``stages.dedup.dedup_latest_prefilter`` (parquet) or
+    ``sources.warc.extract_pages_warc`` (WARC) first."""
     cfg = cfg or PipelineConfig()
     return ds.map_batches(
         functools.partial(

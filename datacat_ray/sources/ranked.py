@@ -1,16 +1,16 @@
 """The read side of the keep-latest rule (``stages/dedup.py``): file
 sources whose read tasks know each file's rank, the index of the file in
-the list the key pass ranked, and keep only each url's winning capture
+the list the key pass ranked, and the ordinal of each row they read, so
+they keep only each url's winning capture by its position
 (``dedup.winner_keep``) when ``winners`` holds a ``dedup.winner_set``."""
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 from ray.data.datasource import FileBasedDatasource
 
-from datacat_ray.stages.dedup import KEY, TS, winner_keep
+from datacat_ray.stages.dedup import winner_keep
 
 _ROWS_PER_BATCH = 1024
 
@@ -51,13 +51,11 @@ def read_fragment(pf: pq.ParquetFile, rank: int, probe,
     streamed one record batch at a time (a table each, maybe empty), with
     only the rows that are their url's winner in ``probe`` (None: every
     row) and only ``columns`` (default all)."""
-    read = columns and list(dict.fromkeys([*columns, KEY, TS]))
     start = 0
-    for rb in pf.iter_batches(_ROWS_PER_BATCH, columns=read):
+    for rb in pf.iter_batches(_ROWS_PER_BATCH, columns=columns):
         t = pa.Table.from_batches([rb])
         if probe is not None:
-            ordinals = np.arange(start, start + t.num_rows)
-            start += t.num_rows
-            t = t.filter(pa.array(winner_keep(t[KEY], t[TS], rank, ordinals,
+            t = t.filter(pa.array(winner_keep(rank, start, rb.num_rows,
                                               probe)))
-        yield t if columns is None else t.select(columns)
+        start += rb.num_rows
+        yield t

@@ -176,10 +176,13 @@ class WarcDatasource:
 
     ``winners``, when set to a ``dedup.winner_set`` over ``segment_keys``
     rows (``latest_captures``), filters each block's records before they
-    become Arrow rows: only each url's winning capture is read out."""
+    become Arrow rows: a record's position (segment rank, ordinal) names
+    it, so only the positions of the winning captures are read out
+    (``dedup.winner_keep``)."""
 
     def __new__(cls, paths):
         from datacat_ray.sources.ranked import RankedDatasource
+        from datacat_ray.stages.dedup import winner_keep
 
         per_block = _RECORDS_PER_BLOCK
 
@@ -201,29 +204,22 @@ class WarcDatasource:
                 )
 
             def _read_stream(self, f, path):
-                recs = enumerate(segment_records(f, path))
-                while chunk := list(itertools.islice(recs, per_block)):
+                recs = segment_records(f, path)
+                for start in itertools.count(0, per_block):
+                    chunk = list(itertools.islice(recs, per_block))
+                    if not chunk:
+                        return
                     if self.winners is not None:
-                        chunk = _winning(chunk, self._rank(path),
-                                         self.winners)
+                        chunk = list(itertools.compress(chunk, winner_keep(
+                            self._rank(path), start, len(chunk),
+                            self.winners)))
                     if chunk:
-                        yield _records_table([r for _, r in chunk])
+                        yield _records_table(chunk)
 
         return _Impl(paths)
 
 
 _RECORDS_PER_BLOCK = 256
-
-
-def _winning(chunk: list, rank: int, probe: tuple) -> list:
-    """The (ordinal, record) pairs of ``chunk`` that hold their url's
-    winning capture in ``probe`` (``dedup.winner_keep``)."""
-    from datacat_ray.stages.dedup import winner_keep
-
-    keep = winner_keep([r["url"] for _, r in chunk],
-                       pa.array([r["warc_ts"] for _, r in chunk], pa.int64()),
-                       rank, [i for i, _ in chunk], probe)
-    return [c for c, k in zip(chunk, keep) if k]
 
 
 def segment_keys(src, rank: int, path: str) -> tuple[int, pa.Table]:

@@ -2,20 +2,18 @@
 
 The reference has no dedup (one file = one document); the north rule adds
 dedup by url keeping the latest capture BEFORE extraction. The key and the
-order column are fixed (``KEY``, ``TS``):
-
-* winner sets, both flagships — per url the capture with the largest
-  (``warc_ts``, ``pos``) wins, a null ``warc_ts`` never winning, where
-  ``pos`` = file rank << 32 | ordinal in the file is the capture's input
-  position: a total order, so exactly one capture per url wins. A narrow
-  key pass builds the ``winner_keys`` rows, ``winner_set`` keeps each
-  url's latest (on the driver, or bucketed by file rank past
-  ``_DRIVER_WINNER_ROWS`` input rows), and the readers drop every other
-  capture (``winner_keep``), so a stale payload never leaves its read.
-  Parquet (``winner_probe``): ``dedup_latest_prefilter`` and
-  ``run_extract_job``; WARC: ``sources/warc.extract_pages_warc``.
-* ``dedup_latest`` — the shuffle keep-latest over a Dataset without input
-  positions (``bucketed.keep_latest``).
+order column are fixed (``KEY``, ``TS``). Per url the capture with the
+largest (``warc_ts``, ``pos``) wins, a null ``warc_ts`` never winning,
+where ``pos`` = file rank << 32 | ordinal in the file is the capture's
+input position: a total order, so exactly one capture per url wins, and
+``pos`` alone names it. A narrow key pass builds the ``winner_keys`` rows,
+``winner_set`` keeps each url's latest (on the driver, or bucketed by file
+rank past ``_DRIVER_WINNER_ROWS`` input rows) and stores only the winning
+positions, and the readers, which know each capture's position, drop every
+other capture (``winner_keep``, a range lookup), so a stale payload never
+leaves its read. Parquet (``winner_probe``): ``dedup_latest_prefilter``
+(``extract_pages``, ``create_training_pairs``) and ``run_extract_job``;
+WARC: ``sources/warc.extract_pages_warc``.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from datacat_ray.stages.bucketed import (
     cached_ref,
     hash64,
     hash_buckets,
-    keep_latest,
     read_bucket,
     write_bucket,
 )
@@ -40,13 +37,6 @@ from datacat_ray.stages.bucketed import (
 KEY = "url"
 TS = "warc_ts"
 POS = "pos"
-
-
-def dedup_latest(ds: "ray.data.Dataset") -> "ray.data.Dataset":
-    """Keep, per url, the single row with the largest ``warc_ts`` (a null
-    ``warc_ts`` never wins) — exact, through one shuffle on a small int
-    bucket of the url, never a per-url Python call."""
-    return keep_latest(ds, KEY, [TS])
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +245,11 @@ def compute_winners_bucketed(keys: "ray.data.Dataset", out_dir: str,
     """The winner set past driver memory: per-block ``latest_keys`` of
     ``keys`` (a Dataset of ``winner_keys`` blocks) → a hash shuffle on the
     bucket of ``h`` → per-bucket ``latest_keys`` → a shuffle of the winners
-    on ``winner_bucket`` → one ``write_bucket`` file per file rank. Only
-    key rows cross the shuffles. Built once per input ``fingerprint``
-    (``build_once``). ``out_dir`` must be shared storage on a multi-node
-    cluster (object store / NFS), same as any shuffle spill target."""
+    on ``winner_bucket`` → one ``write_bucket`` file per file rank holding
+    its winners' ``pos``. Only key rows cross the shuffles. Built once per
+    input ``fingerprint`` (``build_once``). ``out_dir`` must be shared
+    storage on a multi-node cluster (object store / NFS), same as any
+    shuffle spill target."""
 
     def _local(t: pa.Table) -> pa.Table:
         t = latest_keys(t)
@@ -272,7 +263,7 @@ def compute_winners_bucketed(keys: "ray.data.Dataset", out_dir: str,
 
     def _write(g: pa.Table) -> pa.Table:
         b = int(g["__bucket"][0].as_py())
-        write_bucket(out_dir, b, g.drop_columns(["__bucket"]))
+        write_bucket(out_dir, b, g.select([POS]))
         return pa.Table.from_pydict(
             {"bucket": pa.array([b], pa.int32()),
              "n_keys": pa.array([g.num_rows], pa.int64())}
@@ -293,81 +284,32 @@ def compute_winners_bucketed(keys: "ray.data.Dataset", out_dir: str,
     return out_dir
 
 
-def sorted_hits(
-    keys: np.ndarray, sorted_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Membership probe against a sorted array: returns (row indices of
-    ``keys`` found in ``sorted_keys``, their positions in ``sorted_keys``).
-    The one shared copy of the searchsorted+clamp+equality idiom every
-    broadcast-lookup filter uses (winner probe, LP label assignment)."""
-    if sorted_keys.size == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    pos = np.searchsorted(sorted_keys, keys)
-    pos_c = np.minimum(pos, sorted_keys.size - 1)
-    hit = np.flatnonzero(sorted_keys[pos_c] == keys)
-    return hit, pos_c[hit]
-
-
-def winner_mask(
-    hashes: np.ndarray, vals: dict[str, np.ndarray],
-    wh: np.ndarray, wvals: dict[str, np.ndarray],
-) -> np.ndarray:
-    """Vectorized winner test: row i survives iff its key hash is a winner
-    AND every order column of the winner set (``wvals``: ``warc_ts`` and
-    ``pos``) equals the row's (``vals``). ``wh`` must be sorted
-    ascending."""
-    mask = np.zeros(len(hashes), dtype=bool)
-    hit, wpos = sorted_hits(hashes, wh)
-    ok = np.ones(len(hit), dtype=bool)
-    for c, w in wvals.items():
-        ok &= w[wpos] == vals[c][hit]
-    mask[hit] = ok
-    return mask
-
-
-def _eq_np(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Order column → numpy for vectorized equality. Null-free columns
-    take the no-boxing ``to_numpy`` path (int64/str in C); columns WITH
-    nulls fall back to object dtype via ``to_pylist`` so a null compares
-    as Python ``None`` on both sides (``to_numpy`` would turn a null int
-    into NaN, and NaN != NaN would silently drop every null-ts winner)."""
-    if col.null_count == 0:
-        # numeric/bool dtypes compare exactly; anything else (strings,
-        # dates) already lands as object
-        return col.to_numpy(zero_copy_only=False)
-    return np.array(col.to_pylist(), dtype=object)
-
-
-def _load_winners(t: pa.Table | None) -> tuple[np.ndarray, dict]:
-    """(h sorted ascending, {order column: aligned values}) of a winner
-    table (the driver set or one bucket file) — arrays, not a dict, so
-    the probe is one ``searchsorted`` per batch. None (a rank no winner
-    was filed under) holds no winners."""
+def _sorted_pos(t: pa.Table | None) -> np.ndarray:
+    """The winning positions of a winner table (the driver set or one
+    bucket file), sorted ascending; None (a rank no winner was filed
+    under) holds none."""
     if t is None:
-        return np.empty(0, dtype=np.uint64), {}
-    h = t["h"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    order = np.argsort(h, kind="stable")
-    return h[order], {c: _eq_np(t[c])[order] for c in (TS, POS)}
+        return np.empty(0, np.int64)
+    return np.sort(t[POS].to_numpy())
 
 
 def winner_set(n_rows: int, keys, key_blocks, inputs,
                winner_dir: str | None = None) -> tuple:
     """The one size pick of a keep-latest winner set over ``n_rows`` input
-    rows, in the form ``winner_keep`` reads. Up to ``_DRIVER_WINNER_ROWS``
-    the driver builds it (``latest_keys(keys())``, ``keys()`` a
-    ``winner_keys`` table) and broadcasts it once by ``ray.put`` →
-    ``("driver", ref)``; past that, bucketed winner parquet under
-    ``winner_dir`` from ``key_blocks()``, a Dataset of ``winner_keys``
-    blocks (``compute_winners_bucketed``; default dir a scratch dir keyed
-    by ``inputs``, the input listing whose ``input_fingerprint`` marks the
-    build) → ``("bucketed", winner_dir)``, read through the bounded
-    per-worker ``read_bucket``. Both filter to the same rows. The ref rides
-    inside a tuple, so a Ray task receiving the probe as an argument does
-    not resolve it at invocation — ``winner_keep`` deserializes it once
-    per worker."""
+    rows, in the form ``winner_keep`` reads: the winning positions. Up to
+    ``_DRIVER_WINNER_ROWS`` the driver builds them (``latest_keys(keys())``,
+    ``keys()`` a ``winner_keys`` table) and broadcasts the sorted int64
+    array once by ``ray.put`` → ``("driver", ref)``; past that, bucketed
+    winner parquet under ``winner_dir`` from ``key_blocks()``, a Dataset of
+    ``winner_keys`` blocks (``compute_winners_bucketed``; default dir a
+    scratch dir keyed by ``inputs``, the input listing whose
+    ``input_fingerprint`` marks the build) → ``("bucketed", winner_dir)``,
+    read through the bounded per-worker ``read_bucket``. Both filter to the
+    same rows. The ref rides inside a tuple, so a Ray task receiving the
+    probe as an argument does not resolve it at invocation —
+    ``winner_keep`` deserializes it once per worker."""
     if n_rows <= _DRIVER_WINNER_ROWS:
-        return ("driver", ray.put(_load_winners(latest_keys(keys()))))
+        return ("driver", ray.put(_sorted_pos(latest_keys(keys()))))
     if winner_dir is None:
         import hashlib
 
@@ -395,17 +337,22 @@ def winner_probe(path, winner_dir: str | None = None) -> tuple:
         files, winner_dir)
 
 
-def winner_keep(urls, tss, rank: int, ordinals, probe: tuple) -> np.ndarray:
+def winner_keep(rank: int, start: int, n: int, probe: tuple) -> np.ndarray:
     """The one winner filter, called by the readers: the mask of the
-    captures (url, warc_ts, ordinal) of the ``rank``-th input file that are
-    their url's winner in the ``winner_set`` ``probe`` (bucketed: in the
-    bucket file of ``rank``, their ``winner_bucket``)."""
-    keys = winner_keys(urls, tss, rank, ordinals)
+    captures of ordinals ``start`` .. ``start + n`` of the ``rank``-th
+    input file that are their url's winner in the ``winner_set`` ``probe``
+    (bucketed: the bucket file of ``rank``). A position names one capture,
+    so the winners among them are the slice of the sorted winning
+    positions between ``rank << 32 | start`` and ``rank << 32 | start +
+    n``: one binary search per batch, whatever the size of the set."""
     kind, arg = probe
-    wins = (cached_ref(arg) if kind == "driver"
-            else read_bucket(arg, rank, _load_winners))
-    return winner_mask(keys["h"].to_numpy(),
-                       {c: _eq_np(keys[c]) for c in (TS, POS)}, *wins)
+    pos = (cached_ref(arg) if kind == "driver"
+           else read_bucket(arg, rank, _sorted_pos))
+    lo = (rank << 32) | start
+    a, b = np.searchsorted(pos, [lo, lo + n])
+    mask = np.zeros(n, dtype=bool)
+    mask[pos[a:b] - lo] = True
+    return mask
 
 
 def dedup_latest_prefilter(

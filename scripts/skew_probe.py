@@ -6,7 +6,9 @@ caps because single pathological inputs "ruin performance"): ONE url holds
 40% of all captures — including the handful of multi-MB html rows — and
 ONE user holds 40% of all events. Runs the three skew-sensitive ops
 
-  * ``dedup_latest``            (in-batch pre-dedup -> int-bucket shuffle)
+  * ``keep_latest``             (``bucketed.keep_latest``: in-batch
+                                pre-dedup -> int-bucket shuffle; the
+                                keep-latest of ``latest_events``)
   * ``dedup_latest_prefilter``  bucketed winner set (one winner bucket
                                 file per fragment rank: a read task
                                 probes its fragment's file through the
@@ -175,7 +177,8 @@ def main() -> int:
 
     from datacat_ray.pipelines.relational import user_sessions
     from datacat_ray.stages import dedup as D
-    from datacat_ray.stages.dedup import dedup_latest, dedup_latest_prefilter
+    from datacat_ray.stages.bucketed import keep_latest
+    from datacat_ray.stages.dedup import dedup_latest_prefilter
 
     # the probe times the >driver-memory winner path at a size the driver
     # path would take: force it through its threshold (read on the driver)
@@ -193,7 +196,8 @@ def main() -> int:
         dirs[kind] = (cdir, edir)
 
     def run_dedup(kind: str) -> int:
-        return dedup_latest(ray.data.read_parquet(dirs[kind][0])).count()
+        return keep_latest(ray.data.read_parquet(dirs[kind][0]), "url",
+                           ["warc_ts"]).count()
 
     def run_prefilter(kind: str) -> int:
         wdir = f"{root}/win_{kind}"
@@ -203,7 +207,7 @@ def main() -> int:
     def run_sessions(kind: str) -> int:
         return user_sessions(dirs[kind][1]).count()
 
-    ops = {"dedup_latest": run_dedup, "prefilter_bucketed": run_prefilter,
+    ops = {"keep_latest": run_dedup, "prefilter_bucketed": run_prefilter,
            "user_sessions": run_sessions}
 
     # warm pass: spin worker processes + imports outside every timed region

@@ -200,9 +200,8 @@ def test_interval_window_kernel_matches_brute_force(rows):
 )
 def test_sorted_hits_matches_brute_force(keys, pool):
     """sorted_hits == the obvious dict probe, any overlap/dup pattern —
-    this is the one shared membership kernel every broadcast-lookup
-    filter (winner probe, LP label assignment) rides on."""
-    from datacat_ray.stages.dedup import sorted_hits
+    the membership kernel of the LP label assignment."""
+    from datacat_ray.pipelines.dedup_ops import sorted_hits
 
     sorted_pool = np.array(sorted(set(pool)), dtype=np.int64)
     hit, pos = sorted_hits(np.array(keys, dtype=np.int64), sorted_pool)
@@ -211,29 +210,45 @@ def test_sorted_hits_matches_brute_force(keys, pool):
     assert all(sorted_pool[p] == keys[i] for i, p in zip(hit, pos))
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 20), st.integers(0, 5)),
-        max_size=50,
-    ),
-    st.lists(
-        st.tuples(st.integers(0, 20), st.integers(0, 5)),
-        max_size=30,
-    ),
-)
-def test_winner_mask_matches_dict_probe(rows, winners):
-    """winner_mask == {hash: ts}.get probe per row (the r3 reference
-    implementation it replaced)."""
-    from datacat_ray.stages.dedup import winner_mask
+_EDGES = [0, 1, 255, 256, 257, 1023, 1024, 1025, 2047, 2048]
+_ORDINAL = st.one_of(st.integers(0, 2_100), st.sampled_from(_EDGES))
 
-    wdict = {}
-    for h, ts in winners:
-        wdict[h] = max(ts, wdict.get(h, ts))
-    hashes = np.array([r[0] for r in rows], dtype=np.uint64)
-    tss = np.array([r[1] for r in rows], dtype=np.int64)
-    wh = np.array(sorted(wdict), dtype=np.uint64)
-    wts = np.array([wdict[h] for h in sorted(wdict)], dtype=np.int64)
-    got = winner_mask(hashes, {"warc_ts": tss}, wh, {"warc_ts": wts})
-    want = [wdict.get(r[0]) == r[1] for r in rows]
-    assert got.tolist() == want
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sets(st.tuples(st.integers(0, 3), _ORDINAL), max_size=300),
+    st.lists(st.tuples(st.integers(0, 4), _ORDINAL,
+                       st.one_of(st.integers(0, 1_100),
+                                 st.sampled_from([1, 256, 1024]))),
+             min_size=1, max_size=8),
+    st.booleans(),
+)
+def test_winner_keep_matches_isin(ray_session, winners, windows, key_rows):
+    """``winner_keep(rank, start, n, probe)`` is the membership of the
+    positions ``rank << 32 | start .. start + n`` in the winning positions,
+    for both probe forms: the driver's sorted array and the bucket files
+    (one per rank with winners; rank 4 has none). Windows cross the 1,024-
+    and 256-row batch edges of the readers. ``key_rows``: the bucket files
+    also carry ``h`` and ``warc_ts``, as winner sets built by older code
+    do."""
+    import tempfile
+
+    from datacat_ray.stages.bucketed import write_bucket
+    from datacat_ray.stages.dedup import winner_keep
+
+    pos = np.array(sorted((r << 32) | o for r, o in winners), np.int64)
+    with tempfile.TemporaryDirectory() as d:
+        for r in range(4):
+            mine = pos[(pos >> 32) == r]
+            if mine.size:
+                cols = {"pos": mine}
+                if key_rows:
+                    cols = {"h": np.zeros(mine.size, np.uint64),
+                            "warc_ts": np.zeros(mine.size, np.int64), **cols}
+                write_bucket(d, r, pa.table(cols))
+        probes = [("driver", ray_session.put(pos)), ("bucketed", d)]
+        for rank, start, n in windows:
+            want = np.isin((rank << 32) | np.arange(start, start + n), pos)
+            for probe in probes:
+                got = winner_keep(rank, start, n, probe)
+                assert got.dtype == bool and got.tolist() == want.tolist()

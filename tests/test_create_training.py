@@ -15,16 +15,11 @@ from datacat_ray.pipelines.create_training import (
 
 
 def test_create_training_roundtrip(ray_session, tmp_path):
-    import ray.data
-
     pages_dir = write_pages_parquet(
         str(tmp_path / "pages"), n_urls=25, seed=11, rows_per_file=10
     )
-    pages = ray.data.read_parquet(
-        pages_dir, columns=["url", "warc_ts", "lang", "html", "text"]
-    )
     out_dir = str(tmp_path / "bootstrap")
-    manifest = create_training_pairs(pages, out_dir).take_all()
+    manifest = create_training_pairs(pages_dir, out_dir).take_all()
 
     assert len(manifest) == 25
     assert all(r["error"] is None for r in manifest)
@@ -54,41 +49,31 @@ def test_create_training_roundtrip(ray_session, tmp_path):
 
 
 def test_create_training_idempotent_rerun(ray_session, tmp_path):
-    import ray.data
-
     pages_dir = write_pages_parquet(
         str(tmp_path / "pages"), n_urls=5, seed=3, rows_per_file=5
     )
-    pages = ray.data.read_parquet(
-        pages_dir, columns=["url", "warc_ts", "lang", "html", "text"]
-    )
     out_dir = str(tmp_path / "bootstrap")
-    first = create_training_pairs(pages, out_dir).take_all()
+    first = create_training_pairs(pages_dir, out_dir).take_all()
     snap = {
         r["tei_path"]: open(r["tei_path"], encoding="utf-8").read()
         for r in first
     }
-    second = create_training_pairs(pages, out_dir).take_all()
+    second = create_training_pairs(pages_dir, out_dir).take_all()
     assert {r["stem"] for r in first} == {r["stem"] for r in second}
     for path, content in snap.items():
         assert open(path, encoding="utf-8").read() == content
 
 
 def test_create_training_body_and_blank_variants(ray_session, tmp_path):
-    import ray.data
-
     from datacat_ray.stages.tei import parse_segmenter_tei
 
     pages_dir = write_pages_parquet(
         str(tmp_path / "pages"), n_urls=8, seed=21, rows_per_file=8
     )
-    pages = ray.data.read_parquet(
-        pages_dir, columns=["url", "warc_ts", "lang", "html", "text"]
-    )
     # body (labeled): raw = token features, TEI = entry-tagged body
     out_b = str(tmp_path / "body")
     mb = create_training_pairs(
-        pages, out_b, model="body"
+        pages_dir, out_b, model="body"
     ).take_all()
     assert all(r["error"] is None for r in mb)
     labeled = [r for r in mb if r["n_lines"] > 0]
@@ -106,7 +91,7 @@ def test_create_training_body_and_blank_variants(ray_session, tmp_path):
     # segmenter blank: TEI has the text but NO zone tags
     out_s = str(tmp_path / "seg_blank")
     ms = create_training_pairs(
-        pages, out_s, blank=True
+        pages_dir, out_s, blank=True
     ).take_all()
     assert all(r["error"] is None for r in ms)
     r = next(r for r in ms if r["n_lines"] > 0)
@@ -120,7 +105,7 @@ def test_create_training_body_and_blank_variants(ray_session, tmp_path):
     # body blank: untagged body token stream
     out_bb = str(tmp_path / "body_blank")
     mbb = create_training_pairs(
-        pages, out_bb, model="body", blank=True
+        pages_dir, out_bb, model="body", blank=True
     ).take_all()
     assert all(r["error"] is None for r in mbb)
     r = next(r for r in mbb if r["n_lines"] > 0)
@@ -128,3 +113,59 @@ def test_create_training_body_and_blank_variants(ray_session, tmp_path):
         ".training.bodySegmentation.datacat.text.blank.tei.xml")
     tei = open(r["tei_path"], encoding="utf-8").read()
     assert "<entry>" not in tei and "<note" not in tei
+
+
+def test_create_training_cli_exports_each_urls_latest_capture(
+        ray_session, tmp_path, capsys):
+    """``create-training`` over captures of a url split across fragments:
+    exactly one exported pair per url, whose raw and TEI files come from
+    its latest capture; a same-``warc_ts`` tie across fragments goes to
+    the later fragment, the flagship rule."""
+    import datetime
+    import json
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from datacat_ray.cli import main
+    from datacat_ray.fixtures import PAGES_SCHEMA
+    from datacat_ray.stages.tei import doc_id
+
+    d = datetime.datetime
+    fragments = [
+        [("https://x.org/a", d(2020, 1, 1), "Stale alpha page"),
+         ("https://x.org/b", d(2020, 1, 5), "Latest bravo page"),
+         ("https://x.org/c", d(2020, 1, 2), "Earlier charlie page")],
+        [("https://x.org/a", d(2020, 1, 3), "Latest alpha page"),
+         ("https://x.org/b", d(2020, 1, 4), "Stale bravo page"),
+         ("https://x.org/c", d(2020, 1, 2), "Later charlie page")],
+        [("https://x.org/a", d(2020, 1, 2), "Middle alpha page")],
+    ]
+    pages = tmp_path / "pages"
+    pages.mkdir()
+    for i, rows in enumerate(fragments):
+        pq.write_table(pa.Table.from_pydict(
+            {"url": [r[0] for r in rows], "warc_ts": [r[1] for r in rows],
+             "html": [None] * len(rows), "text": [r[2] for r in rows],
+             "lang": ["fr"] * len(rows)}, schema=PAGES_SCHEMA),
+            str(pages / f"part-{i}.parquet"))
+    out = tmp_path / "bootstrap"
+
+    assert main(["create-training", str(pages), str(out)]) == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])[
+        "n_docs"] == 3
+    want = {"https://x.org/a": "Latest alpha page",
+            "https://x.org/b": "Latest bravo page",
+            "https://x.org/c": "Later charlie page"}
+    assert sorted(os.listdir(out / "tei")) == sorted(
+        f"{doc_id(u)}.training.datacat.tei.xml" for u in want)
+    assert sorted(os.listdir(out / "raw")) == sorted(
+        f"{doc_id(u)}.training.datacat" for u in want)
+    for url, text in want.items():
+        tei = (out / "tei" / f"{doc_id(url)}.training.datacat.tei.xml"
+               ).read_text(encoding="utf-8")
+        raw = (out / "raw" / f"{doc_id(url)}.training.datacat"
+               ).read_text(encoding="utf-8")
+        assert text in tei
+        assert [ln.split(" ")[0] for ln in raw.splitlines()] == [
+            text.split(" ")[0]]

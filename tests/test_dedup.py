@@ -6,8 +6,7 @@ import pyarrow as pa
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from datacat_ray.stages.bucketed import keep_last
-from datacat_ray.stages.dedup import dedup_latest
+from datacat_ray.stages.bucketed import keep_last, keep_latest
 
 
 def _table():
@@ -31,7 +30,7 @@ def test_dedup_latest_global(ray_session):
 
     # duplicates split ACROSS blocks → within-batch pre-dedup alone can't win
     ds = ray.data.from_arrow(_table()).repartition(3)
-    out = dedup_latest(ds).take_all()
+    out = keep_latest(ds, "url", ["warc_ts"]).take_all()
     got = {r["url"]: r["payload"] for r in out}
     assert got == {"a": "a7", "b": "b20", "c": "c5"}
     assert len(out) == 3
@@ -48,20 +47,20 @@ def test_dedup_null_ts_never_wins():
     assert got["b"] == "bN"  # all-null url still survives
 
 
-def _winner_dict(t):
-    """{hash: ts} of a winner table."""
-    return dict(zip(t["h"].to_pylist(), t["warc_ts"].to_pylist()))
+def _winner_pos(t):
+    """The set of winning positions of a winner table."""
+    return set(t["pos"].to_pylist())
 
 
 def _parquet_winners(winner_dir):
-    """{hash: ts} of a ``compute_winners_bucketed`` winner set."""
+    """The set of winning positions of a ``compute_winners_bucketed``
+    winner set."""
     import pyarrow.parquet as pq
 
-    out = {}
+    out = set()
     for f in sorted(os.listdir(winner_dir)):
         if f.startswith("bucket-"):
-            t = pq.read_table(os.path.join(winner_dir, f))
-            out.update(_winner_dict(t))
+            out |= _winner_pos(pq.read_table(os.path.join(winner_dir, f)))
     return out
 
 
@@ -77,7 +76,7 @@ def test_compute_winners_distributed_path(ray_session, tmp_path, monkeypatch):
     src = tmp_path / "pages"
     src.mkdir()
     pq.write_table(make_pages_table(50, seed=3), str(src / "pages.parquet"))
-    fast = _winner_dict(D.compute_winners(str(src)))
+    fast = _winner_pos(D.compute_winners(str(src)))
     monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
     kind, wdir = D.winner_probe(str(src), str(tmp_path / "win"))
     assert kind == "bucketed"
@@ -170,10 +169,13 @@ def test_compute_winners_distributed_null_ts(ray_session, tmp_path, monkeypatch)
 
     h = hash64(pa.array(["a", "b"])).tolist()
     want = {h[0]: datetime.datetime(2020, 1, 1), h[1]: None}
-    assert _winner_dict(D.compute_winners(str(src))) == want
+    win = D.compute_winners(str(src))
+    assert dict(zip(win["h"].to_pylist(), win["warc_ts"].to_pylist())) == want
+    want_pos = {1 << 32, 1}  # a: p2 row 0; b: p1 row 1
+    assert _winner_pos(win) == want_pos
     monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
     kind, wdir = D.winner_probe(str(src), str(tmp_path / "win"))
-    assert kind == "bucketed" and _parquet_winners(wdir) == want
+    assert kind == "bucketed" and _parquet_winners(wdir) == want_pos
 
 
 def test_bucketed_kernels_key_boundaries():
@@ -519,7 +521,7 @@ def test_hot_url_pathological_skew(ray_session):
         }
     )
     ds = ray.data.from_arrow(t).repartition(16)
-    out = dedup_latest(ds).take_all()
+    out = keep_latest(ds, "url", ["warc_ts"]).take_all()
     got = {r["url"]: r["payload"] for r in out}
     assert got == {"https://hot.example.org/": f"p{n-1}",
                    "https://cold/1": "cold"}
@@ -676,7 +678,6 @@ def test_skew_kill_bucketed_kernels(ray_session, tmp_path):
     from skew_probe import CAPS_PER_URL, HOT_FRAC, write_captures, write_events
 
     from datacat_ray.pipelines.relational import user_sessions
-    from datacat_ray.stages.dedup import dedup_latest
 
     n_caps, n_evts = 24_000, 40_000
     dirs = {}
@@ -688,7 +689,8 @@ def test_skew_kill_bucketed_kernels(ray_session, tmp_path):
         dirs[kind] = (cdir, edir)
 
     def run_dedup(kind):
-        return dedup_latest(ray.data.read_parquet(dirs[kind][0])).count()
+        return keep_latest(ray.data.read_parquet(dirs[kind][0]), "url",
+                           ["warc_ts"]).count()
 
     def run_sessions(kind):
         return user_sessions(dirs[kind][1]).count()
@@ -698,7 +700,7 @@ def test_skew_kill_bucketed_kernels(ray_session, tmp_path):
     assert run_dedup("skew") == 1 + (n_caps - n_hot) // CAPS_PER_URL
     assert run_dedup("bal") == n_caps // CAPS_PER_URL
 
-    for name, fn in (("dedup_latest", run_dedup),
+    for name, fn in (("keep_latest", run_dedup),
                      ("user_sessions", run_sessions)):
         ratios = []
         for _ in range(2):

@@ -18,17 +18,12 @@ from datacat_ray.pipelines.trainer import (
 
 @pytest.fixture(scope="module")
 def exported_corpus(ray_session, tmp_path_factory):
-    import ray.data
-
     tmp = tmp_path_factory.mktemp("trainer")
     pages_dir = write_pages_parquet(
         str(tmp / "pages"), n_urls=20, seed=9, rows_per_file=10
     )
-    pages = ray.data.read_parquet(
-        pages_dir, columns=["url", "warc_ts", "lang", "html", "text"]
-    )
     out_dir = str(tmp / "corpus")
-    create_training_pairs(pages, out_dir).take_all()
+    create_training_pairs(pages_dir, out_dir).take_all()
     return out_dir
 
 

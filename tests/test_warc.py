@@ -563,7 +563,8 @@ def test_warc_flagship_row_set_property(ray_session, tmp_path, segments,
     url may hold hundreds of captures, ``_RECORDS_PER_BLOCK`` = 2 forces
     many blocks, and the first segment may be listed twice (it is read
     once). The bucketed winner set equals the driver one, and on tie-free
-    inputs the rows equal the groupby dedup path's."""
+    inputs the rows equal those of the shuffle keep-latest
+    (``bucketed.keep_latest``) over the plain read."""
     import datetime
     import os
     import tempfile
@@ -574,6 +575,7 @@ def test_warc_flagship_row_set_property(ray_session, tmp_path, segments,
     from datacat_ray.pipelines.extract import build_extract_pipeline
     from datacat_ray.sources import warc as W
     from datacat_ray.stages import dedup as D
+    from datacat_ray.stages.bucketed import keep_latest
 
     base = 1_700_000_000_000_000
     segments = [list(s) for s in segments]
@@ -627,8 +629,8 @@ def test_warc_flagship_row_set_property(ray_session, tmp_path, segments,
         at_max = {(url, ts) for url, ts, _, _ in want}
         if sum((url, ts) in at_max for url, ts, _, _ in ref) == len(want):
             # tie-free: one capture at each max
-            assert rows(build_extract_pipeline(
-                D.dedup_latest(W.read_warc(paths)))) == driver
+            assert rows(build_extract_pipeline(keep_latest(
+                W.read_warc(paths), "url", ["warc_ts"]))) == driver
 
 
 def test_resync_warning_logged_once_per_job(ray_session, tmp_path, caplog):
