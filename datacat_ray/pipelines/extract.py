@@ -28,7 +28,7 @@ Output schema (one row per url):
 from __future__ import annotations
 
 import functools
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 import pyarrow as pa
@@ -42,7 +42,7 @@ from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
 from datacat_ray.stages.lexical_features import entry_codes
 from datacat_ray.stages.line_features import (
     _FIELD_NAMES as _LINE_FIELD_NAMES,
-    line_columns,
+    line_codes,
 )
 from datacat_ray.stages.models import BODY_MODEL, LEXICAL_MODEL, SEGMENTER_MODEL
 from datacat_ray.stages.tei import (
@@ -131,20 +131,15 @@ class _Level:
         return self.dec.coded_emissions(
             {f: codes[name] for f, name in raw.items()}, lens, raw)
 
-    def emissions(self, cols: dict[str, list], lens) -> np.ndarray:
-        """``gather`` of value columns (one list per field in ``fields``)."""
-        return self.gather({name: VOCAB.codes(name, cols[name])
-                            for name in self.fields}, np.atleast_1d(lens))
-
 
 class _Doc:
     """One document's cascade state between the phases of a batch. A
     level's state is ``em`` (its emission rows), ``lens`` (its sequence
     lengths) and, once decoded, ``path`` (its int label path)."""
 
-    __slots__ = ("url", "lang", "lines", "tokens", "token_line", "cols",
-                 "em", "lens", "path", "idx", "line_labels", "zones",
-                 "body", "entries", "lexical", "result")
+    __slots__ = ("url", "lang", "lines", "tokens", "token_line", "em",
+                 "lens", "path", "idx", "line_labels", "zones", "body",
+                 "entries", "lexical", "result")
 
     def __init__(self, url, lang) -> None:
         self.url = url
@@ -243,10 +238,11 @@ class FusedExtractStage:
     each boundary — measured ~8× the actual kernel cost. One stage = one
     conversion in (html bytes), one out (result strings).
 
-    A batch runs phase by phase (``_extract``). Parse, tokenize, line
-    features, zones and TEI run document by document; each CRF level runs
-    batch-wide: its feature fields are encoded as ``VOCAB`` codes over
-    the positions of every document laid end to end, one gather
+    A batch runs phase by phase (``_extract``). Parse, tokenize, zones
+    and TEI run document by document; each CRF level runs batch-wide: its
+    feature fields are encoded as ``VOCAB`` codes over the positions of
+    every document laid end to end (``line_codes``, ``body_codes``,
+    ``entry_codes``), one gather
     (``CRFDecoder.coded_emissions``) scores them all, one lockstep Viterbi
     (``CRFDecoder.paths``) labels them and one span decode
     (``CRFDecoder.span_arrays``) turns the paths into spans. Each level
@@ -301,7 +297,7 @@ class FusedExtractStage:
         self.segment_sentences = segment_sentences
 
     def _lines(self, d: _Doc, src: tuple) -> str | None:
-        """Parse, tokenize, apply the caps, featurize lines."""
+        """Parse, tokenize, apply the caps."""
         html, text = src
         if html is not None:
             blocks = parse_main_blocks(html.decode("utf-8", errors="replace"))
@@ -319,15 +315,13 @@ class FusedExtractStage:
         d.lines, d.tokens, d.token_line = tokenize_document(blocks)
         if len(d.tokens) > self.max_tokens:
             return f"TOO_MANY_TOKENS: {len(d.tokens)}"
-        d.cols = line_columns(d.lines, self._seg.fields)
         return None
 
     def _seg_emissions(self, ds: list) -> None:
         """Segmenter emissions of every line of the batch."""
         lens = np.array([len(d.lines) for d in ds], dtype=np.intp)
-        em = self._seg.emissions(
-            {name: list(chain.from_iterable(d.cols[name] for d in ds))
-             for name in self._seg.fields}, lens)
+        em = self._seg.gather(
+            line_codes([d.lines for d in ds], self._seg.fields), lens)
         _split(ds, "em", em, lens)
         for d, n in zip(ds, lens):
             d.lens = [n]

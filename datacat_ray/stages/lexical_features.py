@@ -34,9 +34,9 @@ import numpy as np
 
 from datacat_ray.functions.textkit import punct_type
 from datacat_ray.stages.crf import VOCAB
-from datacat_ray.stages.line_features import feature_rows
 from datacat_ray.stages.token_features import (
     TOKENS,
+    feature_rows,
     offsets,
     space_mask,
     static_codes,

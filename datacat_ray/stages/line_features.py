@@ -1,4 +1,4 @@
-"""Per-line feature vectors for the segmenter model (SURVEY.md M5+M6+M8).
+"""Line feature vectors for the segmenter model (SURVEY.md M5+M6+M8).
 
 Re-creates the semantics of the reference's 33-column line featurization
 (``DatacatSegmenterParser.java:307-626`` feature computation;
@@ -6,8 +6,8 @@ Re-creates the semantics of the reference's 33-column line featurization
 ``NBBINS_POSITION=12``, ``LINESCALE=10`` at ``DatacatSegmenterParser.java:68-77``)
 including the repetitive header/footer pattern miner
 (``DatacatSegmenterParser.java:268-305``: digit-normalized line skeletons,
-patterns longer than 8 chars occurring more than once mark their lines
-``repetitive_pattern``; the first sighting additionally marks
+patterns longer than 8 chars occurring more than once in a document mark
+their lines ``repetitive_pattern``; the first sighting additionally marks
 ``first_repetitive_pattern``).
 
 Canonical field order (33 columns — this repo's frozen layout; the golden
@@ -20,43 +20,60 @@ Canonical field order (33 columns — this repo's frozen layout; the golden
     punctuation_profile punct_count line_length bitmap_around vector_around
     repetitive_pattern first_repetitive_pattern in_main_area
 
-Cross-line state (font transitions, page extents) is document-local, so
-featurization is a per-document function. It is column-major
-(``line_columns``): a CRF model reads only the fields its templates name,
-so the cascade computes just those columns (``CRFDecoder.fields``);
-``featurize_lines`` is the every-field case as one dict per line.
+Coded and batch-wide, like the body level (``token_features.body_codes``):
+``line_codes`` encodes the lines of a whole batch of documents laid end to
+end, and every field comes out as integer codes of ``crf.VOCAB``. A CRF
+model reads only the fields its templates name, so the cascade asks for
+just those (``CRFDecoder.coded_fields``). Each field has one definition
+(``_LINE_CODES``), built over the batch at once:
+
+- the text fields are C-level string operations over the batch's lines
+  joined by ``"\\n"`` (a line never holds one: block text is
+  whitespace-normalized and plain text is split on it), with regex matches
+  mapped back to their lines by their offsets;
+- the first-word fields are the token-static codes of the body level
+  (``token_features.static_codes``: one vocabulary, one entry per distinct
+  word);
+- the structural fields (block, page, font, positions) are numpy over the
+  batch's line columns, grouped by document.
+
+``line_columns`` and ``featurize_lines`` are the value view (one
+document's codes decoded back to values, as ``body_token_columns`` is for
+the body level); training export and the features-debug sink read it. The
+per-line builders that state each field line by line are the test oracle
+(``tests/line_oracle.py``).
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from functools import cached_property
+from itertools import chain, count, repeat
+from operator import itemgetter
 
+import numpy as np
 import pyarrow as pa
 
-from datacat_ray.functions.textkit import (
-    capitalisation_class,
-    digit_class,
-    linear_scaling,
-    position_bins,
-    prefix,
-    punct_count,
-    punct_type,
-    punctuation_profile,
-    tokenize_whitespace,
+from datacat_ray.functions.textkit import _PUNCT_CHARS
+from datacat_ray.stages.crf import VOCAB
+from datacat_ray.stages.token_features import (
+    _STATIC_COLUMNS,
+    TOKENS,
+    LineSet,
+    changed,
+    feature_rows,
+    offsets,
+    size_status,
+    static_codes,
 )
 from datacat_ray.stages.tokenizer import Lines
 from datacat_ray.state.lexicon import (
-    EMAIL_RE,
+    MONTH_NAMES,
     YEAR_RE,
-    has_link,
-    has_month,
     is_common_word,
     is_proper_name,
 )
 
-NBBINS_POSITION = 12
 LINESCALE = 10
 
 LINE_FEATURE_STRUCT = pa.struct(
@@ -99,163 +116,236 @@ LINE_FEATURE_STRUCT = pa.struct(
 
 _FIELD_NAMES = [f.name for f in LINE_FEATURE_STRUCT]
 
-_DIGITS_RE = re.compile(r"\d+")
 MIN_PATTERN_LEN = 8
+_DIGITS_RE = re.compile(r"\d+")
+_ASCII = bytes(range(128))
+_DIGIT_TO_SPACE = bytes.maketrans(b"0123456789", b" " * 10)
+
+# the words of a line are split on " \t\f\u00a0" (reference
+# ``DatacatSegmenterParser.java:434``); in the joined column a line start
+# follows a "\n", so "\n" bounds a word too
+_TO_SPACE = str.maketrans("\t\f\u00a0", "   ")
+_AFTER_SEP = "(?:^|(?<=[\n \t\f\u00a0]))"
+# a word starting with http://, https:// or www., in any case
+# (``lexicon.has_link``)
+_LINK_RE = re.compile(_AFTER_SEP + r"(?:https?://|www\.)", re.IGNORECASE)
+# a word that is an e-mail address (``lexicon.EMAIL_RE`` of a whole word)
+_EMAIL_RE = re.compile(_AFTER_SEP + r"[\w.+-]+@[\w-]+(?:\.[\w-]+)+"
+                       "(?=[\n \t\f\u00a0]|\\Z)")
+# everything but punctuation (``textkit.punctuation_profile``) and "\n"
+_NON_PUNCT_RE = re.compile(
+    "[^\n" + "".join(map(re.escape, sorted(_PUNCT_CHARS))) + "]+")
 
 
-def line_pattern(text: str) -> str:
-    """Digit-normalized skeleton of a line (reference
-    ``featureFactory.getPattern``): digits collapse to ``@``, whitespace
-    removed — repeated headers/footers differ only in page numbers."""
-    return _DIGITS_RE.sub("@", "".join(text.split()))
+class _LineBatch(LineSet):
+    """The lines of a batch of documents laid end to end, and the values
+    several fields share, each computed on first use."""
 
+    def __init__(self, lines: list[Lines]) -> None:
+        super().__init__(lines)
+        self.n = n = int(self.line_off[-1])
+        self.texts = list(chain.from_iterable(ls.text for ls in lines))
+        self.joined = "\n".join(self.texts)
+        if n and self.joined.count("\n") != n - 1:
+            raise ValueError("a line text holds a newline")
 
-def mine_repetitive_patterns(line_texts: list[str]) -> tuple[list[bool], list[bool]]:
-    """Per-document repetitive-pattern flags (M5). Returns
-    ``(repetitive, first_repetitive)`` parallel to ``line_texts``."""
-    patterns = list(map(line_pattern, line_texts))
-    counts = Counter(p for p in patterns if len(p) > MIN_PATTERN_LEN)
-    repetitive = [counts.get(p, 0) > 1 for p in patterns]
-    first = []
-    seen: set[str] = set()
-    for p, rep in zip(patterns, repetitive):
-        first.append(rep and p not in seen)
-        if rep:
-            seen.add(p)
-    return repetitive, first
-
-
-def page_positions(lines: Lines) -> tuple[list[int], list[int]]:
-    """Per line: (its index within its page, its page's line count)."""
-    first: dict[int, int] = {}
-    count: dict[int, int] = {}
-    pages = lines.page
-    for i, pg in enumerate(pages):
-        first.setdefault(pg, i)
-        count[pg] = count.get(pg, 0) + 1
-    return ([i - first[pg] for i, pg in enumerate(pages)],
-            [count[pg] for pg in pages])
-
-
-def font_status(fonts: list) -> list[str]:
-    """Font transitions along a sequence (lines or tokens): each (bold,
-    italic) pair against the one before it."""
-    return ["SAMEFONT" if f == p else "NEWFONT"
-            for f, p in zip(fonts, [None] + fonts)]
-
-
-def font_size_status(sizes: list) -> list[str]:
-    """Font-size transitions along a sequence (lines or tokens)."""
-    return ["SAMEFONTSIZE" if p is None or s == p
-            else "HIGHERFONT" if s > p else "LOWERFONT"
-            for s, p in zip(sizes, [None] + sizes)]
-
-
-class _Lines:
-    """One document's lines and the per-line values several columns share,
-    each computed on first use."""
-
-    def __init__(self, lines: Lines) -> None:
-        self.lines = lines
-        self.n = len(lines)
-        self.texts = lines.text
+    def lines_with(self, matches) -> np.ndarray:
+        """1 for each line holding one of ``matches`` (regex matches over
+        ``joined``), else 0."""
+        pos = np.fromiter((m.start() for m in matches), np.intp)
+        hit = np.zeros(self.n, dtype=np.intp)
+        hit[np.searchsorted(self.starts, pos, "right") - 1] = 1
+        return hit
 
     @cached_property
-    def ws(self) -> list[list[str]]:
-        return list(map(tokenize_whitespace, self.texts))
+    def starts(self) -> np.ndarray:
+        """Where each line starts in ``joined``."""
+        lens = np.fromiter(map(len, self.texts), np.intp, self.n)
+        return offsets(lens + 1)[:-1]
 
     @cached_property
-    def tok(self) -> list[str]:
-        """Each line's first whitespace token ("" for a blank line)."""
-        return [w[0] if w else "" for w in self.ws]
+    def spaced(self) -> str:
+        """``joined`` with every word separator a space."""
+        j = self.joined
+        if "\t" in j or "\f" in j or "\u00a0" in j:
+            return j.translate(_TO_SPACE)
+        return j
 
     @cached_property
-    def page_pos(self) -> tuple[list[int], list[int]]:
-        return page_positions(self.lines)
+    def words(self) -> list[tuple[str, str, str]]:
+        """Per line, (first word, separator, the rest) ("" for a blank
+        line)."""
+        texts = self.spaced.split("\n")
+        return list(map(str.partition, map(str.lstrip, texts, repeat(" ")),
+                        repeat(" ")))
 
     @cached_property
-    def repetitive(self) -> tuple[list[bool], list[bool]]:
-        return mine_repetitive_patterns(self.texts)
+    def first(self) -> np.ndarray:
+        """The token id of each line's first word."""
+        return TOKENS.ids(list(map(itemgetter(0), self.words)))
+
+    def second(self) -> np.ndarray:
+        """The token id of each line's second word."""
+        rest = map(str.lstrip, map(itemgetter(2), self.words), repeat(" "))
+        return TOKENS.ids([r.partition(" ")[0] for r in rest])
+
+    def month(self) -> np.ndarray:
+        """1 for each line with a word that is a month name in any case.
+        No character lowercases to a separator, so the words of the
+        lowercased line are the lowercased words."""
+        words = map(str.split, self.spaced.lower().split("\n"), repeat(" "))
+        return 1 - np.fromiter(map(MONTH_NAMES.isdisjoint, words), np.intp,
+                               self.n)
+
+    def email(self) -> np.ndarray:
+        if "@" not in self.joined:
+            return np.zeros(self.n, dtype=np.intp)
+        return self.lines_with(_EMAIL_RE.finditer(self.joined))
+
+    def http(self) -> np.ndarray:
+        # no non-ASCII character case-folds to h, t, p, w or ".": a match
+        # needs "http" or "www." in the lowercased text
+        low = self.joined.lower()
+        if "http" not in low and "www." not in low:
+            return np.zeros(self.n, dtype=np.intp)
+        return self.lines_with(_LINK_RE.finditer(self.joined))
+
+    @cached_property
+    def puncts(self) -> list[str]:
+        """Each line's punctuation characters, in order."""
+        return _NON_PUNCT_RE.sub("", self.joined).split("\n")
+
+    def line_length(self) -> np.ndarray:
+        """Each line's length binned against the longest line of its
+        block (``textkit.linear_scaling`` by ``LINESCALE``)."""
+        lens = np.fromiter(map(len, self.texts), np.intp, self.n)
+        block = self.blocks()
+        top = np.zeros(int(block.max()) + 1, dtype=np.intp)
+        np.maximum.at(top, block, lens)
+        top = top[block]
+        q = np.divide(lens, top, out=np.zeros(self.n), where=top > 0)
+        return np.minimum((LINESCALE * q).astype(np.intp), LINESCALE)
+
+    def patterns(self) -> list[str]:
+        """Each line's skeleton: whitespace removed, each run of digits
+        one "@"."""
+        if self.joined.replace("\n", "").isprintable():
+            # every whitespace character but " " is unprintable
+            sk = self.joined.replace(" ", "")
+        else:
+            sk = "\n".join(map("".join, map(str.split, self.texts)))
+        # a skeleton holds no whitespace, so "\n" still separates them
+        raw = sk.encode("utf-8", "surrogatepass")
+        wide = raw.translate(None, _ASCII).decode("utf-8", "surrogatepass")
+        if any(map(str.isdecimal, set(wide))):
+            return _DIGITS_RE.sub("@", sk).split("\n")
+        # ASCII digits only: each becomes a space, then each run of
+        # spaces one "@"
+        raw = raw.translate(_DIGIT_TO_SPACE)
+        while b"  " in raw:
+            raw = raw.replace(b"  ", b" ")
+        return (raw.replace(b" ", b"@").decode("utf-8", "surrogatepass")
+                .split("\n"))
+
+    @cached_property
+    def repetitive(self) -> tuple[np.ndarray, np.ndarray]:
+        """(repetitive, first repetitive) flags: a line's skeleton (no
+        whitespace, digit runs as "@") longer than ``MIN_PATTERN_LEN``
+        that occurs more than once in its document; the first of them."""
+        pats = self.patterns()
+        ids: dict[str, int] = {}
+        pid = np.fromiter(map(ids.setdefault, pats, count()), np.int64,
+                          self.n)
+        _, first, inv, n = np.unique(self.line_doc * self.n + pid,
+                                     return_index=True, return_inverse=True,
+                                     return_counts=True)
+        rep = (n[inv] > 1) & (np.fromiter(map(len, pats), np.intp, self.n)
+                              > MIN_PATTERN_LEN)
+        return (rep.astype(np.intp),
+                (rep & (first[inv] == np.arange(self.n))).astype(np.intp))
 
 
-def _block_status(d: _Lines) -> list[str]:
-    return ["BLOCKSTART" if j == 0 else "BLOCKEND" if j == n - 1
-            else "BLOCKIN"
-            for j, n in zip(d.lines.line_in_block, d.lines.block_n_lines)]
+def _lut(name: str, values):
+    """The codes of ``values[c]`` for an index array ``c``."""
+    return lambda c: VOCAB.lut(name, values)[c]
 
 
-def _page_status(d: _Lines) -> list[str]:
-    return ["PAGESTART" if i == 0 else "PAGEEND" if i == c - 1 else "PAGEIN"
-            for i, c in zip(*d.page_pos)]
+def _static(name: str, fn=None):
+    """A first-word field (``fn`` of the word, by default the body
+    level's definition of ``name``)."""
+    return lambda b: static_codes(name, b.first, fn)
 
 
-def _line_length(d: _Lines) -> list[int]:
-    # each line's length binned against the longest line of its block
-    lens = list(map(len, d.texts))
-    block_maxlen: dict[int, int] = {}
-    for b, n in zip(d.lines.block_id, lens):
-        block_maxlen[b] = max(block_maxlen.get(b, 0), n)
-    return [linear_scaling(n, block_maxlen[b], LINESCALE)
-            for b, n in zip(d.lines.block_id, lens)]
+def _first_last(at: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """0 / 1 / 2: first / last / other of a run of ``n``."""
+    return np.where(at == 0, 0, np.where(at == n - 1, 1, 2))
 
 
-def _prefix(k: int):
-    return lambda d: [prefix(t, k) for t in d.tok]
+_BLOCK = _lut("block_status", ("BLOCKSTART", "BLOCKEND", "BLOCKIN"))
+_PAGE = _lut("page_status", ("PAGESTART", "PAGEEND", "PAGEIN"))
+_FONT = _lut("font_status", ("SAMEFONT", "NEWFONT"))
+_FONT_SIZE = _lut("font_size_status",
+                  ("SAMEFONTSIZE", "HIGHERFONT", "LOWERFONT"))
 
+# the fields whose values are non-negative ints, as an int per line
+_INT_FIELDS = {
+    "bold": lambda b: b.line_values("bold"),
+    "italic": lambda b: b.line_values("italic"),
+    "year": lambda b: b.lines_with(YEAR_RE.finditer(b.joined)),
+    "month": _LineBatch.month,
+    "email": _LineBatch.email,
+    "http": _LineBatch.http,
+    "rel_doc_position": LineSet.rel_doc_position,
+    "rel_page_position": LineSet.rel_page_position,
+    "punct_count": lambda b: np.fromiter(map(len, b.puncts), np.intp, b.n),
+    "line_length": _LineBatch.line_length,
+    "bitmap_around": lambda b: np.zeros(b.n, dtype=np.intp),
+    "vector_around": lambda b: np.zeros(b.n, dtype=np.intp),
+    "repetitive_pattern": lambda b: b.repetitive[0],
+    "first_repetitive_pattern": lambda b: b.repetitive[1],
+    "in_main_area": lambda b: np.ones(b.n, dtype=np.intp),
+}
 
-# one builder per field: the single definition of each feature value
-_LINE_COLUMNS = {
-    "token": lambda d: d.tok,
-    "second_token": lambda d: [w[1] if len(w) > 1 else "" for w in d.ws],
-    "lowercase": lambda d: list(map(str.lower, d.tok)),
-    "prefix1": _prefix(1),
-    "prefix2": _prefix(2),
-    "prefix3": _prefix(3),
-    "prefix4": _prefix(4),
-    "block_status": _block_status,
-    "page_status": _page_status,
-    "font_status": lambda d: font_status(
-        list(zip(d.lines.bold, d.lines.italic))),
-    "font_size_status": lambda d: font_size_status(d.lines.font_size),
-    "bold": lambda d: list(map(int, d.lines.bold)),
-    "italic": lambda d: list(map(int, d.lines.italic)),
-    "capitalisation": lambda d: list(map(capitalisation_class, d.tok)),
-    "digit": lambda d: list(map(digit_class, d.tok)),
-    "single_char": lambda d: [int(len(t) == 1) for t in d.tok],
-    "proper_name": lambda d: [int(is_proper_name(t)) for t in d.tok],
-    "common_name": lambda d: [int(is_common_word(t)) for t in d.tok],
-    "year": lambda d: [int(bool(YEAR_RE.search(t))) for t in d.texts],
-    "month": lambda d: [int(has_month(ws)) for ws in d.ws],
-    "email": lambda d: [int(any(EMAIL_RE.match(w) for w in ws))
-                        for ws in d.ws],
-    "http": lambda d: [int(has_link(t)) for t in d.texts],
-    "punct_type": lambda d: list(map(punct_type, d.tok)),
-    "rel_doc_position": lambda d: position_bins(d.n, NBBINS_POSITION),
-    "rel_page_position": lambda d: [linear_scaling(i, c, NBBINS_POSITION)
-                                    for i, c in zip(*d.page_pos)],
-    "punctuation_profile": lambda d: list(map(punctuation_profile, d.texts)),
-    "punct_count": lambda d: list(map(punct_count, d.texts)),
-    "line_length": _line_length,
-    "bitmap_around": lambda d: [0] * d.n,
-    "vector_around": lambda d: [0] * d.n,
-    "repetitive_pattern": lambda d: [int(r) for r in d.repetitive[0]],
-    "first_repetitive_pattern": lambda d: [int(r) for r in d.repetitive[1]],
-    "in_main_area": lambda d: [1] * d.n,
+# one builder per field: the single definition of each feature value, as
+# the codes of every line of a ``_LineBatch``
+_LINE_CODES = {
+    **{name: _static(name) for name in (
+        "token", "lowercase", "prefix1", "prefix2", "prefix3", "prefix4",
+        "capitalisation", "digit", "single_char", "punct_type")},
+    "second_token": lambda b: static_codes(
+        "second_token", b.second(), _STATIC_COLUMNS["token"]),
+    "proper_name": _static("proper_name", lambda t: int(is_proper_name(t))),
+    "common_name": _static("common_name", lambda t: int(is_common_word(t))),
+    "block_status": lambda b: _BLOCK(_first_last(
+        b.line_values("line_in_block"), b.line_values("block_n_lines"))),
+    "page_status": lambda b: _PAGE(_first_last(*b.page_pos)),
+    "font_status": lambda b: _FONT(
+        changed(b.fonts(), b.line_at == 0).astype(np.intp)),
+    "font_size_status": lambda b: _FONT_SIZE(size_status(
+        b.line_values("font_size", np.float64), b.line_at == 0)),
+    "punctuation_profile": lambda b: VOCAB.codes(
+        "punctuation_profile", [p[:10] or "no" for p in b.puncts]),
+    **{name: (lambda b, name=name, fn=fn: VOCAB.ints(name, fn(b)))
+       for name, fn in _INT_FIELDS.items()},
 }
 
 
+def line_codes(lines: list[Lines], fields) -> dict[str, np.ndarray]:
+    """The batch kernel: the ``Lines`` of several documents → the
+    ``VOCAB`` codes of every requested field over all their lines laid
+    end to end. Only the requested fields are computed."""
+    b = _LineBatch(lines)
+    if not b.n:
+        return {name: np.zeros(0, dtype=np.intp) for name in fields}
+    return {name: _LINE_CODES[name](b) for name in fields}
+
+
 def line_columns(lines: Lines, fields) -> dict[str, list]:
-    """Pure per-document kernel, column-major: a document's ``Lines`` → one
-    value list per requested feature field, each parallel to the lines.
-    Only the requested fields are computed."""
-    d = _Lines(lines)
-    return {name: _LINE_COLUMNS[name](d) for name in fields}
-
-
-def feature_rows(cols: dict[str, list]) -> list[dict]:
-    """Feature columns → one feature dict per position (keys in column
-    order)."""
-    return [dict(zip(cols, row)) for row in zip(*cols.values())]
+    """One document's ``line_codes`` as values, column-major: one value
+    list per requested feature field, each parallel to the lines."""
+    VOCAB.bound()
+    codes = line_codes([lines], fields)
+    return {name: VOCAB.decode(name, codes[name]) for name in fields}
 
 
 def serialize_columns(cols: dict[str, list]) -> list[str]:

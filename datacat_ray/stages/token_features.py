@@ -27,7 +27,8 @@ feature string), ready for ``CRFDecoder.coded_emissions``. Token-static
 fields are looked up through a per-process token vocabulary (token → id,
 and per field an array of the code of every known token's value, computed
 once per distinct token); context fields are numpy gathers over the
-batch's line arrays. Each field has one definition (``_STATIC_COLUMNS``,
+batch's line arrays (``LineSet``, which the segmenter's line encoder
+``line_features.line_codes`` shares). Each field has one definition (``_STATIC_COLUMNS``,
 ``_BODY_COLUMNS``); the value columns of training export and the dict
 featurizer (``body_token_columns``, ``featurize_body_tokens``) are the
 codes of one document decoded back to values. The token vocabulary
@@ -46,18 +47,16 @@ import pyarrow as pa
 from datacat_ray.functions.textkit import (
     capitalisation_class,
     digit_class,
-    linear_scaling,
     prefix,
     punct_type,
     suffix,
 )
 from datacat_ray.stages.crf import VOCAB
-from datacat_ray.stages.line_features import (
-    NBBINS_POSITION,
-    feature_rows,
-    page_positions,
-)
 from datacat_ray.stages.tokenizer import Lines
+
+# position bins of a line in its document and its page (reference
+# ``NBBINS_POSITION``, ``DatacatSegmenterParser.java:68-77``)
+NBBINS_POSITION = 12
 
 TOKEN_FEATURE_STRUCT = pa.struct(
     [
@@ -179,6 +178,32 @@ def space_mask(ids: np.ndarray) -> np.ndarray:
     return TOKENS.column(" ", str.isspace, ids).astype(bool)
 
 
+def feature_rows(cols: dict[str, list]) -> list[dict]:
+    """Feature columns → one feature dict per position (keys in column
+    order)."""
+    return [dict(zip(cols, row)) for row in zip(*cols.values())]
+
+
+def position_bins(at: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``textkit.linear_scaling(at, n, NBBINS_POSITION)`` of every
+    position ``at`` (>= 0) in a run of ``n`` (> 0) lines."""
+    return np.minimum((NBBINS_POSITION * (at / n)).astype(np.intp),
+                      NBBINS_POSITION)
+
+
+def page_positions(doc: np.ndarray, page: np.ndarray):
+    """Per line of a batch (``doc`` its document, ``page`` its page id):
+    (its index counted from its page's first line in its document, its
+    page's line count in its document)."""
+    if not len(doc):
+        return doc, doc
+    lo = int(page.min())
+    key = doc.astype(np.int64) * (int(page.max()) - lo + 1) + (page - lo)
+    _, first, inv, count = np.unique(key, return_index=True,
+                                     return_inverse=True, return_counts=True)
+    return np.arange(len(doc)) - first[inv], count[inv]
+
+
 def offsets(counts) -> np.ndarray:
     """``[0, c0, c0 + c1, ...]``: where each of several runs laid end to
     end starts, plus the total."""
@@ -187,7 +212,71 @@ def offsets(counts) -> np.ndarray:
     return out
 
 
-class _Body:
+def changed(v: np.ndarray, first) -> np.ndarray:
+    """Whether each position's value differs from the position before it
+    (True at the positions ``first``, where documents start)."""
+    new = np.ones(len(v), dtype=bool)
+    new[1:] = v[1:] != v[:-1]
+    new[first] = True
+    return new
+
+
+def size_status(s: np.ndarray, first) -> np.ndarray:
+    """Per position: 0 same font size as the position before (or at the
+    positions ``first``, where documents start), 1 higher, 2 lower."""
+    prev = np.empty_like(s)
+    prev[1:] = s[:-1]
+    cls = np.where(s > prev, 1, 2)
+    cls[s == prev] = 0
+    cls[first] = 0
+    return cls
+
+
+class LineSet:
+    """The lines of a batch of documents laid end to end: ``line_off``
+    where each document's lines start (plus the total), ``line_doc`` each
+    line's document, ``line_at`` its index in it; the per-line values of
+    both levels' context fields, each computed on first use."""
+
+    def __init__(self, lines: list[Lines]) -> None:
+        self.lines = lines
+        nl = list(map(len, lines))
+        self.line_off = offsets(nl)
+        self.line_doc = np.repeat(np.arange(len(lines)), nl)
+        self.line_at = (np.arange(len(self.line_doc))
+                        - self.line_off[self.line_doc])
+
+    def line_values(self, name: str, dtype=np.intp) -> np.ndarray:
+        """A ``Lines`` column of every line of the batch."""
+        return np.fromiter(chain.from_iterable(
+            getattr(ls, name) for ls in self.lines), dtype,
+            int(self.line_off[-1]))
+
+    def fonts(self) -> np.ndarray:
+        """Each line's (bold, italic) pair as one int."""
+        return 2 * self.line_values("bold") + self.line_values("italic")
+
+    def rel_doc_position(self) -> np.ndarray:
+        """Each line's position bin in its document."""
+        return position_bins(self.line_at,
+                             np.diff(self.line_off)[self.line_doc])
+
+    @cached_property
+    def page_pos(self) -> tuple[np.ndarray, np.ndarray]:
+        return page_positions(self.line_doc, self.line_values("page"))
+
+    def rel_page_position(self) -> np.ndarray:
+        """Each line's position bin in its page."""
+        return position_bins(*self.page_pos)
+
+    def blocks(self) -> np.ndarray:
+        """Each line's block, numbered across the batch."""
+        bid = self.line_values("block_id")
+        nb = [max(ls.block_id) + 1 if len(ls) else 0 for ls in self.lines]
+        return bid + offsets(nb)[self.line_doc]
+
+
+class _Body(LineSet):
     """The non-space ``<body>`` tokens of a batch of documents laid end to
     end, their lines, and what the context columns share (each computed on
     first use). ``pos`` is each body position's index into the batch's
@@ -195,16 +284,13 @@ class _Body:
     document."""
 
     def __init__(self, tokens, token_line, lines, body_ranges) -> None:
+        super().__init__(lines)
         ntok = list(map(len, tokens))
         self.off = off = offsets(ntok)
         N = int(off[-1])
         self.ids = TOKENS.ids(list(chain.from_iterable(tokens)))
         self.keep = ~space_mask(self.ids)
         D = len(tokens)
-        self.lines = lines
-        nl = list(map(len, lines))
-        self.line_off = offsets(nl)
-        self.line_doc = np.repeat(np.arange(D), nl)
         self.tdoc = np.repeat(np.arange(D), ntok)
         # every token's line, numbered across the batch
         self.tline = np.fromiter(chain.from_iterable(token_line), np.intp,
@@ -223,12 +309,6 @@ class _Body:
         self.line = self.tline[self.pos]
         self.counts = np.bincount(self.doc, minlength=D)
         self.n = len(self.pos)
-
-    def line_values(self, name: str, dtype=np.intp) -> np.ndarray:
-        """A ``Lines`` column of every line of the batch."""
-        return np.fromiter(chain.from_iterable(
-            getattr(ls, name) for ls in self.lines), dtype,
-            int(self.line_off[-1]))
 
     @cached_property
     def doc_first(self) -> np.ndarray:
@@ -251,44 +331,6 @@ class _Body:
         r = np.cumsum(self.keep)[self.pos] - 1
         return np.where(first[r], 0, np.where(last[r], 1, 2))
 
-    def changed(self, v: np.ndarray) -> np.ndarray:
-        """Whether each position's value differs from the position before
-        it in its document (True at a document's first position)."""
-        new = np.ones(len(v), dtype=bool)
-        new[1:] = v[1:] != v[:-1]
-        new[self.doc_first] = True
-        return new
-
-    def font_size_status(self) -> np.ndarray:
-        """0 same size (or a document's first position), 1 higher, 2
-        lower than the position before."""
-        s = self.line_values("font_size", np.float64)[self.line]
-        prev = np.empty_like(s)
-        prev[1:] = s[:-1]
-        cls = np.where(s > prev, 1, 2)
-        cls[s == prev] = 0
-        cls[self.doc_first] = 0
-        return cls
-
-    def rel_doc_position(self) -> np.ndarray:
-        """Each line's ``position_bins`` bin in its document."""
-        at = np.arange(len(self.line_doc)) - self.line_off[self.line_doc]
-        n = np.diff(self.line_off)[self.line_doc]
-        return (NBBINS_POSITION * (at / n)).astype(np.intp)
-
-    def rel_page_position(self) -> np.ndarray:
-        """Each line's position bin in its page."""
-        return np.fromiter(
-            (linear_scaling(i, c, NBBINS_POSITION) for ls in self.lines
-             for i, c in zip(*page_positions(ls))), np.intp,
-            int(self.line_off[-1]))
-
-    def blocks(self) -> np.ndarray:
-        """Each line's block, numbered across the batch."""
-        bid = self.line_values("block_id")
-        nb = [max(ls.block_id) + 1 if len(ls) else 0 for ls in self.lines]
-        return bid + offsets(nb)[self.line_doc]
-
 
 # the fields that depend on the token's position and line: each maps a
 # ``_Body`` to the codes of its positions
@@ -301,12 +343,12 @@ _BODY_COLUMNS = {
     "alignment_status": lambda b: VOCAB.lut(
         "alignment_status", ("ALIGNEDLEFT",))[np.zeros(b.n, dtype=np.intp)],
     "font_status": lambda b: VOCAB.lut(
-        "font_status", ("SAMEFONT", "NEWFONT"))[b.changed(
-            (2 * b.line_values("bold") + b.line_values("italic"))[b.line]
-        ).astype(np.intp)],
+        "font_status", ("SAMEFONT", "NEWFONT"))[changed(
+            b.fonts()[b.line], b.doc_first).astype(np.intp)],
     "font_size_status": lambda b: VOCAB.lut(
         "font_size_status", ("SAMEFONTSIZE", "HIGHERFONT", "LOWERFONT"))[
-        b.font_size_status()],
+        size_status(b.line_values("font_size", np.float64)[b.line],
+                    b.doc_first)],
     "bold": lambda b: VOCAB.ints("bold", b.line_values("bold")[b.line]),
     "italic": lambda b: VOCAB.ints("italic",
                                    b.line_values("italic")[b.line]),

@@ -19,9 +19,13 @@ Usage (from the repository root):
     python scripts/kernel_ab.py
 
 After the timed rounds, a second set of rounds runs with a timer around
-each phase method of the stage and around each decoder's ``paths`` (the
-names differ between revisions; each side reports the ones it has).
-Prints one table per batch size, then one JSON line.
+each phase method of the stage, around the line-feature call
+(``line_columns`` per document or ``line_codes`` per batch, whichever the
+revision's stage module calls) and around each decoder's ``paths`` (the
+names differ between revisions; each side reports the ones it has). A
+timed call nests inside its phase: the line-feature call counts in
+``_lines`` or ``_seg_emissions`` too. Prints one table per batch size,
+then one JSON line.
 """
 
 from __future__ import annotations
@@ -45,9 +49,10 @@ BASE_REV = "HEAD"
 BATCHES = (19, 128)
 SEED = 1
 ROUNDS = 20
-PHASES = ("_lines", "_seg_emissions", "_zones", "_body_tokens",
-          "_body_emissions", "_entry_runs", "_lexical_emissions",
-          "_lexical_spans", "_assemble")
+PHASES = ("_lines", "_seg_emissions", "_zones", "_body_emissions",
+          "_lexical_emissions", "_lexical_spans", "_assemble")
+# the line-feature layer, a function of the stage's module
+LINE_FEATURES = ("line_columns", "line_codes")
 
 
 def load_base(tmp: str):
@@ -113,9 +118,13 @@ def timed_pass(stage, batches, gct: GCTimer) -> tuple[float, float]:
     return time.process_time() - t0, (gct.ns - g0) / 1e9
 
 
-def instrument(stage, acc: dict) -> None:
-    """Accumulate the CPU time of each phase method of ``stage`` and of
-    its decoders' ``paths`` into ``acc``."""
+def instrument(module, stage, acc: dict) -> list:
+    """Accumulate the CPU time of each phase method of ``stage``, of the
+    line-feature call of its ``module`` and of its decoders' ``paths``
+    into ``acc``. Returns the (module, name, function) of each module
+    function it wrapped, to put back."""
+    wrapped = []
+
     def wrap(name, fn):
         def timed(*a, **k):
             t0 = time.process_time()
@@ -128,9 +137,14 @@ def instrument(stage, acc: dict) -> None:
     for name in PHASES:
         if hasattr(stage, name):
             setattr(stage, name, wrap(name, getattr(stage, name)))
+    for name in LINE_FEATURES:
+        if hasattr(module, name):
+            wrapped.append((module, name, getattr(module, name)))
+            setattr(module, name, wrap(name, getattr(module, name)))
     for level in ("seg", "body", "lexical"):
         dec = getattr(stage, level)
         dec.paths = wrap(f"{level}.paths", dec.paths)
+    return wrapped
 
 
 def main() -> int:
@@ -149,8 +163,8 @@ def main() -> int:
         gc.callbacks.append(gct)
         for bs in BATCHES:
             batches = [win.slice(i, bs) for i in range(0, n_docs, bs)]
-            sides = {"base": base_ex.FusedExtractStage(),
-                     "new": new_ex.FusedExtractStage()}
+            modules = {"base": base_ex, "new": new_ex}
+            sides = {k: m.FusedExtractStage() for k, m in modules.items()}
             outs = {k: pa.concat_tables([st(b) for b in batches])
                     for k, st in sides.items()}
             want, got = digests(outs["base"]), digests(outs["new"])
@@ -177,12 +191,14 @@ def main() -> int:
                 "wins": sum(x < 1 for x in ratio),
             }
             acc = {k: {} for k in sides}
-            for k, st in sides.items():
-                instrument(st, acc[k])
+            wrapped = [w for k, st in sides.items()
+                       for w in instrument(modules[k], st, acc[k])]
             for r in range(ROUNDS):
                 order = ("base", "new") if r % 2 == 0 else ("new", "base")
                 for k in order:
                     timed_pass(sides[k], batches, gct)
+            for module, name, fn in wrapped:
+                setattr(module, name, fn)
             row["phase_ms_per_doc"] = {
                 k: {p: 1000 * s / n_docs / ROUNDS
                     for p, s in v.items()} for k, v in acc.items()}

@@ -26,13 +26,10 @@ from datacat_ray.stages.dom import (
     SHORT_LINK_DENSITY_MAX,
     Blocks,
 )
-from datacat_ray.stages.line_features import (
-    LINESCALE,
-    NBBINS_POSITION,
-    font_size_status,
-    font_status,
-)
+from datacat_ray.stages.line_features import LINESCALE
+from datacat_ray.stages.token_features import NBBINS_POSITION
 from datacat_ray.stages.tokenizer import Lines, wrap_text
+from line_oracle import font_size_status, font_status
 
 
 def rows(cols) -> list[dict]:

@@ -26,27 +26,30 @@ def _poison_when(fn, marker: str, msg: str):
 
 
 def _poisoned_stage(monkeypatch):
-    """A stage whose batch-level phases raise on marked documents: body
-    encode (POISONBODY), lexical encode (POISONLEX), the emission gather
-    (a line starting with POISONGATHER), and a segmenter column missing
-    from the line features (POISONKEY)."""
+    """A stage whose batch-level phases raise on marked documents: line
+    encode (POISONLINES), body encode (POISONBODY), lexical encode
+    (POISONLEX), the emission gather (a line starting with POISONGATHER),
+    and a segmenter column missing from the line codes (POISONKEY)."""
     from datacat_ray.stages.crf import VOCAB
 
     monkeypatch.setattr(extract, "body_codes", _poison_when(
         extract.body_codes, "POISONBODY", "poisoned body"))
     monkeypatch.setattr(extract, "entry_codes", _poison_when(
         extract.entry_codes, "POISONLEX", "poisoned lexical"))
-    line_columns = extract.line_columns
+    line_codes = extract.line_codes
 
-    def keyless_lines(lines, fields):
-        # drops a column the segmenter templates read: the emission-key
-        # lookup of this one document raises
-        cols = line_columns(lines, fields)
-        if any("POISONKEY" in t for t in lines.text):
-            del cols["lowercase"]
-        return cols
+    def poisoned_lines(lines, fields):
+        texts = [t for ls in lines for t in ls.text]
+        if any("POISONLINES" in t for t in texts):
+            raise RuntimeError("poisoned lines")
+        codes = line_codes(lines, fields)
+        if any("POISONKEY" in t for t in texts):
+            # drops a column the segmenter templates read: the
+            # emission-key lookup raises
+            del codes["lowercase"]
+        return codes
 
-    monkeypatch.setattr(extract, "line_columns", keyless_lines)
+    monkeypatch.setattr(extract, "line_codes", poisoned_lines)
     gather = extract._Level.gather
 
     def poisoned_gather(self, codes, lens):
@@ -91,6 +94,7 @@ def test_poison_rows_cost_only_themselves(monkeypatch):
         (page("POISONKEY"), None),
         (page(n=8), None),
         (page().replace(b"<body>", b"<body><p>POISONGATHER</p>"), None),
+        (page("POISONLINES"), None),
     ]
     batch = _pages(rows)
     st = _poisoned_stage(monkeypatch)
@@ -104,6 +108,7 @@ def test_poison_rows_cost_only_themselves(monkeypatch):
         6: "RuntimeError: poisoned lexical",
         7: "KeyError: 'lowercase'",
         9: "RuntimeError: poisoned gather",
+        10: "RuntimeError: poisoned lines",
     }
     for i, row in enumerate(got.to_pylist()):
         alone = FusedExtractStage(max_tokens=1000)(batch.slice(i, 1))
@@ -124,12 +129,13 @@ def test_all_poison_batch_returns_one_error_row_per_input(monkeypatch):
         return html.replace("</body>", f"<p>{extra}</p></body>").encode()
 
     rows = [(page(m), None) for m in ("POISONBODY", "POISONLEX", "POISONKEY",
-                                      "POISONBODY POISONLEX")]
+                                      "POISONBODY POISONLEX", "POISONLINES")]
     got = _poisoned_stage(monkeypatch)(_pages(rows)).to_pylist()
     assert [r["url"] for r in got] == [f"u{i}" for i in range(len(rows))]
     assert [r["error"] for r in got] == [
         "RuntimeError: poisoned body", "RuntimeError: poisoned lexical",
-        "KeyError: 'lowercase'", "RuntimeError: poisoned body"]
+        "KeyError: 'lowercase'", "RuntimeError: poisoned body",
+        "RuntimeError: poisoned lines"]
     assert all(r["tei"] == "" and r["lexical"] == [] for r in got)
 
 

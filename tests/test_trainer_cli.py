@@ -4,16 +4,25 @@ save/load the JSON artifact → decode with the loaded model."""
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from datacat_ray.fixtures import write_pages_parquet
 from datacat_ray.pipelines.create_training import create_training_pairs
 from datacat_ray.pipelines.trainer import (
+    REF_TEMPLATES,
     load_corpus,
     load_model_json,
     save_model_json,
     train_model,
 )
+
+# the tests that train without ``template_path`` read the reference
+# checkout's segmenter template (``DATACAT_REFERENCE_DIR``)
+needs_ref_template = pytest.mark.skipif(
+    not os.path.exists(REF_TEMPLATES["segmenter"]),
+    reason="reference checkout absent")
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +45,7 @@ def test_load_corpus_reads_exported_layout(exported_corpus):
     assert all(lb.startswith("<") for lb in gold)
 
 
+@needs_ref_template
 def test_train_save_load_decode_roundtrip(exported_corpus, tmp_path):
     artifact, report = train_model(
         exported_corpus, model="segmenter", trainer="perceptron",
@@ -70,6 +80,7 @@ def crf_artifact(exported_corpus, ray_session):
     return artifact, report
 
 
+@needs_ref_template
 def test_train_crf_estimator_on_export(exported_corpus, crf_artifact):
     """The CRF estimator path over an exported corpus: short budget, must
     fit the (machine-labeled, hence consistent) corpus well."""
@@ -143,6 +154,7 @@ def test_raw_field_conversion_matches_serialization():
             assert [raw[f"f{i}"][t] for i in range(len(want))] == want
 
 
+@needs_ref_template
 def test_deploy_trained_model_in_cascade(exported_corpus, tmp_path,
                                          crf_artifact, ray_session):
     """Deploy leg: a trained artifact swaps into the fused cascade via
@@ -220,6 +232,7 @@ def _assert_deploys_like_frozen(artifact, tmp_path):
     assert agree >= 0.7, f"trained-vs-frozen zone agreement {agree:.2f}"
 
 
+@needs_ref_template
 def test_cli_train_command(exported_corpus, tmp_path, ray_session, capsys):
     """The train subcommand end to end through argparse (catches missing
     argument wiring the direct train_model tests can't see)."""

@@ -1,8 +1,12 @@
 """Wapiti model reader + decoder (weight-level parity with the reference's
 shipped body-segmentation model)."""
 
-import numpy as np
+import os
 
+import numpy as np
+import pytest
+
+from datacat_ray.pipelines.reference_eval import BODY_WAPITI_MODEL, REF_BODY
 from datacat_ray.stages.wapiti import (
     iob_to_flat,
     load_wapiti_model,
@@ -47,6 +51,8 @@ def test_tiny_viterbi_transition_dominates():
     assert wapiti_viterbi(m, []) == []
 
 
+@pytest.mark.skipif(not os.path.exists(REF_MODEL),
+                    reason="reference checkout absent")
 def test_parse_reference_model():
     m = load_wapiti_model(REF_MODEL)
     assert m.mtype == 2  # CRF
@@ -57,6 +63,9 @@ def test_parse_reference_model():
     assert iob_to_flat("<title>") == "<title>"
 
 
+@pytest.mark.skipif(
+    not (os.path.exists(BODY_WAPITI_MODEL) and os.path.isdir(REF_BODY)),
+    reason="reference checkout absent")
 def test_reference_weights_label_eval_corpus(ray_session):
     """The engine decodes the committed eval raw files with the
     reference's OWN trained weights — micro F1 ~0.98 (a broken feature
