@@ -118,8 +118,6 @@ _FIELD_NAMES = [f.name for f in LINE_FEATURE_STRUCT]
 
 MIN_PATTERN_LEN = 8
 _DIGITS_RE = re.compile(r"\d+")
-_ASCII = bytes(range(128))
-_DIGIT_TO_SPACE = bytes.maketrans(b"0123456789", b" " * 10)
 
 # the words of a line are split on " \t\f\u00a0" (reference
 # ``DatacatSegmenterParser.java:434``); in the joined column a line start
@@ -226,33 +224,14 @@ class _LineBatch(LineSet):
         q = np.divide(lens, top, out=np.zeros(self.n), where=top > 0)
         return np.minimum((LINESCALE * q).astype(np.intp), LINESCALE)
 
-    def patterns(self) -> list[str]:
-        """Each line's skeleton: whitespace removed, each run of digits
-        one "@"."""
-        if self.joined.replace("\n", "").isprintable():
-            # every whitespace character but " " is unprintable
-            sk = self.joined.replace(" ", "")
-        else:
-            sk = "\n".join(map("".join, map(str.split, self.texts)))
-        # a skeleton holds no whitespace, so "\n" still separates them
-        raw = sk.encode("utf-8", "surrogatepass")
-        wide = raw.translate(None, _ASCII).decode("utf-8", "surrogatepass")
-        if any(map(str.isdecimal, set(wide))):
-            return _DIGITS_RE.sub("@", sk).split("\n")
-        # ASCII digits only: each becomes a space, then each run of
-        # spaces one "@"
-        raw = raw.translate(_DIGIT_TO_SPACE)
-        while b"  " in raw:
-            raw = raw.replace(b"  ", b" ")
-        return (raw.replace(b" ", b"@").decode("utf-8", "surrogatepass")
-                .split("\n"))
-
     @cached_property
     def repetitive(self) -> tuple[np.ndarray, np.ndarray]:
         """(repetitive, first repetitive) flags: a line's skeleton (no
         whitespace, digit runs as "@") longer than ``MIN_PATTERN_LEN``
         that occurs more than once in its document; the first of them."""
-        pats = self.patterns()
+        # a skeleton holds no whitespace, so "\n" still separates them
+        sk = "\n".join(map("".join, map(str.split, self.texts)))
+        pats = _DIGITS_RE.sub("@", sk).split("\n")
         ids: dict[str, int] = {}
         pid = np.fromiter(map(ids.setdefault, pats, count()), np.int64,
                           self.n)

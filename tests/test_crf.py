@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from level_emissions import level_emissions
 
 from datacat_ray.stages.crf import (
     CRFDecoder,
@@ -484,15 +485,6 @@ def _coded_case(draw):
                     transitions={}), calls
 
 
-def _emissions(level, cols, lens):
-    """A level's emission matrix of value columns (one list per field in
-    ``level.fields``), through ``VOCAB`` codes and ``_Level.gather``."""
-    from datacat_ray.stages.crf import VOCAB
-
-    return level.gather({name: VOCAB.codes(name, cols[name])
-                         for name in level.fields}, np.atleast_1d(lens))
-
-
 def _assert_bitwise_equal(got, want):
     assert got.shape == want.shape
     assert np.array_equal(got, want)
@@ -544,7 +536,7 @@ def test_coded_emissions_equal_emission_matrix_rows(case, data):
                 {f"f{i}": [] for i in range(len(raw_names))}, 0)
         except KeyError as missing:
             try:
-                _emissions(level, flat, lens)
+                level_emissions(level, flat, lens)
             except KeyError as exc:
                 assert exc.args == missing.args
             else:
@@ -553,4 +545,4 @@ def test_coded_emissions_equal_emission_matrix_rows(case, data):
         want = (np.concatenate([level.dec.emission_matrix(c, n)
                                 for c, n in zip(raw, lens)])
                 if lens else np.zeros((0, level.dec.L)))
-        _assert_bitwise_equal(_emissions(level, flat, lens), want)
+        _assert_bitwise_equal(level_emissions(level, flat, lens), want)

@@ -11,6 +11,7 @@ import numpy as np
 from frontend_oracle import blocks_of, lines_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from level_emissions import level_emissions
 from line_oracle import (
     line_pattern,
     mine_repetitive_patterns,
@@ -330,13 +331,6 @@ def test_token_cores_on_ragged_synthetic_docs(data):
         assert idx == want_idx and got == _columns_of(rows, fields)
 
 
-def _emissions(level, cols, lens):
-    """A level's emission matrix of value columns (one list per field in
-    ``level.fields``), through ``VOCAB`` codes and ``_Level.gather``."""
-    return level.gather({name: VOCAB.codes(name, cols[name])
-                         for name in level.fields}, np.atleast_1d(lens))
-
-
 def _reference_emissions(dec, rows):
     """Emission rows from the row dicts: each position's expanded feature
     strings (``expand_templates``), weights summed in template order."""
@@ -384,24 +378,24 @@ def test_emission_matrix_from_columns_equals_row_dicts(tmp_path):
         n = len(lines)
         rows = featurize_lines(lines)
         assert np.array_equal(
-            _emissions(seg, line_columns(lines, seg.fields), n),
+            level_emissions(seg, line_columns(lines, seg.fields), n),
             _reference_emissions(seg.dec, rows)), name
         raw_rows = [dict(enumerate(serialize_features(r).split(" ")))
                     for r in rows]
         raw_rows = [{f"f{i}": v for i, v in r.items()} for r in raw_rows]
         assert np.array_equal(
-            _emissions(raw_seg, line_columns(lines, raw_seg.fields), n),
+            level_emissions(raw_seg, line_columns(lines, raw_seg.fields), n),
             _reference_emissions(raw, raw_rows)), name
         cols, idx = body_token_columns(tokens, token_line, lines,
                                        body_ranges, body.fields)
         assert np.array_equal(
-            _emissions(body, cols, len(idx)),
+            level_emissions(body, cols, len(idx)),
             _reference_emissions(body.dec, featurize_body_tokens(
                 tokens, token_line, lines, body_ranges)[0])), name
         for start, end in spans:
             cols, idx = _span_columns(tokens, start, end, lex.fields)
             assert np.array_equal(
-                _emissions(lex, cols, len(idx)),
+                level_emissions(lex, cols, len(idx)),
                 _reference_emissions(lex.dec, featurize_entry_tokens(
                     tokens, start, end)[0])), name
             checked += 1
