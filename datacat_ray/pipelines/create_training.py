@@ -22,44 +22,51 @@ Suffixes match the reference's committed corpus layout
 pairs re-ingest through the SAME loaders the refeval pipeline uses on the
 reference's own corpus.
 
-Scale shape: the flagship's keep-latest read (one pair per url), then
-one ``map_batches`` stage of plain Ray tasks (decoders
-compiled once per worker process), file writes atomic (tmp + rename →
-idempotent re-runs), manifest rows returned instead of payloads so nothing
-document-sized flows past the sink. ``out_dir`` must be shared storage on
-a multi-node cluster (same contract as every other file sink here).
+The export runs on the extraction cascade's own batch phases, as the
+reference's runs on its parsers: ``FusedExtractStage.segment`` (parse,
+tokenize, segmenter CRF, zones) and, for a labeled body export,
+``decode_entries`` (the body CRF over the ``<body>`` zones —
+``createTrainingBodySegmentation``). The TEI comes from each document's
+live state through the extraction's assemblers; the raw file serializes
+the ``VOCAB`` codes of every field of the level, encoded once per batch.
+Nothing is capped: every page exports. One ``map_batches`` stage of plain
+Ray tasks follows the flagship's keep-latest read (one pair per url);
+writes are atomic (tmp + rename → idempotent re-runs), and only manifest
+rows flow past the sink. A poison row gets its error in the manifest and
+costs only itself. ``out_dir`` must be shared storage on a multi-node
+cluster (same contract as every other file sink here).
 """
 
 from __future__ import annotations
+
+import os
+import sys
+from itertools import repeat
 
 import pyarrow as pa
 
 import ray.data
 
-from datacat_ray.stages.crf import CRFDecoder, with_begin_prefix
-from datacat_ray.stages.dedup import dedup_latest_prefilter
-from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
-from datacat_ray.stages.line_features import (
-    _FIELD_NAMES as _LINE_FIELD_NAMES,
-    line_columns,
-    serialize_columns,
+from datacat_ray.pipelines.extract import (
+    FusedExtractStage,
+    _batch,
+    _phase,
+    _split,
 )
-from datacat_ray.stages.models import BODY_MODEL, SEGMENTER_MODEL
+from datacat_ray.stages.dedup import dedup_latest_prefilter
+from datacat_ray.stages.line_features import serialize_codes, serialize_lines
 from datacat_ray.stages.tei import (
-    _TEI_HEADER,
     assemble_body_tei,
     assemble_segmenter_tei,
-    body_label_runs,
     doc_id,
-    html_encode,
     lines_tei,
+    tei_document,
+    tokens_tei,
 )
 from datacat_ray.stages.token_features import (
     _TOKEN_FIELD_NAMES as _BODY_FIELD_NAMES,
-    body_token_columns,
+    body_codes,
 )
-from datacat_ray.stages.tokenizer import tokenize_document
-from datacat_ray.stages.zones import decode_zones, zone_token_indices
 
 MANIFEST_SCHEMA = pa.schema(
     [
@@ -73,157 +80,104 @@ MANIFEST_SCHEMA = pa.schema(
 )
 
 
+def _write_atomic(path: str, content: str) -> None:
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(content)
+    os.replace(tmp, path)
+
+
 class TrainingExportStage:
-    """DOM parse → tokenize → featurize → segmenter decode → write the
-    TEI/raw pair. Decoders compiled once per instance (``__init__``)."""
+    """Write the TEI/raw training pair of every page of a batch, run on
+    the phases of the ``FusedExtractStage`` it holds (decoders compiled
+    once per instance): the segmenter level for every model, the body
+    level too for a labeled body export. Returns one manifest row per
+    input row."""
 
     def __init__(self, out_dir: str, model: str = "segmenter",
                  blank: bool = False) -> None:
-        import os
-
         if model not in ("segmenter", "body"):
             raise ValueError(f"model must be segmenter|body, got {model!r}")
         self.model = model
         self.blank = blank
-        self.seg = CRFDecoder(SEGMENTER_MODEL)
-        # the body variant runs the cascade's first level first (the
-        # reference's createTrainingBodySegmentation does the same:
-        # segmenter -> BODY zones -> body featurizer)
-        self.body = CRFDecoder(BODY_MODEL) if model == "body" else None
+        # no caps: a page the extraction rejects as too large still
+        # exports (the reference's training commands cap nothing)
+        self.stage = FusedExtractStage(max_tokens=sys.maxsize,
+                                       max_blocks=sys.maxsize)
         self.tei_dir = os.path.join(out_dir, "tei")
         self.raw_dir = os.path.join(out_dir, "raw")
 
-    def _write_atomic(self, path: str, content: str) -> None:
-        import os
-
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(content)
-        os.replace(tmp, path)
-
-    def _blank_segmenter_tei(self, url, lang, lines) -> str:
-        """Text-only TEI (no zone tags) — the createTrainingBlank form a
-        user tags from scratch for a brand-new model."""
-        return (
-            _TEI_HEADER
-            + "\t<teiHeader>\n"
-            + f'\t\t<fileDesc xml:id="{doc_id(url)}"/>\n'
-            + "\t</teiHeader>\n"
-            + f'\t<text xml:lang="{html_encode(lang or "fr")}">\n'
-            + lines_tei(lines.text)
-            + "\t</text>\n</tei>\n"
-        )
-
-    def _blank_body_tei(self, url, lang, tokens, body_ranges) -> str:
-        """Body token stream HTML-encoded, untagged (createTrainingBlankBody
-        semantics: 'just write the text without any label')."""
-        buf: list[str] = []
-        for a, b in body_ranges:
-            for t in range(a, b):
-                tok = tokens[t]
-                buf.append("<lb/>\n" if tok in ("\n", "\r", "\r\n")
-                           else html_encode(tok))
-        return (
-            _TEI_HEADER
-            + "\t<teiHeader>\n"
-            + f'\t\t<fileDesc xml:id="{doc_id(url)}"/>\n'
-            + "\t</teiHeader>\n"
-            + f'\t<text xml:lang="{html_encode(lang or "fr")}">\n'
-            + "".join(buf)
-            + "\n\t</text>\n</tei>\n"
-        )
-
-    def _one(self, url, lang, html, text) -> tuple[str, str, str, int]:
-        import os
-
-        if html is not None:
-            blocks = parse_main_blocks(html.decode("utf-8", errors="replace"))
-        else:
-            blocks = blocks_from_plain_text(text or "")
-        lines, tokens, token_line = tokenize_document(blocks)
-        # the raw corpus of the segmenter model is every line field; the
-        # body model's only needs the segmenter's own fields to route
-        cols = line_columns(lines, self.seg.fields if self.model == "body"
-                            else _LINE_FIELD_NAMES)
-        line_labels = with_begin_prefix(
-            self.seg.decode_columns(cols, len(lines)))
-        stem = doc_id(url)
-
+    def _raw(self, ds: list) -> None:
+        """Each document's raw-feature lines, as its ``result``: every
+        line field for the segmenter, every body-token field over the
+        ``<body>`` zones for the body model."""
         if self.model == "body":
-            # first cascade level routes to the BODY zones, exactly like
-            # the flagship (createTrainingBodySegmentation flow)
-            zones = decode_zones(line_labels, token_line, len(tokens))
-            body_ranges = zone_token_indices(zones, "<body>")
-            bcols, idx = body_token_columns(
-                tokens, token_line, lines, body_ranges, _BODY_FIELD_NAMES
-            )
-            suffix = ".training.bodySegmentation.datacat.text"
-            raw_path = os.path.join(self.raw_dir, f"{stem}{suffix}")
-            if self.blank:
-                tei_path = os.path.join(
-                    self.tei_dir, f"{stem}{suffix}.blank.tei.xml")
-                tei = self._blank_body_tei(url, lang, tokens, body_ranges)
-            else:
-                tei_path = os.path.join(
-                    self.tei_dir, f"{stem}{suffix}.tei.xml")
-                entries = body_label_runs(
-                    self.body.decode_columns(bcols, len(idx)), idx)
-                tei = assemble_body_tei(url, lang, tokens, entries)
-            self._write_atomic(tei_path, tei)
-            self._write_atomic(
-                raw_path,
-                "\n".join(serialize_columns(bcols)) + "\n",
-            )
-            return stem, tei_path, raw_path, len(idx)
-
-        if self.blank:
-            tei_path = os.path.join(
-                self.tei_dir, f"{stem}.training.datacat.blank.tei.xml")
-            tei = self._blank_segmenter_tei(url, lang, lines)
+            codes, _, counts = body_codes(
+                [d.tokens for d in ds], [d.token_line for d in ds],
+                [d.lines for d in ds], [d.body for d in ds],
+                _BODY_FIELD_NAMES)
+            _split(ds, "result", serialize_codes(codes), counts)
         else:
-            tei_path = os.path.join(
-                self.tei_dir, f"{stem}.training.datacat.tei.xml")
-            tei = assemble_segmenter_tei(url, lang, lines, line_labels)
-        raw_path = os.path.join(self.raw_dir, f"{stem}.training.datacat")
-        self._write_atomic(tei_path, tei)
+            lines = [d.lines for d in ds]
+            _split(ds, "result", serialize_lines(lines), list(map(len, lines)))
+
+    def _tei(self, d) -> str:
+        """A document's TEI: labeled by the current models (the file a
+        human corrects), or blank (text only, the createTrainingBlank*
+        form tagged from scratch)."""
+        if self.model == "segmenter":
+            if self.blank:
+                return tei_document(d.url, d.lang, lines_tei(d.lines.text))
+            return assemble_segmenter_tei(d.url, d.lang, d.lines,
+                                          d.line_labels)
+        if self.blank:
+            # the body token stream, untagged (createTrainingBlankBody:
+            # "just write the text without any label")
+            return tei_document(d.url, d.lang, "".join(
+                tokens_tei(d.tokens, a, b) for a, b in d.body) + "\n")
+        return assemble_body_tei(d.url, d.lang, d.tokens,
+                                 self.stage.entry_list(d))
+
+    def _write(self, d, _) -> None:
+        """Write a document's pair; its ``result`` becomes (stem, TEI
+        path, raw path, raw line count)."""
+        stem = doc_id(d.url)
+        name = (f"{stem}.training.bodySegmentation.datacat.text"
+                if self.model == "body" else f"{stem}.training.datacat")
+        tei_path = os.path.join(
+            self.tei_dir, name + (".blank.tei.xml" if self.blank
+                                  else ".tei.xml"))
+        raw_path = os.path.join(self.raw_dir, name)
+        _write_atomic(tei_path, self._tei(d))
         # the reference writes the serialized features plus one trailing
         # newline (DatacatSegmenterParser.java:692-694)
-        self._write_atomic(
-            raw_path,
-            "\n".join(serialize_columns(cols)) + "\n",
-        )
-        return stem, tei_path, raw_path, len(lines)
+        _write_atomic(raw_path, "\n".join(d.result) + "\n")
+        d.result = (stem, tei_path, raw_path, len(d.result))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import os
-
         # per call, not per instance: a worker reuses its instance across
         # runs, and an output dir removed in between must come back
         os.makedirs(self.tei_dir, exist_ok=True)
         os.makedirs(self.raw_dir, exist_ok=True)
+        urls = batch["url"].to_pylist()
+        docs, out = self.stage.segment(
+            urls, batch["lang"].to_pylist(), batch["html"].to_pylist(),
+            batch["text"].to_pylist())
+        if self.model == "body" and not self.blank:
+            self.stage.decode_entries(docs, out)
+        _batch(docs, out, self._raw)
+        _phase(docs, out, self._write, repeat(None))
         res: dict[str, list] = {k: [] for k in MANIFEST_SCHEMA.names}
-        for url, lang, html, text in zip(
-            batch["url"].to_pylist(),
-            batch["lang"].to_pylist(),
-            batch["html"].to_pylist(),
-            batch["text"].to_pylist(),
-        ):
-            try:
-                stem, tei_path, raw_path, n_lines = self._one(
-                    url, lang, html, text
-                )
-                err = None
-            except Exception as exc:  # noqa: BLE001 — poison-row side output
-                stem = doc_id(url)
-                tei_path = raw_path = ""
-                n_lines = 0
-                err = f"{type(exc).__name__}: {exc}"
+        for i, url in enumerate(urls):
+            d = docs.get(i)
+            stem, tei_path, raw_path, n_lines = (
+                d.result if d else (doc_id(url), "", "", 0))
             res["url"].append(url)
             res["stem"].append(stem)
             res["tei_path"].append(tei_path)
             res["raw_path"].append(raw_path)
             res["n_lines"].append(n_lines)
-            res["error"].append(err)
+            res["error"].append(None if d else out[i][-1])
         return pa.Table.from_pydict(res, schema=MANIFEST_SCHEMA)
 
 

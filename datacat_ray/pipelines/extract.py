@@ -238,7 +238,12 @@ class FusedExtractStage:
     each boundary — measured ~8× the actual kernel cost. One stage = one
     conversion in (html bytes), one out (result strings).
 
-    A batch runs phase by phase (``_extract``). Parse, tokenize, zones
+    A batch runs phase by phase (``_extract``), one level after another:
+    ``segment`` (parse, tokenize, caps, segmenter CRF, zones),
+    ``decode_entries`` (body CRF, entry spans), then the lexical level and
+    assembly. The training export (``pipelines/create_training``) runs the
+    first two on their own and writes its files from the live ``_Doc``
+    states. Parse, tokenize, zones
     and TEI run document by document; each CRF level runs batch-wide: its
     feature fields are encoded as ``VOCAB`` codes over the positions of
     every document laid end to end (``line_codes``, ``body_codes``,
@@ -345,11 +350,14 @@ class FusedExtractStage:
         for d, n in zip(ds, counts):
             d.lens = [n]
 
-    def _lexical_emissions(self, ds: list) -> None:
-        """Entries from the body paths; lexical emissions of every
-        non-space token of the batch's ``<entry>`` runs (num/category/
-        desc/count/material), each non-empty run its own sequence."""
+    def _body_spans(self, ds: list) -> None:
+        """Entries from the body paths."""
         _spans(self.body, ds, "entries")
+
+    def _lexical_emissions(self, ds: list) -> None:
+        """Lexical emissions of every non-space token of the batch's
+        ``<entry>`` runs (num/category/desc/count/material), each non-empty
+        run its own sequence."""
         names = self.body.base_labels
         entry = names.index("<entry>") if "<entry>" in names else -1
         runs = []
@@ -372,12 +380,16 @@ class FusedExtractStage:
         """Lexical spans from the run paths."""
         _spans(self.lexical, ds, "lexical")
 
-    def _assemble(self, d: _Doc, _) -> None:
-        """Text and TEI assembly."""
+    def entry_list(self, d: _Doc) -> list[dict]:
+        """A document's entries as ``{label, start, end}`` dicts."""
         lab, start, end = d.entries
         names = self.body.base_labels
-        entries = [{"label": names[i], "start": a, "end": b} for i, a, b
-                   in zip(lab.tolist(), start.tolist(), end.tolist())]
+        return [{"label": names[i], "start": a, "end": b} for i, a, b
+                in zip(lab.tolist(), start.tolist(), end.tolist())]
+
+    def _assemble(self, d: _Doc, _) -> None:
+        """Text and TEI assembly."""
+        entries = self.entry_list(d)
         tokens, lines, zones = d.tokens, d.lines, d.zones
         if self.tei_coordinates:
             offs = token_char_offsets(tokens)
@@ -400,11 +412,11 @@ class FusedExtractStage:
             None,
         )
 
-    def _extract(self, urls, langs, htmls, texts):
-        """(rows, entries column, lexical column): per document the
-        (extracted_text, main_text, tei, tei_body, zones, entries, —,
-        n_lines, n_tokens, error) row, the cascade run one phase at a
-        time over the whole batch."""
+    def segment(self, urls, langs, htmls, texts) -> tuple[dict, list]:
+        """Parse, tokenize, caps, segmenter CRF and zones over a batch:
+        (``docs``, the live documents' ``_Doc`` states by input index;
+        ``out``, the batch's rows, so far the error row of each document
+        that left ``docs``). Later phases take the same pair."""
         VOCAB.bound()
         out: list = [None] * len(urls)
         docs = {i: _Doc(u, lg) for i, (u, lg) in enumerate(zip(urls, langs))}
@@ -412,8 +424,22 @@ class FusedExtractStage:
         _batch(docs, out, self._seg_emissions)
         _decode(self.seg, docs)
         _phase(docs, out, self._zones, repeat(None))
+        return docs, out
+
+    def decode_entries(self, docs: dict, out: list) -> None:
+        """Body CRF and entry spans (``entry_list``) over ``segment``'s
+        live documents."""
         _batch(docs, out, self._body_emissions)
         _decode(self.body, docs)
+        _batch(docs, out, self._body_spans)
+
+    def _extract(self, urls, langs, htmls, texts):
+        """(rows, entries column, lexical column): per document the
+        (extracted_text, main_text, tei, tei_body, zones, entries, —,
+        n_lines, n_tokens, error) row, the cascade run one phase at a
+        time over the whole batch."""
+        docs, out = self.segment(urls, langs, htmls, texts)
+        self.decode_entries(docs, out)
         _batch(docs, out, self._lexical_emissions)
         _decode(self.lexical, docs)
         _batch(docs, out, self._lexical_spans)

@@ -213,34 +213,29 @@ def features_debug(sf_dir: str) -> "ray.data.Dataset":
     feature line per layout line (the reference's featured-but-unlabeled
     training bootstrap files, ``DatacatSegmenterParser.java:692-694``),
     exploded to (doc_id, line_id, serialized) rows."""
-    import pyarrow.compute as pc
-
+    from datacat_ray.stages.crf import VOCAB
     from datacat_ray.stages.dom import parse_main_blocks
-    from datacat_ray.stages.line_features import (
-        _FIELD_NAMES,
-        line_columns,
-        serialize_columns,
-    )
+    from datacat_ray.stages.line_features import serialize_lines
     from datacat_ray.stages.tokenizer import tokenize_document
 
     pages = pages_from_documents(sf_dir)
     ds = ray.data.from_arrow(pages)
 
     def _feats(t: pa.Table) -> pa.Table:
-        doc_ids, line_ids, ser = [], [], []
-        for url, html in zip(t["url"].to_pylist(), t["html"].to_pylist()):
-            doc = int(url.rsplit("/", 1)[1])
-            blocks = parse_main_blocks(html.decode("utf-8", errors="replace"))
-            lines, _, _ = tokenize_document(blocks)
-            doc_ser = serialize_columns(line_columns(lines, _FIELD_NAMES))
-            doc_ids.extend([doc] * len(doc_ser))
-            line_ids.extend(range(len(doc_ser)))
-            ser.extend(doc_ser)
+        docs = [int(url.rsplit("/", 1)[1]) for url in t["url"].to_pylist()]
+        lines = [tokenize_document(parse_main_blocks(
+            html.decode("utf-8", errors="replace")))[0]
+            for html in t["html"].to_pylist()]
+        n = list(map(len, lines))
+        VOCAB.bound()
         return pa.Table.from_pydict(
             {
-                "doc_id": pa.array(doc_ids, type=pa.int64()),
-                "line_id": pa.array(line_ids, type=pa.int64()),
-                "serialized": pa.array(ser, type=pa.string()),
+                "doc_id": pa.array([doc for doc, k in zip(docs, n)
+                                    for _ in range(k)], type=pa.int64()),
+                "line_id": pa.array([i for k in n for i in range(k)],
+                                    type=pa.int64()),
+                "serialized": pa.array(serialize_lines(lines),
+                                       type=pa.string()),
             }
         )
 

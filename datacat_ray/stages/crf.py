@@ -30,7 +30,7 @@ model has no such feature). The ``(Σn, L)`` emission matrix of a whole
 batch is the sum of the templates' row gathers, added in template order
 onto a +0.0 row — the same IEEE additions ``_emission_row`` makes, so the
 rows are bit-identical to the string path (``emission_matrix``, kept as
-the oracle and for the training/debug exports). Templates without any
+the oracle and for perfbench's traced walk). Templates without any
 weight add only zeros, so they are skipped, and their fields are never
 computed. Memory is bounded: ``VOCAB.bound`` resets ``VOCAB`` past
 ``_VOCAB_MAX`` codes, or once a cache built on its codes (registered with
@@ -80,28 +80,6 @@ class CRFModel:
         for lb, w in self.init.items():
             v[idx[lb]] += w
         return v
-
-
-def expand_templates(model: CRFModel, feats: list[dict]) -> list[list[str]]:
-    """Per-position expanded feature strings. Out-of-range offsets expand
-    with the boundary sentinel ``_B-1_`` / ``_B+1_`` (CRF++ convention)."""
-    n = len(feats)
-    out: list[list[str]] = []
-    for t in range(n):
-        fs: list[str] = []
-        for tag, refs in model.templates:
-            vals = []
-            for off, name in refs:
-                j = t + off
-                if j < 0:
-                    vals.append(f"_B{off}_")
-                elif j >= n:
-                    vals.append(f"_B+{off}_")
-                else:
-                    vals.append(str(feats[j][name]))
-            fs.append(tag + ":" + "|".join(vals))
-        out.append(fs)
-    return out
 
 
 _EMISSION_CACHE_MAX = 200_000
@@ -267,7 +245,8 @@ class CRFDecoder:
     ``paths`` runs one Viterbi over many sequences in lockstep, so the
     per-step numpy dispatch is paid once per batch step instead of once
     per document position; ``viterbi``, ``decode_batch`` and ``decode``
-    name its labels."""
+    name its labels (the string path: the tests' oracle and perfbench's
+    traced walk)."""
 
     def __init__(self, model: CRFModel) -> None:
         self.model = model
@@ -517,11 +496,6 @@ class CRFDecoder:
                 len(feats))
             for feats in seqs
         ])
-
-    def decode_columns(self, cols: dict[str, list], n: int) -> list[str]:
-        """Labels of one sequence of ``n`` positions given as feature
-        columns (at least ``fields``)."""
-        return self.viterbi([self.emission_matrix(cols, n)])[0]
 
     def decode(self, feats: list[dict]) -> list[str]:
         """``decode_batch`` of one sequence."""

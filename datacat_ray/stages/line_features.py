@@ -37,9 +37,11 @@ just those (``CRFDecoder.coded_fields``). Each field has one definition
 - the structural fields (block, page, font, positions) are numpy over the
   batch's line columns, grouped by document.
 
+``serialize_lines`` writes the raw-feature lines of a batch straight from
+the codes (the training export and the features-debug sink).
 ``line_columns`` and ``featurize_lines`` are the value view (one
 document's codes decoded back to values, as ``body_token_columns`` is for
-the body level); training export and the features-debug sink read it. The
+the body level); perfbench's traced walk and the tests read it. The
 per-line builders that state each field line by line are the test oracle
 (``tests/line_oracle.py``).
 """
@@ -327,11 +329,21 @@ def line_columns(lines: Lines, fields) -> dict[str, list]:
     return {name: VOCAB.decode(name, codes[name]) for name in fields}
 
 
-def serialize_columns(cols: dict[str, list]) -> list[str]:
-    """Feature columns → the whitespace serialization of every position
-    (values in column order; ``serialize_features`` of each row when the
-    columns are every field in canonical order)."""
-    return [" ".join(map(str, row)) for row in zip(*cols.values())]
+def serialize_codes(codes: dict[str, np.ndarray]) -> list[str]:
+    """The ``VOCAB`` codes of some fields over positions → the whitespace
+    serialization of every position: its values' feature strings in field
+    order (``serialize_features`` / ``serialize_token_features`` of each
+    row when the fields are all of a level's, in canonical order)."""
+    return list(map(" ".join, zip(*(
+        list(map(VOCAB.strings(name).__getitem__, c.tolist()))
+        for name, c in codes.items()))))
+
+
+def serialize_lines(lines: list[Lines]) -> list[str]:
+    """The raw-feature line of every line of several documents laid end
+    to end: all 33 fields, serialized (the S10 sink and the segmenter's
+    training raw files)."""
+    return serialize_codes(line_codes(lines, _FIELD_NAMES))
 
 
 def featurize_lines(lines: Lines) -> list[dict]:

@@ -84,6 +84,30 @@ def lines_tei(texts: list[str]) -> str:
     return html_encode("\n".join(texts)).replace("\n", "<lb/>\n") + "<lb/>\n"
 
 
+def tokens_tei(tokens: list[str], a: int, b: int) -> str:
+    """Tokens ``[a, b)`` escaped, each newline token as ``<lb/>`` and a
+    newline: one escape over their joined text (a newline is its own
+    layout token, so its "\n" becomes "<lb/>\n"). With a "\r" the tokens
+    render one by one: a "\r" token, a "\n" token and a "\r\n" token each
+    render as one "<lb/>\n"."""
+    text = "".join(tokens[a:b])
+    if "\r" not in text:
+        return html_encode(text).replace("\n", "<lb/>\n")
+    return "".join("<lb/>\n" if tok in ("\n", "\r", "\r\n")
+                   else html_encode(tok) for tok in tokens[a:b])
+
+
+def tei_document(url: str, lang: str | None, content: str) -> str:
+    """The TEI document template around a ``<text>`` element's content."""
+    return (
+        f"{_TEI_HEADER}\t<teiHeader>\n"
+        f'\t\t<fileDesc xml:id="{doc_id(url)}"/>\n'
+        "\t</teiHeader>\n"
+        f'\t<text xml:lang="{html_encode(lang or _DEFAULT_LANG)}">\n'
+        f"{content}\t</text>\n</tei>\n"
+    )
+
+
 def assemble_segmenter_tei(
     url: str, lang: str | None, lines: Lines, line_labels: list[str],
     coords: list[tuple[int, int]] | None = None,
@@ -91,22 +115,14 @@ def assemble_segmenter_tei(
     """Zone-tagged TEI over labeled lines. ``coords`` (optional, one per
     label run — the order ``decode_zones`` emits) adds char-span
     coordinate attributes; see ``_coords_attr``."""
-    lang = lang or _DEFAULT_LANG
-    parts = [
-        _TEI_HEADER,
-        "\t<teiHeader>\n",
-        f'\t\t<fileDesc xml:id="{doc_id(url)}"/>\n',
-        "\t</teiHeader>\n",
-        f'\t<text xml:lang="{html_encode(lang)}">\n',
-    ]
+    parts = []
     for k, (label, a, b) in enumerate(line_runs(line_labels)):
         tag = label[1:-1]  # "<front>" → "front"
         content = lines_tei(lines.text[a : b + 1])
         parts.append(
             f"\t\t\t<{tag}{_coords_attr(coords, k)}>{content}</{tag}>\n"
         )
-    parts.append("\t</text>\n</tei>\n")
-    return "".join(parts)
+    return tei_document(url, lang, "".join(parts))
 
 
 def body_label_runs(
@@ -309,26 +325,7 @@ def assemble_body_tei(
     entry element in ``<s>…</s>`` via ``split_sentence_spans``;
     inter-sentence whitespace stays between the ``<s>`` elements, so
     stripping the tags recovers the unsegmented entry byte-for-byte."""
-    lang = lang or _DEFAULT_LANG
-    parts = [
-        _TEI_HEADER,
-        "\t<teiHeader>\n",
-        f'\t\t<fileDesc xml:id="{doc_id(url)}"/>\n',
-        "\t</teiHeader>\n",
-        f'\t<text xml:lang="{html_encode(lang)}">\n',
-    ]
-
-    def _render(a: int, b: int) -> str:
-        # one escape over the joined text of tokens [a, b): a newline is
-        # its own layout token, so its "\n" becomes "<lb/>\n". With a "\r"
-        # the tokens render one by one: a "\r" token, a "\n" token and a
-        # "\r\n" token each render as one "<lb/>\n"
-        text = "".join(tokens[a:b])
-        if "\r" not in text:
-            return html_encode(text).replace("\n", "<lb/>\n")
-        return "".join("<lb/>\n" if tok in ("\n", "\r", "\r\n")
-                       else html_encode(tok) for tok in tokens[a:b])
-
+    parts = []
     for k, run in enumerate(entries):
         open_tag, close_tag = _BODY_TAG_MAP.get(
             run["label"], (run["label"], "</" + run["label"][1:])
@@ -339,12 +336,12 @@ def assemble_body_tei(
             buf: list[str] = []
             pos = run["start"]
             for s, e in split_sentence_spans(tokens, run["start"], run["end"]):
-                buf += [_render(pos, s), "<s>", _render(s, e), "</s>"]
+                buf += [tokens_tei(tokens, pos, s), "<s>",
+                        tokens_tei(tokens, s, e), "</s>"]
                 pos = e
-            buf.append(_render(pos, run["end"]))
+            buf.append(tokens_tei(tokens, pos, run["end"]))
             content = "".join(buf)
         else:
-            content = _render(run["start"], run["end"])
+            content = tokens_tei(tokens, run["start"], run["end"])
         parts.append(f"\t\t\t{open_tag}{content}{close_tag}\n")
-    parts.append("\t</text>\n</tei>\n")
-    return "".join(parts)
+    return tei_document(url, lang, "".join(parts))

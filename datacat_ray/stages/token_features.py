@@ -29,11 +29,12 @@ and per field an array of the code of every known token's value, computed
 once per distinct token); context fields are numpy gathers over the
 batch's line arrays (``LineSet``, which the segmenter's line encoder
 ``line_features.line_codes`` shares). Each field has one definition (``_STATIC_COLUMNS``,
-``_BODY_COLUMNS``); the value columns of training export and the dict
-featurizer (``body_token_columns``, ``featurize_body_tokens``) are the
-codes of one document decoded back to values. The token vocabulary
-is bounded by ``_STATIC_CACHE_MAX`` tokens: it is watched by ``VOCAB``,
-so ``VOCAB.bound`` (between batches only) resets both together.
+``_BODY_COLUMNS``); the value columns and the dict featurizer of
+perfbench's traced walk (``body_token_columns``,
+``featurize_body_tokens``) are the codes of one document decoded back to
+values. The token vocabulary is bounded by ``_STATIC_CACHE_MAX`` tokens:
+it is watched by ``VOCAB``, so ``VOCAB.bound`` (between batches only)
+resets both together.
 """
 
 from __future__ import annotations

@@ -25,8 +25,9 @@ NEG_INF = -1e9
 def expand_sequence(
     feats: list[dict], templates
 ) -> list[list[str]]:
-    """Per-position expanded feature strings (same conventions as
-    ``crf.expand_templates`` — boundary sentinels included)."""
+    """Per-position expanded feature strings: template ``tag:v1|v2``
+    over the referenced values, an offset outside the sequence expanding
+    to the boundary sentinel ``_B-1_`` / ``_B+1_`` (CRF++ convention)."""
     n = len(feats)
     out = []
     for t in range(n):

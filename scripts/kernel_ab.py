@@ -49,8 +49,10 @@ BASE_REV = "HEAD"
 BATCHES = (19, 128)
 SEED = 1
 ROUNDS = 20
+# the leaf phase methods; a revision without one of them skips it (the
+# entry spans ran inside ``_lexical_emissions`` before ``_body_spans``)
 PHASES = ("_lines", "_seg_emissions", "_zones", "_body_emissions",
-          "_lexical_emissions", "_lexical_spans", "_assemble")
+          "_body_spans", "_lexical_emissions", "_lexical_spans", "_assemble")
 # the line-feature layer, a function of the stage's module
 LINE_FEATURES = ("line_columns", "line_codes")
 

@@ -169,3 +169,78 @@ def test_create_training_cli_exports_each_urls_latest_capture(
         assert text in tei
         assert [ln.split(" ")[0] for ln in raw.splitlines()] == [
             text.split(" ")[0]]
+
+
+def test_create_training_files_equal_the_per_document_value_path(
+        monkeypatch, tmp_path):
+    """All four exports (segmenter and body, labeled and blank) of one
+    batch write, for every page, the files of the per-document value path
+    (value columns, string-path decode, the TEI assemblers). A poison row
+    gets one error manifest row and writes nothing; a page over the
+    extraction's token cap still exports."""
+    import random
+
+    import pyarrow as pa
+    from export_oracle import training_pair
+
+    import datacat_ray.pipelines.extract as extract
+    from datacat_ray.config import PipelineConfig
+    from datacat_ray.fixtures import PAGES_SCHEMA, make_catalogue_html
+    from datacat_ray.pipelines.create_training import TrainingExportStage
+    from datacat_ray.stages.dom import parse_main_blocks
+    from datacat_ray.stages.tei import doc_id
+    from datacat_ray.stages.tokenizer import tokenize_document
+
+    line_codes = extract.line_codes
+
+    def poisoned_lines(lines, fields):
+        if any("POISON" in t for ls in lines for t in ls.text):
+            raise RuntimeError("poisoned lines")
+        return line_codes(lines, fields)
+
+    monkeypatch.setattr(extract, "line_codes", poisoned_lines)
+    rng = random.Random(17)
+
+    def page(extra: str = "", n: int = 6) -> bytes:
+        html, _ = make_catalogue_html(rng, n_entries=n)
+        return html.replace("</body>", f"<p>{extra}</p></body>").encode()
+
+    big = page(n=1500)
+    _, plain = make_catalogue_html(rng, n_entries=4)
+    rows = [(page(), None), (page("POISON"), None), (big, None),
+            (None, plain), (None, None), (page(n=9), None)]
+    batch = pa.Table.from_pydict(
+        {"url": [f"https://x.org/{i}" for i in range(len(rows))],
+         "warc_ts": [None] * len(rows), "html": [h for h, _ in rows],
+         "text": [t for _, t in rows], "lang": ["fr", "en", None, "fr",
+                                                "fr", "fr"]},
+        schema=PAGES_SCHEMA)
+    _, big_tokens, _ = tokenize_document(parse_main_blocks(big.decode()))
+    assert len(big_tokens) > PipelineConfig().max_tokens
+
+    for model in ("segmenter", "body"):
+        for blank in (False, True):
+            out = tmp_path / f"{model}_{blank}"
+            got = TrainingExportStage(str(out), model, blank)(batch)
+            want: dict[str, str] = {}
+            for i, r in enumerate(got.to_pylist()):
+                assert r["url"] == f"https://x.org/{i}"
+                assert r["stem"] == doc_id(r["url"])
+                if i == 1:
+                    assert (r["tei_path"], r["raw_path"], r["n_lines"],
+                            r["error"]) == ("", "", 0,
+                                            "RuntimeError: poisoned lines")
+                    continue
+                files = training_pair(r["url"], batch["lang"][i].as_py(),
+                                      *rows[i], model, blank)
+                want.update(files)
+                tei, raw = files
+                n_lines = sum(1 for ln in files[raw].split("\n") if ln)
+                assert (r["tei_path"], r["raw_path"], r["n_lines"],
+                        r["error"]) == (str(out / tei), str(out / raw),
+                                        n_lines, None)
+            written = {str(p.relative_to(out)): p.read_text(encoding="utf-8")
+                       for p in out.rglob("*") if p.is_file()}
+            assert written.keys() == want.keys(), (model, blank)
+            for name, content in want.items():
+                assert written[name] == content, (model, blank, name)

@@ -10,13 +10,13 @@ from level_emissions import level_emissions
 from datacat_ray.stages.crf import (
     CRFDecoder,
     CRFModel,
-    expand_templates,
     label_spans,
     strip_begin_prefix,
     with_begin_prefix,
 )
 from datacat_ray.stages.models import BODY_MODEL, SEGMENTER_MODEL
 from datacat_ray.stages.tei import body_label_runs
+from datacat_ray.stages.train import expand_sequence
 
 TOY = CRFModel(
     labels=("A", "B"),
@@ -30,7 +30,7 @@ TOY = CRFModel(
 
 def test_expand_templates_boundaries():
     feats = [{"x": "a"}, {"x": "b"}]
-    rows = expand_templates(TOY, feats)
+    rows = expand_sequence(feats, TOY.templates)
     assert rows[0] == ["U:a", "Ub:_B-1_|a"]
     assert rows[1] == ["U:b", "Ub:a|b"]
 
@@ -175,7 +175,7 @@ def _reference_decode(model: CRFModel, feats: list[dict]) -> list[str]:
     trans = model.transition_matrix().tolist()
     init = model.init_vector().tolist()
     em = []
-    for fs in expand_templates(model, feats):
+    for fs in expand_sequence(feats, model.templates):
         row = [0.0] * L
         for f in fs:
             for lb, w in model.weights.get(f, {}).items():
@@ -215,9 +215,7 @@ def _model_and_batch(draw):
     seqs += [[], [draw(pos)]]
     seqs = draw(st.permutations(seqs))
     # integer weights on features that really occur, so exact ties are common
-    probe = CRFModel(labels=labels, templates=templates, weights={},
-                     transitions={})
-    seen = sorted({f for s in seqs for row in expand_templates(probe, s)
+    seen = sorted({f for s in seqs for row in expand_sequence(s, templates)
                    for f in row})
     small = st.integers(-2, 2).map(float)
     weights = {f: draw(st.dictionaries(st.sampled_from(labels), small,

@@ -8,6 +8,7 @@ import random
 import re
 
 import numpy as np
+from export_oracle import serialize_columns
 from frontend_oracle import blocks_of, lines_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from line_oracle import (
 )
 
 from datacat_ray.functions.textkit import tokenize_whitespace
-from datacat_ray.stages.crf import VOCAB, CRFDecoder, expand_templates
+from datacat_ray.stages.crf import VOCAB, CRFDecoder
 from datacat_ray.stages.lexical_features import (
     ENTRY_FIELD_NAMES,
     entry_codes,
@@ -30,16 +31,19 @@ from datacat_ray.stages.line_features import (
     _FIELD_NAMES,
     featurize_lines,
     line_columns,
-    serialize_columns,
+    serialize_codes,
     serialize_features,
+    serialize_lines,
 )
 from datacat_ray.stages.token_features import (
     _TOKEN_FIELD_NAMES,
+    body_codes,
     body_token_columns,
     featurize_body_tokens,
     serialize_token_features,
 )
 from datacat_ray.stages.tokenizer import tokenize_document
+from datacat_ray.stages.train import expand_sequence
 
 
 def _line(text, block_id=0, page=0, j=0, n=1, size=12.0, bold=False, italic=False):
@@ -239,24 +243,25 @@ def test_entry_token_columns_project_the_dict_featurizer(fields):
 
 
 def test_column_serialization_and_decode_equal_the_row_paths():
-    """Training export serializes and decodes the every-field columns; both
-    equal the per-row dict paths on every fixture doc."""
-    from datacat_ray.stages.models import BODY_MODEL, SEGMENTER_MODEL
-
-    seg, body = CRFDecoder(SEGMENTER_MODEL), CRFDecoder(BODY_MODEL)
+    """The every-field columns, and the batch serializers over the codes
+    (``serialize_lines``, ``serialize_codes``), serialize as the per-row
+    dict paths do on every fixture doc."""
     for name, lines, tokens, token_line, body_ranges, _ in _fixture_docs():
         cols = line_columns(lines, _FIELD_NAMES)
         rows = featurize_lines(lines)
         assert rows == oracle_rows(lines), name
-        assert serialize_columns(cols) == list(map(serialize_features, rows))
-        assert seg.decode_columns(cols, len(lines)) == seg.decode(rows), name
+        want = list(map(serialize_features, rows))
+        assert serialize_columns(cols) == want
+        assert serialize_lines([lines]) == want, name
         bcols, idx = body_token_columns(tokens, token_line, lines,
                                         body_ranges, _TOKEN_FIELD_NAMES)
         brows, _ = featurize_body_tokens(tokens, token_line, lines,
                                          body_ranges)
-        assert serialize_columns(bcols) == list(
-            map(serialize_token_features, brows))
-        assert body.decode_columns(bcols, len(idx)) == body.decode(brows)
+        want = list(map(serialize_token_features, brows))
+        assert serialize_columns(bcols) == want
+        codes, _, _ = body_codes([tokens], [token_line], [lines],
+                                 [body_ranges], _TOKEN_FIELD_NAMES)
+        assert serialize_codes(codes) == want, name
 
 
 def test_entry_token_columns_hand_checked():
@@ -333,9 +338,9 @@ def test_token_cores_on_ragged_synthetic_docs(data):
 
 def _reference_emissions(dec, rows):
     """Emission rows from the row dicts: each position's expanded feature
-    strings (``expand_templates``), weights summed in template order."""
+    strings (``expand_sequence``), weights summed in template order."""
     em = np.zeros((len(rows), dec.L))
-    for t, feats in enumerate(expand_templates(dec.model, rows)):
+    for t, feats in enumerate(expand_sequence(rows, dec.model.templates)):
         for f in feats:
             em[t] += dec.w.get(f, 0.0)
     return em
