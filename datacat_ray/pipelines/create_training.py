@@ -28,7 +28,8 @@ tokenize, segmenter CRF, zones) and, for a labeled body export,
 ``decode_entries`` (the body CRF over the ``<body>`` zones —
 ``createTrainingBodySegmentation``). The TEI comes from each document's
 live state through the extraction's assemblers; the raw file serializes
-the ``VOCAB`` codes of every field of the level, encoded once per batch.
+the ``VOCAB`` codes of every field of the level, encoded once per batch
+(for a labeled body export, in the body level's own encode).
 Nothing is capped: every page exports. One ``map_batches`` stage of plain
 Ray tasks follows the flagship's keep-latest read (one pair per url);
 writes are atomic (tmp + rename → idempotent re-runs), and only manifest
@@ -110,16 +111,21 @@ class TrainingExportStage:
     def _raw(self, ds: list) -> None:
         """Each document's raw-feature lines, as its ``result``: every
         line field for the segmenter, every body-token field over the
-        ``<body>`` zones for the body model."""
-        if self.model == "body":
+        ``<body>`` zones for the body model. A labeled body export runs
+        this as the body level's emissions phase, so the level and the raw
+        files share one encode."""
+        if self.model == "segmenter":
+            lines = [d.lines for d in ds]
+            _split(ds, "result", serialize_lines(lines), list(map(len, lines)))
+            return
+        if self.blank:
             codes, _, counts = body_codes(
                 [d.tokens for d in ds], [d.token_line for d in ds],
                 [d.lines for d in ds], [d.body for d in ds],
                 _BODY_FIELD_NAMES)
-            _split(ds, "result", serialize_codes(codes), counts)
         else:
-            lines = [d.lines for d in ds]
-            _split(ds, "result", serialize_lines(lines), list(map(len, lines)))
+            codes, counts = self.stage._body_emissions(ds, _BODY_FIELD_NAMES)
+        _split(ds, "result", serialize_codes(codes), counts)
 
     def _tei(self, d) -> str:
         """A document's TEI: labeled by the current models (the file a
@@ -164,8 +170,9 @@ class TrainingExportStage:
             urls, batch["lang"].to_pylist(), batch["html"].to_pylist(),
             batch["text"].to_pylist())
         if self.model == "body" and not self.blank:
-            self.stage.decode_entries(docs, out)
-        _batch(docs, out, self._raw)
+            self.stage.decode_entries(docs, out, self._raw)
+        else:
+            _batch(docs, out, self._raw)
         _phase(docs, out, self._write, repeat(None))
         res: dict[str, list] = {k: [] for k in MANIFEST_SCHEMA.names}
         for i, url in enumerate(urls):

@@ -165,13 +165,17 @@ def _phase(docs: dict, out: list, fn, inputs) -> None:
 def _batch(docs: dict, out: list, fn) -> None:
     """``fn(docs)`` over all live documents at once; if it raises, the
     same phase again document by document (``fn`` of a one-document
-    batch), so a poison row still costs only itself."""
+    batch), so a poison row still costs only itself. What ``fn`` returns
+    is not a cap message, and is dropped."""
     if not docs:
         return
     try:
         fn(list(docs.values()))
     except Exception:  # noqa: BLE001 — isolated below
-        _phase(docs, out, lambda d, _: fn([d]), repeat(None))
+        def one(d, _) -> None:
+            fn([d])
+
+        _phase(docs, out, one, repeat(None))
 
 
 def _split(ds: list, attr: str, arr, counts) -> None:
@@ -338,17 +342,20 @@ class FusedExtractStage:
         d.zones = decode_zones(d.line_labels, d.token_line, len(d.tokens))
         d.body = zone_token_indices(d.zones, "<body>")
 
-    def _body_emissions(self, ds: list) -> None:
+    def _body_emissions(self, ds: list, fields=None) -> tuple:
         """Body-level emissions of every non-space ``<body>`` token of the
-        batch."""
+        batch, from the codes of ``fields`` (default: those the level
+        reads); returns (the codes, each document's position count)."""
         codes, idx, counts = body_codes(
             [d.tokens for d in ds], [d.token_line for d in ds],
-            [d.lines for d in ds], [d.body for d in ds], self._body.fields)
+            [d.lines for d in ds], [d.body for d in ds],
+            fields or self._body.fields)
         em = self._body.gather(codes, counts)
         _split(ds, "em", em, counts)
         _split(ds, "idx", idx, counts)
         for d, n in zip(ds, counts):
             d.lens = [n]
+        return codes, counts
 
     def _body_spans(self, ds: list) -> None:
         """Entries from the body paths."""
@@ -426,10 +433,11 @@ class FusedExtractStage:
         _phase(docs, out, self._zones, repeat(None))
         return docs, out
 
-    def decode_entries(self, docs: dict, out: list) -> None:
+    def decode_entries(self, docs: dict, out: list, emissions=None) -> None:
         """Body CRF and entry spans (``entry_list``) over ``segment``'s
-        live documents."""
-        _batch(docs, out, self._body_emissions)
+        live documents; ``emissions`` is the batch phase that sets the body
+        emissions (default ``_body_emissions``)."""
+        _batch(docs, out, emissions or self._body_emissions)
         _decode(self.body, docs)
         _batch(docs, out, self._body_spans)
 

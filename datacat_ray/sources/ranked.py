@@ -39,10 +39,18 @@ class ParquetFragments(RankedDatasource):
         return filesystem.open_input_file(path)  # parquet needs seeks
 
     def _read_stream(self, f, path):
-        for t in read_fragment(pq.ParquetFile(f), self._rank(path),
-                               self.winners, self.columns):
+        pf = pq.ParquetFile(f)
+        empty = True
+        for t in read_fragment(pf, self._rank(path), self.winners,
+                               self.columns):
             if t.num_rows:
+                empty = False
                 yield t
+        if empty:
+            # a typed empty block, not none: a read task with no rows
+            # still carries the Dataset's schema
+            yield pf.schema_arrow.empty_table().select(
+                self.columns or pf.schema_arrow.names)
 
 
 def read_fragment(pf: pq.ParquetFile, rank: int, probe,

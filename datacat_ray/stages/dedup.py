@@ -22,6 +22,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 import ray.data
 
@@ -98,8 +99,6 @@ def parquet_keys(files: list[str]) -> pa.Table:
 
 def fragment_keys(rank: int, path: str) -> tuple[int, pa.Table]:
     """(rows, ``winner_keys`` rows) of the ``rank``-th parquet fragment."""
-    import pyarrow.parquet as pq
-
     t = pq.read_table(path, columns=[KEY, TS])
     return t.num_rows, winner_keys(t[KEY], t[TS], rank,
                                    np.arange(t.num_rows))
@@ -322,15 +321,20 @@ def winner_set(n_rows: int, keys, key_blocks, inputs,
         f"{_KEY_FORMAT}:{input_fingerprint(inputs)}"))
 
 
-def winner_probe(path, winner_dir: str | None = None) -> tuple:
-    """The ``winner_set`` of parquet input ``path`` (its
-    ``list_fragments``), sized by its metadata row count; only (url,
-    warc_ts) is read."""
-    import pyarrow.dataset as pads
+def fragment_rows(files: list[str]) -> list[int]:
+    """Each parquet file's row count, from its footer."""
+    return [pq.read_metadata(f).num_rows for f in files]
 
+
+def winner_probe(path, winner_dir: str | None = None,
+                 rows: list[int] | None = None) -> tuple:
+    """The ``winner_set`` of parquet input ``path`` (its
+    ``list_fragments``), sized by its footer row counts (``rows``, when
+    the caller has read them: ``fragment_rows``); only (url, warc_ts) is
+    read."""
     files = list_fragments(path)
     return winner_set(
-        pads.dataset(files, format="parquet").count_rows(),
+        sum(fragment_rows(files) if rows is None else rows),
         lambda: parquet_keys(files),
         lambda: ray.data.from_arrow_refs(
             keys_by_file(files, fragment_keys)[1]),

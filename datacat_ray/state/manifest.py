@@ -15,9 +15,18 @@ explicit:
   fragments, row counts in/out/rejected, output bytes + sha256, engine and
   model versions, wall time. Resume = anti-join pending partitions against
   completed manifest records before any work is scheduled.
-- **Execution**: the per-partition unit runs as one Ray task (winner-
-  filtered fragment read ``sources.ranked.read_fragment`` → fused cascade
-  kernel → atomic write). Raw tasks rather than ``Dataset.write_parquet``
+- **Execution**: a Ray task runs a *run* of consecutive pending
+  partitions (``_runs``): a run closes once it holds
+  ``PipelineConfig().segmenter.batch_size`` input rows by the parquet
+  footers, and there are never fewer runs than ``min(pending partitions,
+  cluster CPUs)``. Inside the task (``_run_partitions``) the winner-filtered
+  rows of its partitions (``sources.ranked.read_fragment``) stream through
+  the fused cascade kernel in slices of at most ``batch_size`` rows, a
+  slice crossing partition boundaries where it falls, so small partitions
+  share one lockstep batch and a large one is sliced. Each partition is
+  published as soon as its last row is out of the kernel (``_publish``:
+  one part file, temp-rename, then its record), so its bytes do not
+  depend on the run cut. Raw tasks rather than ``Dataset.write_parquet``
   because the Dataset writer cannot bind output files to input fragments,
   which is exactly the invariant resume needs. The dedup winner set is
   built once per job by ``stages/dedup.winner_probe`` over the same input
@@ -43,7 +52,11 @@ import ray
 
 from datacat_ray import __version__ as ENGINE_VERSION
 from datacat_ray.config import MAX_IN_FLIGHT, PipelineConfig
-from datacat_ray.stages.dedup import list_fragments, winner_probe
+from datacat_ray.stages.dedup import (
+    fragment_rows,
+    list_fragments,
+    winner_probe,
+)
 
 MANIFEST_DIR = "_manifest"
 
@@ -85,39 +98,18 @@ def completed_partitions(out_dir: str) -> dict[int, dict]:
     return done
 
 
-@ray.remote
-def _extract_partition(
-    part_id: int,
-    fragments: list[str],
-    first_rank: int,
-    out_dir: str,
-    winners: tuple | None,
-    max_tokens: int,
-    max_blocks: int,
-    tei_coordinates: bool = False,
-    model_paths: tuple = (),
-    segment_sentences: bool = False,
-) -> dict:
-    """One checkpoint unit: fragments (ranks ``first_rank`` on) →
-    winner-filtered read → fused cascade → atomic part file + lineage
-    record. Runs as a plain Ray task; the fused stage object is cached per
-    worker process (same cache as the Dataset path)."""
-    from datacat_ray.pipelines.extract import _fused_task
-    from datacat_ray.sources.ranked import read_fragment
+def _publish(out_dir: str, part_id: int, fragments: list[str], rows_in: int,
+             pieces: list[pa.Table], t0: float) -> dict:
+    """Publish one partition: its result rows (``pieces``, in input order)
+    as one part file, written to a tmp name and renamed (atomic on POSIX),
+    then its lineage record, written the same way. ``t0`` is when the
+    run's previous publication finished (the run's start for its first)."""
+    from datacat_ray.pipelines.extract import RESULT_SCHEMA
 
-    t0 = time.time()
-    files = [pq.ParquetFile(f) for f in fragments]
-    rows_in = sum(pf.metadata.num_rows for pf in files)
-    batch = pa.concat_tables(
-        [t for rank, pf in enumerate(files, first_rank)
-         for t in read_fragment(pf, rank, winners)]
-        or [files[0].schema_arrow.empty_table()])
-    result = _fused_task(batch, max_tokens=max_tokens, max_blocks=max_blocks,
-                         tei_coordinates=tei_coordinates,
-                         model_paths=model_paths,
-                         segment_sentences=segment_sentences)
-    rejected = sum(1 for e in result["error"].to_pylist() if e)
-
+    # one chunk per column, as one kernel call gives: the part file's bytes
+    # do not depend on where the run's slices fell
+    result = (pa.concat_tables(pieces).combine_chunks() if pieces
+              else RESULT_SCHEMA.empty_table())
     data_name = f"part-{part_id:05d}.parquet"
     tmp = os.path.join(out_dir, f".tmp.{data_name}.{os.getpid()}")
     final = os.path.join(out_dir, data_name)
@@ -132,7 +124,7 @@ def _extract_partition(
         "inputs": fragments,
         "rows_in": rows_in,
         "rows_out": result.num_rows,
-        "rows_rejected": rejected,
+        "rows_rejected": sum(1 for e in result["error"].to_pylist() if e),
         "output": data_name,
         "output_bytes": os.path.getsize(final),
         "output_sha256_16": digest,
@@ -148,6 +140,103 @@ def _extract_partition(
         json.dump(rec, fh, indent=1)
     os.replace(mtmp, os.path.join(mdir, f"part-{part_id:05d}.json"))
     return rec
+
+
+def _run_partitions(run: list[tuple], out_dir: str, winners: tuple | None,
+                    stage: dict) -> list[dict]:
+    """One Ray task: a run of consecutive pending partitions, each
+    (partition id, fragments, rank of its first fragment, input rows).
+    Their winner-filtered rows stream through the fused kernel
+    (``_fused_task`` with the ``stage`` arguments) in slices of at most
+    ``PipelineConfig().segmenter.batch_size`` rows, a slice crossing
+    partition boundaries where it falls, so a partition larger than the
+    width is sliced and small ones share a lockstep batch. Partitions are
+    published in run order (``_publish``), each as soon as its last row is
+    out of the kernel. The fused stage is cached per worker process (the
+    Dataset path's cache)."""
+    from datacat_ray.pipelines.extract import _fused_task
+    from datacat_ray.sources.ranked import read_fragment
+
+    width = PipelineConfig().segmenter.batch_size
+    buf: list[tuple[int, pa.Table]] = []  # (index in run, rows) not yet run
+    waiting = [0] * len(run)  # rows of each partition in ``buf``
+    pieces: list[list[pa.Table]] = [[] for _ in run]
+    recs: list[dict] = []
+    t0 = time.time()
+
+    def kernel(n: int) -> None:
+        """The fused kernel over the first ``n`` buffered rows."""
+        take = []
+        while n:
+            k, t = buf[0]
+            if t.num_rows > n:
+                buf[0] = (k, t.slice(n))
+                t = t.slice(0, n)
+            else:
+                buf.pop(0)
+            take.append((k, t))
+            n -= t.num_rows
+        result = _fused_task(pa.concat_tables([t for _, t in take]), **stage)
+        at = 0
+        for k, t in take:
+            pieces[k].append(result.slice(at, t.num_rows))
+            waiting[k] -= t.num_rows
+            at += t.num_rows
+
+    def publish(read: int) -> None:
+        """Publish, in order, the first ``read`` partitions whose rows are
+        all out."""
+        nonlocal t0
+        while len(recs) < read and not waiting[len(recs)]:
+            k = len(recs)
+            part_id, fragments, _, rows_in = run[k]
+            recs.append(_publish(out_dir, part_id, fragments, rows_in,
+                                 pieces[k], t0))
+            pieces[k] = []
+            t0 = time.time()
+
+    for k, (_, fragments, first_rank, _) in enumerate(run):
+        for rank, f in enumerate(fragments, first_rank):
+            for t in read_fragment(pq.ParquetFile(f), rank, winners):
+                if t.num_rows:
+                    buf.append((k, t))
+                    waiting[k] += t.num_rows
+                    while sum(waiting) >= width:
+                        kernel(width)
+                        publish(k)
+        publish(k + 1)
+    if buf:
+        kernel(sum(waiting))
+    publish(len(run))
+    return recs
+
+
+_run_task = ray.remote(_run_partitions)
+
+
+def _runs(rows: list[int], width: int, floor: int) -> list[list[int]]:
+    """Cut consecutive partitions (``rows``: each one's input row count)
+    into runs, as lists of indexes: a run closes once it holds ``width``
+    rows. While there are fewer than ``floor`` runs (at most
+    ``len(rows)``), the run of several partitions holding the most rows is
+    halved, so a cluster keeps a task per core."""
+    runs: list[list[int]] = []
+    cur: list[int] = []
+    n = 0
+    for i, r in enumerate(rows):
+        cur.append(i)
+        n += r
+        if n >= width:
+            runs.append(cur)
+            cur, n = [], 0
+    if cur:
+        runs.append(cur)
+    while len(runs) < floor:
+        k = max((k for k, run in enumerate(runs) if len(run) > 1),
+                key=lambda k: sum(rows[i] for i in runs[k]))
+        half = len(runs[k]) // 2
+        runs[k:k + 1] = [runs[k][:half], runs[k][half:]]
+    return runs
 
 
 def _check_job_config(out_dir: str, tei_coordinates: bool,
@@ -211,12 +300,13 @@ def run_extract_job(
     """Checkpointed flagship run over parquet input (a directory, a file or
     a list: its ``list_fragments`` listing). Safe to re-invoke after a
     crash: completed partitions are skipped via the manifest (outputs
-    byte-identical to a single uninterrupted run — the per-partition kernel
-    is deterministic, and partition boundaries and fragment ranks are fixed
-    by the input listing).
+    byte-identical to a single uninterrupted run — the kernel is
+    deterministic per document, whatever slice a document falls in, and
+    partition boundaries and fragment ranks are fixed by the input
+    listing).
 
-    Returns a job summary {partitions_total, skipped, processed, rows_out,
-    rejected, wall_sec}."""
+    Returns a job summary {partitions_total, skipped, processed, runs
+    (Ray tasks), rows_out, rows_rejected, wall_sec, out_dir}."""
     t0 = time.time()
     os.makedirs(out_dir, exist_ok=True)
     # clear torn tmp files from a previous crash (rename never happened, so
@@ -229,38 +319,45 @@ def run_extract_job(
     _check_job_config(out_dir, tei_coordinates, model_paths,
                       segment_sentences, max_tokens, max_blocks)
     fragments = list_fragments(input_path)
+    rows = fragment_rows(fragments)
     # partition k holds the fragments ranked k * fragments_per_part on
-    parts = [fragments[i:i + fragments_per_part]
-             for i in range(0, len(fragments), fragments_per_part)]
+    parts = [(k, fragments[i:i + fragments_per_part], i,
+              sum(rows[i:i + fragments_per_part]))
+             for k, i in enumerate(range(0, len(fragments),
+                                         fragments_per_part))]
     done = completed_partitions(out_dir)
-
-    pending = [
-        (i, frs) for i, frs in enumerate(parts) if i not in done
-    ]
+    pending = [p for p in parts if p[0] not in done]
     winners = None
     if dedup and pending:
         # a bucketed winner set lives under the job's own output dir
         # (resumable — its success marker skips the rebuild)
-        winners = winner_probe(fragments, os.path.join(out_dir, "_winners"))
+        winners = winner_probe(fragments, os.path.join(out_dir, "_winners"),
+                               rows)
+    runs = []
+    if pending:
+        if not ray.is_initialized():
+            ray.init()  # as a first task submission would
+        runs = _runs([p[3] for p in pending],
+                     PipelineConfig().segmenter.batch_size,
+                     min(len(pending), int(ray.cluster_resources()["CPU"])))
+    stage = {"max_tokens": max_tokens, "max_blocks": max_blocks,
+             "tei_coordinates": tei_coordinates,
+             "model_paths": tuple(sorted((model_paths or {}).items())),
+             "segment_sentences": segment_sentences}
     recs = list(done.values())
     in_flight: list = []
-    for part_id, frs in pending:
+    for run in runs:
         if len(in_flight) >= MAX_IN_FLIGHT:
             ready, in_flight = ray.wait(in_flight, num_returns=1)
-            recs.extend(ray.get(ready))
-        in_flight.append(
-            _extract_partition.remote(
-                part_id, frs, part_id * fragments_per_part, out_dir, winners,
-                max_tokens, max_blocks,
-                tei_coordinates, tuple(sorted((model_paths or {}).items())),
-                segment_sentences,
-            )
-        )
-    recs.extend(ray.get(in_flight))
+            recs.extend(r for rs in ray.get(ready) for r in rs)
+        in_flight.append(_run_task.remote([pending[i] for i in run], out_dir,
+                                          winners, stage))
+    recs.extend(r for rs in ray.get(in_flight) for r in rs)
     return {
         "partitions_total": len(parts),
         "skipped": len(done),
         "processed": len(pending),
+        "runs": len(runs),
         "rows_out": sum(r["rows_out"] for r in recs),
         "rows_rejected": sum(r["rows_rejected"] for r in recs),
         "wall_sec": round(time.time() - t0, 3),

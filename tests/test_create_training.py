@@ -244,3 +244,41 @@ def test_create_training_files_equal_the_per_document_value_path(
             assert written.keys() == want.keys(), (model, blank)
             for name, content in want.items():
                 assert written[name] == content, (model, blank, name)
+
+
+def test_labeled_body_export_encodes_body_tokens_once(monkeypatch, tmp_path):
+    """A labeled body export encodes a batch's body tokens once: the body
+    level's emissions and the raw files read the same ``body_codes`` call
+    (all 24 token fields), and the files still equal the per-document
+    value path."""
+    import pyarrow as pa
+    from export_oracle import training_pair
+
+    import datacat_ray.pipelines.create_training as ct
+    import datacat_ray.pipelines.extract as extract
+    from datacat_ray.fixtures import make_pages_table
+
+    calls = []
+    body_codes = extract.body_codes
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return body_codes(*args)
+
+    monkeypatch.setattr(extract, "body_codes", counted)
+    monkeypatch.setattr(ct, "body_codes", counted)
+    pages = make_pages_table(6, seed=4)
+    latest = {r["url"]: r for r in pages.to_pylist()}  # one page per url
+    batch = pa.Table.from_pylist(
+        [r for r in latest.values() if r["html"] is not None][:5],
+        schema=pages.schema)
+    assert len(batch) >= 3
+    out = tmp_path / "body"
+    got = ct.TrainingExportStage(str(out), "body", False)(batch).to_pylist()
+    assert calls == [len(batch)]
+    assert all(r["error"] is None for r in got)
+    for r, page in zip(got, batch.to_pylist()):
+        files = training_pair(page["url"], page["lang"], page["html"],
+                              page["text"], "body", False)
+        for name, content in files.items():
+            assert (out / name).read_text(encoding="utf-8") == content

@@ -263,6 +263,43 @@ def test_bucketed_winner_prefilter_matches_driver(ray_session, tmp_path,
     assert dict(driver) == {"a": "a3", "b": "b5", "c": "c9", "d": "dN"}
 
 
+def test_fragment_without_winners_reads_a_typed_empty_block(
+        ray_session, tmp_path):
+    """A read task whose fragment holds no winner yields a typed empty
+    block: the Dataset keeps the requested schema, and Ray logs no
+    "different schema" warning for the task."""
+    import logging
+
+    import pyarrow.parquet as pq
+
+    from datacat_ray.stages.dedup import dedup_latest_prefilter
+
+    for i, ts in enumerate((10, 5)):  # every capture of part-1 is stale
+        pq.write_table(pa.table({"url": ["a", "b"], "warc_ts": [ts, ts],
+                                 "html": [b"x%d" % i, b"y%d" % i]}),
+                       str(tmp_path / f"part-{i}.parquet"))
+    seen: list[str] = []
+
+    class Seen(logging.Handler):
+        def emit(self, record):
+            seen.append(record.getMessage())
+
+    log = logging.getLogger(
+        "ray.data._internal.execution.streaming_executor_state")
+    handler = Seen(logging.WARNING)
+    log.addHandler(handler)
+    try:
+        ds = dedup_latest_prefilter(str(tmp_path),
+                                    columns=["html", "url"]).materialize()
+    finally:
+        log.removeHandler(handler)
+    assert ds.schema().names == ["html", "url"]
+    assert ds.schema().types == [pa.binary(), pa.string()]
+    assert sorted(map(tuple, map(dict.values, ds.take_all()))) == [
+        (b"x0", "a"), (b"y0", "b")]
+    assert not [m for m in seen if "different schema" in m], seen
+
+
 def test_manifest_partitions_and_prefilter_keep_the_same_winners(
         ray_session, tmp_path):
     """``run_extract_job``'s partitions and ``dedup_latest_prefilter``

@@ -11,6 +11,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from datacat_ray.fixtures import write_pages_parquet
+from datacat_ray.pipelines.extract import _fused_task as _FUSED_TASK
 from datacat_ray.state.manifest import (
     completed_partitions,
     run_extract_job,
@@ -155,6 +156,229 @@ def test_resume_refuses_other_caps(ray_session, tmp_path, pages_dir):
     with pytest.raises(ValueError, match="different extraction config"):
         run_extract_job(pages_dir, out, max_blocks=7)
     assert run_extract_job(pages_dir, out)["processed"] == 0
+
+
+def test_run_cut():
+    """A run closes once it holds the slice width; a CPU floor halves the
+    largest runs until there is a run per core; runs are consecutive and
+    cover every partition once."""
+    from datacat_ray.state.manifest import _runs
+
+    assert _runs([25] * 7, 128, 1) == [[0, 1, 2, 3, 4, 5], [6]]
+    assert _runs([300, 5, 5], 128, 1) == [[0], [1, 2]]
+    assert _runs([], 128, 0) == []
+    for rows in ([25] * 7, [300, 5, 5, 40, 1, 90], [1] * 20, [200] * 3):
+        for floor in range(len(rows) + 1):
+            runs = _runs(rows, 128, floor)
+            assert [i for run in runs for i in run] == list(range(len(rows)))
+            assert len(runs) >= floor
+    assert _runs([25] * 7, 128, 7) == [[i] for i in range(7)]
+    assert len(_runs([25] * 7, 128, 4)) == 4
+
+
+@pytest.fixture(scope="module")
+def run_pages(tmp_path_factory):
+    """Four fragments: 140 winners (more than one slice), 10 captures that
+    are all stale (their urls' later captures are in fragment 2), 20
+    winners of which one is a poison page, 15 winners."""
+    import datetime
+
+    import pyarrow as pa
+
+    from datacat_ray.fixtures import PAGES_SCHEMA, make_pages_table
+
+    latest = list({r["url"]: r for r in make_pages_table(
+        175, seed=23).to_pylist()}.values())
+    poison = next(i for i in range(140, 160) if latest[i]["html"])
+    latest[poison]["html"] = latest[poison]["html"].replace(
+        b"</body>", b"<p>POISON</p></body>")
+    stale = [{**r, "warc_ts": r["warc_ts"] - datetime.timedelta(seconds=1),
+              "html": b"<html><body><p>stale</p></body></html>"}
+             for r in latest[140:150]]
+    d = tmp_path_factory.mktemp("run_pages")
+    for i, rows in enumerate((latest[:140], stale, latest[140:160],
+                              latest[160:175])):
+        pq.write_table(pa.Table.from_pylist(rows, schema=PAGES_SCHEMA),
+                       str(d / f"pages-{i:05d}.parquet"))
+    return str(d)
+
+
+class _InProcess:
+    """Stands in for the run task: runs it in this process, so a test's
+    hooks reach the kernel and the publication."""
+
+    def remote(self, *args):
+        import ray
+
+        from datacat_ray.state import manifest
+
+        return ray.put(manifest._run_partitions(*args))
+
+
+_FIXED = ("inputs", "rows_in", "rows_out", "rows_rejected", "output",
+          "output_bytes", "output_sha256_16", "engine_version", "model_hash")
+
+
+def _outputs(out_dir: str) -> dict:
+    """Each partition's record fields that do not depend on timing, and its
+    part file's bytes."""
+    res = {}
+    for k, rec in completed_partitions(out_dir).items():
+        with open(os.path.join(out_dir, rec["output"]), "rb") as fh:
+            res[k] = ({f: rec[f] for f in _FIXED}, fh.read())
+    return res
+
+
+def _in_process(monkeypatch, cut, poison=True) -> list[int]:
+    """Make ``run_extract_job`` cut its runs by ``cut`` (``_runs``'s
+    signature) and run them in process; with ``poison``, a batch holding
+    the poison page fails its line encode. Returns the list the width of
+    every kernel call is appended to."""
+    import datacat_ray.pipelines.extract as extract
+    from datacat_ray.stages.line_features import line_codes
+    from datacat_ray.state import manifest
+
+    widths: list[int] = []
+
+    def poisoned(lines, fields):
+        if poison and any("POISON" in t for ls in lines for t in ls.text):
+            raise RuntimeError("poisoned lines")
+        return line_codes(lines, fields)
+
+    def counted(batch, **kw):
+        widths.append(batch.num_rows)
+        return _FUSED_TASK(batch, **kw)
+
+    monkeypatch.setattr(extract, "line_codes", poisoned)
+    monkeypatch.setattr(extract, "_fused_task", counted)
+    monkeypatch.setattr(manifest, "_run_task", _InProcess())
+    monkeypatch.setattr(manifest, "_runs", cut)
+    return widths
+
+
+def _singletons(rows, width, floor):
+    return [[i] for i in range(len(rows))]
+
+
+def _one_run(rows, width, floor):
+    return [list(range(len(rows)))]
+
+
+def test_runs_do_not_move_outputs(ray_session, monkeypatch, tmp_path,
+                                  run_pages):
+    """Part files and records are the same whether every partition is its
+    own run or all share one: a partition over the slice width is sliced,
+    a partition of stale captures gets an empty part file with the result
+    schema, the poison page costs only its own row, and a resume skips a
+    run's middle partition without republishing it."""
+    from datacat_ray.pipelines.extract import RESULT_SCHEMA
+    from datacat_ray.state import manifest
+
+    widths = _in_process(monkeypatch, _singletons)
+    each = str(tmp_path / "each")
+    assert run_extract_job(run_pages, each)["runs"] == 4
+    assert widths == [128, 12, 20, 15]  # the stale partition runs nothing
+    widths.clear()
+    monkeypatch.setattr(manifest, "_runs", _one_run)
+    one = str(tmp_path / "one")
+    assert run_extract_job(run_pages, one)["runs"] == 1
+    assert widths == [128, 47]  # slices cross partition boundaries
+    assert _outputs(one) == _outputs(each)
+
+    recs = completed_partitions(one)
+    assert [recs[k]["rows_in"] for k in range(4)] == [140, 10, 20, 15]
+    assert [recs[k]["rows_out"] for k in range(4)] == [140, 0, 20, 15]
+    stale = pq.read_table(os.path.join(one, recs[1]["output"]))
+    assert stale.num_rows == 0 and stale.schema.equals(RESULT_SCHEMA)
+
+    # resume with partitions 0 and 2 lost: one run of them, 1 untouched
+    kept = {k: os.stat(os.path.join(one, recs[k]["output"])).st_mtime_ns
+            for k in (1, 3)}
+    for k in (0, 2):
+        os.unlink(os.path.join(one, recs[k]["output"]))
+        os.unlink(os.path.join(one, "_manifest", f"part-{k:05d}.json"))
+    widths.clear()
+    s = run_extract_job(run_pages, one)
+    assert (s["skipped"], s["processed"], s["runs"]) == (2, 2, 1)
+    assert widths == [128, 32]
+    assert _outputs(one) == _outputs(each)
+    again = completed_partitions(one)
+    for k in (1, 3):
+        assert again[k] == recs[k]
+        assert os.stat(os.path.join(one, recs[k]["output"])).st_mtime_ns \
+            == kept[k]
+
+    # the poison page costs its own row: every other row equals a clean run
+    _in_process(monkeypatch, _one_run, poison=False)
+    clean = str(tmp_path / "clean")
+    run_extract_job(run_pages, clean)
+    got = pq.read_table(os.path.join(one, recs[2]["output"])).to_pylist()
+    want = pq.read_table(os.path.join(
+        clean, recs[2]["output"])).to_pylist()
+    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert len(bad) == 1 and got[bad[0]]["error"] == (
+        "RuntimeError: poisoned lines")
+    assert (recs[2]["rows_rejected"]
+            == completed_partitions(clean)[2]["rows_rejected"] + 1)
+
+
+def test_a_run_in_a_ray_worker(ray_session, monkeypatch, tmp_path,
+                               run_pages):
+    """One run of every partition, in a Ray worker, publishes what a run
+    per partition does in process."""
+    from datacat_ray.state import manifest
+
+    ray_out = str(tmp_path / "ray")
+    monkeypatch.setattr(manifest, "_runs", _one_run)
+    assert run_extract_job(run_pages, ray_out)["runs"] == 1
+    _in_process(monkeypatch, _singletons, poison=False)
+    each = str(tmp_path / "each")
+    run_extract_job(run_pages, each)
+    assert _outputs(ray_out) == _outputs(each)
+
+
+def test_failure_drill_after_a_published_partition(ray_session, monkeypatch,
+                                                   tmp_path, run_pages):
+    """A run's task dies while publishing its second partition, after its
+    first is published; a re-invoked job publishes each remaining
+    partition once, skips the published one, leaves no ``.tmp.`` file,
+    and ends with the bytes and records of a clean run."""
+    import collections
+
+    from datacat_ray.state import manifest
+
+    _in_process(monkeypatch, _one_run)
+    clean = str(tmp_path / "clean")
+    run_extract_job(run_pages, clean)
+
+    published: collections.Counter = collections.Counter()
+    publish, write_table = manifest._publish, pq.write_table
+
+    def counted(out_dir, part_id, *args):
+        rec = publish(out_dir, part_id, *args)
+        published[part_id] += 1
+        return rec
+
+    def dying(table, where, *args, **kwargs):
+        write_table(table, where, *args, **kwargs)
+        if published:  # the tmp file is written, the rename never happens
+            raise RuntimeError("task killed")
+
+    monkeypatch.setattr(manifest, "_publish", counted)
+    monkeypatch.setattr(manifest.pq, "write_table", dying)
+    out = str(tmp_path / "out")
+    with pytest.raises(RuntimeError, match="task killed"):
+        run_extract_job(run_pages, out)
+    assert dict(published) == {0: 1}
+    assert any(f.startswith(".tmp.") for f in os.listdir(out))
+
+    monkeypatch.setattr(manifest.pq, "write_table", write_table)
+    s = run_extract_job(run_pages, out)
+    assert (s["skipped"], s["processed"]) == (1, 3)
+    assert dict(published) == {0: 1, 1: 1, 2: 1, 3: 1}
+    for d in (out, os.path.join(out, "_manifest")):
+        assert not any(f.startswith(".tmp.") for f in os.listdir(d))
+    assert _outputs(out) == _outputs(clean)
 
 
 def test_body_corpus_loads_with_begin_states():
