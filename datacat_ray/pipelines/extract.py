@@ -510,6 +510,18 @@ def _fused_task(
     return st(batch)
 
 
+def fused_kernel(cfg: PipelineConfig) -> functools.partial:
+    """``_fused_task`` bound to the stage arguments of ``cfg``: the
+    function every extraction Dataset maps over its pages batches."""
+    return functools.partial(
+        _fused_task, max_tokens=cfg.max_tokens, max_blocks=cfg.max_blocks,
+        start_page=cfg.start_page, end_page=cfg.end_page,
+        tei_coordinates=cfg.tei_coordinates,
+        model_paths=tuple(sorted((cfg.model_paths or {}).items())),
+        segment_sentences=cfg.segment_sentences,
+    )
+
+
 def build_extract_pipeline(
     ds: "ray.data.Dataset",
     cfg: PipelineConfig | None = None,
@@ -517,20 +529,16 @@ def build_extract_pipeline(
     """Compose the cascade over a pages Dataset (lazy; caller consumes):
     one fused stage (see ``FusedExtractStage`` for why fusing beats a stage
     chain here — every operator is document-local, so stage boundaries only
-    add object-store traffic). It does not dedup: the keep-latest rule
-    names a capture by its input position, which only a read knows, so
-    pages with several captures of a url are read through
-    ``stages.dedup.dedup_latest_prefilter`` (parquet) or
-    ``sources.warc.extract_pages_warc`` (WARC) first."""
+    add object-store traffic), in batches of ``cfg.segmenter.batch_size``.
+    It does not dedup: the keep-latest rule names a capture by its input
+    position, which only a read knows, so pages with several captures of a
+    url are read through ``stages.dedup.dedup_latest_prefilter`` (parquet)
+    first. WARC input does not come through here:
+    ``sources.warc.extract_pages_warc`` maps ``fused_kernel`` into its own
+    run reads, one operator from the segments to the results."""
     cfg = cfg or PipelineConfig()
     return ds.map_batches(
-        functools.partial(
-            _fused_task, max_tokens=cfg.max_tokens, max_blocks=cfg.max_blocks,
-            start_page=cfg.start_page, end_page=cfg.end_page,
-            tei_coordinates=cfg.tei_coordinates,
-            model_paths=tuple(sorted((cfg.model_paths or {}).items())),
-            segment_sentences=cfg.segment_sentences,
-        ),
+        fused_kernel(cfg),
         batch_format="pyarrow",
         batch_size=cfg.segmenter.batch_size,
         num_cpus=cfg.segmenter.num_cpus,

@@ -13,17 +13,22 @@ page. This module provides:
   so a ~1 GB Common-Crawl segment never has to fit a worker heap,
 - ``extract_pages_warc`` — the flagship over WARC input, shuffle-free: a
   narrow key pass over the segments builds the latest-capture winner set,
-  and one streaming read → winner filter → fused stage execution follows,
+  the segments are cut into runs of about ``segmenter.batch_size``
+  winners, and each run is one task of ONE Ray Data operator: read →
+  winner filter → fused stage, in slices of at most ``batch_size`` rows
+  (``_read_run``),
 - ``write_wet`` — the WET sink (extracted plain text as WARC conversion
   records).
 
 The pages schema matches ``fixtures.PAGES_SCHEMA`` (url, warc_ts, html,
-text, lang), so ``build_extract_pipeline`` consumes WARC input unchanged.
+text, lang), so ``build_extract_pipeline`` consumes ``read_warc`` output
+unchanged.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import gzip
 import io
 import itertools
@@ -172,21 +177,16 @@ class WarcDatasource:
     block, read when the datasource is built), so a 1 GB Common-Crawl
     segment never has to fit a worker heap — the scale-true read path.
     Gzip (member-per-record, the CC layout) is detected by magic and
-    decompressed on the fly.
-
-    ``winners``, when set to a ``dedup.winner_set`` over ``segment_keys``
-    rows (``latest_captures``), filters each block's records before they
-    become Arrow rows: a record's position (segment rank, ordinal) names
-    it, so only the positions of the winning captures are read out
-    (``dedup.winner_keep``)."""
+    decompressed on the fly."""
 
     def __new__(cls, paths):
-        from datacat_ray.sources.ranked import RankedDatasource
-        from datacat_ray.stages.dedup import winner_keep
+        from ray.data.datasource import FileBasedDatasource
 
         per_block = _RECORDS_PER_BLOCK
 
-        class _Impl(RankedDatasource):
+        class _Impl(FileBasedDatasource):
+            _FILE_EXTENSIONS = None  # accept any listed path
+
             def _open_input_source(self, filesystem, path, **open_args):
                 # RAW bytes, always: the base class force-detects gzip
                 # from the .gz extension and lets Arrow decompress, which
@@ -204,22 +204,23 @@ class WarcDatasource:
                 )
 
             def _read_stream(self, f, path):
-                recs = segment_records(f, path)
-                for start in itertools.count(0, per_block):
-                    chunk = list(itertools.islice(recs, per_block))
-                    if not chunk:
-                        return
-                    if self.winners is not None:
-                        chunk = list(itertools.compress(chunk, winner_keep(
-                            self._rank(path), start, len(chunk),
-                            self.winners)))
-                    if chunk:
-                        yield _records_table(chunk)
+                for _, chunk in _chunks(segment_records(f, path), per_block):
+                    yield _records_table(chunk)
 
         return _Impl(paths)
 
 
 _RECORDS_PER_BLOCK = 256
+
+
+def _chunks(recs, per_block: int):
+    """(ordinal of the first, records) per ``per_block`` records of
+    ``recs``."""
+    for start in itertools.count(0, per_block):
+        chunk = list(itertools.islice(recs, per_block))
+        if not chunk:
+            return
+        yield start, chunk
 
 
 def segment_keys(src, rank: int, path: str) -> tuple[int, pa.Table]:
@@ -240,11 +241,12 @@ def segment_keys(src, rank: int, path: str) -> tuple[int, pa.Table]:
                                   np.arange(len(urls)))
 
 
-def latest_captures(src) -> tuple:
-    """The winner set of the WARC datasource ``src``: pass 1 runs one
-    plain Ray task per segment (``dedup.keys_by_file`` of
-    ``segment_keys``), and ``dedup.winner_set`` keeps each url's latest
-    (``warc_ts``, ``pos``), over the records read. Only key rows move."""
+def latest_captures(src) -> tuple[tuple, list[int]]:
+    """The winner set of the WARC datasource ``src`` and the records read
+    from each segment: pass 1 runs one plain Ray task per segment
+    (``dedup.keys_by_file`` of ``segment_keys``), and ``dedup.winner_set``
+    keeps each url's latest (``warc_ts``, ``pos``), over the records read.
+    Only key rows move."""
     import ray
     import ray.data
 
@@ -252,11 +254,38 @@ def latest_captures(src) -> tuple:
 
     files = list(src._paths())
     counts, tables = keys_by_file(files, segment_keys, ray.put(src))
+    counts = ray.get(counts)
     return winner_set(
-        sum(ray.get(counts)),
+        sum(counts),
         lambda: pa.concat_tables(ray.get(tables)),
         lambda: ray.data.from_arrow_refs(tables),
-        files)
+        files), counts
+
+
+def _read_run(src, run: list[tuple[int, str]], winners: tuple,
+              per_block: int, width: int):
+    """The read task of one run of segments (``run``: (rank, path) each,
+    opened through ``src``, the ``WarcDatasource``): every segment is
+    walked by ``segment_records`` in ``per_block`` chunks, each chunk
+    keeps its winners in ``winners`` (``dedup.winner_keep``), and the
+    winners leave as pages tables of ``width`` rows, a table crossing
+    segment boundaries where it falls (the last one shorter). A run with
+    no winner yields one typed empty table."""
+    from datacat_ray.stages.dedup import winner_keep
+
+    buf: list[dict] = []
+    yielded = False
+    for rank, path in run:
+        with src._open_input_source(src._filesystem, path) as f:
+            for start, chunk in _chunks(segment_records(f, path), per_block):
+                buf.extend(itertools.compress(chunk, winner_keep(
+                    rank, start, len(chunk), winners)))
+                while len(buf) >= width:
+                    yield _records_table(buf[:width])
+                    del buf[:width]
+                    yielded = True
+    if buf or not yielded:
+        yield _records_table(buf)
 
 
 def segment_records(f, path: str = "", warn: bool = True):
@@ -526,25 +555,43 @@ def read_warc(paths) -> "ray.data.Dataset":
 
 
 def extract_pages_warc(paths, cfg=None) -> "ray.data.Dataset":
-    """Flagship cascade directly over WARC input, shuffle-free: a narrow
-    key pass over the segments builds the winner set
-    (``latest_captures``), then ONE streaming execution reads the
-    segments, drops every stale capture before it becomes an Arrow row
-    and runs the fused extraction. Exactly one row per url, the latest
-    ``warc_ts``, a same-second tie going to the later input position
-    (segment rank in the reader's file list, then record ordinal). A file
-    listed twice (also through its directory) is read once. Lazy: the
-    caller consumes the Dataset."""
+    """Flagship cascade directly over WARC input, shuffle-free, as one Ray
+    Data operator. A narrow key pass over the segments builds the winner
+    set (``latest_captures``); the segments are then cut into runs by the
+    run cut of ``run_extract_job`` (``sources.ranked._runs`` over
+    ``winner_rows``: a run closes at ``cfg.segmenter.batch_size`` rows,
+    never fewer runs than min(segments, cluster CPUs)), and each run is
+    one read task (``_read_run``: segment records, winner filter, slices
+    of at most ``batch_size`` rows) into which the fused kernel maps
+    (``batch_size=None``), so a stale capture never becomes an Arrow row
+    and nothing crosses the object store between the read and the
+    kernel. Exactly one row per url, the latest ``warc_ts``, a same-second
+    tie going to the later input position (segment rank in the reader's
+    file list, then record ordinal). A file listed twice (also through its
+    directory) is read once. Lazy: the caller consumes the Dataset."""
+    import ray
     import ray.data
 
-    from datacat_ray.pipelines.extract import build_extract_pipeline
+    from datacat_ray.config import PipelineConfig
+    from datacat_ray.pipelines.extract import fused_kernel
+    from datacat_ray.sources import ranked
 
+    cfg = cfg or PipelineConfig()
     src = WarcDatasource(paths)
     files = list(dict.fromkeys(src._paths()))
     if len(files) < len(src._paths()):
         src = WarcDatasource(files)
-    src.winners = latest_captures(src)
-    return build_extract_pipeline(ray.data.read_datasource(src), cfg)
+    winners, rows = latest_captures(src)
+    width = cfg.segmenter.batch_size
+    runs = ranked._runs(ranked.winner_rows(winners, rows), width,
+                        min(len(files), int(ray.cluster_resources()["CPU"])))
+    reads = [functools.partial(_read_run, src, [(i, files[i]) for i in run],
+                               winners, _RECORDS_PER_BLOCK, width)
+             for run in runs]
+    return ray.data.read_datasource(
+        ranked.Runs(reads), override_num_blocks=len(reads)).map_batches(
+            fused_kernel(cfg), batch_format="pyarrow", batch_size=None,
+            num_cpus=cfg.segmenter.num_cpus)
 
 
 # ---------------------------------------------------------------------------

@@ -83,15 +83,15 @@ def latest_keys(keys: pa.Table) -> pa.Table:
     return df.unique("h", keep="last", maintain_order=True).to_arrow()
 
 
-def parquet_keys(files: list[str]) -> pa.Table:
+def parquet_keys(files: list[str], rows: list[int]) -> pa.Table:
     """The ``winner_keys`` rows of a ``list_fragments`` listing, on the
     driver: one (url, warc_ts) read, which keeps the listing order, and
-    ``pos`` from the fragments' metadata row counts."""
+    ``pos`` from the fragments' footer row counts ``rows``
+    (``fragment_rows``)."""
     import pyarrow.dataset as pads
 
-    ds = pads.dataset(files, format="parquet")
-    t = ds.to_table(columns=[KEY, TS])
-    n = np.array([f.metadata.num_rows for f in ds.get_fragments()], np.int64)
+    t = pads.dataset(files, format="parquet").to_table(columns=[KEY, TS])
+    n = np.array(rows, np.int64)
     first = np.repeat(np.cumsum(n) - n, n)
     return winner_keys(t[KEY], t[TS], np.repeat(np.arange(len(n)), n),
                        np.arange(t.num_rows) - first)
@@ -121,7 +121,8 @@ def keys_by_file(files: list[str], file_keys, *args) -> tuple[list, list]:
 def compute_winners(path) -> pa.Table:
     """The driver winner table of parquet input ``path``, as
     ``winner_probe`` builds it (perfbench's ``dedup.winners_s`` probe)."""
-    return latest_keys(parquet_keys(list_fragments(path)))
+    files = list_fragments(path)
+    return latest_keys(parquet_keys(files, fragment_rows(files)))
 
 
 def input_fingerprint(path) -> str:
@@ -333,9 +334,11 @@ def winner_probe(path, winner_dir: str | None = None,
     the caller has read them: ``fragment_rows``); only (url, warc_ts) is
     read."""
     files = list_fragments(path)
+    if rows is None:
+        rows = fragment_rows(files)
     return winner_set(
-        sum(fragment_rows(files) if rows is None else rows),
-        lambda: parquet_keys(files),
+        sum(rows),
+        lambda: parquet_keys(files, rows),
         lambda: ray.data.from_arrow_refs(
             keys_by_file(files, fragment_keys)[1]),
         files, winner_dir)

@@ -16,14 +16,16 @@ explicit:
   model versions, wall time. Resume = anti-join pending partitions against
   completed manifest records before any work is scheduled.
 - **Execution**: a Ray task runs a *run* of consecutive pending
-  partitions (``_runs``): a run closes once it holds
-  ``PipelineConfig().segmenter.batch_size`` input rows by the parquet
-  footers, and there are never fewer runs than ``min(pending partitions,
-  cluster CPUs)``. Inside the task (``_run_partitions``) the winner-filtered
-  rows of its partitions (``sources.ranked.read_fragment``) stream through
-  the fused cascade kernel in slices of at most ``batch_size`` rows, a
-  slice crossing partition boundaries where it falls, so small partitions
-  share one lockstep batch and a large one is sliced. Each partition is
+  partitions (``sources.ranked._runs``): a run closes once it holds
+  ``PipelineConfig().segmenter.batch_size`` rows (``winner_rows``: its
+  partitions' winners when the winner set is the driver's, else their
+  input rows by the parquet footers), and there are never fewer runs than
+  ``min(pending partitions, cluster CPUs)``. Inside the task
+  (``_run_partitions``) the winner-filtered rows of its partitions
+  (``sources.ranked.read_fragment``) stream through the fused cascade
+  kernel in slices of at most ``batch_size`` rows, a slice crossing
+  partition boundaries where it falls, so small partitions share one
+  lockstep batch and a large one is sliced. Each partition is
   published as soon as its last row is out of the kernel (``_publish``:
   one part file, temp-rename, then its record), so its bytes do not
   depend on the run cut. Raw tasks rather than ``Dataset.write_parquet``
@@ -52,6 +54,7 @@ import ray
 
 from datacat_ray import __version__ as ENGINE_VERSION
 from datacat_ray.config import MAX_IN_FLIGHT, PipelineConfig
+from datacat_ray.sources.ranked import _runs, read_fragment, winner_rows
 from datacat_ray.stages.dedup import (
     fragment_rows,
     list_fragments,
@@ -155,7 +158,6 @@ def _run_partitions(run: list[tuple], out_dir: str, winners: tuple | None,
     out of the kernel. The fused stage is cached per worker process (the
     Dataset path's cache)."""
     from datacat_ray.pipelines.extract import _fused_task
-    from datacat_ray.sources.ranked import read_fragment
 
     width = PipelineConfig().segmenter.batch_size
     buf: list[tuple[int, pa.Table]] = []  # (index in run, rows) not yet run
@@ -212,31 +214,6 @@ def _run_partitions(run: list[tuple], out_dir: str, winners: tuple | None,
 
 
 _run_task = ray.remote(_run_partitions)
-
-
-def _runs(rows: list[int], width: int, floor: int) -> list[list[int]]:
-    """Cut consecutive partitions (``rows``: each one's input row count)
-    into runs, as lists of indexes: a run closes once it holds ``width``
-    rows. While there are fewer than ``floor`` runs (at most
-    ``len(rows)``), the run of several partitions holding the most rows is
-    halved, so a cluster keeps a task per core."""
-    runs: list[list[int]] = []
-    cur: list[int] = []
-    n = 0
-    for i, r in enumerate(rows):
-        cur.append(i)
-        n += r
-        if n >= width:
-            runs.append(cur)
-            cur, n = [], 0
-    if cur:
-        runs.append(cur)
-    while len(runs) < floor:
-        k = max((k for k, run in enumerate(runs) if len(run) > 1),
-                key=lambda k: sum(rows[i] for i in runs[k]))
-        half = len(runs[k]) // 2
-        runs[k:k + 1] = [runs[k][:half], runs[k][half:]]
-    return runs
 
 
 def _check_job_config(out_dir: str, tei_coordinates: bool,
@@ -337,7 +314,8 @@ def run_extract_job(
     if pending:
         if not ray.is_initialized():
             ray.init()  # as a first task submission would
-        runs = _runs([p[3] for p in pending],
+        sizes = winner_rows(winners, rows)
+        runs = _runs([sum(sizes[p[2]:p[2] + len(p[1])]) for p in pending],
                      PipelineConfig().segmenter.batch_size,
                      min(len(pending), int(ray.cluster_resources()["CPU"])))
     stage = {"max_tokens": max_tokens, "max_blocks": max_blocks,

@@ -410,7 +410,7 @@ def test_parquet_row_set_property(ray_session, tmp_path, fragments, repeat):
 
 def test_parquet_keys_keep_the_listing_order(tmp_path):
     """``parquet_keys`` reads every fragment in one ``to_table``, and takes
-    ``pos`` from the fragments' metadata row counts, so that read must keep
+    ``pos`` from the fragments' footer row counts, so that read must keep
     the fragments in listing order: over a listing out of name order, with
     multi-row-group and empty fragments, its keys equal the keys read
     fragment by fragment."""
@@ -431,7 +431,7 @@ def test_parquet_keys_keep_the_listing_order(tmp_path):
     rng.shuffle(files)
     want = pa.concat_tables(D.fragment_keys(rank, f)[1]
                             for rank, f in enumerate(files))
-    assert D.parquet_keys(files).equals(want)
+    assert D.parquet_keys(files, D.fragment_rows(files)).equals(want)
 
 
 def test_bucketed_parquet_winners_are_filed_by_fragment_rank(
@@ -494,7 +494,7 @@ def test_winner_dir_of_an_older_key_format_is_rebuilt(ray_session, tmp_path,
     out = tmp_path / "job"
     wdir = out / "_winners"
     wdir.mkdir(parents=True)
-    old = D.latest_keys(D.parquet_keys(D.list_fragments(str(src))))
+    old = D.compute_winners(str(src))
     old = old.drop_columns(["pos"])
     buckets = hash_buckets(old["h"].to_numpy())
     for b in set(buckets.tolist()):

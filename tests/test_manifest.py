@@ -158,24 +158,6 @@ def test_resume_refuses_other_caps(ray_session, tmp_path, pages_dir):
     assert run_extract_job(pages_dir, out)["processed"] == 0
 
 
-def test_run_cut():
-    """A run closes once it holds the slice width; a CPU floor halves the
-    largest runs until there is a run per core; runs are consecutive and
-    cover every partition once."""
-    from datacat_ray.state.manifest import _runs
-
-    assert _runs([25] * 7, 128, 1) == [[0, 1, 2, 3, 4, 5], [6]]
-    assert _runs([300, 5, 5], 128, 1) == [[0], [1, 2]]
-    assert _runs([], 128, 0) == []
-    for rows in ([25] * 7, [300, 5, 5, 40, 1, 90], [1] * 20, [200] * 3):
-        for floor in range(len(rows) + 1):
-            runs = _runs(rows, 128, floor)
-            assert [i for run in runs for i in run] == list(range(len(rows)))
-            assert len(runs) >= floor
-    assert _runs([25] * 7, 128, 7) == [[i] for i in range(7)]
-    assert len(_runs([25] * 7, 128, 4)) == 4
-
-
 @pytest.fixture(scope="module")
 def run_pages(tmp_path_factory):
     """Four fragments: 140 winners (more than one slice), 10 captures that

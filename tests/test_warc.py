@@ -687,10 +687,123 @@ def test_bucketed_warc_winners_are_filed_by_segment_rank(
     monkeypatch.setenv("DATACAT_SCRATCH", str(tmp_path / "scratch"))
     monkeypatch.setattr(D, "_DRIVER_WINNER_ROWS", -1)
     src = W.WarcDatasource(segs)
-    kind, wdir = W.latest_captures(src)
+    (kind, wdir), rows = W.latest_captures(src)
+    assert rows == [6, 4]
     assert kind == "bucketed"
     files = sorted(f for f in os.listdir(wdir) if f.startswith("bucket-"))
     assert files == ["bucket-00000.parquet", "bucket-00001.parquet"]
     for rank, f in enumerate(files):
         pos = pq.read_table(os.path.join(wdir, f))["pos"].to_numpy()
         assert sorted(pos >> 32) == [rank] * (2 if rank == 0 else 4)
+
+
+def test_flagship_plan_is_one_operator_a_task_per_run(ray_session, tmp_path,
+                                                      monkeypatch):
+    """The executed flagship plan is one operator: the kernel map fused
+    into the run reads, with no ``SplitBlocks``, one task per run."""
+    from datacat_ray.sources import ranked as R
+    from datacat_ray.sources import warc as W
+
+    recs, _ = _records(71, 9)
+    segs = [write_warc(str(tmp_path / f"s{k}.warc.gz"), recs[k::3])
+            for k in range(3)]
+    for runs, cut in ((3, R._runs),  # the CPU floor: a run per segment
+                      (1, lambda rows, width, floor: [[0, 1, 2]])):
+        monkeypatch.setattr(R, "_runs", cut)
+        stats = W.extract_pages_warc(segs).materialize().stats()
+        ops = [ln for ln in stats.splitlines() if ln.startswith("Operator ")]
+        assert len(ops) == 1 and ops[0].startswith(
+            f"Operator 1 ReadRuns->MapBatches(_fused_task): {runs} tasks "
+            "executed,"), stats
+        assert "SplitBlocks" not in stats
+
+
+def test_kernel_calls_are_bounded_by_the_batch_size(ray_session, tmp_path,
+                                                    monkeypatch):
+    """With ``segmenter.batch_size`` 7, one segment of 70 winners (and
+    stale captures among them) reaches the kernel in calls of at most 7
+    rows, and all 13 columns equal the batch-128 run and the parquet
+    path over the same pages."""
+    import dataclasses
+
+    import pyarrow as pa
+
+    import ray.data
+
+    import datacat_ray.pipelines.extract as extract
+    from datacat_ray.config import PipelineConfig
+    from datacat_ray.fixtures import PAGES_SCHEMA
+    from datacat_ray.pipelines.extract import (
+        RESULT_SCHEMA,
+        build_extract_pipeline,
+    )
+    from datacat_ray.sources.warc import extract_pages_warc
+
+    recs, _ = _records(73, 70)
+    stale = [dict(r, warc_ts=r["warc_ts"] - 5_000_000,
+                  html=b"<html><body><p>stale</p></body></html>")
+             for r in recs[::9]]
+    seg = write_warc(str(tmp_path / "one.warc.gz"), stale + recs)
+    log = str(tmp_path / "widths.txt")
+    fused = extract._fused_task
+
+    def counted(batch, **kw):
+        with open(log, "a") as fh:
+            fh.write(f"{batch.num_rows}\n")
+        return fused(batch, **kw)
+
+    cfg = PipelineConfig()
+    cfg7 = dataclasses.replace(cfg, segmenter=dataclasses.replace(
+        cfg.segmenter, batch_size=7))
+    monkeypatch.setattr(extract, "_fused_task", counted)
+    narrow = extract_pages_warc([seg], cfg7).take_all()
+    with open(log) as fh:
+        widths = [int(x) for x in fh.read().split()]
+    assert max(widths) <= 7 and sum(widths) == 70
+    monkeypatch.setattr(extract, "_fused_task", fused)
+
+    def by_url(rows):
+        return sorted(rows, key=lambda r: r["url"])
+
+    wide = extract_pages_warc([seg]).take_all()
+    pages = pa.table({"url": [r["url"] for r in recs],
+                      "warc_ts": pa.array([r["warc_ts"] for r in recs],
+                                          pa.int64()),
+                      "html": [r["html"] for r in recs],
+                      "text": [None] * 70, "lang": [None] * 70}).cast(
+                          PAGES_SCHEMA)
+    parquet = build_extract_pipeline(ray.data.from_arrow(pages)).take_all()
+    assert len(narrow) == 70
+    for got in (wide, parquet):
+        assert by_url(narrow) == by_url(got)
+    assert set(narrow[0]) == set(RESULT_SCHEMA.names)
+
+
+def test_a_run_of_stale_segments_reads_one_typed_empty_table(
+        ray_session, tmp_path, monkeypatch):
+    """A segment whose every capture is stale, cut into its own run, reads
+    as one typed empty pages table, not as nothing; the Dataset keeps
+    ``RESULT_SCHEMA`` and one row per url."""
+    from datacat_ray.fixtures import PAGES_SCHEMA
+    from datacat_ray.pipelines.extract import RESULT_SCHEMA
+    from datacat_ray.sources import ranked as R
+    from datacat_ray.sources import warc as W
+
+    recs, mains = _records(79, 5)
+    later = [dict(r, warc_ts=r["warc_ts"] + 60_000_000) for r in recs]
+    segs = [write_warc(str(tmp_path / "old.warc.gz"), recs),
+            write_warc(str(tmp_path / "new.warc.gz"), later)]
+    src = W.WarcDatasource(segs)
+    winners, rows = W.latest_captures(src)
+    assert rows == [5, 5]
+    assert R.winner_rows(winners, rows) == [0, 5]
+    (old,) = list(W._read_run(src, [(0, src._paths()[0])], winners, 2, 128))
+    assert old.equals(PAGES_SCHEMA.empty_table())
+
+    monkeypatch.setattr(R, "_runs", lambda rows, width, floor: [
+        [i] for i in range(len(rows))])
+    ds = W.extract_pages_warc(segs).materialize()
+    assert ": 2 tasks executed" in ds.stats()
+    assert ds.schema().base_schema.equals(RESULT_SCHEMA)
+    got = {r["url"]: r["main_text"] for r in ds.take_all()}
+    assert got == mains
