@@ -30,9 +30,9 @@ tokenize, segmenter CRF, zones) and, for a labeled body export,
 live state through the extraction's assemblers; the raw file serializes
 the ``VOCAB`` codes of every field of the level, encoded once per batch
 (for a labeled body export, in the body level's own encode).
-Nothing is capped: every page exports. One ``map_batches`` stage of plain
-Ray tasks follows the flagship's keep-latest read (one pair per url);
-writes are atomic (tmp + rename → idempotent re-runs), and only manifest
+Nothing is capped: every page exports. The export is fused into the
+flagship's keep-latest run read (one pair per url, one operator); writes
+are atomic (tmp + rename → idempotent re-runs), and only manifest
 rows flow past the sink. A poison row gets its error in the manifest and
 costs only itself. ``out_dir`` must be shared storage on a multi-node
 cluster (same contract as every other file sink here).
@@ -226,7 +226,7 @@ def create_training_pairs(
     return pages.map_batches(
         functools.partial(_export_task, out_dir=out_dir, model=model,
                           blank=blank),
-        batch_format="pyarrow",
+        batch_format="pyarrow", batch_size=None,
     )
 
 

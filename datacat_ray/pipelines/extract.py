@@ -37,7 +37,7 @@ import ray.data
 
 from datacat_ray.config import PipelineConfig
 from datacat_ray.stages.crf import VOCAB, CRFDecoder, with_begin_prefix
-from datacat_ray.stages.dedup import dedup_latest_prefilter
+from datacat_ray.stages.dedup import latest_runs
 from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
 from datacat_ray.stages.lexical_features import entry_codes
 from datacat_ray.stages.line_features import (
@@ -522,6 +522,14 @@ def fused_kernel(cfg: PipelineConfig) -> functools.partial:
     )
 
 
+def map_kernel(ds: "ray.data.Dataset",
+               cfg: PipelineConfig) -> "ray.data.Dataset":
+    """``fused_kernel(cfg)`` over each slice of a ``ranked.read_runs``
+    Dataset as it is, fused into its read tasks (one operator)."""
+    return ds.map_batches(fused_kernel(cfg), batch_format="pyarrow",
+                          batch_size=None, num_cpus=cfg.segmenter.num_cpus)
+
+
 def build_extract_pipeline(
     ds: "ray.data.Dataset",
     cfg: PipelineConfig | None = None,
@@ -531,11 +539,9 @@ def build_extract_pipeline(
     chain here — every operator is document-local, so stage boundaries only
     add object-store traffic), in batches of ``cfg.segmenter.batch_size``.
     It does not dedup: the keep-latest rule names a capture by its input
-    position, which only a read knows, so pages with several captures of a
-    url are read through ``stages.dedup.dedup_latest_prefilter`` (parquet)
-    first. WARC input does not come through here:
-    ``sources.warc.extract_pages_warc`` maps ``fused_kernel`` into its own
-    run reads, one operator from the segments to the results."""
+    position, which only a read knows: the flagships (``extract_pages``,
+    ``sources.warc.extract_pages_warc``) map the kernel into their run
+    reads instead (``map_kernel``)."""
     cfg = cfg or PipelineConfig()
     return ds.map_batches(
         fused_kernel(cfg),
@@ -548,11 +554,12 @@ def build_extract_pipeline(
 def extract_pages(
     pages_path, cfg: PipelineConfig | None = None
 ) -> "ray.data.Dataset":
-    """Parquet pages → keep-latest at the read → cascade. Column pruning
-    happens at the read: only the five input-hint columns leave storage.
-    The narrow winner pass drops stale captures at the read, so the wide
-    html column never crosses a shuffle: one row per url, a ``warc_ts`` tie
-    going to the later input position (``dedup_latest_prefilter``)."""
-    ds = dedup_latest_prefilter(
-        pages_path, columns=["url", "warc_ts", "html", "text", "lang"])
-    return build_extract_pipeline(ds, cfg)
+    """Parquet pages → keep-latest at the read → cascade, as one Ray Data
+    operator: the run read of ``dedup_latest_prefilter`` in slices of
+    ``cfg.segmenter.batch_size`` rows, the kernel fused into its tasks
+    (``map_kernel``). Only the five input-hint columns leave storage; one
+    row per url, a ``warc_ts`` tie going to the later input position."""
+    cfg = cfg or PipelineConfig()
+    return map_kernel(latest_runs(
+        pages_path, ["url", "warc_ts", "html", "text", "lang"], None,
+        cfg.segmenter.batch_size), cfg)

@@ -13,16 +13,15 @@ page. This module provides:
   so a ~1 GB Common-Crawl segment never has to fit a worker heap,
 - ``extract_pages_warc`` — the flagship over WARC input, shuffle-free: a
   narrow key pass over the segments builds the latest-capture winner set,
-  the segments are cut into runs of about ``segmenter.batch_size``
-  winners, and each run is one task of ONE Ray Data operator: read →
-  winner filter → fused stage, in slices of at most ``batch_size`` rows
-  (``_read_run``),
+  and the run read every flagship shares (``sources/ranked.read_runs``)
+  takes the segments through ``segment_winners`` into ONE Ray Data
+  operator: read → winner filter → fused stage, one task per run of
+  about ``segmenter.batch_size`` winners,
 - ``write_wet`` — the WET sink (extracted plain text as WARC conversion
   records).
 
-The pages schema matches ``fixtures.PAGES_SCHEMA`` (url, warc_ts, html,
-text, lang), so ``build_extract_pipeline`` consumes ``read_warc`` output
-unchanged.
+Every table read is in the pages schema, ``fixtures.PAGES_SCHEMA`` (url,
+warc_ts, html, text, lang).
 """
 
 from __future__ import annotations
@@ -262,30 +261,20 @@ def latest_captures(src) -> tuple[tuple, list[int]]:
         files), counts
 
 
-def _read_run(src, run: list[tuple[int, str]], winners: tuple,
-              per_block: int, width: int):
-    """The read task of one run of segments (``run``: (rank, path) each,
-    opened through ``src``, the ``WarcDatasource``): every segment is
-    walked by ``segment_records`` in ``per_block`` chunks, each chunk
-    keeps its winners in ``winners`` (``dedup.winner_keep``), and the
-    winners leave as pages tables of ``width`` rows, a table crossing
-    segment boundaries where it falls (the last one shorter). A run with
-    no winner yields one typed empty table."""
+def segment_winners(src, winners: tuple, per_block: int, rank: int,
+                    path: str):
+    """The per-file reader of WARC runs: the ``rank``-th segment ``path``,
+    opened through ``src`` (the ``WarcDatasource``), walked by
+    ``segment_records`` in ``per_block`` chunks, each chunk's winners in
+    ``winners`` (``dedup.winner_keep``) as one pages table (maybe empty),
+    after one typed empty table."""
     from datacat_ray.stages.dedup import winner_keep
 
-    buf: list[dict] = []
-    yielded = False
-    for rank, path in run:
-        with src._open_input_source(src._filesystem, path) as f:
-            for start, chunk in _chunks(segment_records(f, path), per_block):
-                buf.extend(itertools.compress(chunk, winner_keep(
-                    rank, start, len(chunk), winners)))
-                while len(buf) >= width:
-                    yield _records_table(buf[:width])
-                    del buf[:width]
-                    yielded = True
-    if buf or not yielded:
-        yield _records_table(buf)
+    yield _records_table([])
+    with src._open_input_source(src._filesystem, path) as f:
+        for start, chunk in _chunks(segment_records(f, path), per_block):
+            yield _records_table(list(itertools.compress(chunk, winner_keep(
+                rank, start, len(chunk), winners))))
 
 
 def segment_records(f, path: str = "", warn: bool = True):
@@ -557,23 +546,18 @@ def read_warc(paths) -> "ray.data.Dataset":
 def extract_pages_warc(paths, cfg=None) -> "ray.data.Dataset":
     """Flagship cascade directly over WARC input, shuffle-free, as one Ray
     Data operator. A narrow key pass over the segments builds the winner
-    set (``latest_captures``); the segments are then cut into runs by the
-    run cut of ``run_extract_job`` (``sources.ranked._runs`` over
-    ``winner_rows``: a run closes at ``cfg.segmenter.batch_size`` rows,
-    never fewer runs than min(segments, cluster CPUs)), and each run is
-    one read task (``_read_run``: segment records, winner filter, slices
-    of at most ``batch_size`` rows) into which the fused kernel maps
-    (``batch_size=None``), so a stale capture never becomes an Arrow row
-    and nothing crosses the object store between the read and the
-    kernel. Exactly one row per url, the latest ``warc_ts``, a same-second
-    tie going to the later input position (segment rank in the reader's
-    file list, then record ordinal). A file listed twice (also through its
-    directory) is read once. Lazy: the caller consumes the Dataset."""
-    import ray
-    import ray.data
-
+    set (``latest_captures``); the run read every flagship shares
+    (``sources.ranked.read_runs`` of ``segment_winners``, slices of
+    ``cfg.segmenter.batch_size`` rows) then takes each run of segments in
+    one task, the fused kernel mapped into it (``extract.map_kernel``), so
+    a stale capture never becomes an Arrow row and nothing crosses the
+    object store between the read and the kernel. Exactly one row per url,
+    the latest ``warc_ts``, a same-second tie going to the later input
+    position (segment rank in the reader's file list, then record
+    ordinal). A file listed twice (also through its directory) is read
+    once. Lazy: the caller consumes the Dataset."""
     from datacat_ray.config import PipelineConfig
-    from datacat_ray.pipelines.extract import fused_kernel
+    from datacat_ray.pipelines.extract import map_kernel
     from datacat_ray.sources import ranked
 
     cfg = cfg or PipelineConfig()
@@ -582,16 +566,10 @@ def extract_pages_warc(paths, cfg=None) -> "ray.data.Dataset":
     if len(files) < len(src._paths()):
         src = WarcDatasource(files)
     winners, rows = latest_captures(src)
-    width = cfg.segmenter.batch_size
-    runs = ranked._runs(ranked.winner_rows(winners, rows), width,
-                        min(len(files), int(ray.cluster_resources()["CPU"])))
-    reads = [functools.partial(_read_run, src, [(i, files[i]) for i in run],
-                               winners, _RECORDS_PER_BLOCK, width)
-             for run in runs]
-    return ray.data.read_datasource(
-        ranked.Runs(reads), override_num_blocks=len(reads)).map_batches(
-            fused_kernel(cfg), batch_format="pyarrow", batch_size=None,
-            num_cpus=cfg.segmenter.num_cpus)
+    return map_kernel(ranked.read_runs(
+        files, functools.partial(segment_winners, src, winners,
+                                 _RECORDS_PER_BLOCK),
+        ranked.winner_rows(winners, rows), cfg.segmenter.batch_size), cfg)
 
 
 # ---------------------------------------------------------------------------

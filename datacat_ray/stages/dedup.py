@@ -11,13 +11,15 @@ input position: a total order, so exactly one capture per url wins, and
 rank past ``_DRIVER_WINNER_ROWS`` input rows) and stores only the winning
 positions, and the readers, which know each capture's position, drop every
 other capture (``winner_keep``, a range lookup), so a stale payload never
-leaves its read. Parquet (``winner_probe``): ``dedup_latest_prefilter``
-(``extract_pages``, ``create_training_pairs``) and ``run_extract_job``;
-WARC: ``sources/warc.extract_pages_warc``.
+leaves its read. One run read (``sources/ranked.slices``) does that
+read for every flagship: parquet (``winner_probe``) through
+``dedup_latest_prefilter`` (``extract_pages``, ``create_training_pairs``)
+and ``run_extract_job``; WARC through ``sources/warc.extract_pages_warc``.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -368,13 +370,25 @@ def dedup_latest_prefilter(
     winner_dir: str | None = None,
 ) -> "ray.data.Dataset":
     """Keep-latest dedup with ZERO wide shuffle over parquet input
-    ``path``: a narrow winner pass (``winner_probe``), then one read
-    (``sources.ranked.ParquetFragments``) that drops every capture but
+    ``path``: a narrow winner pass (``winner_probe``), then the flagships'
+    run read (``sources.ranked.read_runs``), which drops every capture but
     each url's winner in its read task. Exactly one row per url: the
     largest (``warc_ts``, fragment rank, row ordinal)."""
-    from datacat_ray.sources.ranked import ParquetFragments
+    from datacat_ray.config import PipelineConfig
+
+    return latest_runs(path, columns, winner_dir,
+                       PipelineConfig().segmenter.batch_size)
+
+
+def latest_runs(path, columns: list[str] | None, winner_dir: str | None,
+                width: int) -> "ray.data.Dataset":
+    """``dedup_latest_prefilter`` in slices of at most ``width`` rows."""
+    from datacat_ray.sources import ranked
 
     files = list_fragments(path)
-    src = ParquetFragments(files)
-    src.columns, src.winners = columns, winner_probe(files, winner_dir)
-    return ray.data.read_datasource(src)
+    rows = fragment_rows(files)
+    winners = winner_probe(files, winner_dir, rows)
+    return ranked.read_runs(
+        files, functools.partial(ranked.read_fragment, probe=winners,
+                                 columns=columns),
+        ranked.winner_rows(winners, rows), width)

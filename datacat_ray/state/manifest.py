@@ -15,24 +15,17 @@ explicit:
   fragments, row counts in/out/rejected, output bytes + sha256, engine and
   model versions, wall time. Resume = anti-join pending partitions against
   completed manifest records before any work is scheduled.
-- **Execution**: a Ray task runs a *run* of consecutive pending
-  partitions (``sources.ranked._runs``): a run closes once it holds
-  ``PipelineConfig().segmenter.batch_size`` rows (``winner_rows``: its
-  partitions' winners when the winner set is the driver's, else their
-  input rows by the parquet footers), and there are never fewer runs than
-  ``min(pending partitions, cluster CPUs)``. Inside the task
-  (``_run_partitions``) the winner-filtered rows of its partitions
-  (``sources.ranked.read_fragment``) stream through the fused cascade
-  kernel in slices of at most ``batch_size`` rows, a slice crossing
-  partition boundaries where it falls, so small partitions share one
-  lockstep batch and a large one is sliced. Each partition is
-  published as soon as its last row is out of the kernel (``_publish``:
-  one part file, temp-rename, then its record), so its bytes do not
-  depend on the run cut. Raw tasks rather than ``Dataset.write_parquet``
-  because the Dataset writer cannot bind output files to input fragments,
-  which is exactly the invariant resume needs. The dedup winner set is
-  built once per job by ``stages/dedup.winner_probe`` over the same input
-  listing (``list_fragments``) as the partitions.
+- **Execution**: one Ray task per *run* of consecutive pending
+  partitions, cut like every flagship's runs (``sources.ranked._runs``
+  over ``winner_rows``, at ``PipelineConfig().segmenter.batch_size``
+  rows). The task (``_run_partitions``) takes its partitions' winners
+  through the run read every flagship shares (``sources.ranked.slices``)
+  and the fused kernel, and publishes each partition once its last row is
+  out (``_publish``: one part file, temp-rename, then its record), so its
+  bytes do not depend on the run cut. Raw tasks rather than
+  ``Dataset.write_parquet``, which cannot bind output files to input
+  fragments, the invariant resume needs. The winner set is built once per
+  job (``stages/dedup.winner_probe``) over the partitions' listing.
 
 At 10^12 documents the partition count is the input fragment count (CC-
 style layouts: ~10^5-10^6 fragments); the manifest directory is a listing,
@@ -54,7 +47,12 @@ import ray
 
 from datacat_ray import __version__ as ENGINE_VERSION
 from datacat_ray.config import MAX_IN_FLIGHT, PipelineConfig
-from datacat_ray.sources.ranked import _runs, read_fragment, winner_rows
+from datacat_ray.sources.ranked import (
+    _runs,
+    read_fragment,
+    slices,
+    winner_rows,
+)
 from datacat_ray.stages.dedup import (
     fragment_rows,
     list_fragments,
@@ -149,67 +147,35 @@ def _run_partitions(run: list[tuple], out_dir: str, winners: tuple | None,
                     stage: dict) -> list[dict]:
     """One Ray task: a run of consecutive pending partitions, each
     (partition id, fragments, rank of its first fragment, input rows).
-    Their winner-filtered rows stream through the fused kernel
-    (``_fused_task`` with the ``stage`` arguments) in slices of at most
-    ``PipelineConfig().segmenter.batch_size`` rows, a slice crossing
-    partition boundaries where it falls, so a partition larger than the
-    width is sliced and small ones share a lockstep batch. Partitions are
-    published in run order (``_publish``), each as soon as its last row is
-    out of the kernel. The fused stage is cached per worker process (the
-    Dataset path's cache)."""
+    Each slice of the run read (``sources.ranked.slices``) goes through
+    the fused kernel (``_fused_task`` with the ``stage`` arguments), its
+    results back to their partitions, and a partition is published
+    (``_publish``) once its last fragment is done."""
     from datacat_ray.pipelines.extract import _fused_task
 
-    width = PipelineConfig().segmenter.batch_size
-    buf: list[tuple[int, pa.Table]] = []  # (index in run, rows) not yet run
-    waiting = [0] * len(run)  # rows of each partition in ``buf``
+    files = [(rank, f) for _, fragments, first, _ in run
+             for rank, f in enumerate(fragments, first)]
+    part = [k for k, (_, fragments, _, _) in enumerate(run)
+            for _ in fragments]  # the partition of each file
     pieces: list[list[pa.Table]] = [[] for _ in run]
     recs: list[dict] = []
     t0 = time.time()
-
-    def kernel(n: int) -> None:
-        """The fused kernel over the first ``n`` buffered rows."""
-        take = []
-        while n:
-            k, t = buf[0]
-            if t.num_rows > n:
-                buf[0] = (k, t.slice(n))
-                t = t.slice(0, n)
-            else:
-                buf.pop(0)
-            take.append((k, t))
-            n -= t.num_rows
-        result = _fused_task(pa.concat_tables([t for _, t in take]), **stage)
-        at = 0
-        for k, t in take:
-            pieces[k].append(result.slice(at, t.num_rows))
-            waiting[k] -= t.num_rows
-            at += t.num_rows
-
-    def publish(read: int) -> None:
-        """Publish, in order, the first ``read`` partitions whose rows are
-        all out."""
-        nonlocal t0
-        while len(recs) < read and not waiting[len(recs)]:
-            k = len(recs)
-            part_id, fragments, _, rows_in = run[k]
-            recs.append(_publish(out_dir, part_id, fragments, rows_in,
-                                 pieces[k], t0))
-            pieces[k] = []
-            t0 = time.time()
-
-    for k, (_, fragments, first_rank, _) in enumerate(run):
-        for rank, f in enumerate(fragments, first_rank):
-            for t in read_fragment(pq.ParquetFile(f), rank, winners):
-                if t.num_rows:
-                    buf.append((k, t))
-                    waiting[k] += t.num_rows
-                    while sum(waiting) >= width:
-                        kernel(width)
-                        publish(k)
-        publish(k + 1)
-    if buf:
-        kernel(sum(waiting))
-    publish(len(run))
+    for pages, counts, done in slices(
+            files, functools.partial(read_fragment, probe=winners),
+            PipelineConfig().segmenter.batch_size):
+        if pages.num_rows:
+            result, at = _fused_task(pages, **stage), 0
+            for i, n in counts.items():
+                pieces[part[i]].append(result.slice(at, n))
+                at += n
+        for i in done:
+            k = part[i]
+            if i + 1 == len(files) or part[i + 1] != k:  # its last file
+                part_id, fragments, _, rows_in = run[k]
+                recs.append(_publish(out_dir, part_id, fragments, rows_in,
+                                     pieces[k], t0))
+                pieces[k] = []
+                t0 = time.time()
     return recs
 
 

@@ -3,6 +3,7 @@ reader, and end-to-end extraction over WARC input."""
 
 from __future__ import annotations
 
+import functools
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -797,7 +798,8 @@ def test_a_run_of_stale_segments_reads_one_typed_empty_table(
     winners, rows = W.latest_captures(src)
     assert rows == [5, 5]
     assert R.winner_rows(winners, rows) == [0, 5]
-    (old,) = list(W._read_run(src, [(0, src._paths()[0])], winners, 2, 128))
+    read = functools.partial(W.segment_winners, src, winners, 2)
+    (old,) = list(R._run_pages([(0, src._paths()[0])], read, 128))
     assert old.equals(PAGES_SCHEMA.empty_table())
 
     monkeypatch.setattr(R, "_runs", lambda rows, width, floor: [
