@@ -57,10 +57,10 @@ from datacat_ray.pipelines.extract import (
 from datacat_ray.stages.dedup import dedup_latest_prefilter
 from datacat_ray.stages.line_features import serialize_codes, serialize_lines
 from datacat_ray.stages.tei import (
-    assemble_body_tei,
-    assemble_segmenter_tei,
+    body_tei,
     doc_id,
     lines_tei,
+    segmenter_tei,
     tei_document,
     tokens_tei,
 )
@@ -134,15 +134,15 @@ class TrainingExportStage:
         if self.model == "segmenter":
             if self.blank:
                 return tei_document(d.url, d.lang, lines_tei(d.lines.text))
-            return assemble_segmenter_tei(d.url, d.lang, d.lines,
-                                          d.line_labels)
+            return segmenter_tei(d.url, d.lang, d.lines,
+                                 self.stage.seg.base_labels, d.zone_lines)
         if self.blank:
             # the body token stream, untagged (createTrainingBlankBody:
             # "just write the text without any label")
             return tei_document(d.url, d.lang, "".join(
                 tokens_tei(d.tokens, a, b) for a, b in d.body) + "\n")
-        return assemble_body_tei(d.url, d.lang, d.tokens,
-                                 self.stage.entry_list(d))
+        return body_tei(d.url, d.lang, d.tokens,
+                        self.stage.body.base_labels, d.entries)
 
     def _write(self, d, _) -> None:
         """Write a document's pair; its ``result`` becomes (stem, TEI

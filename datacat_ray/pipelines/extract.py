@@ -28,7 +28,9 @@ Output schema (one row per url):
 from __future__ import annotations
 
 import functools
-from itertools import repeat
+from bisect import bisect_left
+from itertools import groupby, repeat
+from operator import itemgetter
 
 import numpy as np
 import pyarrow as pa
@@ -36,7 +38,7 @@ import pyarrow as pa
 import ray.data
 
 from datacat_ray.config import PipelineConfig
-from datacat_ray.stages.crf import VOCAB, CRFDecoder, with_begin_prefix
+from datacat_ray.stages.crf import VOCAB, CRFDecoder
 from datacat_ray.stages.dedup import latest_runs
 from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
 from datacat_ray.stages.lexical_features import entry_codes
@@ -46,9 +48,9 @@ from datacat_ray.stages.line_features import (
 )
 from datacat_ray.stages.models import BODY_MODEL, LEXICAL_MODEL, SEGMENTER_MODEL
 from datacat_ray.stages.tei import (
-    assemble_body_tei,
-    assemble_segmenter_tei,
+    body_tei,
     extracted_text,
+    segmenter_tei,
     token_char_offsets,
 )
 from datacat_ray.stages.token_features import (
@@ -57,7 +59,7 @@ from datacat_ray.stages.token_features import (
     offsets,
 )
 from datacat_ray.stages.tokenizer import Lines, tokenize_document
-from datacat_ray.stages.zones import ZONE_STRUCT, decode_zones, zone_token_indices
+from datacat_ray.stages.zones import ZONE_STRUCT
 
 RESULT_SCHEMA = pa.schema(
     [
@@ -84,15 +86,8 @@ def unwrapped_text(lines: Lines) -> str:
     newline. For HTML whose block texts contain no hard breaks this is the
     exact inverse of the tokenizer's pseudo-line wrapping — the clean
     "main content" string a downstream consumer wants."""
-    parts: list[str] = []
-    cur_block = None
-    for b, t in zip(lines.block_id, lines.text):
-        if b != cur_block:
-            parts.append(t)
-            cur_block = b
-        else:
-            parts[-1] = parts[-1] + " " + t
-    return "\n".join(parts)
+    return "\n".join(" ".join(t for _, t in run) for _, run in groupby(
+        zip(lines.block_id, lines.text), key=itemgetter(0)))
 
 
 class _Level:
@@ -138,7 +133,7 @@ class _Doc:
     lengths) and, once decoded, ``path`` (its int label path)."""
 
     __slots__ = ("url", "lang", "lines", "tokens", "token_line", "em",
-                 "lens", "path", "idx", "line_labels", "zones", "body",
+                 "lens", "path", "idx", "zone_lines", "zones", "body",
                  "entries", "lexical", "result")
 
     def __init__(self, url, lang) -> None:
@@ -334,13 +329,27 @@ class FusedExtractStage:
         _split(ds, "em", em, lens)
         for d, n in zip(ds, lens):
             d.lens = [n]
+            d.idx = np.arange(n)
 
-    def _zones(self, d: _Doc, _) -> None:
-        """Zones from the segmenter path."""
-        d.line_labels = with_begin_prefix(
-            self.seg._label_arr[d.path].tolist())
-        d.zones = decode_zones(d.line_labels, d.token_line, len(d.tokens))
-        d.body = zone_token_indices(d.zones, "<body>")
+    def _zones(self, ds: list) -> None:
+        """Zones from the segmenter paths: one span decode of the batch
+        (``_spans``) gives each document's ``zone_lines`` (label index into
+        ``seg.base_labels``, first line, end line); ``zones`` are the same
+        spans in token offsets and ``body`` the token ranges of the
+        ``<body>`` zones. The zones tile the token stream: each starts at
+        the first token of its first line, or of a later line when that one
+        has none (``bisect_left`` in the non-decreasing ``token_line``)."""
+        _spans(self.seg, ds, "zone_lines")
+        names = self.seg.base_labels
+        body = names.index("<body>") if "<body>" in names else -1
+        for d in ds:
+            lab, a, _ = d.zone_lines
+            at = [bisect_left(d.token_line, x) for x in a.tolist()]
+            at.append(len(d.tokens))
+            tok = np.array(at, dtype=np.intp)
+            d.zones = (lab, tok[:-1], tok[1:])
+            d.body = [(s, e) for i, s, e in zip(lab.tolist(), at, at[1:])
+                      if i == body]
 
     def _body_emissions(self, ds: list, fields=None) -> tuple:
         """Body-level emissions of every non-space ``<body>`` token of the
@@ -387,33 +396,25 @@ class FusedExtractStage:
         """Lexical spans from the run paths."""
         _spans(self.lexical, ds, "lexical")
 
-    def entry_list(self, d: _Doc) -> list[dict]:
-        """A document's entries as ``{label, start, end}`` dicts."""
-        lab, start, end = d.entries
-        names = self.body.base_labels
-        return [{"label": names[i], "start": a, "end": b} for i, a, b
-                in zip(lab.tolist(), start.tolist(), end.tolist())]
-
     def _assemble(self, d: _Doc, _) -> None:
         """Text and TEI assembly."""
-        entries = self.entry_list(d)
-        tokens, lines, zones = d.tokens, d.lines, d.zones
+        tokens, lines = d.tokens, d.lines
         if self.tei_coordinates:
-            offs = token_char_offsets(tokens)
-            seg_coords = [(offs[z["start"]], offs[z["end"]]) for z in zones]
-            body_coords = [(offs[r["start"]], offs[r["end"]]) for r in entries]
+            offs = np.array(token_char_offsets(tokens))
+            seg_coords, body_coords = (
+                list(zip(offs[s].tolist(), offs[e].tolist()))
+                for _, s, e in (d.zones, d.entries))
         else:
             seg_coords = body_coords = None
         d.result = (
             extracted_text(tokens),
             unwrapped_text(lines),
-            assemble_segmenter_tei(d.url, d.lang, lines, d.line_labels,
-                                   seg_coords),
-            assemble_body_tei(d.url, d.lang, tokens, entries, body_coords,
-                              self.segment_sentences),
-            zones,
-            entries,
-            None,  # the lexical column is built from the span arrays
+            segmenter_tei(d.url, d.lang, lines, self.seg.base_labels,
+                          d.zone_lines, seg_coords),
+            body_tei(d.url, d.lang, tokens, self.body.base_labels,
+                     d.entries, body_coords, self.segment_sentences),
+            # the span columns are built from the span arrays
+            None, None, None,
             len(lines),
             len(tokens),
             None,
@@ -430,11 +431,11 @@ class FusedExtractStage:
         _phase(docs, out, self._lines, zip(htmls, texts))
         _batch(docs, out, self._seg_emissions)
         _decode(self.seg, docs)
-        _phase(docs, out, self._zones, repeat(None))
+        _batch(docs, out, self._zones)
         return docs, out
 
     def decode_entries(self, docs: dict, out: list, emissions=None) -> None:
-        """Body CRF and entry spans (``entry_list``) over ``segment``'s
+        """Body CRF and entry spans over ``segment``'s
         live documents; ``emissions`` is the batch phase that sets the body
         emissions (default ``_body_emissions``)."""
         _batch(docs, out, emissions or self._body_emissions)
@@ -442,10 +443,10 @@ class FusedExtractStage:
         _batch(docs, out, self._body_spans)
 
     def _extract(self, urls, langs, htmls, texts):
-        """(rows, entries column, lexical column): per document the
-        (extracted_text, main_text, tei, tei_body, zones, entries, —,
-        n_lines, n_tokens, error) row, the cascade run one phase at a
-        time over the whole batch."""
+        """(rows, span columns): per document the (extracted_text,
+        main_text, tei, tei_body, —, —, —, n_lines, n_tokens, error) row,
+        and the ``zones``, ``entries`` and ``lexical`` columns by name, the
+        cascade run one phase at a time over the whole batch."""
         docs, out = self.segment(urls, langs, htmls, texts)
         self.decode_entries(docs, out)
         _batch(docs, out, self._lexical_emissions)
@@ -455,28 +456,28 @@ class FusedExtractStage:
         for i, d in docs.items():
             out[i] = d.result
         live = [docs.get(i) for i in range(len(urls))]
-        return (out,
-                _span_column([d and d.entries for d in live],
-                             self.body.base_labels),
-                _span_column([d and d.lexical for d in live],
-                             self.lexical.base_labels))
+        return out, {
+            attr: _span_column([d and getattr(d, attr) for d in live],
+                               dec.base_labels)
+            for attr, dec in (("zones", self.seg), ("entries", self.body),
+                              ("lexical", self.lexical))}
 
     def _one(self, url, lang, html, text) -> tuple:
         """``_extract`` of one document, its spans as dicts."""
-        rows, entries, lexical = self._extract([url], [lang], [html], [text])
-        return (*rows[0][:5], entries.to_pylist()[0], lexical.to_pylist()[0],
+        rows, spans = self._extract([url], [lang], [html], [text])
+        return (*rows[0][:4], *(c.to_pylist()[0] for c in spans.values()),
                 *rows[0][7:])
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
         langs = batch["lang"].to_pylist()
-        rows, entries, lexical = self._extract(
+        rows, spans = self._extract(
             urls, langs, batch["html"].to_pylist(), batch["text"].to_pylist())
         res = {"url": urls, "warc_ts": batch["warc_ts"].to_pylist(),
                "lang": langs}
         cols = list(zip(*rows)) or [()] * (len(RESULT_SCHEMA) - 3)
         res.update(zip(RESULT_SCHEMA.names[3:], cols))
-        res["entries"], res["lexical"] = entries, lexical
+        res.update(spans)
         return pa.Table.from_pydict(res, schema=RESULT_SCHEMA)
 
 

@@ -15,9 +15,14 @@ of column 7 at relative row -1) but reference feature *names* instead of
 positional columns: a template is ``(tag, [(row_offset, field), ...])`` and
 expands at position t to the string ``"tag:v1|v2"``.
 
-Determinism: Viterbi tie-breaks are stable (lowest label index wins — numpy
-``argmax`` returns the first maximal index), so outputs are identical across
-runs and parallelism levels (SURVEY.md §7.4 "CRF decode determinism").
+Decode (``CRFDecoder.paths``): one lockstep Viterbi over all sequences of a
+batch. Its forward pass keeps only the running scores (one max over the
+leading axis per step, no backpointers); its backtrack recomputes the
+argmax of the one label each sequence follows. ``span_arrays`` then turns
+the int paths into spans batch-wide. Viterbi tie-breaks are stable (lowest
+label index wins — numpy ``argmax`` returns the first maximal index), so
+outputs are identical across runs and parallelism levels (SURVEY.md §7.4
+"CRF decode determinism").
 
 Coded emissions (the cascade's path): every feature value is an integer
 code in a per-process dictionary of its field (``VOCAB``), keyed by the
@@ -37,16 +42,18 @@ computed. Memory is bounded: ``VOCAB.bound`` resets ``VOCAB`` past
 ``VOCAB.watch``) is full; it is called only between batches, so codes
 never change inside one. Every cache built on the codes empties itself
 once ``VOCAB.gen`` moved, and a decoder's tables also reset past
-``_EMISSION_CACHE_MAX`` entries.
+``_EMISSION_CACHE_MAX`` entries. The generation starts from a random
+per-process nonce, so a decoder that travelled from another process
+rebuilds its tables on its first batch instead of gathering rows of the
+other process's codes.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-
-NEG_INF = -1e9
 
 
 @dataclass(frozen=True)
@@ -94,8 +101,10 @@ class _Vocab:
     string."""
 
     def __init__(self) -> None:
-        # bumped by every reset: codes of older generations are void
-        self.gen = 0
+        # bumped by every reset: codes of older generations are void. It
+        # starts from a per-process nonce, so tables built on another
+        # process's codes (a decoder pickled out of it) never match
+        self.gen = int.from_bytes(os.urandom(8), "little")
         self.size = 0
         self.index: dict[str, dict[str, int]] = {}
         self.values: dict[str, list] = {}
@@ -404,16 +413,20 @@ class CRFDecoder:
         returns their int label paths laid out the same way.
 
         Sequences run longest first, so the sequences still active at step
-        ``s`` are always a prefix ``[:k]``, and the rows are laid out
-        step-major — step ``s`` owns one contiguous ``[k]`` slice of the
-        flat ``(Σn, L)`` emission and backpointer arrays (no padding to
-        the longest sequence). The running scores are label-major,
-        ``dT[i, b]`` for label ``i`` of sequence ``b``, so the max and
-        argmax of a step reduce over the leading axis of ``(L, k, L)``.
-        Each step makes the same IEEE ``delta[i] + trans[i, j]`` adds as a
-        per-sequence Viterbi, and numpy's first-max ``argmax`` is the
-        stable tie rule (lowest label index wins), so paths are
-        bit-identical to one-at-a-time decoding."""
+        ``s`` are always a prefix ``[:k]``, and the slots are laid out
+        step-major — step ``s`` owns one contiguous ``[k]`` slice of them
+        (no padding to the longest sequence). The forward pass keeps no
+        backpointers: ``D[j, slot]`` starts as the slot's emission and
+        gains the best score of reaching label ``j`` there, one broadcast
+        add and one max over the leading axis of ``(L, L, k)`` per step.
+        The backtrack recomputes only the entries it follows: the label
+        before label ``j`` of a slot is the first maximal ``i`` of
+        ``D[i, prev] + trans[i, j]``, an argmax over ``(k, L)`` per step.
+        Each forward step makes the same IEEE ``delta[i] + trans[i, j]``
+        and ``+ E[j]`` adds as a per-sequence Viterbi, the backtrack the
+        same ``delta[i] + trans[i, j]`` adds again, and numpy's first-max
+        ``argmax`` is the stable tie rule (lowest label index wins), so
+        paths are bit-identical to one-at-a-time decoding."""
         seq_lens = np.asarray(lens, dtype=np.intp)
         order = np.argsort(-seq_lens, kind="stable")
         lens = seq_lens[order]
@@ -421,7 +434,7 @@ class CRFDecoder:
         if T == 0:
             return np.zeros(0, dtype=np.intp)
         # active[s] = number of sequences longer than s (a prefix of the
-        # sorted order); step s owns rows start[s]:start[s + 1]
+        # sorted order); step s owns slots start[s]:start[s + 1]
         active = np.searchsorted(-lens, -np.arange(T), side="left")
         start = np.zeros(T + 1, dtype=np.intp)
         np.cumsum(active, out=start[1:])
@@ -434,33 +447,29 @@ class CRFDecoder:
         slot = start[step] + seq
         src = np.repeat((np.cumsum(seq_lens) - seq_lens)[order[:k0]],
                         lens) + step
-        E_in = E
-        E = np.empty((len(seq), self.L), dtype=np.float64)
-        E[slot] = E_in[src]
-        back = np.empty(E.shape, dtype=np.intp)
-        trans = self.trans[:, None, :]
+        D = np.empty((self.L, len(seq)), dtype=np.float64)
+        D[:, slot] = E[src].T
+        D[:, :k0] += self.init[:, None]
+        trans = self.trans[:, :, None]  # trans[i, j, b]
         bounds = start.tolist()
-        # contiguous, not a transposed view: the step's broadcast add runs
-        # over contiguous rows
-        dT = np.ascontiguousarray((E[:k0] + self.init).T)
         for s in range(1, T):
-            lo, hi = bounds[s], bounds[s + 1]
-            cand = dT[:, :hi - lo, None] + trans  # cand[i, b, j]
-            back[lo:hi] = cand.argmax(0)
-            dT[:, :hi - lo] = (np.maximum.reduce(cand, axis=0)
-                               + E[lo:hi]).T
+            lo, hi, p = bounds[s], bounds[s + 1], bounds[s - 1]
+            d = D[:, lo:hi]
+            d += np.maximum.reduce(D[:, None, p:p + hi - lo] + trans, axis=0)
         # backtrack in lockstep from each sequence's first maximal final
-        # score (its column froze when the sequence ended)
-        path = np.empty(len(E), dtype=np.intp)
-        cur = dT.argmax(0)
-        path[start[lens - 1] + np.arange(k0)] = cur
-        back = back.ravel()
-        row = np.arange(0, back.size, self.L)  # flat offset of each slot
+        # score: step s reads its labels from its own slots of ``path``
+        # and writes the labels before them into step s - 1's. Slot-major
+        # copies make each argmax run along rows; each row of ``D`` is
+        # read once, so the adds go in place
+        path = np.empty(len(seq), dtype=np.intp)
+        last = start[lens - 1] + np.arange(k0)
+        path[last] = D[:, last].argmax(0)
+        D, trans = D.T.copy(), self.trans.T.copy()  # trans[j, i]
         for s in range(T - 1, 0, -1):
-            lo, hi = bounds[s], bounds[s + 1]
-            prev = back[row[lo:hi] + cur[:hi - lo]]
-            cur[:hi - lo] = prev
-            path[bounds[s - 1]:bounds[s - 1] + hi - lo] = prev
+            lo, hi, p = bounds[s], bounds[s + 1], bounds[s - 1]
+            d = D[p:p + hi - lo]
+            d += trans[path[lo:hi]]
+            d.argmax(1, out=path[p:p + hi - lo])
         # back to the input's layout
         out = np.empty(len(path), dtype=np.intp)
         out[src] = path[slot]
@@ -479,7 +488,8 @@ class CRFDecoder:
         """The spans of int label paths laid end to end (``lens`` their
         lengths; ``idx`` the absolute offset of every position), as
         arrays: (base label index into ``base_labels``, start, end, first
-        position of the span): ``label_spans`` of each path, batch-wide."""
+        position of the span), batch-wide (``span_starts``). Spans are
+        half-open: ``end`` is one past the last position's offset."""
         base = self._base[path]
         lens = np.asarray(lens, dtype=np.intp)
         first = span_starts(base, self._begins[path],
@@ -554,28 +564,12 @@ def strip_begin_prefix(label: str) -> str:
     return label[2:] if label.startswith("I-") else label
 
 
-def label_spans(base: np.ndarray, begins: np.ndarray, names: list[str],
-                idx: list[int], starts=()) -> list[dict]:
-    """Coalesce a labeled sequence into spans ``{label, start, end}`` in
-    the absolute offsets ``idx`` of its positions (half-open: ``end`` is
-    one past the last position's offset). ``base[t]`` indexes the base
-    label of position ``t`` in ``names`` and ``begins[t]`` marks an ``I-``
-    label. A span starts at position 0, at an ``I-`` label, at a change
-    of base label, and at every position in ``starts`` (the first
-    position of each of several sequences laid end to end)."""
-    n = len(base)
-    if n == 0:
-        return []
-    first = span_starts(base, begins, list(starts))
-    labels = list(map(names.__getitem__, base[first].tolist()))
-    first = first.tolist()
-    ends = [idx[t - 1] + 1 for t in first[1:]] + [idx[n - 1] + 1]
-    return [{"label": lb, "start": idx[t], "end": e}
-            for lb, t, e in zip(labels, first, ends)]
-
-
 def span_starts(base: np.ndarray, begins: np.ndarray, starts) -> np.ndarray:
-    """The positions where a span starts (see ``label_spans``)."""
+    """The positions where a span of a labeled sequence starts: ``base[t]``
+    is the base label index of position ``t`` and ``begins[t]`` marks an
+    ``I-`` label. A span starts at position 0, at an ``I-`` label, at a
+    change of base label, and at every position in ``starts`` (the first
+    position of each of several sequences laid end to end)."""
     if len(base) == 0:
         return np.zeros(0, dtype=np.intp)
     brk = begins.copy()

@@ -22,11 +22,14 @@ frozen: the golden fixtures are byte-compared against it.
 from __future__ import annotations
 
 import hashlib
+import re
+from html import unescape
+from itertools import accumulate
 
 import numpy as np
 
 from datacat_ray.functions.textkit import html_encode
-from datacat_ray.stages.crf import label_spans, strip_begin_prefix
+from datacat_ray.stages.crf import span_starts, strip_begin_prefix
 from datacat_ray.stages.tokenizer import Lines
 from datacat_ray.stages.zones import line_runs
 
@@ -55,13 +58,7 @@ def token_char_offsets(tokens: list[str]) -> list[int]:
     (the S9 concatenation): ``offs[i]`` is where token ``i`` starts,
     ``offs[n]`` the total length. Token-span coordinates map to char-span
     coordinates through this table."""
-    offs = [0] * (len(tokens) + 1)
-    p = 0
-    for i, t in enumerate(tokens):
-        offs[i] = p
-        p += len(t)
-    offs[len(tokens)] = p
-    return offs
+    return list(accumulate(map(len, tokens), initial=0))
 
 
 def _coords_attr(coords, k) -> str:
@@ -108,37 +105,53 @@ def tei_document(url: str, lang: str | None, content: str) -> str:
     )
 
 
+def segmenter_tei(
+    url: str, lang: str | None, lines: Lines, names: list[str], zones,
+    coords: list[tuple[int, int]] | None = None,
+) -> str:
+    """Zone-tagged TEI over a document's zones as line runs: ``zones`` is
+    their (label index into ``names``, first line, end line) arrays.
+    ``coords`` (optional, one per zone) adds char-span coordinate
+    attributes; see ``_coords_attr``."""
+    parts = []
+    for k, (i, a, b) in enumerate(zip(*(c.tolist() for c in zones))):
+        tag = names[i][1:-1]  # "<front>" → "front"
+        parts.append(f"\t\t\t<{tag}{_coords_attr(coords, k)}>"
+                     f"{lines_tei(lines.text[a:b])}</{tag}>\n")
+    return tei_document(url, lang, "".join(parts))
+
+
+def _span_arrays(runs: list[tuple]) -> tuple[list[str], tuple]:
+    """(label, start, end) triples → (their labels, (label index, start,
+    end) arrays)."""
+    return [r[0] for r in runs], tuple(np.array(
+        [(i, a, b) for i, (_, a, b) in enumerate(runs)],
+        dtype=np.intp).reshape(-1, 3).T)
+
+
 def assemble_segmenter_tei(
     url: str, lang: str | None, lines: Lines, line_labels: list[str],
     coords: list[tuple[int, int]] | None = None,
 ) -> str:
-    """Zone-tagged TEI over labeled lines. ``coords`` (optional, one per
-    label run — the order ``decode_zones`` emits) adds char-span
-    coordinate attributes; see ``_coords_attr``."""
-    parts = []
-    for k, (label, a, b) in enumerate(line_runs(line_labels)):
-        tag = label[1:-1]  # "<front>" → "front"
-        content = lines_tei(lines.text[a : b + 1])
-        parts.append(
-            f"\t\t\t<{tag}{_coords_attr(coords, k)}>{content}</{tag}>\n"
-        )
-    return tei_document(url, lang, "".join(parts))
+    """``segmenter_tei`` of per-line labels (runs of one base label; the
+    form perfbench's traced walk and the tests call)."""
+    return segmenter_tei(url, lang, lines, *_span_arrays(
+        [(lb, a, b + 1) for lb, a, b in line_runs(line_labels)]), coords)
 
 
-def body_label_runs(
-    body_labels: list[str], body_token_idx: list[int]
-) -> list[dict]:
+def body_label_runs(body_labels: list[str], idx: list[int]) -> list[dict]:
     """Coalesce body token labels (``I-`` begin states) into entry spans
-    ``(label, start, end)`` in ABSOLUTE token offsets (half-open; ``end`` is
-    one past the last labeled token) — ``label_spans`` of the label
-    names."""
+    ``(label, start, end)`` in the ABSOLUTE token offsets ``idx`` of the
+    labels (half-open; ``end`` is one past the last labeled token) —
+    ``span_starts`` of the label names."""
     bases = [strip_begin_prefix(lb) for lb in body_labels]
-    names = list(dict.fromkeys(bases))
-    at = {b: i for i, b in enumerate(names)}
-    return label_spans(
+    at = {b: i for i, b in enumerate(dict.fromkeys(bases))}
+    first = span_starts(
         np.array([at[b] for b in bases], dtype=np.intp),
         np.array([lb.startswith("I-") for lb in body_labels], dtype=bool),
-        names, body_token_idx)
+        []).tolist()
+    return [{"label": bases[t], "start": idx[t], "end": idx[e - 1] + 1}
+            for t, e in zip(first, first[1:] + [len(bases)])]
 
 
 def html_decode(s: str) -> str:
@@ -151,7 +164,12 @@ def html_decode(s: str) -> str:
     )
 
 
-_ZONE_RE = None  # compiled lazily (module import stays cheap for workers)
+_ZONE_RE = re.compile(r"\t\t\t<(front|body|back|annex|other)>(.*?)</\1>\n",
+                      re.S)
+_REF_ZONE_RE = re.compile(
+    r"<(front|body|back|annex|other|header|footnote)>(.*?)</\1>", re.S)
+_REF_ENTRY_RE = re.compile(
+    r"<(entry|title|titledesc|other|note)(?:\s[^>]*)?>(.*?)</\1>", re.S)
 
 
 def parse_segmenter_tei(tei: str) -> list[tuple[str, str]]:
@@ -161,13 +179,6 @@ def parse_segmenter_tei(tei: str) -> list[tuple[str, str]]:
     ``TEIDatacatSegmenterSaxParser.java:23-189``). Exact inverse of
     ``assemble_segmenter_tei`` for every document it emits (round-trip
     property, tested)."""
-    global _ZONE_RE
-    if _ZONE_RE is None:
-        import re
-
-        _ZONE_RE = re.compile(
-            r"\t\t\t<(front|body|back|annex|other)>(.*?)</\1>\n", re.S
-        )
     out: list[tuple[str, str]] = []
     for m in _ZONE_RE.finditer(tei):
         label = f"<{m.group(1)}>"
@@ -179,10 +190,6 @@ def parse_segmenter_tei(tei: str) -> list[tuple[str, str]]:
     return out
 
 
-_REF_ZONE_RE = None
-_REF_ENTRY_RE = None
-
-
 def parse_reference_tei(text: str) -> list[tuple[str, str]]:
     """Parse a REFERENCE-corpus segmenter TEI training file (the actual
     committed format under ``resources/dataset/datacat-segmenter/corpus/
@@ -190,15 +197,6 @@ def parse_reference_tei(text: str) -> list[tuple[str, str]]:
     entities escaped) into ``(line_text, label)`` pairs — the engine
     analogue of ``TEIDatacatSegmenterSaxParser.java:23-189`` run against
     the reference's own corpus."""
-    global _REF_ZONE_RE
-    if _REF_ZONE_RE is None:
-        import re
-
-        _REF_ZONE_RE = re.compile(
-            r"<(front|body|back|annex|other|header|footnote)>(.*?)</\1>", re.S
-        )
-    from html import unescape
-
     body = text.split("<text", 1)[-1]
     out: list[tuple[str, str]] = []
     for m in _REF_ZONE_RE.finditer(body):
@@ -215,15 +213,6 @@ def parse_reference_body_tei(text: str) -> list[tuple[str, str]]:
     (``resources/dataset/datacat-body-segmentation/corpus/tei/``) into
     ``(label, element_text)`` pairs (``TEIDatacatBodySegmentationSaxParser
     .java:12-148`` analogue)."""
-    global _REF_ENTRY_RE
-    if _REF_ENTRY_RE is None:
-        import re
-
-        _REF_ENTRY_RE = re.compile(
-            r"<(entry|title|titledesc|other|note)(?:\s[^>]*)?>(.*?)</\1>", re.S
-        )
-    from html import unescape
-
     body = text.split("<text", 1)[-1]
     out: list[tuple[str, str]] = []
     for m in _REF_ENTRY_RE.finditer(body):
@@ -308,6 +297,48 @@ def split_sentence_spans(
     return spans
 
 
+def body_tei(
+    url: str,
+    lang: str | None,
+    tokens: list[str],
+    names: list[str],
+    entries,
+    coords: list[tuple[int, int]] | None = None,
+    segment_sentences: bool = False,
+) -> str:
+    """Entry-tagged TEI over the body token stream: ``entries`` is the
+    (label index into ``names``, start, end) arrays of a document's entry
+    runs. Content between a run's first and last labeled token is re-read
+    from the original tokenization (whitespace re-insertion, J2); newline
+    tokens render as ``<lb/>``. ``coords`` (optional, one per entry run)
+    adds char-span coordinate attributes; see ``_coords_attr``.
+    ``segment_sentences`` (off by default — golden bytes unchanged) wraps
+    each sentence inside every entry element in ``<s>…</s>`` via
+    ``split_sentence_spans``; inter-sentence whitespace stays between the
+    ``<s>`` elements, so stripping the tags recovers the unsegmented entry
+    byte-for-byte."""
+    parts = []
+    for k, (i, a, b) in enumerate(zip(*(c.tolist() for c in entries))):
+        label = names[i]
+        open_tag, close_tag = _BODY_TAG_MAP.get(
+            label, (label, "</" + label[1:]))
+        if coords is not None:
+            open_tag = open_tag[:-1] + _coords_attr(coords, k) + ">"
+        if segment_sentences:
+            buf: list[str] = []
+            pos = a
+            for s, e in split_sentence_spans(tokens, a, b):
+                buf += [tokens_tei(tokens, pos, s), "<s>",
+                        tokens_tei(tokens, s, e), "</s>"]
+                pos = e
+            buf.append(tokens_tei(tokens, pos, b))
+            content = "".join(buf)
+        else:
+            content = tokens_tei(tokens, a, b)
+        parts.append(f"\t\t\t{open_tag}{content}{close_tag}\n")
+    return tei_document(url, lang, "".join(parts))
+
+
 def assemble_body_tei(
     url: str,
     lang: str | None,
@@ -316,32 +347,8 @@ def assemble_body_tei(
     coords: list[tuple[int, int]] | None = None,
     segment_sentences: bool = False,
 ) -> str:
-    """Entry-tagged TEI over the body token stream. Content between a run's
-    first and last labeled token is re-read from the original tokenization
-    (whitespace re-insertion, J2); newline tokens render as ``<lb/>``.
-    ``coords`` (optional, one per entry run) adds char-span coordinate
-    attributes; see ``_coords_attr``. ``segment_sentences`` (off by
-    default — golden bytes unchanged) wraps each sentence inside every
-    entry element in ``<s>…</s>`` via ``split_sentence_spans``;
-    inter-sentence whitespace stays between the ``<s>`` elements, so
-    stripping the tags recovers the unsegmented entry byte-for-byte."""
-    parts = []
-    for k, run in enumerate(entries):
-        open_tag, close_tag = _BODY_TAG_MAP.get(
-            run["label"], (run["label"], "</" + run["label"][1:])
-        )
-        if coords is not None:
-            open_tag = open_tag[:-1] + _coords_attr(coords, k) + ">"
-        if segment_sentences:
-            buf: list[str] = []
-            pos = run["start"]
-            for s, e in split_sentence_spans(tokens, run["start"], run["end"]):
-                buf += [tokens_tei(tokens, pos, s), "<s>",
-                        tokens_tei(tokens, s, e), "</s>"]
-                pos = e
-            buf.append(tokens_tei(tokens, pos, run["end"]))
-            content = "".join(buf)
-        else:
-            content = tokens_tei(tokens, run["start"], run["end"])
-        parts.append(f"\t\t\t{open_tag}{content}{close_tag}\n")
-    return tei_document(url, lang, "".join(parts))
+    """``body_tei`` of ``{label, start, end}`` dicts (the form perfbench's
+    traced walk and the tests call)."""
+    return body_tei(url, lang, tokens, *_span_arrays(
+        [(r["label"], r["start"], r["end"]) for r in entries]), coords,
+        segment_sentences)

@@ -14,6 +14,8 @@ row-local — no shuffle.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import pyarrow as pa
 
 from datacat_ray.stages.crf import strip_begin_prefix
@@ -40,26 +42,15 @@ def decode_zones(
     line_labels: list[str], token_line: list[int], n_tokens: int
 ) -> list[dict]:
     """Labels per line → zone spans in token offsets. Spans partition the
-    token stream: each line's tokens (plus the newline token that follows it)
-    belong to that line's zone."""
-    if not line_labels:
-        return []
-    # first token index of each line
-    n_lines = len(line_labels)
-    first_tok = [n_tokens] * (n_lines + 1)
-    for t in range(n_tokens - 1, -1, -1):
-        first_tok[token_line[t]] = t
-    first_tok[n_lines] = n_tokens
-    # lines with no tokens inherit the next line's start
-    for i in range(n_lines - 1, -1, -1):
-        if first_tok[i] == n_tokens and i + 1 <= n_lines:
-            first_tok[i] = first_tok[i + 1]
-    zones = []
-    for lb, a, b in line_runs(line_labels):
-        start = first_tok[a]
-        end = first_tok[b + 1]
-        zones.append({"label": lb, "start": start, "end": end})
-    return zones
+    token stream: each line's tokens (plus the newline token that follows
+    it) belong to that line's zone: a run starts at the first token of
+    its first line, or of a later line when that one has none
+    (``bisect_left`` in the non-decreasing ``token_line``). The string
+    form of the stage's batch-wide zones, for perfbench's traced walk."""
+    runs = line_runs(line_labels)
+    at = [bisect_left(token_line, a) for _, a, _ in runs] + [n_tokens]
+    return [{"label": lb, "start": s, "end": e}
+            for (lb, _, _), s, e in zip(runs, at, at[1:])]
 
 
 def zone_token_indices(zones: list[dict], label: str) -> list[tuple[int, int]]:

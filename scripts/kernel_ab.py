@@ -50,7 +50,9 @@ BATCHES = (19, 128)
 SEED = 1
 ROUNDS = 20
 # the leaf phase methods; a revision without one of them skips it (the
-# entry spans ran inside ``_lexical_emissions`` before ``_body_spans``)
+# entry spans ran inside ``_lexical_emissions`` before ``_body_spans``;
+# ``_zones`` ran once per document before the zones came from one span
+# decode of the batch, and ``_assemble`` built entry dicts for the TEI)
 PHASES = ("_lines", "_seg_emissions", "_zones", "_body_emissions",
           "_body_spans", "_lexical_emissions", "_lexical_spans", "_assemble")
 # the line-feature layer, a function of the stage's module

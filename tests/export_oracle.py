@@ -7,6 +7,8 @@ equal these."""
 
 from __future__ import annotations
 
+from zone_oracle import decode_zones, segmenter_tei
+
 from datacat_ray.stages.crf import CRFDecoder, with_begin_prefix
 from datacat_ray.stages.dom import blocks_from_plain_text, parse_main_blocks
 from datacat_ray.stages.line_features import _FIELD_NAMES, line_columns
@@ -14,7 +16,6 @@ from datacat_ray.stages.models import BODY_MODEL, SEGMENTER_MODEL
 from datacat_ray.stages.tei import (
     _TEI_HEADER,
     assemble_body_tei,
-    assemble_segmenter_tei,
     body_label_runs,
     doc_id,
     html_encode,
@@ -26,7 +27,7 @@ from datacat_ray.stages.token_features import (
     feature_rows,
 )
 from datacat_ray.stages.tokenizer import tokenize_document
-from datacat_ray.stages.zones import decode_zones, zone_token_indices
+from datacat_ray.stages.zones import zone_token_indices
 
 SEG = CRFDecoder(SEGMENTER_MODEL)
 BODY = CRFDecoder(BODY_MODEL)
@@ -64,7 +65,7 @@ def training_pair(url, lang, html, text, model: str,
         if blank:
             tei = _text_tei(url, lang, lines_tei(lines.text))
         else:
-            tei = assemble_segmenter_tei(url, lang, lines, line_labels)
+            tei = segmenter_tei(url, lang, lines, line_labels)
     else:
         name = f"{stem}.training.bodySegmentation.datacat.text"
         zones = decode_zones(line_labels, token_line, len(tokens))

@@ -6,11 +6,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from level_emissions import level_emissions
+from zone_oracle import decode_zones
 
 from datacat_ray.stages.crf import (
     CRFDecoder,
     CRFModel,
-    label_spans,
     strip_begin_prefix,
     with_begin_prefix,
 )
@@ -169,11 +169,7 @@ def _reference_decode(model: CRFModel, feats: list[dict]) -> list[str]:
     emissions summed per expanded feature string in template order, ties
     to the lowest label index."""
     L = len(model.labels)
-    if not feats:
-        return []
     idx = model.label_index()
-    trans = model.transition_matrix().tolist()
-    init = model.init_vector().tolist()
     em = []
     for fs in expand_sequence(feats, model.templates):
         row = [0.0] * L
@@ -181,9 +177,20 @@ def _reference_decode(model: CRFModel, feats: list[dict]) -> list[str]:
             for lb, w in model.weights.get(f, {}).items():
                 row[idx[lb]] += w
         em.append(row)
+    return [model.labels[i] for i in _reference_path(
+        em, model.transition_matrix().tolist(), model.init_vector().tolist())]
+
+
+def _reference_path(em: list[list[float]], trans: list[list[float]],
+                    init: list[float]) -> list[int]:
+    """Textbook one-sequence Viterbi over emission rows: the label index
+    path, ties to the lowest label index."""
+    if not em:
+        return []
+    L = len(init)
     delta = [em[0][j] + init[j] for j in range(L)]
     backs = []
-    for t in range(1, len(feats)):
+    for t in range(1, len(em)):
         bk = [max(range(L), key=lambda i: (delta[i] + trans[i][j], -i))
               for j in range(L)]
         delta = [delta[bk[j]] + trans[bk[j]][j] + em[t][j] for j in range(L)]
@@ -193,7 +200,7 @@ def _reference_decode(model: CRFModel, feats: list[dict]) -> list[str]:
     for bk in reversed(backs):
         cur = bk[cur]
         path.append(cur)
-    return [model.labels[i] for i in reversed(path)]
+    return path[::-1]
 
 
 _VALS = ("a", "b", "c")
@@ -287,7 +294,7 @@ def _fixture_sequences():
     from datacat_ray.stages.tei import body_label_runs
     from datacat_ray.stages.token_features import featurize_body_tokens
     from datacat_ray.stages.tokenizer import tokenize_document
-    from datacat_ray.stages.zones import decode_zones, zone_token_indices
+    from datacat_ray.stages.zones import zone_token_indices
 
     rng = random.Random(13)
     seg, body, lex = [], [], []
@@ -353,7 +360,7 @@ def test_emission_cache_reset_mid_batch(monkeypatch):
 
 def _reference_label_runs(labels: list[str], idx: list[int]) -> list[dict]:
     """The per-token loop that coalesced label names into spans before
-    ``label_spans`` (kept verbatim as the reference)."""
+    ``span_starts`` (kept verbatim as the reference)."""
     runs: list[dict] = []
     for pos, raw in enumerate(labels):
         lb = strip_begin_prefix(raw)
@@ -369,8 +376,8 @@ def _reference_label_runs(labels: list[str], idx: list[int]) -> list[dict]:
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_label_spans_match_the_reference_loop(data):
-    """``label_spans`` of an int path (through ``CRFDecoder.span_arrays``,
-    the batch-wide span decode), and ``body_label_runs`` of its names,
+    """The spans of an int path (``CRFDecoder.span_arrays``, the
+    batch-wide span decode), and ``body_label_runs`` of its names,
     equal the reference loop — run once per sequence when several
     sequences lie end to end (``starts``): with and without ``I-`` labels,
     gapped offsets, empty and length-1 paths."""
@@ -399,8 +406,6 @@ def test_label_spans_match_the_reference_loop(data):
         got = [{"label": dec.base_labels[i], "start": a, "end": b}
                for i, a, b in zip(lab.tolist(), start.tolist(), end.tolist())]
         assert got == want
-        assert label_spans(dec._base[p], dec._begins[p], dec.base_labels,
-                           idx[:n], starts) == want
         assert all(type(r["start"]) is int and type(r["end"]) is int
                    for r in got)
         assert body_label_runs(names, idx[:n]) == _reference_label_runs(
@@ -425,6 +430,50 @@ def test_paths_name_the_viterbi_labels():
                                       for s in body]
     assert len(dec.paths(np.zeros((0, dec.L)), [])) == 0
     assert dec.viterbi([]) == []
+
+
+_SHAPES = {
+    # one long sequence among short ones: the steps past the short ones
+    # run with one active sequence
+    "tail": st.tuples(st.integers(20, 60), st.lists(
+        st.integers(0, 4), min_size=1, max_size=12)).map(
+            lambda t: [t[0], *t[1]]),
+    "zero-length": st.lists(st.integers(0, 3), min_size=1, max_size=6).map(
+        lambda ls: [0, *ls, 0]),
+    "single": st.integers(0, 30).map(lambda n: [n]),
+    "ragged": st.lists(st.integers(0, 12), max_size=10),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_paths_match_the_reference_viterbi(data):
+    """``CRFDecoder.paths`` equals the one-sequence reference on each
+    sequence of a batch laid end to end: the tail shape, zero-length
+    sequences, a single sequence and random ragged batches, all with
+    integer emissions, transitions and initial scores, so exact ties are
+    common."""
+    L = data.draw(st.integers(1, 8), label="L")
+    lens = data.draw(st.permutations(data.draw(
+        st.sampled_from(sorted(_SHAPES)).flatmap(_SHAPES.get))), label="lens")
+    small = st.integers(-2, 2).map(float)
+    labels = tuple(f"L{i}" for i in range(L))
+    pairs = [(a, b) for a in labels for b in labels]
+    model = CRFModel(
+        labels=labels, templates=(), weights={},
+        transitions=data.draw(st.dictionaries(st.sampled_from(pairs), small)),
+        init=data.draw(st.dictionaries(st.sampled_from(labels), small)),
+        sticky=float(data.draw(st.integers(0, 1))))
+    E = np.array(data.draw(st.lists(st.lists(small, min_size=L, max_size=L),
+                                    min_size=sum(lens), max_size=sum(lens))),
+                 dtype=np.float64).reshape(sum(lens), L)
+    dec = CRFDecoder(model)
+    got = dec.paths(E, lens)
+    assert got.dtype == np.intp and len(got) == sum(lens)
+    trans, init = dec.trans.tolist(), dec.init.tolist()
+    for at, n in zip(np.cumsum(lens) - lens, lens):
+        assert got[at:at + n].tolist() == _reference_path(
+            E[at:at + n].tolist(), trans, init)
 
 
 # ---------------------------------------------------------------------------

@@ -290,3 +290,52 @@ def test_per_run_body_tei_equals_per_token_rendering(data):
     crlf = assemble_body_tei("u", "fr", ["a", "\r", "\n", "\r\n", "b"],
                              [{"label": "<entry>", "start": 0, "end": 5}])
     assert "<entry>a<lb/>\n<lb/>\n<lb/>\nb</entry>" in crlf
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_array_zones_equal_the_per_line_oracle(data):
+    """The stage's batch-wide zones (``FusedExtractStage._zones`` over int
+    segmenter paths) equal the per-line oracle on random batches: the
+    zones, the ``<body>`` token ranges and the segmenter TEI
+    (``segmenter_tei`` of the zones' line runs), with lines that have no
+    tokens anywhere in a document and documents without lines. The walk's
+    string forms (``decode_zones``, ``assemble_segmenter_tei``) agree."""
+    from types import SimpleNamespace
+
+    import numpy as np
+    import zone_oracle
+
+    from datacat_ray.pipelines.extract import FusedExtractStage, _Doc
+    from datacat_ray.stages.crf import with_begin_prefix
+    from datacat_ray.stages.tei import segmenter_tei
+
+    stage = FusedExtractStage()
+    names = stage.seg.base_labels
+    docs = []
+    for k in range(data.draw(st.integers(1, 5))):
+        counts = data.draw(st.lists(st.integers(0, 3), max_size=12))
+        d = _Doc(f"http://u/{k}", "fr")
+        n = len(counts)
+        d.lines = SimpleNamespace(text=[f"l{i} <&>" for i in range(n)])
+        d.token_line = [i for i, c in enumerate(counts) for _ in range(c)]
+        d.tokens = ["t"] * len(d.token_line)
+        d.path = np.array(data.draw(st.lists(
+            st.integers(0, len(names) - 1), min_size=n, max_size=n)),
+            dtype=np.intp)
+        d.lens, d.idx = [n], np.arange(n)
+        docs.append(d)
+    stage._zones(docs)
+    for d in docs:
+        labels = with_begin_prefix([names[i] for i in d.path.tolist()])
+        want = zone_oracle.decode_zones(labels, d.token_line, len(d.tokens))
+        lab, start, end = d.zones
+        assert [{"label": names[i], "start": a, "end": b} for i, a, b in zip(
+            lab.tolist(), start.tolist(), end.tolist())] == want
+        assert d.body == [(z["start"], z["end"]) for z in want
+                          if z["label"] == "<body>"]
+        tei = zone_oracle.segmenter_tei(d.url, d.lang, d.lines, labels)
+        assert segmenter_tei(d.url, d.lang, d.lines, names,
+                             d.zone_lines) == tei
+        assert assemble_segmenter_tei(d.url, d.lang, d.lines, labels) == tei
+        assert decode_zones(labels, d.token_line, len(d.tokens)) == want
